@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -416,14 +416,16 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
                 traj = sim.run_lti(plant, obj, cfg, steps=steps, seed=seed)
             else:
                 traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps, seed=seed)
-            rel = sim.metrics(traj, star.u, model)
-            ref = star.u if mode is Mode.CENTRALIZED else fixed.u
-            combined = (
-                sim.metrics(traj, ref, model).combined_sq if loop == "lti" else None
-            )
-            err = sim.ErrorMetrics(
-                rel_err_u=rel.rel_err_u, combined_sq=combined, absolute=rel.absolute
-            )
+            # rel_err_u is against u_star; combined_sq against the mode's own
+            # limit, which for the centralized loop is u_star as well
+            if mode is Mode.CENTRALIZED:
+                err = sim.metrics(traj, star.u, model)
+            else:
+                err = sim.metrics(traj, star.u)
+                if loop == "lti":
+                    err = replace(
+                        err, combined_sq=sim.combined_sq(traj, fixed.u, model)
+                    )
             name = f"fig3_{mode.value}_{loop}.csv"
             sim.write_trajectory_csv(os.path.join(out_dir, name), traj, err)
             files[f"{mode.value}_{loop}"] = name

@@ -9,19 +9,21 @@ only needs its own measurement and self-sensitivity:
 
     u_i+ = u_i - eta (dphi_i1(u_i) + H_ii dphi_i2(y_i)).
 
-Both consume the measured output y and never recompute it from u, so
-the same step functions serve the algebraic and the dynamic closed loop.
+Both are one formula, u+ = u - eta (grad_u(u) + G^T grad_y(y)) with
+G = H or G = diag(H), built once per run by ``update_map``.  It consumes
+the measured output y and never recomputes it from u, so the same map
+serves the algebraic and the dynamic closed loop.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import objective as obj_mod
 from .errors import DimensionMismatch
 from .objective import SeparableObjective
 from .plant import SensitivityModel
@@ -53,6 +55,36 @@ def _check_vec(vec, n: int, name: str) -> NDArray[np.float64]:
     return vec
 
 
+def update_map(
+    cfg: ControllerConfig, obj: SeparableObjective, model: SensitivityModel
+) -> Callable[[NDArray[np.float64], NDArray[np.float64]], NDArray[np.float64]]:
+    """The update u, y -> u - eta (grad_u(u) + G^T grad_y(y)) of ``cfg.mode``.
+
+    Package-internal: the step functions and the closed loops in ``sim``
+    all apply this one map.  G and the gradient form are fixed here,
+    once per run: G^T is H^T (centralized) or the elementwise product
+    with diag(H) (decentralized), where component i reads only
+    (u_i, y_i, H_ii).  The returned map does no validation; it expects
+    float vectors of length ``model.n``.
+    """
+    if obj.n != model.n:
+        raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
+    eta = cfg.eta
+    grad_u, grad_y = obj.input_gradient, obj.output_gradient
+    if cfg.mode is Mode.CENTRALIZED:
+        apply_gt = model.H.T.__matmul__
+    else:
+        apply_gt = np.diag(model.H_diag).__mul__
+    return lambda u, y: u - eta * (grad_u(u) + apply_gt(grad_y(y)))
+
+
+def _step(cfg, expected: Mode, obj, model, u, y) -> NDArray[np.float64]:
+    if cfg.mode is not expected:
+        raise ValueError(f"config mode is {cfg.mode}, expected {expected.name}")
+    n = model.n
+    return update_map(cfg, obj, model)(_check_vec(u, n, "u"), _check_vec(y, n, "y"))
+
+
 def centralized_step(
     cfg: ControllerConfig,
     obj: SeparableObjective,
@@ -61,12 +93,7 @@ def centralized_step(
     y,
 ) -> NDArray[np.float64]:
     """Full-information update using the complete sensitivity H."""
-    if cfg.mode is not Mode.CENTRALIZED:
-        raise ValueError(f"config mode is {cfg.mode}, expected CENTRALIZED")
-    n = model.n
-    u = _check_vec(u, n, "u")
-    y = _check_vec(y, n, "y")
-    return u - cfg.eta * (obj_mod.grad_u(obj, u) + model.H.T @ obj_mod.grad_y(obj, y))
+    return _step(cfg, Mode.CENTRALIZED, obj, model, u, y)
 
 
 def decentralized_step(
@@ -76,22 +103,5 @@ def decentralized_step(
     u,
     y,
 ) -> NDArray[np.float64]:
-    """Communication-free update using only the diagonal of H.
-
-    Computed agent-wise: component i reads only (u_i, y_i, H_ii), which
-    makes the decoupling structural rather than incidental.
-    """
-    if cfg.mode is not Mode.DECENTRALIZED:
-        raise ValueError(f"config mode is {cfg.mode}, expected DECENTRALIZED")
-    n = model.n
-    u = _check_vec(u, n, "u")
-    y = _check_vec(y, n, "y")
-    h_ii = np.diag(model.H_diag)
-    out = np.empty(n)
-    for i in range(n):
-        dphi1 = obj.input_costs[i][1]
-        dphi2 = obj.output_costs[i][1]
-        out[i] = u[i] - cfg.eta * (
-            dphi1(float(u[i])) + h_ii[i] * dphi2(float(y[i]))
-        )
-    return out
+    """Communication-free update using only the diagonal of H."""
+    return _step(cfg, Mode.DECENTRALIZED, obj, model, u, y)

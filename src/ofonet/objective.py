@@ -71,6 +71,16 @@ class SeparableObjective:
         """Number of agents."""
         return len(self.input_costs)
 
+    # The unchecked gradients take float vectors of length n; grad_u and
+    # grad_y check the length first, a closed loop checks once per run.
+    def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Unchecked grad_u: component i is dphi_i1(u_i)."""
+        return np.array([df(ui) for (_, df), ui in zip(self.input_costs, u.tolist())])
+
+    def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Unchecked grad_y: component i is dphi_i2(y_i)."""
+        return np.array([df(yi) for (_, df), yi in zip(self.output_costs, y.tolist())])
+
 
 class QuadraticObjective(SeparableObjective):
     """Quadratic tracking objective 0.5 (gamma1 ||u||^2 + gamma2 ||y - y_ref||^2).
@@ -114,6 +124,12 @@ class QuadraticObjective(SeparableObjective):
         object.__setattr__(self, "gamma2", gamma2)
         object.__setattr__(self, "y_ref", y_ref)
 
+    def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.gamma1 * u
+
+    def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.gamma2 * (y - self.y_ref)
+
 
 def _check_len(vec, n: int, name: str) -> NDArray[np.float64]:
     vec = np.asarray(vec, dtype=float)
@@ -124,18 +140,12 @@ def _check_len(vec, n: int, name: str) -> NDArray[np.float64]:
 
 def grad_u(obj: SeparableObjective, u) -> NDArray[np.float64]:
     """Gradient of the summed input cost; component i is dphi_i1(u_i)."""
-    u = _check_len(u, obj.n, "u")
-    if isinstance(obj, QuadraticObjective):
-        return obj.gamma1 * u
-    return np.array([df(float(ui)) for (_, df), ui in zip(obj.input_costs, u)])
+    return obj.input_gradient(_check_len(u, obj.n, "u"))
 
 
 def grad_y(obj: SeparableObjective, y) -> NDArray[np.float64]:
     """Gradient of the summed output cost; component i is dphi_i2(y_i)."""
-    y = _check_len(y, obj.n, "y")
-    if isinstance(obj, QuadraticObjective):
-        return obj.gamma2 * (y - obj.y_ref)
-    return np.array([df(float(yi)) for (_, df), yi in zip(obj.output_costs, y)])
+    return obj.output_gradient(_check_len(y, obj.n, "y"))
 
 
 def value(obj: SeparableObjective, u, y) -> float:

@@ -9,21 +9,31 @@ while the dynamic loop runs the full plant recursion: at iteration k the
 controller reads y_k computed from (x_k, u_k), then the input and the
 state both advance once (synchronous interconnection).
 
-Runs early-stop when successive iterates move less than EARLY_STOP_TOL
-and raise NonFinite, carrying the finite prefix, when an iterate
-diverges.  Trajectories round-trip through CSV at 17 significant digits
+Both loops apply one update map built by ``controller.update_map`` once
+per run; inputs are validated once, before the first step.  Runs
+early-stop when successive iterates move less than EARLY_STOP_TOL and
+raise NonFinite, carrying the finite prefix, when an iterate diverges.
+
+Rows are recorded into arrays that grow RECORD_BLOCK rows at a time, so
+memory follows the iterations actually run, not the step budget.
+
+CSV format contract: each data row is formatted by one template,
+"%d" for k then ",%.17g" per value, and written CSV_CHUNK_ROWS rows at a
+time.  17 significant digits round-trip every float64 exactly, and
+"%.17g" renders -0.0, subnormals, inf and nan as format(v, ".17g") does,
 so identical configurations reproduce byte-identical files.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .controller import ControllerConfig, Mode, centralized_step, decentralized_step
+from .controller import ControllerConfig, Mode, update_map
 from .errors import DimensionMismatch, NonFinite
 from .plant import LtiPlant, SensitivityModel, compute_sensitivity
 
@@ -36,11 +46,15 @@ __all__ = [
     "run_algebraic",
     "run_lti",
     "metrics",
+    "combined_sq",
     "write_trajectory_csv",
 ]
 
 EARLY_STOP_TOL = 1e-12
 DEFAULT_STEPS = 10**5
+# rows per recorder block and per formatted CSV chunk
+RECORD_BLOCK = 1024
+CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -96,12 +110,6 @@ class ErrorMetrics:
     absolute: bool = False
 
 
-def _step_fn(cfg: ControllerConfig):
-    if cfg.mode is Mode.CENTRALIZED:
-        return centralized_step
-    return decentralized_step
-
-
 def _init_vec(value, n: int, name: str) -> NDArray[np.float64]:
     if value is None:
         return np.zeros(n)
@@ -113,13 +121,61 @@ def _init_vec(value, n: int, name: str) -> NDArray[np.float64]:
     return vec
 
 
-def _partial(u_list, y_list, x_list, info):
-    if not u_list:
-        return None
-    x = np.array(x_list) if x_list is not None else None
-    return Trajectory(
-        u_series=np.array(u_list), y_series=np.array(y_list), x_series=x, info=info
-    )
+class _Recorder:
+    """Rows (u_k, y_k[, x_k]) of a run, in arrays grown RECORD_BLOCK rows at a time."""
+
+    def __init__(self, n: int, n_state: Optional[int] = None):
+        self._widths = (n, n) if n_state is None else (n, n, n_state)
+        self._blocks: list = []
+        self._row = RECORD_BLOCK
+
+    def append(self, u, y, x=None) -> None:
+        if self._row == RECORD_BLOCK:
+            block = [np.empty((RECORD_BLOCK, w)) for w in self._widths]
+            self._blocks.append(block)
+            self._u, self._y, *rest = block
+            self._x = rest[0] if rest else None
+            self._row = 0
+        r = self._row
+        self._u[r] = u
+        self._y[r] = y
+        if x is not None:
+            self._x[r] = x
+        self._row = r + 1
+
+    def trajectory(self, info: RunInfo) -> Optional[Trajectory]:
+        """The recorded rows as a Trajectory; None when nothing was recorded."""
+        if not self._blocks:
+            return None
+        *full, last = self._blocks
+        series = [
+            np.concatenate([b[i] for b in full] + [last[i][: self._row]])
+            for i in range(len(self._widths))
+        ]
+        x = series[2] if len(series) == 3 else None
+        return Trajectory(u_series=series[0], y_series=series[1], x_series=x, info=info)
+
+
+def _finite(v) -> bool:
+    """Whether every entry of the float vector ``v`` is finite.
+
+    v @ v is finite only then, so the elementwise test runs only when
+    that sum of squares is not: a non-finite entry, or an overflow.
+    """
+    return math.isfinite(v @ v) or bool(np.isfinite(v).all())
+
+
+def _step_norm(v_next, v) -> float:
+    """||v_next - v|| as np.linalg.norm computes it, for a finite ``v``.
+
+    NaN when ``v_next`` holds a non-finite entry, which makes the sum of
+    squares inf or nan; an inf from finite entries is an overflow.
+    """
+    dv = v_next - v
+    sq = dv @ dv
+    if math.isfinite(sq) or np.isfinite(v_next).all():
+        return math.sqrt(sq)
+    return math.nan
 
 
 def run_algebraic(
@@ -137,9 +193,9 @@ def run_algebraic(
     n = model.n
     d = _init_vec(d, n, "d")
     u = _init_vec(u0, n, "u0")
-    take = _step_fn(cfg)
-    u_list: list = []
-    y_list: list = []
+    update = update_map(cfg, obj, model)
+    H = model.H
+    rec = _Recorder(n)
     early = False
     iterations = 0
 
@@ -149,28 +205,21 @@ def run_algebraic(
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            y = model.H @ u + d
-            if not np.all(np.isfinite(y)):
-                raise NonFinite(k, _partial(u_list, y_list, None, info(iterations)))
-            u_list.append(u)
-            y_list.append(y)
-            u_next = take(cfg, obj, model, u, y)
+            y = H @ u + d
+            if not _finite(y):
+                raise NonFinite(k, rec.trajectory(info(iterations)))
+            rec.append(u, y)
+            u_next = update(u, y)
             iterations += 1
-            if not np.all(np.isfinite(u_next)):
-                raise NonFinite(k + 1, _partial(u_list, y_list, None, info(iterations)))
-            delta = float(np.linalg.norm(u_next - u))
+            delta = _step_norm(u_next, u)
+            if math.isnan(delta):
+                raise NonFinite(k + 1, rec.trajectory(info(iterations)))
             u = u_next
             if delta < EARLY_STOP_TOL:
                 early = True
                 break
-    u_list.append(u)
-    y_list.append(model.H @ u + d)
-    return Trajectory(
-        u_series=np.array(u_list),
-        y_series=np.array(y_list),
-        x_series=None,
-        info=info(iterations),
-    )
+    rec.append(u, H @ u + d)
+    return rec.trajectory(info(iterations))
 
 
 def run_lti(
@@ -193,10 +242,9 @@ def run_lti(
     model = compute_sensitivity(plant)
     x = _init_vec(x0, plant.n_state, "x0")
     u = _init_vec(u0, plant.n, "u0")
-    take = _step_fn(cfg)
-    u_list: list = []
-    y_list: list = []
-    x_list: list = []
+    update = update_map(cfg, obj, model)
+    A, B, C, D, dist = plant.A, plant.B, plant.C, plant.D, plant.d
+    rec = _Recorder(plant.n, plant.n_state)
     early = False
     iterations = 0
 
@@ -206,31 +254,22 @@ def run_lti(
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            x_next, y = plant.A @ x + plant.B @ u, plant.C @ x + plant.D @ u + plant.d
-            if not np.all(np.isfinite(y)):
-                raise NonFinite(k, _partial(u_list, y_list, x_list, info(iterations)))
-            u_list.append(u)
-            y_list.append(y)
-            x_list.append(x)
-            u_next = take(cfg, obj, model, u, y)
+            x_next, y = A @ x + B @ u, C @ x + D @ u + dist
+            if not _finite(y):
+                raise NonFinite(k, rec.trajectory(info(iterations)))
+            rec.append(u, y, x)
+            u_next = update(u, y)
             iterations += 1
-            if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(x_next))):
-                raise NonFinite(k + 1, _partial(u_list, y_list, x_list, info(iterations)))
-            delta_u = float(np.linalg.norm(u_next - u))
-            delta_x = float(np.linalg.norm(x_next - x))
+            delta_u = _step_norm(u_next, u)
+            delta_x = _step_norm(x_next, x)
+            if math.isnan(delta_u) or math.isnan(delta_x):
+                raise NonFinite(k + 1, rec.trajectory(info(iterations)))
             u, x = u_next, x_next
             if delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL:
                 early = True
                 break
-    u_list.append(u)
-    y_list.append(plant.C @ x + plant.D @ u + plant.d)
-    x_list.append(x)
-    return Trajectory(
-        u_series=np.array(u_list),
-        y_series=np.array(y_list),
-        x_series=np.array(x_list),
-        info=info(iterations),
-    )
+    rec.append(u, C @ x + D @ u + dist, x)
+    return rec.trajectory(info(iterations))
 
 
 def metrics(
@@ -243,27 +282,42 @@ def metrics(
     combined squared error ||x_k - H_x u_k||^2 + ||u_k - u_ref||^2 is
     attached; the reference should then be the decentralized fixed point.
     """
-    u_ref = np.asarray(u_ref, dtype=float)
-    u = trajectory.u_series
-    if u_ref.shape != (u.shape[1],):
-        raise DimensionMismatch(
-            f"u_ref must have length {u.shape[1]}, got shape {u_ref.shape}"
-        )
+    u_ref = _reference(trajectory, u_ref)
     # norms of a diverging tail may overflow to inf; that is the metric
     with np.errstate(over="ignore", invalid="ignore"):
-        err = np.linalg.norm(u - u_ref, axis=1)
+        err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
         ref_norm = float(np.linalg.norm(u_ref))
         absolute = ref_norm == 0.0
         rel = err if absolute else err / ref_norm
         combined = None
         if trajectory.x_series is not None and model is not None:
-            resid = trajectory.x_series - trajectory.u_series @ model.H_x.T
-            combined = np.sum(resid**2, axis=1) + err**2
+            combined = _combined_sq(trajectory, model, err)
     return ErrorMetrics(rel_err_u=rel, combined_sq=combined, absolute=absolute)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def combined_sq(
+    trajectory: Trajectory, u_ref, model: SensitivityModel
+) -> NDArray[np.float64]:
+    """Only the combined squared error of ``metrics`` for a dynamic run."""
+    if trajectory.x_series is None:
+        raise ValueError("combined error needs a dynamic run with recorded states")
+    u_ref = _reference(trajectory, u_ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
+        return _combined_sq(trajectory, model, err)
+
+
+def _reference(trajectory: Trajectory, u_ref) -> NDArray[np.float64]:
+    u_ref = np.asarray(u_ref, dtype=float)
+    n = trajectory.u_series.shape[1]
+    if u_ref.shape != (n,):
+        raise DimensionMismatch(f"u_ref must have length {n}, got shape {u_ref.shape}")
+    return u_ref
+
+
+def _combined_sq(trajectory: Trajectory, model: SensitivityModel, err):
+    resid = trajectory.x_series - trajectory.u_series @ model.H_x.T
+    return np.sum(resid**2, axis=1) + err**2
 
 
 def write_trajectory_csv(
@@ -273,7 +327,10 @@ def write_trajectory_csv(
 
     Columns: k, u_1..u_n, y_1..y_n, x_1..x_m (dynamic runs), rel_err_u,
     combined_sq (when present).  ``decimate`` keeps every k-th row;
-    metrics must already be computed on the undecimated series.
+    metrics must already be computed on the undecimated series.  Each
+    row is formatted by one template, "%d" then ",%.17g" per value, so
+    every float is written with 17 significant digits (as
+    ``format(v, ".17g")``: "-0", "inf", "nan" and subnormals included).
     """
     if decimate < 1:
         raise ValueError(f"decimate must be >= 1, got {decimate}")
@@ -281,20 +338,20 @@ def write_trajectory_csv(
     header = ["k"]
     header += [f"u_{i + 1}" for i in range(n)]
     header += [f"y_{i + 1}" for i in range(n)]
+    columns = [trajectory.u_series, trajectory.y_series]
     if trajectory.x_series is not None:
         header += [f"x_{i + 1}" for i in range(trajectory.x_series.shape[1])]
+        columns.append(trajectory.x_series)
     header.append("rel_err_u")
+    columns.append(err.rel_err_u)
     if err.combined_sq is not None:
         header.append("combined_sq")
+        columns.append(err.combined_sq)
+    row = "%d" + ",%.17g" * (len(header) - 1) + "\n"
+    ks = np.arange(0, len(trajectory), decimate)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(0, len(trajectory), decimate):
-            row = [str(k)]
-            row += [_fmt(v) for v in trajectory.u_series[k]]
-            row += [_fmt(v) for v in trajectory.y_series[k]]
-            if trajectory.x_series is not None:
-                row += [_fmt(v) for v in trajectory.x_series[k]]
-            row.append(_fmt(err.rel_err_u[k]))
-            if err.combined_sq is not None:
-                row.append(_fmt(err.combined_sq[k]))
-            fh.write(",".join(row) + "\n")
+        for start in range(0, ks.size, CSV_CHUNK_ROWS):
+            sel = ks[start:start + CSV_CHUNK_ROWS]
+            block = np.column_stack([sel] + [c[sel] for c in columns])
+            fh.write("".join([row % tuple(r) for r in block.tolist()]))

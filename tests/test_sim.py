@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 from conftest import reference_instance, static_plant
 
 import ofonet.sim as sim
-from ofonet.controller import ControllerConfig, Mode
+from ofonet.controller import ControllerConfig, Mode, decentralized_step
 from ofonet.equilibria import decentralized_fixed_point, global_optimum
 from ofonet.errors import NonFinite
 from ofonet.objective import QuadraticObjective
@@ -96,6 +97,49 @@ def test_divergence_raises_with_partial_trajectory():
     assert len(exc.trajectory) == exc.step
 
 
+def test_lti_divergence_raises_with_partial_trajectory():
+    _, model, obj, d = reference_instance()
+    plant = LtiPlant(
+        A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d
+    )
+    with pytest.raises(NonFinite) as info:
+        sim.run_lti(plant, obj, cen(2.0), steps=10**4)
+    exc = info.value
+    traj = exc.trajectory
+    assert exc.step > 0
+    assert traj is not None
+    assert len(traj) == exc.step
+    # the prefix spans more than one recorder block
+    assert len(traj) > sim.RECORD_BLOCK
+    assert traj.x_series.shape[0] == traj.u_series.shape[0]
+    for series in (traj.u_series, traj.y_series, traj.x_series):
+        assert np.isfinite(series).all()
+
+
+def test_overflowing_step_norm_is_not_divergence():
+    # finite iterates whose squared norms overflow keep running, unstopped
+    _, model, obj, d = reference_instance()
+    traj = sim.run_algebraic(model, obj, d, dec(0.01), u0=[1e200, -1e200], steps=3)
+    assert len(traj) == 4
+    assert not traj.info.early_stopped
+
+
+def test_recorded_rows_replay_bit_for_bit():
+    # every recorded row, across recorder blocks, is one exact loop step
+    _, model, obj, d = reference_instance()
+    plant = LtiPlant(
+        A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d
+    )
+    cfg = dec(0.01)
+    traj = sim.run_lti(plant, obj, cfg, steps=2500)
+    assert len(traj) > sim.RECORD_BLOCK
+    u, y, x = traj.u_series, traj.y_series, traj.x_series
+    for k in range(len(traj) - 1):
+        assert (x[k + 1] == plant.A @ x[k] + plant.B @ u[k]).all()
+        assert (y[k] == plant.C @ x[k] + plant.D @ u[k] + plant.d).all()
+        assert (u[k + 1] == decentralized_step(cfg, obj, model, u[k], y[k])).all()
+
+
 def test_metrics_absolute_fallback():
     _, model, obj, d = reference_instance()
     traj = sim.run_algebraic(model, obj, d, dec(0.1), steps=100)
@@ -120,6 +164,9 @@ def test_combined_sq_needs_states_and_model():
         (ltraj.u_series - U_INF) ** 2, axis=1
     )
     npt.assert_allclose(combined, expected, rtol=1e-12)
+    assert sim.combined_sq(ltraj, U_INF, model).tobytes() == combined.tobytes()
+    with pytest.raises(ValueError):
+        sim.combined_sq(traj, U_INF, model)
 
 
 def test_csv_format_and_roundtrip(tmp_path):
@@ -138,6 +185,66 @@ def test_csv_format_and_roundtrip(tmp_path):
         npt.assert_array_equal(
             np.array(rows[1 + k][1:3], dtype=float), traj.u_series[k]
         )
+
+
+def _reference_csv(trajectory, err, decimate=1):
+    """Per-value format(v, ".17g") writer the row-template writer must match."""
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    n = trajectory.u_series.shape[1]
+    header = ["k"] + [f"u_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
+    if trajectory.x_series is not None:
+        header += [f"x_{i + 1}" for i in range(trajectory.x_series.shape[1])]
+    header.append("rel_err_u")
+    if err.combined_sq is not None:
+        header.append("combined_sq")
+    lines = [",".join(header)]
+    for k in range(0, len(trajectory), decimate):
+        row = [str(k)]
+        row += [fmt(v) for v in trajectory.u_series[k]]
+        row += [fmt(v) for v in trajectory.y_series[k]]
+        if trajectory.x_series is not None:
+            row += [fmt(v) for v in trajectory.x_series[k]]
+        row.append(fmt(err.rel_err_u[k]))
+        if err.combined_sq is not None:
+            row.append(fmt(err.combined_sq[k]))
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308)
+
+
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
+    _, model, obj, d = reference_instance()
+    if loop == "lti":
+        plant = LtiPlant(
+            A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d
+        )
+        traj = sim.run_lti(plant, obj, dec(0.01), steps=2500)
+    else:
+        traj = sim.run_algebraic(model, obj, d, dec(0.01), steps=2500)
+    # more rows than one formatted chunk
+    assert len(traj) > sim.CSV_CHUNK_ROWS
+    err = sim.metrics(traj, U_INF, model)
+    # edge-case cells: signed zero, subnormals, the largest double, and
+    # the overflowed metrics of a diverging tail
+    u = traj.u_series.copy()
+    u[0, :] = EDGE_VALUES[:2]
+    u[7, :] = EDGE_VALUES[2:]
+    y = traj.y_series.copy()
+    y[14, :] = EDGE_VALUES[1::2]
+    traj = dataclasses.replace(traj, u_series=u, y_series=y)
+    rel = err.rel_err_u.copy()
+    rel[:3] = (np.inf, np.nan, -0.0)
+    err = dataclasses.replace(err, rel_err_u=rel)
+    path = tmp_path / "traj.csv"
+    sim.write_trajectory_csv(path, traj, err, decimate=decimate)
+    assert path.read_bytes() == _reference_csv(traj, err, decimate)
 
 
 def test_csv_decimation(tmp_path):
