@@ -43,7 +43,13 @@ from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import ConfigError, NonFinite, OfonetError
 from .objective import QuadraticObjective, SeparableObjective
-from .plant import LtiPlant, compute_sensitivity, is_schur_stable, plant_from_dict
+from .plant import (
+    LtiPlant,
+    SensitivityModel,
+    compute_sensitivity,
+    is_schur_stable,
+    plant_from_dict,
+)
 
 __all__ = ["main", "register_objective"]
 
@@ -90,6 +96,32 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+def _section(config: dict, name: str) -> dict:
+    """The config section ``name`` ({} when absent); it must be a JSON object."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be an object")
+    return section
+
+
+def _int_key(config: dict, name: str, key: str, default):
+    """``int`` of ``config[name][key]`` (``default`` when absent; None stays None)."""
+    value = _section(config, name).get(key, default)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"'{name}.{key}' is not an integer: {exc}") from exc
+
+
+def _override(config: dict, name: str, key: str, value) -> None:
+    """Set ``config[name][key]``, creating the section when absent."""
+    section = _section(config, name)
+    section[key] = value
+    config[name] = section
+
+
 def _apply_env(config: dict, environ) -> dict:
     for key in sorted(environ):
         if not key.startswith("OFO_"):
@@ -104,7 +136,7 @@ def _apply_env(config: dict, environ) -> dict:
                     value = json.loads(raw)
                 except json.JSONDecodeError:
                     value = raw
-                config.setdefault(section, {})[field] = value
+                _override(config, section, field, value)
                 break
         else:
             raise ConfigError(f"unrecognized environment override '{key}'")
@@ -114,20 +146,20 @@ def _apply_env(config: dict, environ) -> dict:
 def _apply_flags(config: dict, args) -> dict:
     seed = getattr(args, "seed", None)
     if seed is not None:
-        config.setdefault("simulation", {})["seed"] = seed
+        _override(config, "simulation", "seed", seed)
     convention = getattr(args, "convention", None)
     if convention is not None:
-        config.setdefault("analysis", {})["convention"] = convention
+        _override(config, "analysis", "convention", convention)
     out = getattr(args, "out", None)
     if out is not None:
-        config.setdefault("output", {})["dir"] = out
+        _override(config, "output", "dir", out)
     return config
 
 
 @dataclass
 class Instance:
     plant: LtiPlant
-    model: object
+    model: SensitivityModel
     d: np.ndarray
     obj: SeparableObjective
     grid_spec: Optional[powergrid.GridSpec] = None
@@ -162,9 +194,7 @@ def _resolve_instance(config: dict) -> Instance:
         raise ConfigError(
             "config must contain exactly one plant source: 'plant' or 'grid'"
         )
-    obj_cfg = config.get("objective", {})
-    if not isinstance(obj_cfg, dict):
-        raise ConfigError("'objective' section must be an object")
+    obj_cfg = _section(config, "objective")
     if has_grid:
         spec = powergrid.spec_from_dict(config["grid"] or {})
         plant, model, d_eff = powergrid.assemble_plant(spec)
@@ -180,9 +210,7 @@ def _resolve_instance(config: dict) -> Instance:
 
 
 def _resolve_controller(config: dict) -> ControllerConfig:
-    ctl = config.get("controller", {})
-    if not isinstance(ctl, dict):
-        raise ConfigError("'controller' section must be an object")
+    ctl = _section(config, "controller")
     if "eta" not in ctl:
         raise ConfigError("config is missing required key 'controller.eta'")
     try:
@@ -213,20 +241,17 @@ class SimSettings:
 
 
 def _resolve_simulation(config: dict, n: int, n_state: int) -> SimSettings:
-    simc = config.get("simulation", {})
-    if not isinstance(simc, dict):
-        raise ConfigError("'simulation' section must be an object")
-    steps = int(simc.get("steps", sim.DEFAULT_STEPS))
+    simc = _section(config, "simulation")
+    steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
     if steps < 1:
         raise ConfigError(f"'simulation.steps' must be >= 1, got {steps}")
     loop = str(simc.get("loop", "algebraic")).lower()
     if loop not in ("algebraic", "lti"):
         raise ConfigError(f"'simulation.loop' must be 'algebraic' or 'lti', got '{loop}'")
-    decimation = int(simc.get("decimation", 1))
+    decimation = _int_key(config, "simulation", "decimation", 1)
     if decimation < 1:
         raise ConfigError(f"'simulation.decimation' must be >= 1, got {decimation}")
-    seed = simc.get("seed")
-    seed = None if seed is None else int(seed)
+    seed = _int_key(config, "simulation", "seed", None)
     u0_cfg = simc.get("u0", "zeros")
     if u0_cfg is None or u0_cfg == "zeros":
         u0 = None
@@ -251,7 +276,7 @@ def _resolve_simulation(config: dict, n: int, n_state: int) -> SimSettings:
 
 
 def _resolve_convention(config: dict) -> Convention:
-    name = str(config.get("analysis", {}).get("convention", "tight")).lower()
+    name = str(_section(config, "analysis").get("convention", "tight")).lower()
     try:
         return Convention(name)
     except ValueError as exc:
@@ -261,7 +286,7 @@ def _resolve_convention(config: dict) -> Convention:
 
 
 def _resolve_eta_grid(config: dict) -> list:
-    grid = config.get("analysis", {}).get("eta_grid", list(DEFAULT_ETA_GRID))
+    grid = _section(config, "analysis").get("eta_grid", list(DEFAULT_ETA_GRID))
     try:
         values = [float(v) for v in grid]
     except (TypeError, ValueError) as exc:
@@ -272,7 +297,7 @@ def _resolve_eta_grid(config: dict) -> list:
 
 
 def _resolve_out_dir(config: dict) -> Optional[str]:
-    out = config.get("output", {}).get("dir")
+    out = _section(config, "output").get("dir")
     if out is None:
         return None
     out = str(out)
@@ -467,9 +492,8 @@ def cmd_figures(args) -> int:
     config = _configure(args)
     out_dir = _resolve_out_dir(config) or "."
     os.makedirs(out_dir, exist_ok=True)
-    steps = int(config.get("simulation", {}).get("steps", sim.DEFAULT_STEPS))
-    seed = config.get("simulation", {}).get("seed")
-    seed = None if seed is None else int(seed)
+    steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
+    seed = _int_key(config, "simulation", "seed", None)
     if args.preset == "fig3":
         manifest = _fig3_bundle(out_dir, steps, seed)
     else:
@@ -533,13 +557,16 @@ def cmd_grid_sweep(args) -> int:
         raise ConfigError("--g must contain at least one value")
     eta = args.eta
     if eta is None:
-        eta = config.get("controller", {}).get("eta")
+        eta = _section(config, "controller").get("eta")
     if eta is None:
         raise ConfigError("step size required: pass --eta or set 'controller.eta'")
-    eta = float(eta)
+    try:
+        eta = float(eta)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'controller.eta' is not a number: {exc}") from exc
     steps = args.steps
     if steps is None:
-        steps = int(config.get("simulation", {}).get("steps", sim.DEFAULT_STEPS))
+        steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
     rows = powergrid.sweep_g(
         g_values, eta, steps=steps, spec=spec, parallel=getattr(args, "parallel", False)
     )

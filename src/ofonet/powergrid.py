@@ -43,7 +43,7 @@ from .errors import (
     UnstableDiscretization,
 )
 from .objective import QuadraticObjective
-from .plant import LtiPlant, SensitivityModel, is_schur_stable
+from .plant import LtiPlant, SensitivityModel, _unstable_radius
 
 __all__ = [
     "GridSpec",
@@ -211,8 +211,8 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
         If the Euler step is too large for the chosen parameters.
     """
     a_d, b_d, c_d = _raw_matrices(spec)
-    stable, radius = is_schur_stable(a_d)
-    if not stable:
+    radius = _unstable_radius(a_d)
+    if radius is not None:
         raise UnstableDiscretization(radius)
     model = _sensitivity_from(a_d, b_d, c_d)
     d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas

@@ -245,6 +245,37 @@ def test_unknown_section_rejected(tmp_path):
     assert run(["--config", cfg, "analyze"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, extra, key",
+    [
+        (["grid", "simulate"], {"simulation": {"steps": "many"}}, "'simulation.steps'"),
+        (["grid", "simulate"], {"simulation": {"decimation": "x"}}, "'simulation.decimation'"),
+        (["grid", "simulate"], {"simulation": {"seed": "abc"}}, "'simulation.seed'"),
+        (["grid", "simulate"], {"simulation": {"steps": 1e400}}, "'simulation.steps'"),
+        (["grid", "simulate"], {"analysis": []}, "'analysis'"),
+        (["grid", "simulate"], {"output": []}, "'output'"),
+        (["analyze"], {"analysis": []}, "'analysis'"),
+        (["analyze"], {"output": "out"}, "'output'"),
+        (["figures", "fig3"], {"simulation": {"steps": "many"}}, "'simulation.steps'"),
+        (["figures", "fig3"], {"simulation": {"seed": [1]}}, "'simulation.seed'"),
+        (["grid", "sweep"], {"simulation": {"steps": "many"}}, "'simulation.steps'"),
+        (["grid", "sweep"], {"controller": {"eta": "fast"}}, "'controller.eta'"),
+        (["grid", "sweep"], {"controller": []}, "'controller'"),
+    ],
+)
+def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
+    config = {"grid": {}, "controller": {"eta": 0.05}, **extra}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--config", str(path), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err
+    assert "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_convention_flag_selects_gate(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grid": {}, "controller": {"eta": 0.05}})
     assert run(["--config", cfg, "--convention", "paper", "analyze"]) == 0

@@ -46,6 +46,58 @@ def test_unstable_plant_rejected():
         LtiPlant(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], d=[0.0])
 
 
+def _diag_plant(a):
+    return LtiPlant(A=np.diag([a]), B=[[1.0]], C=[[1.0]], D=[[0.0]], d=[0.0])
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def test_norm_below_one_skips_eigenvalue_solve(rng, monkeypatch):
+    plant, _, _, _ = random_stable_instance(rng, n=5)
+    assert np.linalg.svd(plant.A, compute_uv=False)[0] < 1.0 - SCHUR_TOL
+
+    def boom(a):
+        raise AssertionError("eigvals called on a plant with ||A||_2 < 1")
+
+    monkeypatch.setattr(np.linalg, "eigvals", boom)
+    raw = {k: getattr(plant, k).tolist() for k in ("A", "B", "C", "D", "d")}
+    rebuilt = plant_from_dict(raw)
+    npt.assert_array_equal(rebuilt.A, plant.A)
+    _diag_plant(1.0 - 2 * SCHUR_TOL)
+
+
+def test_nonnormal_plant_with_norm_above_one_accepted(monkeypatch):
+    # ||A||_2 ~ 10 proves nothing; the eigenvalues (both 0.5) decide
+    a = np.array([[0.5, 10.0], [0.0, 0.5]])
+    assert np.linalg.svd(a, compute_uv=False)[0] > 1.0
+    calls = _count_eigvals(monkeypatch)
+    plant = LtiPlant(A=a, B=np.eye(2), C=np.eye(2), D=np.zeros((2, 2)), d=np.zeros(2))
+    assert calls == [(2, 2)]
+    npt.assert_allclose(compute_sensitivity(plant).H, np.linalg.inv(np.eye(2) - a))
+
+
+def test_plant_stability_boundary_matches_is_schur_stable(monkeypatch):
+    a = 1.0 - SCHUR_TOL / 2
+    _, radius = is_schur_stable(np.diag([a]))
+    calls = _count_eigvals(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        _diag_plant(a)
+    assert f"spectral radius {radius:.6g}" in str(info.value)
+    _diag_plant(1.0 - 2 * SCHUR_TOL)
+    # only the plant with ||A||_2 >= 1 - SCHUR_TOL solved for eigenvalues
+    assert calls == [(1, 1)]
+
+
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         LtiPlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), C=np.zeros((1, 2)),

@@ -84,6 +84,28 @@ def test_unstable_conductance_raises():
     assert info.value.spectral_radius >= 1.0 - 1e-9
 
 
+def test_unstable_discretization_reports_eigenvalue_radius():
+    spec = pg.default_topology()
+    bad = pg.spec_from_dict({**pg.spec_to_dict(spec), "g_node": [20.0] * 8})
+    a_d, _, _ = pg._raw_matrices(bad)
+    with pytest.raises(UnstableDiscretization) as info:
+        pg.assemble_plant(bad)
+    assert info.value.spectral_radius == is_schur_stable(a_d)[1]
+
+
+def test_stock_grid_assembles_without_eigenvalue_solve(monkeypatch):
+    # ||A_d||_2 < 1 on the default topology certifies stability by itself
+    spec = pg.default_topology()
+    assert np.linalg.svd(pg._raw_matrices(spec)[0], compute_uv=False)[0] < 1.0 - 1e-9
+
+    def boom(a):
+        raise AssertionError("eigvals called on a grid with ||A_d||_2 < 1")
+
+    monkeypatch.setattr(np.linalg, "eigvals", boom)
+    plant, _, _ = pg.assemble_plant(spec)
+    assert plant.n_state == 17
+
+
 def test_sweep_columns_and_notes():
     rows = pg.sweep_g([1.0, 20.0], eta=0.05, steps=2000)
     assert [r["g"] for r in rows] == [1.0, 20.0]
