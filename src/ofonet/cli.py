@@ -472,9 +472,9 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
 FIG4_G_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
-def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int], parallel: bool) -> dict:
+def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
     eta = 0.05
-    rows = powergrid.sweep_g(FIG4_G_VALUES, eta, steps=steps, parallel=parallel)
+    rows = powergrid.sweep_g(FIG4_G_VALUES, eta, steps=steps)
     name = "fig4_sweep.csv"
     powergrid.write_sweep_csv(os.path.join(out_dir, name), rows)
     return {
@@ -497,7 +497,7 @@ def cmd_figures(args) -> int:
     if args.preset == "fig3":
         manifest = _fig3_bundle(out_dir, steps, seed)
     else:
-        manifest = _fig4_bundle(out_dir, steps, seed, getattr(args, "parallel", False))
+        manifest = _fig4_bundle(out_dir, steps, seed)
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")
     sys.stdout.write(_dump_json(manifest, path))
     return EXIT_OK
@@ -567,9 +567,7 @@ def cmd_grid_sweep(args) -> int:
     steps = args.steps
     if steps is None:
         steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
-    rows = powergrid.sweep_g(
-        g_values, eta, steps=steps, spec=spec, parallel=getattr(args, "parallel", False)
-    )
+    rows = powergrid.sweep_g(g_values, eta, steps=steps, spec=spec)
     out_dir = _resolve_out_dir(config) or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "grid_sweep.csv")
@@ -631,9 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "figures", parents=[common], help="reproduce a preset experiment bundle"
     )
     p_fig.add_argument("preset", choices=["fig3", "fig4"])
-    p_fig.add_argument(
-        "--parallel", action="store_true", help="run sweep rows concurrently"
-    )
     p_fig.set_defaults(func=cmd_figures)
 
     p_grid = subs.add_parser(
@@ -656,9 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     g_sweep.add_argument("--eta", type=float, default=None, help="controller step size")
     g_sweep.add_argument("--steps", type=int, default=None, help="iteration budget")
-    g_sweep.add_argument(
-        "--parallel", action="store_true", help="run sweep rows concurrently"
-    )
     g_sweep.set_defaults(func=cmd_grid_sweep)
     return parser
 

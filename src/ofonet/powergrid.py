@@ -25,7 +25,6 @@ self-consistent y = H u + d.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +198,24 @@ def _sensitivity_from(a_d, b_d, c_d) -> SensitivityModel:
     return SensitivityModel(H=h, H_diag=np.diag(np.diag(h)), H_x=h_x)
 
 
+def _discretize(spec: GridSpec):
+    """The plant (None when unstable), model, d_eff and unstable radius of ``spec``."""
+    a_d, b_d, c_d = _raw_matrices(spec)
+    radius = _unstable_radius(a_d)
+    model = _sensitivity_from(a_d, b_d, c_d)
+    d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
+    plant = None
+    if radius is None:
+        plant = LtiPlant(
+            A=a_d,
+            B=b_d,
+            C=c_d,
+            D=np.zeros((spec.n_nodes, spec.n_nodes)),
+            d=d_eff,
+        )
+    return plant, model, d_eff, radius
+
+
 def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[np.float64]]:
     """Discretize the grid and wrap it as a stable LTI plant.
 
@@ -210,19 +227,9 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     UnstableDiscretization
         If the Euler step is too large for the chosen parameters.
     """
-    a_d, b_d, c_d = _raw_matrices(spec)
-    radius = _unstable_radius(a_d)
-    if radius is not None:
+    plant, model, d_eff, radius = _discretize(spec)
+    if plant is None:
         raise UnstableDiscretization(radius)
-    model = _sensitivity_from(a_d, b_d, c_d)
-    d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
-    plant = LtiPlant(
-        A=a_d,
-        B=b_d,
-        C=c_d,
-        D=np.zeros((spec.n_nodes, spec.n_nodes)),
-        d=d_eff,
-    )
     return plant, model, d_eff
 
 
@@ -232,19 +239,19 @@ def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjectiv
     return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
 
 
-def _sweep_row(spec: GridSpec, g: float, eta: float, steps: int) -> dict:
+def _sweep_row(spec: GridSpec, g: float, eta: float) -> tuple[dict, tuple | None]:
+    """One sweep row without its closed loop, and the loop's inputs.
+
+    The inputs are (H, d_eff, y_ref, decentralized fixed point), or None
+    for a row that cannot run a loop.
+    """
     if not (g > 0.0 and np.isfinite(g)):
-        return {"g": g, "note": "conductance must be positive"}
+        return {"g": g, "note": "conductance must be positive"}, None
     spec_g = dataclasses.replace(spec, g_node=g * np.ones(spec.n_nodes))
     row: dict = {"g": g, "note": ""}
-    plant = None
-    try:
-        plant, model, d_eff = assemble_plant(spec_g)
-    except UnstableDiscretization as exc:
-        a_d, b_d, c_d = _raw_matrices(spec_g)
-        model = _sensitivity_from(a_d, b_d, c_d)
-        d_eff = model.H @ (spec_g.i_star - spec_g.delta_i) + spec_g.d_meas
-        row["note"] = f"unstable discretization (spectral radius {exc.spectral_radius:.6g})"
+    plant, model, d_eff, radius = _discretize(spec_g)
+    if plant is None:
+        row["note"] = f"unstable discretization (spectral radius {radius:.6g})"
     obj = grid_objective(spec_g, model)
     satisfied, lhs, rhs = analysis.coupling_condition(obj, model)
     row["coupling_ok"] = satisfied
@@ -261,12 +268,6 @@ def _sweep_row(spec: GridSpec, g: float, eta: float, steps: int) -> dict:
         scaled = sub.bound / norm_star if norm_star > 0.0 else sub.bound
         row[f"{key}_rel"] = scaled if np.isfinite(scaled) else None
         row[f"{key}_applicable"] = sub.applicable
-    cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
-    traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps)
-    final = traj.u_series[-1]
-    ref = float(np.linalg.norm(fixed.u))
-    err = float(np.linalg.norm(final - fixed.u))
-    row["loop_final_err"] = err / ref if ref > 0.0 else err
     row["lam_max_xi"] = None
     row["eta_star"] = None
     if plant is not None:
@@ -275,10 +276,12 @@ def _sweep_row(spec: GridSpec, g: float, eta: float, steps: int) -> dict:
             row["lam_max_xi"] = cert.lam_max
             row["eta_star"] = cert.eta_star
         except (CouplingTooStrong, NotCertifiable) as exc:
-            if row["note"]:
-                row["note"] += "; "
-            row["note"] += f"dynamic certificate unavailable ({exc})"
-    return row
+            _annotate(row, f"dynamic certificate unavailable ({exc})")
+    return row, (model.H, d_eff, obj.y_ref, fixed.u)
+
+
+def _annotate(row: dict, note: str) -> None:
+    row["note"] = f"{row['note']}; {note}" if row["note"] else note
 
 
 def sweep_g(
@@ -286,21 +289,38 @@ def sweep_g(
     eta: float,
     steps: int = sim.DEFAULT_STEPS,
     spec: GridSpec | None = None,
-    parallel: bool = False,
 ) -> list[dict]:
     """Evaluate the sub-optimality trade-off across node conductances.
 
-    For each G the grid is reassembled, both reference points solved,
-    the decentralized loop run, and the certificates recorded.  Failures
-    annotate their row; the sweep itself never aborts.
+    For each G the grid is reassembled, both reference points solved
+    and the certificates recorded, row by row.  The decentralized loops
+    of all rows then run as one batched loop, which reproduces each
+    row's ``sim.run_algebraic`` final iterate bit for bit.  Failures
+    annotate their row, a diverged loop with the step at which it
+    diverged; the sweep itself never aborts.
     """
+    cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()
-    values = [float(g) for g in g_values]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda g: _sweep_row(base, g, eta, steps), values))
-    else:
-        rows = [_sweep_row(base, g, eta, steps) for g in values]
+    rows, pending = [], []
+    for g in g_values:
+        row, loop = _sweep_row(base, float(g), eta)
+        rows.append(row)
+        if loop is not None:
+            pending.append((row, loop))
+    if not pending:
+        return rows
+    H, d_eff, y_ref, fixed = (np.stack(a) for a in zip(*(loop for _, loop in pending)))
+    finals, diverged = sim._run_algebraic_batch(
+        H, d_eff, y_ref, float(base.gamma1), float(base.gamma2), cfg.eta, steps
+    )
+    for (row, _), final, fixed_u, step in zip(pending, finals, fixed, diverged):
+        if step is not None:
+            row["loop_final_err"] = None
+            _annotate(row, f"closed loop diverged (non-finite iterate at step {step})")
+            continue
+        ref = float(np.linalg.norm(fixed_u))
+        err = float(np.linalg.norm(final - fixed_u))
+        row["loop_final_err"] = err / ref if ref > 0.0 else err
     return rows
 
 

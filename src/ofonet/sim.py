@@ -14,6 +14,11 @@ per run; inputs are validated once, before the first step.  Runs
 early-stop when successive iterates move less than EARLY_STOP_TOL and
 raise NonFinite, carrying the finite prefix, when an iterate diverges.
 
+Sweep rows run as one batched loop, ``_run_algebraic_batch``: the
+decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
+which reproduces each scenario's ``run_algebraic`` final iterate bit
+for bit and records no trajectory.
+
 Rows are recorded into arrays that grow RECORD_BLOCK rows at a time, so
 memory follows the iterations actually run, not the step budget.
 
@@ -220,6 +225,79 @@ def run_algebraic(
                 break
     rec.append(u, H @ u + d)
     return rec.trajectory(info(iterations))
+
+
+def _run_algebraic_batch(
+    H, d, y_ref, gamma1: float, gamma2: float, eta: float, steps: int
+) -> tuple[NDArray[np.float64], list[Optional[int]]]:
+    """Final iterates of B decentralized algebraic loops from u_0 = 0.
+
+    Scenario b is the loop ``run_algebraic`` runs on the sensitivity
+    H[b], disturbance d[b] and the quadratic objective (gamma1, gamma2,
+    y_ref[b]) in decentralized mode with step ``eta``.  Package-internal:
+    it serves the conductance sweep, which needs only the last iterate.
+
+    Every scenario sees the operations of ``run_algebraic``, slice by
+    slice: y = H u + d is a stacked gemv, the update is
+    ``update_map``'s decentralized formula in the same operation order,
+    and the squared step norm is a stacked dot product.  So each final
+    iterate equals ``run_algebraic(...).u_series[-1]`` exactly.  A
+    scenario that early-stops freezes at that iterate and leaves the
+    stacked arrays.
+
+    Returns the (B, n) final iterates and, per scenario, the step at
+    which it diverged (as ``NonFinite.step``) or None; a diverged
+    scenario's row of iterates is NaN.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    # columns (B, n, 1): every product below is a stacked matrix-vector one
+    H = np.asarray(H, dtype=float)
+    d = np.asarray(d, dtype=float)[:, :, None]
+    y_ref = np.asarray(y_ref, dtype=float)[:, :, None]
+    h_diag = np.diagonal(H, axis1=1, axis2=2)[:, :, None]
+    B = H.shape[0]
+    finals = np.full(d.shape[:2], np.nan)
+    diverged: list[Optional[int]] = [None] * B
+    rows = np.arange(B)
+    u = np.zeros_like(d)
+
+    def retire(leaving, step=None):
+        """Drop the scenarios ``leaving``, which diverged at ``step`` if given."""
+        nonlocal rows, H, d, y_ref, h_diag, u
+        for b in rows[leaving].tolist():
+            diverged[b] = step
+        keep = ~leaving
+        rows, H, d, y_ref, h_diag, u = (
+            a[keep] for a in (rows, H, d, y_ref, h_diag, u)
+        )
+
+    # overflow past float range is the divergence signal, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            y = H @ u + d
+            if not math.isfinite(y.sum()):
+                bad = ~np.isfinite(y).all(axis=(1, 2))
+                y = y[~bad]
+                retire(bad, k)
+            u_next = u - eta * (gamma1 * u + h_diag * (gamma2 * (y - y_ref)))
+            du = u_next - u
+            sq = (du.transpose(0, 2, 1) @ du)[:, 0, 0]
+            if not np.isfinite(sq).all():
+                bad = ~np.isfinite(u_next).all(axis=(1, 2))
+                if bad.any():
+                    u_next = u_next[~bad]
+                    sq = sq[~bad]
+                    retire(bad, k + 1)
+            u = u_next
+            stopped = np.sqrt(sq) < EARLY_STOP_TOL
+            if stopped.any():
+                finals[rows[stopped]] = u[stopped, :, 0]
+                retire(stopped)
+            if rows.size == 0:
+                break
+    finals[rows] = u[:, :, 0]
+    return finals, diverged
 
 
 def run_lti(

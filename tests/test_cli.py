@@ -192,7 +192,7 @@ def test_figures_fig3(tmp_path, capsys):
 
 def test_figures_fig4(tmp_path, capsys):
     out = tmp_path / "f4"
-    assert run(["--out", str(out), "figures", "fig4", "--parallel"]) == 0
+    assert run(["--out", str(out), "figures", "fig4"]) == 0
     manifest = json.loads(capsys.readouterr().out)
     validate(manifest, "manifest")
     rows = list(csv.DictReader((out / "fig4_sweep.csv").read_text().splitlines()))
@@ -228,6 +228,20 @@ def test_grid_sweep_custom_values(tmp_path, capsys):
     assert summary["rows"] == 2
     rows = list(csv.DictReader((out / "grid_sweep.csv").read_text().splitlines()))
     assert len(rows) == 2
+
+
+def test_grid_sweep_diverging_rows_exit_0(tmp_path, capsys):
+    out = tmp_path / "div"
+    argv = ["--out", str(out), "grid", "sweep", "--g", "1,5,20", "--eta", "30", "--steps", "3000"]
+    assert run(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    validate(summary, "summary")
+    assert summary["annotated_rows"] == [1.0, 5.0, 20.0]
+    rows = list(csv.DictReader((out / "grid_sweep.csv").read_text().splitlines()))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["loop_final_err"] == ""
+        assert "closed loop diverged (non-finite iterate at step " in row["note"]
 
 
 def test_grid_sweep_bad_g(tmp_path):

@@ -1,13 +1,16 @@
 """DC-grid case study: topology, discretization, and the conductance sweep."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import ofonet.powergrid as pg
+import ofonet.sim as sim
 from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point
-from ofonet.errors import ConfigError, UnstableDiscretization
+from ofonet.errors import ConfigError, NonFinite, UnstableDiscretization
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import is_schur_stable
 from ofonet.sim import run_lti
@@ -118,11 +121,72 @@ def test_sweep_columns_and_notes():
     assert rows[1]["rel_subopt"] > 0.0
 
 
-def test_sweep_parallel_matches_serial():
-    serial = pg.sweep_g([1.0, 5.0], eta=0.05, steps=2000)
-    parallel = pg.sweep_g([1.0, 5.0], eta=0.05, steps=2000, parallel=True)
-    for a, b in zip(serial, parallel):
-        assert a == b
+def _grid_row(g):
+    spec = pg.default_topology()
+    spec = dataclasses.replace(spec, g_node=g * np.ones(spec.n_nodes))
+    plant, model, d_eff, _ = pg._discretize(spec)
+    return plant, model, pg.grid_objective(spec, model), d_eff
+
+
+def _batch_outcomes(g_values, eta, steps):
+    """Check the batched loop against run_algebraic per row; name each row's outcome."""
+    rows = [_grid_row(g) for g in g_values]
+    finals, diverged = sim._run_algebraic_batch(
+        np.stack([model.H for _, model, _, _ in rows]),
+        np.stack([d_eff for _, _, _, d_eff in rows]),
+        np.stack([obj.y_ref for _, _, obj, _ in rows]),
+        1.0,
+        1.0,
+        eta,
+        steps,
+    )
+    seen = []
+    for (plant, model, obj, d_eff), final, step in zip(rows, finals, diverged):
+        cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
+        try:
+            traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps)
+        except NonFinite as exc:
+            assert step == exc.step
+            assert np.isnan(final).all()
+            seen.append("diverged")
+            continue
+        assert step is None
+        assert np.array_equal(final, traj.u_series[-1])
+        seen.append(("stable" if plant is not None else "unstable", traj.info.early_stopped))
+    return seen
+
+
+def test_batched_sweep_loop_matches_run_algebraic():
+    # g = 1 early-stops at step 294, g = 5 runs out of budget, and
+    # g = 50 is an unstable discretization that runs out of budget
+    assert _batch_outcomes([1.0, 5.0, 50.0], 0.05, 300) == [
+        ("stable", True),
+        ("stable", False),
+        ("unstable", False),
+    ]
+    assert _batch_outcomes([1.0, 5.0, 20.0], 30.0, 3000) == ["diverged"] * 3
+
+
+def test_sweep_annotates_diverged_rows_and_continues():
+    rows = pg.sweep_g([1.0, -1.0, 5.0, 20.0], eta=30.0, steps=3000)
+    assert rows[1] == {"g": -1.0, "note": "conductance must be positive"}
+    for row in (rows[0], rows[2], rows[3]):
+        _, model, obj, d_eff = _grid_row(row["g"])
+        cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=30.0)
+        with pytest.raises(NonFinite) as info:
+            sim.run_algebraic(model, obj, d_eff, cfg, steps=3000)
+        assert row["loop_final_err"] is None
+        assert row["note"].endswith(
+            f"closed loop diverged (non-finite iterate at step {info.value.step})"
+        )
+        assert row["coupling_ok"]
+    assert rows[3]["note"].startswith("unstable discretization (spectral radius ")
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+def test_sweep_rejects_invalid_step_size(eta):
+    with pytest.raises(ValueError, match="step size"):
+        pg.sweep_g([1.0, 50.0], eta=eta, steps=10)
 
 
 def test_sweep_csv_cells(tmp_path):

@@ -124,6 +124,30 @@ def test_overflowing_step_norm_is_not_divergence():
     assert not traj.info.early_stopped
 
 
+def test_batched_loop_divergence_steps_match_run_algebraic():
+    # scalar scenarios, eta = gamma1 = gamma2 = 1: u_1 = -inf (diverges at
+    # step 1 through u); u_1 = 1e308 with an overflowing step norm, then
+    # y_1 = inf (diverges at step 1 through y); a contraction that early-stops
+    H = np.array([[[1e300]], [[5.0]], [[0.5]]])
+    d = np.array([[0.0], [1.5e308], [1.0]])
+    y_ref = np.array([[-1e10], [1.7e308], [0.0]])
+    finals, diverged = sim._run_algebraic_batch(H, d, y_ref, 1.0, 1.0, 1.0, 50)
+    outcomes = []
+    for h, d_b, y_b, final, step in zip(H, d, y_ref, finals, diverged):
+        obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=y_b)
+        _, model = static_plant(h, d_b)
+        try:
+            traj = sim.run_algebraic(model, obj, d_b, dec(1.0), steps=50)
+        except NonFinite as exc:
+            assert step == exc.step
+            outcomes.append(step)
+            continue
+        assert step is None
+        assert np.array_equal(final, traj.u_series[-1])
+        outcomes.append(traj.info.early_stopped)
+    assert outcomes == [1, 1, True]
+
+
 def test_recorded_rows_replay_bit_for_bit():
     # every recorded row, across recorder blocks, is one exact loop step
     _, model, obj, d = reference_instance()
