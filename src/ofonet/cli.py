@@ -115,6 +115,26 @@ def _int_key(config: dict, name: str, key: str, default):
         raise ConfigError(f"'{name}.{key}' is not an integer: {exc}") from exc
 
 
+def _steps(config: dict, value=None) -> int:
+    """The step budget: ``value``, else ``simulation.steps``; it must be >= 1."""
+    if value is None:
+        value = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
+    if value < 1:
+        raise ConfigError(f"'simulation.steps' must be >= 1, got {value}")
+    return value
+
+
+def _eta(value) -> float:
+    """``controller.eta`` as a float; it must be positive and finite."""
+    try:
+        eta = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'controller.eta' is not a number: {exc}") from exc
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ConfigError(f"'controller.eta' must be positive and finite, got {eta}")
+    return eta
+
+
 def _override(config: dict, name: str, key: str, value) -> None:
     """Set ``config[name][key]``, creating the section when absent."""
     section = _section(config, name)
@@ -213,10 +233,7 @@ def _resolve_controller(config: dict) -> ControllerConfig:
     ctl = _section(config, "controller")
     if "eta" not in ctl:
         raise ConfigError("config is missing required key 'controller.eta'")
-    try:
-        eta = float(ctl["eta"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'controller.eta' is not a number: {exc}") from exc
+    eta = _eta(ctl["eta"])
     mode_name = str(ctl.get("mode", "decentralized")).lower()
     try:
         mode = Mode(mode_name)
@@ -224,10 +241,7 @@ def _resolve_controller(config: dict) -> ControllerConfig:
         raise ConfigError(
             f"'controller.mode' must be 'centralized' or 'decentralized', got '{mode_name}'"
         ) from exc
-    try:
-        return ControllerConfig(mode=mode, eta=eta)
-    except ValueError as exc:
-        raise ConfigError(f"invalid controller section: {exc}") from exc
+    return ControllerConfig(mode=mode, eta=eta)
 
 
 @dataclass
@@ -242,9 +256,7 @@ class SimSettings:
 
 def _resolve_simulation(config: dict, n: int, n_state: int) -> SimSettings:
     simc = _section(config, "simulation")
-    steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
-    if steps < 1:
-        raise ConfigError(f"'simulation.steps' must be >= 1, got {steps}")
+    steps = _steps(config)
     loop = str(simc.get("loop", "algebraic")).lower()
     if loop not in ("algebraic", "lti"):
         raise ConfigError(f"'simulation.loop' must be 'algebraic' or 'lti', got '{loop}'")
@@ -492,7 +504,7 @@ def cmd_figures(args) -> int:
     config = _configure(args)
     out_dir = _resolve_out_dir(config) or "."
     os.makedirs(out_dir, exist_ok=True)
-    steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
+    steps = _steps(config)
     seed = _int_key(config, "simulation", "seed", None)
     if args.preset == "fig3":
         manifest = _fig3_bundle(out_dir, steps, seed)
@@ -560,13 +572,8 @@ def cmd_grid_sweep(args) -> int:
         eta = _section(config, "controller").get("eta")
     if eta is None:
         raise ConfigError("step size required: pass --eta or set 'controller.eta'")
-    try:
-        eta = float(eta)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'controller.eta' is not a number: {exc}") from exc
-    steps = args.steps
-    if steps is None:
-        steps = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
+    eta = _eta(eta)
+    steps = _steps(config, args.steps)
     rows = powergrid.sweep_g(g_values, eta, steps=steps, spec=spec)
     out_dir = _resolve_out_dir(config) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -26,12 +26,21 @@ CSV format contract: each data row is formatted by one template,
 "%d" for k then ",%.17g" per value, and written CSV_CHUNK_ROWS rows at a
 time.  17 significant digits round-trip every float64 exactly, and
 "%.17g" renders -0.0, subnormals, inf and nan as format(v, ".17g") does,
-so identical configurations reproduce byte-identical files.
+so identical configurations reproduce byte-identical files.  The chunks
+are split into one contiguous share per usable CPU; forked workers
+format every share but the first into temporary files, which are
+appended in order, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -398,6 +407,39 @@ def _combined_sq(trajectory: Trajectory, model: SensitivityModel, err):
     return np.sum(resid**2, axis=1) + err**2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_chunks(fh, starts, ks, columns, row: str) -> None:
+    """Format the CSV_CHUNK_ROWS-row chunks of ``ks`` beginning at ``starts``."""
+    for start in starts:
+        sel = ks[start:start + CSV_CHUNK_ROWS]
+        block = np.column_stack([sel] + [c[sel] for c in columns])
+        fh.write("".join([row % tuple(r) for r in block.tolist()]).encode())
+
+
+def _fork_share(write, tmp, share) -> int:
+    """Fork a worker that runs ``write(tmp, share)``; it exits 0 on success, else 1.
+
+    The worker leaves through os._exit, so it runs no atexit handler and
+    flushes no buffer it inherited.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            write(tmp, share)
+            tmp.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
 def write_trajectory_csv(
     path, trajectory: Trajectory, err: ErrorMetrics, decimate: int = 1
 ) -> None:
@@ -409,6 +451,15 @@ def write_trajectory_csv(
     row is formatted by one template, "%d" then ",%.17g" per value, so
     every float is written with 17 significant digits (as
     ``format(v, ".17g")``: "-0", "inf", "nan" and subnormals included).
+
+    The CSV_CHUNK_ROWS-row chunks are split into W contiguous shares,
+    W = min(usable CPUs, chunks), or 1 where the OS cannot fork.  Before
+    ``path`` is opened, W - 1 forked workers format shares 2..W into
+    anonymous temporary files in its directory; this process writes the
+    header and share 1 to ``path``, then appends the workers' files in
+    share order.  The bytes do not depend on W.  A failed worker raises
+    OSError; workers still running when this process fails are killed,
+    and every worker is reaped before return.
     """
     if decimate < 1:
         raise ValueError(f"decimate must be >= 1, got {decimate}")
@@ -427,9 +478,38 @@ def write_trajectory_csv(
         columns.append(err.combined_sq)
     row = "%d" + ",%.17g" * (len(header) - 1) + "\n"
     ks = np.arange(0, len(trajectory), decimate)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, ks.size, CSV_CHUNK_ROWS):
-            sel = ks[start:start + CSV_CHUNK_ROWS]
-            block = np.column_stack([sel] + [c[sel] for c in columns])
-            fh.write("".join([row % tuple(r) for r in block.tolist()]))
+    starts = range(0, ks.size, CSV_CHUNK_ROWS)
+    workers = max(1, min(_usable_cpus(), len(starts))) if hasattr(os, "fork") else 1
+    shares = [
+        starts[i * len(starts) // workers:(i + 1) * len(starts) // workers]
+        for i in range(workers)
+    ]
+    write = functools.partial(_write_chunks, ks=ks, columns=columns, row=row)
+    directory = os.path.dirname(os.path.abspath(path))
+    with contextlib.ExitStack() as stack:
+        tmps = [
+            stack.enter_context(tempfile.TemporaryFile(dir=directory))
+            for _ in shares[1:]
+        ]
+        pending = {}  # share number -> pid of its worker, until reaped
+        try:
+            for number, (share, tmp) in enumerate(zip(shares[1:], tmps), start=2):
+                pending[number] = _fork_share(write, tmp, share)
+            with open(path, "wb") as fh:
+                fh.write((",".join(header) + "\n").encode())
+                write(fh, shares[0])
+                for number, tmp in enumerate(tmps, start=2):
+                    _, status = os.waitpid(pending[number], 0)
+                    del pending[number]
+                    if status != 0:
+                        raise OSError(
+                            f"CSV worker for share {number} of {workers} of "
+                            f"{path} failed (wait status {status})"
+                        )
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh)
+        finally:
+            # workers left here outlived a failure of this process
+            for pid in pending.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)

@@ -275,6 +275,18 @@ def test_unknown_section_rejected(tmp_path):
         (["grid", "sweep"], {"simulation": {"steps": "many"}}, "'simulation.steps'"),
         (["grid", "sweep"], {"controller": {"eta": "fast"}}, "'controller.eta'"),
         (["grid", "sweep"], {"controller": []}, "'controller'"),
+        (["grid", "sweep", "--steps", "0"], {}, "'simulation.steps'"),
+        (["grid", "sweep", "--steps", "-3"], {}, "'simulation.steps'"),
+        (["grid", "sweep"], {"simulation": {"steps": 0}}, "'simulation.steps'"),
+        (["grid", "sweep", "--eta", "0"], {}, "'controller.eta'"),
+        (["grid", "sweep", "--eta", "-1"], {}, "'controller.eta'"),
+        (["grid", "sweep", "--eta", "nan"], {}, "'controller.eta'"),
+        (["grid", "sweep"], {"controller": {"eta": "inf"}}, "'controller.eta'"),
+        (["figures", "fig3"], {"simulation": {"steps": 0}}, "'simulation.steps'"),
+        (["figures", "fig4"], {"simulation": {"steps": -1}}, "'simulation.steps'"),
+        (["grid", "simulate"], {"simulation": {"steps": 0}}, "'simulation.steps'"),
+        (["grid", "simulate"], {"controller": {"eta": 0}}, "'controller.eta'"),
+        (["analyze"], {"controller": {"eta": "nan"}}, "'controller.eta'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):

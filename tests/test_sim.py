@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import os
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +10,9 @@ from conftest import reference_instance, static_plant
 
 import ofonet.sim as sim
 from ofonet.controller import ControllerConfig, Mode, decentralized_step
-from ofonet.equilibria import decentralized_fixed_point, global_optimum
 from ofonet.errors import NonFinite
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import LtiPlant, compute_sensitivity
+from ofonet.plant import LtiPlant
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
 U_INF = np.array([-0.375, -0.5])
@@ -241,9 +242,8 @@ def _reference_csv(trajectory, err, decimate=1):
 EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308)
 
 
-@pytest.mark.parametrize("loop", ["algebraic", "lti"])
-@pytest.mark.parametrize("decimate", [1, 7])
-def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
+def _edge_case_run(loop):
+    """A run of more than one CSV chunk whose cells include float edge cases."""
     _, model, obj, d = reference_instance()
     if loop == "lti":
         plant = LtiPlant(
@@ -265,10 +265,77 @@ def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
     traj = dataclasses.replace(traj, u_series=u, y_series=y)
     rel = err.rel_err_u.copy()
     rel[:3] = (np.inf, np.nan, -0.0)
-    err = dataclasses.replace(err, rel_err_u=rel)
+    return traj, dataclasses.replace(err, rel_err_u=rel)
+
+
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
+    traj, err = _edge_case_run(loop)
     path = tmp_path / "traj.csv"
     sim.write_trajectory_csv(path, traj, err, decimate=decimate)
     assert path.read_bytes() == _reference_csv(traj, err, decimate)
+
+
+def _assert_no_worker_left(directory, expected):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(directory)) == sorted(expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_csv_bytes_do_not_depend_on_worker_count(
+    tmp_path, monkeypatch, workers, loop, decimate
+):
+    traj, err = _edge_case_run(loop)
+    # small chunks: >= 5 of them and a short last one, for both decimations
+    monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", 32)
+    rows = len(range(0, len(traj), decimate))
+    assert rows // 32 >= 5 and rows % 32 != 0
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+    path = tmp_path / "traj.csv"
+    sim.write_trajectory_csv(path, traj, err, decimate=decimate)
+    assert path.read_bytes() == _reference_csv(traj, err, decimate)
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+def _failing_chunks(fail_in_worker):
+    """A chunk writer that raises in the forked workers or in the caller."""
+    parent = os.getpid()
+    write_chunks = sim._write_chunks
+
+    def write(fh, starts, **kwargs):
+        if (os.getpid() != parent) == fail_in_worker:
+            raise RuntimeError("chunk formatting failed")
+        if fail_in_worker:
+            return write_chunks(fh, starts, **kwargs)
+        time.sleep(60)  # a worker the failing caller must kill
+
+    return write
+
+
+def test_csv_worker_failure_raises(tmp_path, monkeypatch):
+    traj, err = _edge_case_run("algebraic")
+    monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", 32)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=True))
+    with pytest.raises(OSError, match="share 2 of 3"):
+        sim.write_trajectory_csv(tmp_path / "traj.csv", traj, err)
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
+    traj, err = _edge_case_run("algebraic")
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=False))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="chunk formatting failed"):
+        sim.write_trajectory_csv(tmp_path / "traj.csv", traj, err)
+    # the sleeping worker was killed, not waited for
+    assert time.monotonic() - start < 30
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
 def test_csv_decimation(tmp_path):
