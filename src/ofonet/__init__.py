@@ -14,7 +14,7 @@ Modules
 plant       discrete LTI plants and steady-state sensitivities
 objective   separable agent costs and their gradients
 controller  centralized and decentralized gradient feedback steps
-equilibria  global optimum, decentralized fixed point, Nash checks
+equilibria  global optimum, decentralized fixed point, coupling condition
 analysis    certificates: rates, step-size windows, distance bounds
 sim         closed-loop execution, error metrics, CSV export
 powergrid   DC-grid case study and conductance sweeps

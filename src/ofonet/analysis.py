@@ -4,7 +4,8 @@ Three layers of guarantees for the decentralized loop, all derived from
 singular values of the sensitivity and the declared objective moduli:
 
 * monotonicity constants (m, c, L) of the pseudo-gradient and the
-  diagonal-dominance condition m > c in its singular-value form;
+  diagonal-dominance condition m > c in its singular-value form
+  (``coupling_condition``, defined in ``equilibria`` and re-exported);
 * the algebraic-loop contraction rate rho(eta) and the admissible step
   interval, plus the distance bound between the decentralized fixed
   point and the global optimum;
@@ -25,6 +26,7 @@ N-scaled values always reported alongside for comparison.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +35,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import objective as obj_mod
-from .equilibria import decentralized_fixed_point, global_optimum
+from .equilibria import (
+    SVAL_TOL,
+    _gradient,
+    _svals,
+    coupling_condition,
+    decentralized_fixed_point,
+    global_optimum,
+)
 from .errors import CouplingTooStrong, NotCertifiable
 from .objective import SeparableObjective
 from .plant import LtiPlant, SensitivityModel
@@ -59,8 +68,6 @@ __all__ = [
     "build_report",
 ]
 
-# Singular values below SVAL_TOL * sigma_max are treated as exact zeros.
-SVAL_TOL = 1e-12
 # Additive slack on per-step trajectory inequalities.
 TRACK_SLACK = 1e-9
 
@@ -167,13 +174,6 @@ class LtiRateCertificate:
         object.__setattr__(self, "xi", xi)
 
 
-def _svals(M) -> NDArray[np.float64]:
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s.size and s[0] > 0.0:
-        s = np.where(s < SVAL_TOL * s[0], 0.0, s)
-    return s
-
-
 def _sigma_min_sq(M) -> float:
     # Smallest eigenvalue of M^T M: zero whenever M has more columns
     # than rows, regardless of its nonzero singular values.
@@ -215,19 +215,16 @@ def monotonicity_constants(
     )
 
 
-def coupling_condition(
-    obj: SeparableObjective, model: SensitivityModel
-) -> tuple[bool, float, float]:
-    """Diagonal-dominance condition in its convention-free form.
+def _rho(consts: MonotonicityConstants, eta: float) -> float:
+    """rho(eta) = sqrt(1 - 2 m eta + L^2 eta^2) + c eta; NaN for a negative radicand."""
+    m, c, L = consts.m, consts.c, consts.L
+    radicand = 1.0 - 2.0 * m * eta + (L * eta) ** 2
+    return math.sqrt(radicand) + c * eta if radicand >= 0.0 else math.nan
 
-    Returns (satisfied, lhs, rhs) for
-    sigma_max(H - H_diag) <= (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y),
-    which is m > c with the agent-count factor cancelled.
-    """
-    s = _svals(model.H)
-    lhs = float(_svals(model.H - model.H_diag)[0])
-    rhs = float((obj.m_u + s[-1] ** 2 * obj.m_y) / (s[0] * obj.L_y))
-    return lhs <= rhs, lhs, rhs
+
+def _neglected_coupling(obj, model, y) -> float:
+    """||(H^T - H_diag) grad_y(y)||, the gradient term the decentralized loop drops."""
+    return float(np.linalg.norm((model.H.T - model.H_diag) @ obj_mod.grad_y(obj, y)))
 
 
 def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRate:
@@ -242,8 +239,7 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
         raise CouplingTooStrong(f"m={m:.6g} <= c={c:.6g}")
     degenerate = L == m
     eta_upper = math.inf if degenerate else 2.0 * (m - c) / (L**2 - m**2)
-    radicand = 1.0 - 2.0 * m * eta + (L * eta) ** 2
-    rho = math.sqrt(radicand) + c * eta if radicand >= 0.0 else math.nan
+    rho = _rho(consts, eta)
     admissible = bool(0.0 < eta < eta_upper and not math.isnan(rho) and rho < 1.0)
     return ContractionRate(
         rho=rho, admissible=admissible, eta_upper=eta_upper, degenerate=degenerate
@@ -271,13 +267,9 @@ def tracking_inequality_check(
     """
     u_star = np.asarray(u_star, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
-    m, c, L = consts.m, consts.c, consts.L
-    radicand = 1.0 - 2.0 * m * eta + (L * eta) ** 2
-    rho = math.sqrt(radicand) + c * eta if radicand >= 0.0 else math.nan
+    rho = _rho(consts, eta)
     admissible = bool(not math.isnan(rho) and 0.0 < rho < 1.0)
-    bias = float(
-        np.linalg.norm((model.H.T - model.H_diag) @ obj_mod.grad_y(obj, y_star))
-    )
+    bias = _neglected_coupling(obj, model, y_star)
     u_series = np.asarray(trajectory.u_series, dtype=float)
     dist = np.linalg.norm(u_series - u_star, axis=1)
     n_steps = len(dist) - 1
@@ -316,9 +308,7 @@ def suboptimality_bound(
     u_inf = np.asarray(u_inf, dtype=float)
     d = np.asarray(d, dtype=float)
     y_inf = model.H @ u_inf + d
-    lead = float(
-        np.linalg.norm((model.H.T - model.H_diag) @ obj_mod.grad_y(obj, y_inf))
-    )
+    lead = _neglected_coupling(obj, model, y_inf)
     two_m = 2.0 * consts.m
     satisfied, _, _ = coupling_condition(obj, model)
     if two_m > 1.0:
@@ -463,12 +453,7 @@ def monotonicity_gap_test(
     d = np.asarray(d, dtype=float)
     n = model.n
     margin = consts.m - consts.c
-
-    def pseudo(u):
-        return obj_mod.grad_u(obj, u) + model.H_diag.T @ obj_mod.grad_y(
-            obj, model.H @ u + d
-        )
-
+    pseudo = functools.partial(_gradient, obj, model, model.H_diag, d)
     worst = math.inf
     for _ in range(trials):
         u1 = rng.uniform(-10.0, 10.0, size=n)

@@ -22,7 +22,7 @@ Configuration is a JSON file selected with --config; sections are
 plant | grid (exactly one), objective, controller, simulation, analysis,
 output.  Environment variables OFO_<SECTION>_<KEY> override file values
 (e.g. OFO_CONTROLLER_ETA=0.1), and command-line flags override both.
-Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
+Exit codes: 0 success, 1 numerical or I/O failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import analysis, powergrid, sim
 from .analysis import Convention
 from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
-from .errors import ConfigError, NonFinite, OfonetError
+from .errors import ConfigError, NonFinite, OfonetError, as_vector
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import (
     LtiPlant,
@@ -244,6 +244,14 @@ def _resolve_controller(config: dict) -> ControllerConfig:
     return ControllerConfig(mode=mode, eta=eta)
 
 
+def _vector_key(value, n: int, key: str) -> np.ndarray:
+    """``value`` of the setting ``key`` as a finite float vector of length ``n``."""
+    try:
+        return as_vector(value, n, "the value", finite=True)
+    except (TypeError, ValueError, OfonetError) as exc:
+        raise ConfigError(f"invalid '{key}': {exc}") from exc
+
+
 @dataclass
 class SimSettings:
     steps: int
@@ -272,16 +280,11 @@ def _resolve_simulation(config: dict, n: int, n_state: int) -> SimSettings:
             raise ConfigError("'simulation.seed' is required when u0 is 'random'")
         u0 = np.random.default_rng(seed).standard_normal(n)
     else:
-        u0 = np.asarray(u0_cfg, dtype=float)
-        if u0.shape != (n,):
-            raise ConfigError(f"'simulation.u0' must have length {n}")
+        u0 = _vector_key(u0_cfg, n, "simulation.u0")
     x0_cfg = simc.get("x0", "zeros")
-    if x0_cfg is None or x0_cfg == "zeros":
-        x0 = None
-    else:
-        x0 = np.asarray(x0_cfg, dtype=float)
-        if x0.shape != (n_state,):
-            raise ConfigError(f"'simulation.x0' must have length {n_state}")
+    x0 = None
+    if x0_cfg is not None and x0_cfg != "zeros":
+        x0 = _vector_key(x0_cfg, n_state, "simulation.x0")
     return SimSettings(
         steps=steps, loop=loop, u0=u0, x0=x0, decimation=decimation, seed=seed
     )
@@ -308,12 +311,16 @@ def _resolve_eta_grid(config: dict) -> list:
     return values
 
 
-def _resolve_out_dir(config: dict) -> Optional[str]:
+def _resolve_out_dir(config: dict, default: Optional[str] = None) -> Optional[str]:
+    """``output.dir`` (else ``default``), created when missing; None when both are None."""
     out = _section(config, "output").get("dir")
+    out = default if out is None else str(out)
     if out is None:
         return None
-    out = str(out)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"'output.dir' cannot be created: {exc}") from exc
     return out
 
 
@@ -382,7 +389,10 @@ def _run_loop(inst: Instance, ctl: ControllerConfig, settings: SimSettings):
 
 
 def cmd_simulate(args) -> int:
-    config = _configure(args)
+    return _simulate(_configure(args))
+
+
+def _simulate(config: dict) -> int:
     inst = _resolve_instance(config)
     ctl = _resolve_controller(config)
     settings = _resolve_simulation(config, inst.model.n, inst.plant.n_state)
@@ -392,8 +402,7 @@ def cmd_simulate(args) -> int:
         u_ref, u_ref_kind = star.u, "optimum"
     else:
         u_ref, u_ref_kind = fixed.u, "fixed_point"
-    out_dir = _resolve_out_dir(config) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _resolve_out_dir(config, ".")
     csv_path = os.path.join(out_dir, "trajectory.csv")
     metrics_path = os.path.join(out_dir, "metrics.json")
 
@@ -502,8 +511,7 @@ def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
 
 def cmd_figures(args) -> int:
     config = _configure(args)
-    out_dir = _resolve_out_dir(config) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _resolve_out_dir(config, ".")
     steps = _steps(config)
     seed = _int_key(config, "simulation", "seed", None)
     if args.preset == "fig3":
@@ -515,18 +523,20 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _grid_spec_from_config(config: dict) -> powergrid.GridSpec:
+def _grid_config(args) -> dict:
+    """The configuration of a grid subcommand: a 'grid' section, never 'plant'."""
+    config = _configure(args)
     if "plant" in config:
         raise ConfigError("grid subcommands use the 'grid' section, not 'plant'")
-    return powergrid.spec_from_dict(config.get("grid", {}) or {})
+    config.setdefault("grid", {})
+    return config
 
 
 def cmd_grid_build(args) -> int:
-    config = _configure(args)
-    spec = _grid_spec_from_config(config)
+    config = _grid_config(args)
+    spec = powergrid.spec_from_dict(config["grid"] or {})
     plant, model, d_eff = powergrid.assemble_plant(spec)
-    out_dir = _resolve_out_dir(config) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _resolve_out_dir(config, ".")
     _dump_json(powergrid.spec_to_dict(spec), os.path.join(out_dir, "grid_spec.json"))
     plant_dict = {
         "A": plant.A.tolist(),
@@ -550,17 +560,12 @@ def cmd_grid_build(args) -> int:
 
 
 def cmd_grid_simulate(args) -> int:
-    config = _configure(args)
-    if "plant" in config:
-        raise ConfigError("grid subcommands use the 'grid' section, not 'plant'")
-    config.setdefault("grid", {})
-    args._config_override = config
-    return cmd_simulate(args)
+    return _simulate(_grid_config(args))
 
 
 def cmd_grid_sweep(args) -> int:
-    config = _configure(args)
-    spec = _grid_spec_from_config(config)
+    config = _grid_config(args)
+    spec = powergrid.spec_from_dict(config["grid"] or {})
     try:
         g_values = [float(v) for v in args.g.split(",") if v != ""]
     except ValueError as exc:
@@ -575,8 +580,7 @@ def cmd_grid_sweep(args) -> int:
     eta = _eta(eta)
     steps = _steps(config, args.steps)
     rows = powergrid.sweep_g(g_values, eta, steps=steps, spec=spec)
-    out_dir = _resolve_out_dir(config) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _resolve_out_dir(config, ".")
     path = os.path.join(out_dir, "grid_sweep.csv")
     powergrid.write_sweep_csv(path, rows)
     summary = {
@@ -591,9 +595,6 @@ def cmd_grid_sweep(args) -> int:
 
 
 def _configure(args) -> dict:
-    override = getattr(args, "_config_override", None)
-    if override is not None:
-        return override
     config = _load_config(getattr(args, "config", None))
     config = _apply_env(config, os.environ)
     config = _apply_flags(config, args)
@@ -670,7 +671,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OfonetError as exc:
+    except (OfonetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, as_vector
 from .objective import SeparableObjective
 from .plant import SensitivityModel
 
@@ -46,13 +46,6 @@ class ControllerConfig:
             raise ValueError(f"mode must be a Mode member, got {self.mode!r}")
         if not (self.eta > 0.0 and np.isfinite(self.eta)):
             raise ValueError(f"step size must be positive and finite, got {self.eta}")
-
-
-def _check_vec(vec, n: int, name: str) -> NDArray[np.float64]:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got shape {vec.shape}")
-    return vec
 
 
 def update_map(
@@ -82,7 +75,7 @@ def _step(cfg, expected: Mode, obj, model, u, y) -> NDArray[np.float64]:
     if cfg.mode is not expected:
         raise ValueError(f"config mode is {cfg.mode}, expected {expected.name}")
     n = model.n
-    return update_map(cfg, obj, model)(_check_vec(u, n, "u"), _check_vec(y, n, "y"))
+    return update_map(cfg, obj, model)(as_vector(u, n, "u"), as_vector(y, n, "y"))
 
 
 def centralized_step(

@@ -1,16 +1,21 @@
 """Reference solutions: global optimum, decentralized fixed point, Nash checks.
 
-The steady-state design problem is min_u Phi(u, Hu + d).  Its unique
-minimizer u_star zeroes the full gradient grad_u + H^T grad_y(Hu + d).
-The decentralized controller instead converges to the zero u_inf of the
-pseudo-gradient
+The steady-state design problem is min_u Phi(u, Hu + d).  Both reference
+points are zeros of one gradient,
 
-    F(u) = grad_u(u) + H_diag^T grad_y(Hu + d),
+    F_G(u) = grad_u(u) + G^T grad_y(Hu + d).
 
-whose zeros are exactly the Nash equilibria of the game in which player
-i minimizes phi_i1(u_i) + phi_i2([Hu + d]_i) over its own input.  Both
-points are computed here to tolerances well below anything the
+With G = H it is the full gradient, whose unique zero u_star is the
+minimizer.  With G = H_diag it is the pseudo-gradient of the
+decentralized controller; its zeros u_inf are exactly the Nash
+equilibria of the game in which player i minimizes
+phi_i1(u_i) + phi_i2([Hu + d]_i) over its own input.  One solver,
+parametrized by G, computes both to tolerances well below anything the
 trajectory tests assert against.
+
+The module also owns the diagonal-dominance coupling condition, which
+certifies that the Nash equilibrium is unique; ``analysis`` re-exports
+it among the certificates.
 """
 
 from __future__ import annotations
@@ -22,15 +27,17 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import objective as obj_mod
-from .errors import DimensionMismatch, NoConvergence, SingularMatrix
+from .errors import DimensionMismatch, NoConvergence, SingularMatrix, as_vector
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import SensitivityModel
 
 __all__ = [
+    "SVAL_TOL",
     "SOLVE_TOL",
     "MAX_ITER",
     "SolutionKind",
     "EquilibriumSolution",
+    "coupling_condition",
     "global_optimum",
     "decentralized_fixed_point",
     "nash_residual",
@@ -39,6 +46,8 @@ __all__ = [
 
 SOLVE_TOL = 1e-10
 MAX_ITER = 10**6
+# Singular values below SVAL_TOL * sigma_max are treated as exact zeros.
+SVAL_TOL = 1e-12
 
 
 class SolutionKind(enum.Enum):
@@ -75,30 +84,32 @@ class EquilibriumSolution:
         object.__setattr__(self, "residual", float(self.residual))
 
 
-def _check_d(d, n: int) -> NDArray[np.float64]:
-    d = np.asarray(d, dtype=float)
-    if d.shape != (n,):
-        raise DimensionMismatch(f"d must have length {n}, got shape {d.shape}")
-    return d
+def _svals(M) -> NDArray[np.float64]:
+    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+    if s.size and s[0] > 0.0:
+        s = np.where(s < SVAL_TOL * s[0], 0.0, s)
+    return s
 
 
-def _full_gradient(obj, model, d, u):
+def coupling_condition(
+    obj: SeparableObjective, model: SensitivityModel
+) -> tuple[bool, float, float]:
+    """Diagonal-dominance condition in its convention-free form.
+
+    Returns (satisfied, lhs, rhs) for
+    sigma_max(H - H_diag) <= (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y),
+    which is m > c with the agent-count factor cancelled.
+    """
+    s = _svals(model.H)
+    lhs = float(_svals(model.H - model.H_diag)[0])
+    rhs = float((obj.m_u + s[-1] ** 2 * obj.m_y) / (s[0] * obj.L_y))
+    return lhs <= rhs, lhs, rhs
+
+
+def _gradient(obj, model, G, d, u):
+    """F_G(u) = grad_u(u) + G^T grad_y(Hu + d)."""
     y = model.H @ u + d
-    return obj_mod.grad_u(obj, u) + model.H.T @ obj_mod.grad_y(obj, y)
-
-
-def _pseudo_gradient(obj, model, d, u):
-    y = model.H @ u + d
-    return obj_mod.grad_u(obj, u) + model.H_diag.T @ obj_mod.grad_y(obj, y)
-
-
-def _coupling_margin(obj, model):
-    # Same inequality as analysis.coupling_condition; duplicated in scalar
-    # form here to keep this module independent of the certificate layer.
-    sv = np.linalg.svd(model.H, compute_uv=False)
-    lhs = float(np.linalg.svd(model.H - model.H_diag, compute_uv=False)[0])
-    rhs = float((obj.m_u + sv[-1] ** 2 * obj.m_y) / (sv[0] * obj.L_y))
-    return lhs <= rhs, sv
+    return obj_mod.grad_u(obj, u) + G.T @ obj_mod.grad_y(obj, y)
 
 
 def _iterate(grad_fn, u0, tau):
@@ -114,80 +125,82 @@ def _iterate(grad_fn, u0, tau):
     raise NoConvergence(MAX_ITER, float(np.linalg.norm(grad_fn(u))))
 
 
-def global_optimum(obj: SeparableObjective, model: SensitivityModel, d) -> EquilibriumSolution:
-    """Solve for the unique minimizer of the steady-state design problem.
+def _solve(obj, model, d, G, kind, step_size, certified=True) -> EquilibriumSolution:
+    """The zero of F_G, of the solution kind ``kind``.
 
-    Quadratic objectives are solved exactly through the normal equations
-    (gamma1 I + gamma2 H^T H) u = gamma2 H^T (y_ref - d); anything else
-    runs a fixed-step gradient iteration to residual SOLVE_TOL.
+    Quadratic objectives are solved exactly through the linear equations
+    (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d); anything else
+    runs the fixed-step iteration u <- u - tau F_G(u) from u = 0 to
+    residual SOLVE_TOL, with tau = ``step_size()``.
     """
-    n = model.n
-    d = _check_d(d, n)
+    d = as_vector(d, model.n, "d")
     H = model.H
     if isinstance(obj, QuadraticObjective):
-        lhs = obj.gamma1 * np.eye(n) + obj.gamma2 * H.T @ H
-        rhs = obj.gamma2 * H.T @ (obj.y_ref - d)
+        lhs = obj.gamma1 * np.eye(model.n) + obj.gamma2 * G.T @ H
+        rhs = obj.gamma2 * G.T @ (obj.y_ref - d)
         try:
             u = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"normal equations are singular: {exc}") from exc
+            raise SingularMatrix(
+                f"{kind.value.replace('_', ' ')} equations are singular: {exc}"
+            ) from exc
     else:
-        sv = np.linalg.svd(H, compute_uv=False)
-        m = obj.m_u + sv[-1] ** 2 * obj.m_y
-        L = obj.L_u + sv[0] ** 2 * obj.L_y
-        u, _ = _iterate(lambda v: _full_gradient(obj, model, d, v), np.zeros(n), m / L**2)
-    residual = float(np.linalg.norm(_full_gradient(obj, model, d, u)))
+        u, _ = _iterate(
+            lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), step_size()
+        )
+    residual = float(np.linalg.norm(_gradient(obj, model, G, d, u)))
     return EquilibriumSolution(
-        u=u, y=H @ u + d, residual=residual, kind=SolutionKind.GLOBAL_OPTIMUM
+        u=u, y=H @ u + d, residual=residual, kind=kind, uniqueness_certified=certified
     )
+
+
+def global_optimum(obj: SeparableObjective, model: SensitivityModel, d) -> EquilibriumSolution:
+    """Solve for the unique minimizer of the steady-state design problem (G = H).
+
+    The iteration step is tau = m / L^2 with m = m_u + sigma_min(H)^2 m_y
+    and L = L_u + sigma_max(H)^2 L_y.
+    """
+
+    def step_size():
+        s = _svals(model.H)
+        m = obj.m_u + s[-1] ** 2 * obj.m_y
+        L = obj.L_u + s[0] ** 2 * obj.L_y
+        return m / L**2
+
+    return _solve(obj, model, d, model.H, SolutionKind.GLOBAL_OPTIMUM, step_size)
 
 
 def decentralized_fixed_point(
     obj: SeparableObjective, model: SensitivityModel, d
 ) -> EquilibriumSolution:
-    """Solve for the zero of the pseudo-gradient (the Nash equilibrium).
+    """Solve for the zero of the pseudo-gradient, the Nash equilibrium (G = H_diag).
 
     When the diagonal-dominance margin fails, the solver still runs but
     the result carries ``uniqueness_certified=False`` instead of raising:
     exploration beyond the certified regime is allowed, just unlabeled.
     """
-    n = model.n
-    d = _check_d(d, n)
-    H, Hd = model.H, model.H_diag
-    certified, sv = _coupling_margin(obj, model)
-    if isinstance(obj, QuadraticObjective):
-        lhs = obj.gamma1 * np.eye(n) + obj.gamma2 * Hd @ H
-        rhs = obj.gamma2 * Hd @ (obj.y_ref - d)
-        try:
-            u = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"fixed-point equations are singular: {exc}") from exc
-    else:
-        m = obj.m_u + sv[-1] ** 2 * obj.m_y
-        c = float(np.linalg.svd(H - Hd, compute_uv=False)[0]) * sv[0] * obj.L_y
-        sigma_hd = float(np.max(np.abs(np.diag(Hd)))) if n else 0.0
-        L = obj.L_u + sigma_hd * sv[0] * obj.L_y
+    certified, sigma_off, _ = coupling_condition(obj, model)
+
+    def step_size():
+        s = _svals(model.H)
+        m = obj.m_u + s[-1] ** 2 * obj.m_y
+        c = sigma_off * s[0] * obj.L_y
+        sigma_hd = float(np.max(np.abs(np.diag(model.H_diag)))) if model.n else 0.0
+        L = obj.L_u + sigma_hd * s[0] * obj.L_y
         # m - c > 0 makes tau provably contractive; otherwise best effort.
-        tau = (m - c) / L**2 if m > c else m / L**2
-        u, _ = _iterate(lambda v: _pseudo_gradient(obj, model, d, v), np.zeros(n), tau)
-    residual = float(np.linalg.norm(_pseudo_gradient(obj, model, d, u)))
-    return EquilibriumSolution(
-        u=u,
-        y=H @ u + d,
-        residual=residual,
-        kind=SolutionKind.DECENTRALIZED_FIXED_POINT,
-        uniqueness_certified=certified,
+        return (m - c) / L**2 if m > c else m / L**2
+
+    return _solve(
+        obj, model, d, model.H_diag, SolutionKind.DECENTRALIZED_FIXED_POINT,
+        step_size, certified,
     )
 
 
 def nash_residual(obj: SeparableObjective, model: SensitivityModel, d, u) -> float:
     """Norm of the pseudo-gradient at u; zero iff u is a Nash equilibrium."""
-    n = model.n
-    d = _check_d(d, n)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise DimensionMismatch(f"u must have length {n}, got shape {u.shape}")
-    return float(np.linalg.norm(_pseudo_gradient(obj, model, d, u)))
+    d = as_vector(d, model.n, "d")
+    u = as_vector(u, model.n, "u")
+    return float(np.linalg.norm(_gradient(obj, model, model.H_diag, d, u)))
 
 
 def _player_cost(obj, model, d, u, i):
@@ -212,10 +225,8 @@ def best_response_check(
     of the gradient machinery so it can serve as its oracle.
     """
     n = model.n
-    d = _check_d(d, n)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise DimensionMismatch(f"u must have length {n}, got shape {u.shape}")
+    d = as_vector(d, n, "d")
+    u = as_vector(u, n, "u")
     if not 0 <= i < n:
         raise DimensionMismatch(f"agent index {i} out of range for n={n}")
     if grid_radius <= 0.0:

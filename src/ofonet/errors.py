@@ -1,8 +1,11 @@
-"""Exception classes for the ofonet package.
+"""Exception classes for the ofonet package, and its one vector-length check.
 
 Numerical failures carry enough context (iteration counts, residuals,
 spectral radii, partial trajectories) for callers to report or recover.
+``as_vector`` is the single "must have length n" check every layer uses.
 """
+
+import numpy as np
 
 __all__ = [
     "OfonetError",
@@ -14,6 +17,7 @@ __all__ = [
     "NonFinite",
     "UnstableDiscretization",
     "ConfigError",
+    "as_vector",
 ]
 
 
@@ -23,6 +27,19 @@ class OfonetError(Exception):
 
 class DimensionMismatch(OfonetError):
     """Operands have incompatible shapes."""
+
+
+def as_vector(value, n: int, name: str, finite: bool = False) -> np.ndarray:
+    """``value`` as a float vector of length ``n``, else DimensionMismatch naming it.
+
+    With ``finite``, a non-finite entry raises ValueError naming it too.
+    """
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (n,):
+        raise DimensionMismatch(f"{name} must have length {n}, got shape {vec.shape}")
+    if finite and not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return vec
 
 
 class SingularMatrix(OfonetError):

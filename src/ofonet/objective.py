@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, as_vector
 
 __all__ = [
     "ScalarCost",
@@ -71,8 +71,8 @@ class SeparableObjective:
         """Number of agents."""
         return len(self.input_costs)
 
-    # The unchecked gradients take float vectors of length n; grad_u and
-    # grad_y check the length first, a closed loop checks once per run.
+    # The unchecked methods take float vectors of length n; grad_u, grad_y
+    # and value check the length first, a closed loop checks once per run.
     def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
         """Unchecked grad_u: component i is dphi_i1(u_i)."""
         return np.array([df(ui) for (_, df), ui in zip(self.input_costs, u.tolist())])
@@ -80,6 +80,15 @@ class SeparableObjective:
     def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         """Unchecked grad_y: component i is dphi_i2(y_i)."""
         return np.array([df(yi) for (_, df), yi in zip(self.output_costs, y.tolist())])
+
+    def total_cost(self, u: NDArray[np.float64], y: NDArray[np.float64]) -> float:
+        """Unchecked value: sum_i phi_i1(u_i) + phi_i2(y_i)."""
+        total = 0.0
+        for (f, _), ui in zip(self.input_costs, u):
+            total += f(float(ui))
+        for (f, _), yi in zip(self.output_costs, y):
+            total += f(float(yi))
+        return float(total)
 
 
 class QuadraticObjective(SeparableObjective):
@@ -130,36 +139,23 @@ class QuadraticObjective(SeparableObjective):
     def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         return self.gamma2 * (y - self.y_ref)
 
-
-def _check_len(vec, n: int, name: str) -> NDArray[np.float64]:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got shape {vec.shape}")
-    return vec
+    def total_cost(self, u: NDArray[np.float64], y: NDArray[np.float64]) -> float:
+        return float(
+            0.5 * self.gamma1 * np.dot(u, u)
+            + 0.5 * self.gamma2 * np.sum((y - self.y_ref) ** 2)
+        )
 
 
 def grad_u(obj: SeparableObjective, u) -> NDArray[np.float64]:
     """Gradient of the summed input cost; component i is dphi_i1(u_i)."""
-    return obj.input_gradient(_check_len(u, obj.n, "u"))
+    return obj.input_gradient(as_vector(u, obj.n, "u"))
 
 
 def grad_y(obj: SeparableObjective, y) -> NDArray[np.float64]:
     """Gradient of the summed output cost; component i is dphi_i2(y_i)."""
-    return obj.output_gradient(_check_len(y, obj.n, "y"))
+    return obj.output_gradient(as_vector(y, obj.n, "y"))
 
 
 def value(obj: SeparableObjective, u, y) -> float:
     """Total cost sum_i phi_i1(u_i) + phi_i2(y_i)."""
-    u = _check_len(u, obj.n, "u")
-    y = _check_len(y, obj.n, "y")
-    if isinstance(obj, QuadraticObjective):
-        return float(
-            0.5 * obj.gamma1 * np.dot(u, u)
-            + 0.5 * obj.gamma2 * np.sum((y - obj.y_ref) ** 2)
-        )
-    total = 0.0
-    for (f, _), ui in zip(obj.input_costs, u):
-        total += f(float(ui))
-    for (f, _), yi in zip(obj.output_costs, y):
-        total += f(float(yi))
-    return float(total)
+    return obj.total_cost(as_vector(u, obj.n, "u"), as_vector(y, obj.n, "y"))

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DimensionMismatch, SingularMatrix
+from .errors import ConfigError, DimensionMismatch, SingularMatrix, as_vector
 
 __all__ = [
     "SCHUR_TOL",
@@ -31,7 +31,6 @@ __all__ = [
     "is_schur_stable",
     "compute_sensitivity",
     "step",
-    "steady_state_output",
     "plant_from_dict",
 ]
 
@@ -115,11 +114,6 @@ class LtiPlant:
         B = _as_matrix(self.B, "B")
         C = _as_matrix(self.C, "C")
         D = _as_matrix(self.D, "D")
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1:
-            raise DimensionMismatch(f"d must be a vector, got ndim={d.ndim}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("d contains non-finite entries")
         n_state = A.shape[0]
         if A.shape[1] != n_state:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
@@ -134,8 +128,7 @@ class LtiPlant:
             )
         if D.shape != (n, n):
             raise DimensionMismatch(f"D must have shape ({n}, {n}), got {D.shape}")
-        if d.shape != (n,):
-            raise DimensionMismatch(f"d must have length {n}, got {d.shape}")
+        d = as_vector(self.d, n, "d", finite=True)
         radius = _unstable_radius(A)
         if radius is not None:
             raise ValueError(
@@ -226,14 +219,8 @@ def compute_sensitivity(plant: LtiPlant) -> SensitivityModel:
 
 def step(plant: LtiPlant, x, u) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Advance the plant one sample: returns (x_next, y) for state x, input u."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (plant.n_state,):
-        raise DimensionMismatch(
-            f"state must have length {plant.n_state}, got {x.shape}"
-        )
-    if u.shape != (plant.n,):
-        raise DimensionMismatch(f"input must have length {plant.n}, got {u.shape}")
+    x = as_vector(x, plant.n_state, "state")
+    u = as_vector(u, plant.n, "input")
     x_next = plant.A @ x + plant.B @ u
     y = plant.C @ x + plant.D @ u + plant.d
     return x_next, y
@@ -273,15 +260,3 @@ def plant_from_dict(data: dict) -> LtiPlant:
     except (DimensionMismatch, ValueError) as exc:
         raise ConfigError(f"inconsistent plant specification: {exc}") from exc
 
-
-def steady_state_output(model: SensitivityModel, u, d) -> NDArray[np.float64]:
-    """Steady-state output H u + d for a constant input u."""
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if u.shape != (model.n,):
-        raise DimensionMismatch(f"input must have length {model.n}, got {u.shape}")
-    if d.shape != (model.n,):
-        raise DimensionMismatch(
-            f"disturbance must have length {model.n}, got {d.shape}"
-        )
-    return model.H @ u + d

@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatch,
     NotCertifiable,
     UnstableDiscretization,
+    as_vector,
 )
 from .objective import QuadraticObjective
 from .plant import LtiPlant, SensitivityModel, _unstable_radius
@@ -57,15 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_EDGES = ((1, 4), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (1, 2), (6, 7))
-
-
-def _positive_vector(value, length, name):
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (length,):
-        raise DimensionMismatch(f"{name} must have length {length}, got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ class GridSpec:
             ("delta_i", n, False),
             ("d_meas", n, False),
         ):
-            vec = _positive_vector(getattr(self, name), length, name)
+            vec = as_vector(getattr(self, name), length, name, finite=True)
             if positive and not np.all(vec > 0.0):
                 raise ValueError(f"{name} must be strictly positive")
             vec.setflags(write=False)

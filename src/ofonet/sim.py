@@ -1,18 +1,21 @@
 """Closed-loop execution of controller-plant interconnections.
 
-Two loop kinds share one controller implementation.  The algebraic loop
-evaluates the steady-state map directly,
+Two loop kinds run one recording loop.  The algebraic loop evaluates the
+steady-state map directly,
 
     y_k = H u_k + d,    u_{k+1} = controller(u_k, y_k),
 
-while the dynamic loop runs the full plant recursion: at iteration k the
+while the dynamic loop adds the plant state: at iteration k the
 controller reads y_k computed from (x_k, u_k), then the input and the
-state both advance once (synchronous interconnection).
+state both advance once (synchronous interconnection).  ``run_algebraic``
+and ``run_lti`` only validate their inputs and choose the plant step,
+with or without the state block; the loop itself, recording, divergence
+and early stop included, is written once.
 
-Both loops apply one update map built by ``controller.update_map`` once
-per run; inputs are validated once, before the first step.  Runs
-early-stop when successive iterates move less than EARLY_STOP_TOL and
-raise NonFinite, carrying the finite prefix, when an iterate diverges.
+The loop applies one update map built by ``controller.update_map`` once
+per run.  Runs early-stop when successive iterates move less than
+EARLY_STOP_TOL and raise NonFinite, carrying the finite prefix, when an
+iterate diverges.
 
 Sweep rows run as one batched loop, ``_run_algebraic_batch``: the
 decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
@@ -38,6 +41,7 @@ import contextlib
 import functools
 import math
 import os
+import secrets
 import shutil
 import signal
 import tempfile
@@ -48,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .controller import ControllerConfig, Mode, update_map
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, NonFinite, as_vector
 from .plant import LtiPlant, SensitivityModel, compute_sensitivity
 
 __all__ = [
@@ -124,15 +128,9 @@ class ErrorMetrics:
     absolute: bool = False
 
 
-def _init_vec(value, n: int, name: str) -> NDArray[np.float64]:
-    if value is None:
-        return np.zeros(n)
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return vec
+def _start(value, n: int, name: str) -> NDArray[np.float64]:
+    """A finite start vector of length ``n``; zeros when ``value`` is None."""
+    return np.zeros(n) if value is None else as_vector(value, n, name, finite=True)
 
 
 class _Recorder:
@@ -192,6 +190,45 @@ def _step_norm(v_next, v) -> float:
     return math.nan
 
 
+def _run(kind: str, advance, cfg, obj, model, u, x, steps, seed) -> Trajectory:
+    """The recording closed loop of ``run_algebraic`` and ``run_lti``.
+
+    ``advance(x, u)`` returns the plant's next state (None when ``x`` is
+    None: no state block) and its output y at (x, u).  ``u`` and ``x``
+    are validated start vectors.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    update = update_map(cfg, obj, model)
+    rec = _Recorder(u.size, None if x is None else x.size)
+    early = False
+    iterations = 0
+
+    def info(k):
+        return RunInfo(cfg.mode, cfg.eta, kind, k, early, seed)
+
+    # overflow past float range is the divergence signal, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x_next, y = advance(x, u)
+            if not _finite(y):
+                raise NonFinite(k, rec.trajectory(info(iterations)))
+            rec.append(u, y, x)
+            u_next = update(u, y)
+            iterations += 1
+            delta_u = _step_norm(u_next, u)
+            delta_x = 0.0 if x is None else _step_norm(x_next, x)
+            # test each norm: either one alone may be the NaN of a divergence
+            if math.isnan(delta_u) or math.isnan(delta_x):
+                raise NonFinite(k + 1, rec.trajectory(info(iterations)))
+            u, x = u_next, x_next
+            if delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL:
+                early = True
+                break
+        rec.append(u, advance(x, u)[1], x)
+    return rec.trajectory(info(iterations))
+
+
 def run_algebraic(
     model: SensitivityModel,
     obj,
@@ -201,39 +238,41 @@ def run_algebraic(
     steps: int = DEFAULT_STEPS,
     seed: Optional[int] = None,
 ) -> Trajectory:
-    """Run the steady-state (algebraic) closed loop for up to ``steps`` updates."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    n = model.n
-    d = _init_vec(d, n, "d")
-    u = _init_vec(u0, n, "u0")
-    update = update_map(cfg, obj, model)
-    H = model.H
-    rec = _Recorder(n)
-    early = False
-    iterations = 0
+    """Run the steady-state (algebraic) closed loop for up to ``steps`` updates.
 
-    def info(k):
-        return RunInfo(cfg.mode, cfg.eta, "algebraic", k, early, seed)
+    The output is y = H u + d itself, with no state term, so a -0.0
+    output stays -0.0.
+    """
+    H, d = model.H, _start(d, model.n, "d")
+    u = _start(u0, model.n, "u0")
+    return _run(
+        "algebraic", lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps, seed
+    )
 
-    # overflow past float range is the divergence signal, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            y = H @ u + d
-            if not _finite(y):
-                raise NonFinite(k, rec.trajectory(info(iterations)))
-            rec.append(u, y)
-            u_next = update(u, y)
-            iterations += 1
-            delta = _step_norm(u_next, u)
-            if math.isnan(delta):
-                raise NonFinite(k + 1, rec.trajectory(info(iterations)))
-            u = u_next
-            if delta < EARLY_STOP_TOL:
-                early = True
-                break
-    rec.append(u, H @ u + d)
-    return rec.trajectory(info(iterations))
+
+def run_lti(
+    plant: LtiPlant,
+    obj,
+    cfg: ControllerConfig,
+    x0=None,
+    u0=None,
+    steps: int = DEFAULT_STEPS,
+    seed: Optional[int] = None,
+) -> Trajectory:
+    """Run the closed loop against the full plant dynamics.
+
+    Early stop requires both the input and the state increments to fall
+    below EARLY_STOP_TOL, so a still-settling plant keeps the run alive
+    even once the controller has effectively frozen.
+    """
+    A, B, C, D, dist = plant.A, plant.B, plant.C, plant.D, plant.d
+    x = _start(x0, plant.n_state, "x0")
+    u = _start(u0, plant.n, "u0")
+    return _run(
+        "lti",
+        lambda x, u: (A @ x + B @ u, C @ x + D @ u + dist),
+        cfg, obj, compute_sensitivity(plant), u, x, steps, seed,
+    )
 
 
 def _run_algebraic_batch(
@@ -309,56 +348,6 @@ def _run_algebraic_batch(
     return finals, diverged
 
 
-def run_lti(
-    plant: LtiPlant,
-    obj,
-    cfg: ControllerConfig,
-    x0=None,
-    u0=None,
-    steps: int = DEFAULT_STEPS,
-    seed: Optional[int] = None,
-) -> Trajectory:
-    """Run the closed loop against the full plant dynamics.
-
-    Early stop requires both the input and the state increments to fall
-    below EARLY_STOP_TOL, so a still-settling plant keeps the run alive
-    even once the controller has effectively frozen.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    model = compute_sensitivity(plant)
-    x = _init_vec(x0, plant.n_state, "x0")
-    u = _init_vec(u0, plant.n, "u0")
-    update = update_map(cfg, obj, model)
-    A, B, C, D, dist = plant.A, plant.B, plant.C, plant.D, plant.d
-    rec = _Recorder(plant.n, plant.n_state)
-    early = False
-    iterations = 0
-
-    def info(k):
-        return RunInfo(cfg.mode, cfg.eta, "lti", k, early, seed)
-
-    # overflow past float range is the divergence signal, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x_next, y = A @ x + B @ u, C @ x + D @ u + dist
-            if not _finite(y):
-                raise NonFinite(k, rec.trajectory(info(iterations)))
-            rec.append(u, y, x)
-            u_next = update(u, y)
-            iterations += 1
-            delta_u = _step_norm(u_next, u)
-            delta_x = _step_norm(x_next, x)
-            if math.isnan(delta_u) or math.isnan(delta_x):
-                raise NonFinite(k + 1, rec.trajectory(info(iterations)))
-            u, x = u_next, x_next
-            if delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL:
-                early = True
-                break
-    rec.append(u, C @ x + D @ u + dist, x)
-    return rec.trajectory(info(iterations))
-
-
 def metrics(
     trajectory: Trajectory, u_ref, model: Optional[SensitivityModel] = None
 ) -> ErrorMetrics:
@@ -369,7 +358,7 @@ def metrics(
     combined squared error ||x_k - H_x u_k||^2 + ||u_k - u_ref||^2 is
     attached; the reference should then be the decentralized fixed point.
     """
-    u_ref = _reference(trajectory, u_ref)
+    u_ref = as_vector(u_ref, trajectory.u_series.shape[1], "u_ref")
     # norms of a diverging tail may overflow to inf; that is the metric
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
@@ -388,18 +377,10 @@ def combined_sq(
     """Only the combined squared error of ``metrics`` for a dynamic run."""
     if trajectory.x_series is None:
         raise ValueError("combined error needs a dynamic run with recorded states")
-    u_ref = _reference(trajectory, u_ref)
+    u_ref = as_vector(u_ref, trajectory.u_series.shape[1], "u_ref")
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
         return _combined_sq(trajectory, model, err)
-
-
-def _reference(trajectory: Trajectory, u_ref) -> NDArray[np.float64]:
-    u_ref = np.asarray(u_ref, dtype=float)
-    n = trajectory.u_series.shape[1]
-    if u_ref.shape != (n,):
-        raise DimensionMismatch(f"u_ref must have length {n}, got shape {u_ref.shape}")
-    return u_ref
 
 
 def _combined_sq(trajectory: Trajectory, model: SensitivityModel, err):
@@ -454,12 +435,16 @@ def write_trajectory_csv(
 
     The CSV_CHUNK_ROWS-row chunks are split into W contiguous shares,
     W = min(usable CPUs, chunks), or 1 where the OS cannot fork.  Before
-    ``path`` is opened, W - 1 forked workers format shares 2..W into
+    the file is opened, W - 1 forked workers format shares 2..W into
     anonymous temporary files in its directory; this process writes the
-    header and share 1 to ``path``, then appends the workers' files in
+    header and share 1 to the file, then appends the workers' files in
     share order.  The bytes do not depend on W.  A failed worker raises
     OSError; workers still running when this process fails are killed,
     and every worker is reaped before return.
+
+    The file is written under a hidden temporary name in the directory of
+    ``path`` and renamed onto ``path`` only once complete, so a failure
+    leaves ``path`` as it was, or absent, and no partial file behind.
     """
     if decimate < 1:
         raise ValueError(f"decimate must be >= 1, got {decimate}")
@@ -485,7 +470,8 @@ def write_trajectory_csv(
         for i in range(workers)
     ]
     write = functools.partial(_write_chunks, ks=ks, columns=columns, row=row)
-    directory = os.path.dirname(os.path.abspath(path))
+    directory, name = os.path.split(os.path.abspath(path))
+    partial = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     with contextlib.ExitStack() as stack:
         tmps = [
             stack.enter_context(tempfile.TemporaryFile(dir=directory))
@@ -495,7 +481,7 @@ def write_trajectory_csv(
         try:
             for number, (share, tmp) in enumerate(zip(shares[1:], tmps), start=2):
                 pending[number] = _fork_share(write, tmp, share)
-            with open(path, "wb") as fh:
+            with open(partial, "xb") as fh:
                 fh.write((",".join(header) + "\n").encode())
                 write(fh, shares[0])
                 for number, tmp in enumerate(tmps, start=2):
@@ -508,6 +494,11 @@ def write_trajectory_csv(
                         )
                     tmp.seek(0)
                     shutil.copyfileobj(tmp, fh)
+            os.replace(partial, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(partial)
+            raise
         finally:
             # workers left here outlived a failure of this process
             for pid in pending.values():

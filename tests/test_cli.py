@@ -287,6 +287,13 @@ def test_unknown_section_rejected(tmp_path):
         (["grid", "simulate"], {"simulation": {"steps": 0}}, "'simulation.steps'"),
         (["grid", "simulate"], {"controller": {"eta": 0}}, "'controller.eta'"),
         (["analyze"], {"controller": {"eta": "nan"}}, "'controller.eta'"),
+        (["grid", "simulate"], {"simulation": {"u0": ["a"] * 8}}, "'simulation.u0'"),
+        (["grid", "simulate"], {"simulation": {"u0": [1.0, 2.0]}}, "'simulation.u0'"),
+        (["simulate"], {"simulation": {"u0": [float("nan")] * 8}}, "'simulation.u0'"),
+        (["simulate"], {"simulation": {"x0": "random"}}, "'simulation.x0'"),
+        (["simulate"], {"simulation": {"x0": [0.0] * 3}}, "'simulation.x0'"),
+        # an output directory below a file, which is not a directory
+        (["figures", "--out", "/dev/null/out", "fig4"], {}, "'output.dir'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
@@ -300,6 +307,21 @@ def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key
     assert key in err
     assert "Traceback" not in err
     assert not (out / "trajectory.csv").exists()
+
+
+def test_output_write_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    def fail(path, *args, **kwargs):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli.sim, "write_trajectory_csv", fail)
+    cfg = write_config(
+        tmp_path, {"grid": {}, "controller": {"eta": 0.05}, "simulation": {"steps": 50}}
+    )
+    assert run(["--config", cfg, "--out", str(tmp_path / "out"), "grid", "simulate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_convention_flag_selects_gate(tmp_path, capsys):

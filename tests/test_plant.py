@@ -11,7 +11,6 @@ from ofonet.plant import (
     compute_sensitivity,
     is_schur_stable,
     plant_from_dict,
-    steady_state_output,
     step,
 )
 
@@ -129,13 +128,6 @@ def test_fixed_input_converges_to_sensitivity(rng):
     for _ in range(500):
         x, y = step(plant, x, u)
     npt.assert_allclose(y, model.H @ u + plant.d, atol=1e-10)
-
-
-def test_steady_state_output_oracle():
-    h = np.array([[1.0, 0.5], [0.0, 1.0]])
-    model = SensitivityModel(H=h, H_diag=np.diag(np.diag(h)), H_x=h)
-    out = steady_state_output(model, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-    npt.assert_allclose(out, [2.5, 2.0])
 
 
 def test_rectangular_plant_shapes(rng):

@@ -117,6 +117,19 @@ def test_lti_divergence_raises_with_partial_trajectory():
         assert np.isfinite(series).all()
 
 
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lti_state_only_divergence_on_last_step(steps):
+    # x_1 = 0.5 x_0 + u_0 overflows while y_0 and u_1 stay finite; the
+    # input's step norm overflows to inf, the state's is the NaN of a
+    # divergence, which must not be lost by combining the two norms
+    plant = LtiPlant(A=[[0.5]], B=[[1.0]], C=[[1e-300]], D=[[0.0]], d=[0.0])
+    obj = QuadraticObjective(1.0, 1.0, [0.0])
+    with pytest.raises(NonFinite) as info:
+        sim.run_lti(plant, obj, dec(0.01), x0=[1.5e308], u0=[1.5e308], steps=steps)
+    assert info.value.step == 1
+    assert len(info.value.trajectory) == 1
+
+
 def test_overflowing_step_norm_is_not_divergence():
     # finite iterates whose squared norms overflow keep running, unstopped
     _, model, obj, d = reference_instance()
@@ -323,6 +336,19 @@ def test_csv_worker_failure_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=True))
     with pytest.raises(OSError, match="share 2 of 3"):
         sim.write_trajectory_csv(tmp_path / "traj.csv", traj, err)
+    # neither a truncated CSV nor its temporary file is left behind
+    _assert_no_worker_left(tmp_path, [])
+
+
+def test_csv_failure_keeps_previous_file(tmp_path, monkeypatch):
+    traj, err = _edge_case_run("algebraic")
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"previous run\n")
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=True))
+    with pytest.raises(OSError, match="share 2 of 2"):
+        sim.write_trajectory_csv(path, traj, err)
+    assert path.read_bytes() == b"previous run\n"
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
@@ -335,7 +361,7 @@ def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
         sim.write_trajectory_csv(tmp_path / "traj.csv", traj, err)
     # the sleeping worker was killed, not waited for
     assert time.monotonic() - start < 30
-    _assert_no_worker_left(tmp_path, ["traj.csv"])
+    _assert_no_worker_left(tmp_path, [])
 
 
 def test_csv_decimation(tmp_path):
