@@ -9,7 +9,7 @@ analyze
 simulate
     Run the configured closed loop; writes trajectory.csv and
     metrics.json, truncating the CSV at the divergence step if the loop
-    blows up (exit 1).
+    blows up (exit 1), and removing it if that step is 0.
 figures {fig3,fig4}
     Preset bundles: fig3 produces the four G=1 trajectories
     (centralized/decentralized x algebraic/dynamic, eta=0.05); fig4
@@ -20,19 +20,26 @@ grid {build,simulate,sweep}
 
 Configuration is a JSON file selected with --config; sections are
 plant | grid (exactly one), objective, controller, simulation, analysis,
-output.  Environment variables OFO_<SECTION>_<KEY> override file values
-(e.g. OFO_CONTROLLER_ETA=0.1), and command-line flags override both.
+output.  Each section has one key table (``SECTIONS`` here,
+``plant.PLANT_KEYS``, ``powergrid.GRID_TABLE``): an unknown key is
+rejected, an absent or null key takes its default, and a malformed value
+exits 2 naming 'section.key'.  Environment variables OFO_<SECTION>_<KEY>
+override file values; KEY is a key of the section, else the one key equal
+to it up to case (OFO_CONTROLLER_ETA=0.1, OFO_PLANT_A=[[0.5]]).
+Command-line flags override both.
 Exit codes: 0 success, 1 numerical or I/O failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,9 +48,19 @@ from . import analysis, powergrid, sim
 from .analysis import Convention
 from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
-from .errors import ConfigError, NonFinite, OfonetError, as_vector
+from .errors import (
+    ConfigError,
+    NonFinite,
+    OfonetError,
+    as_section,
+    as_vector,
+    convert,
+    finite,
+    read_section,
+)
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import (
+    PLANT_KEYS,
     LtiPlant,
     SensitivityModel,
     compute_sensitivity,
@@ -96,83 +113,132 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
-def _section(config: dict, name: str) -> dict:
-    """The config section ``name`` ({} when absent); it must be a JSON object."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' section must be an object")
-    return section
+# Parsers of config values; ``convert`` names the key of any error they raise.
+def _positive(value) -> float:
+    number = float(value)
+    if not (number > 0.0 and math.isfinite(number)):
+        raise ValueError(f"must be positive and finite, got {number}")
+    return number
 
 
-def _int_key(config: dict, name: str, key: str, default):
-    """``int`` of ``config[name][key]`` (``default`` when absent; None stays None)."""
-    value = _section(config, name).get(key, default)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"'{name}.{key}' is not an integer: {exc}") from exc
+def _integer(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"must be >= 1, got {number}")
+    return number
 
 
-def _steps(config: dict, value=None) -> int:
-    """The step budget: ``value``, else ``simulation.steps``; it must be >= 1."""
-    if value is None:
-        value = _int_key(config, "simulation", "steps", sim.DEFAULT_STEPS)
-    if value < 1:
-        raise ConfigError(f"'simulation.steps' must be >= 1, got {value}")
-    return value
+def _choice(value, names: tuple) -> str:
+    name = str(value).lower()
+    if name not in names:
+        raise ValueError(f"must be one of {', '.join(names)}; got '{name}'")
+    return name
 
 
-def _eta(value) -> float:
-    """``controller.eta`` as a float; it must be positive and finite."""
-    try:
-        eta = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'controller.eta' is not a number: {exc}") from exc
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ConfigError(f"'controller.eta' must be positive and finite, got {eta}")
-    return eta
+def _text(value) -> str:
+    """A string; a JSON number counts as its spelling."""
+    if isinstance(value, (bool, list, dict)):
+        raise TypeError(f"must be a string, got {value!r}")
+    return str(value)
+
+
+def _x0(value):
+    """A start vector: None for "zeros", else a finite array."""
+    return None if value == "zeros" else finite(value)
+
+
+def _u0(value):
+    """Like ``_x0``, or "random": drawn from ``simulation.seed``."""
+    return value if value == "random" else _x0(value)
+
+
+def _step_sizes(value) -> list:
+    grid = finite(value)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > 0.0):
+        raise ValueError("must be a nonempty list of positive step sizes")
+    return grid.tolist()
+
+
+# The key table of each section other than plant and grid: key -> (parser,
+# default).  ``_configure`` reads all five for every subcommand.
+SECTIONS = {
+    "objective": {
+        "custom": (_text, None),
+        "gamma1": (_positive, None),
+        "gamma2": (_positive, None),
+        "y_ref": (finite, None),
+    },
+    "controller": {
+        "eta": (_positive, None),
+        "mode": (partial(_choice, names=tuple(m.value for m in Mode)), "decentralized"),
+    },
+    "simulation": {
+        "steps": (_integer, sim.DEFAULT_STEPS),
+        "loop": (partial(_choice, names=("algebraic", "lti")), "algebraic"),
+        "u0": (_u0, None),
+        "x0": (_x0, None),
+        "decimation": (_integer, 1),
+        "seed": (int, None),
+    },
+    "analysis": {
+        "convention": (partial(_choice, names=tuple(c.value for c in Convention)), "tight"),
+        "eta_grid": (_step_sizes, DEFAULT_ETA_GRID),
+    },
+    "output": {"dir": (_text, None)},
+}
+
+# The keys an OFO_<SECTION>_<FIELD> environment variable may name.
+_SECTION_KEYS = {"plant": PLANT_KEYS, "grid": tuple(powergrid.GRID_TABLE), **SECTIONS}
+
+# (flag, section, key) of the command-line flags that override a config key
+_FLAG_KEYS = (
+    ("seed", "simulation", "seed"),
+    ("convention", "analysis", "convention"),
+    ("out", "output", "dir"),
+    ("eta", "controller", "eta"),
+    ("steps", "simulation", "steps"),
+)
 
 
 def _override(config: dict, name: str, key: str, value) -> None:
     """Set ``config[name][key]``, creating the section when absent."""
-    section = _section(config, name)
-    section[key] = value
-    config[name] = section
+    config[name] = {**as_section(name, config.get(name)), key: value}
 
 
 def _apply_env(config: dict, environ) -> dict:
-    for key in sorted(environ):
-        if not key.startswith("OFO_"):
+    """Apply OFO_<SECTION>_<FIELD>: FIELD is a key, else the one key equal up to case."""
+    for var in sorted(environ):
+        if not var.startswith("OFO_"):
             continue
-        rest = key[len("OFO_"):]
-        for section in CONFIG_SECTIONS:
-            prefix = section.upper() + "_"
-            if rest.startswith(prefix):
-                field = rest[len(prefix):].lower()
-                raw = environ[key]
-                try:
-                    value = json.loads(raw)
-                except json.JSONDecodeError:
-                    value = raw
-                _override(config, section, field, value)
-                break
-        else:
-            raise ConfigError(f"unrecognized environment override '{key}'")
+        section, _, field = var[len("OFO_"):].partition("_")
+        keys = _SECTION_KEYS.get(section.lower(), ()) if section.isupper() else ()
+        match = [k for k in keys if k == field] or [k for k in keys if k.upper() == field.upper()]
+        if len(match) != 1:
+            raise ConfigError(f"environment variable '{var}' names no config key")
+        raw = environ[var]
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _override(config, section.lower(), match[0], value)
     return config
 
 
 def _apply_flags(config: dict, args) -> dict:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        _override(config, "simulation", "seed", seed)
-    convention = getattr(args, "convention", None)
-    if convention is not None:
-        _override(config, "analysis", "convention", convention)
-    out = getattr(args, "out", None)
-    if out is not None:
-        _override(config, "output", "dir", out)
+    for flag, section, key in _FLAG_KEYS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            _override(config, section, key, value)
+    return config
+
+
+def _configure(args) -> dict:
+    """The config of ``args``: file, then environment, then flags; sections read."""
+    config = _load_config(getattr(args, "config", None))
+    config = _apply_env(config, os.environ)
+    config = _apply_flags(config, args)
+    for name, table in SECTIONS.items():
+        config[name] = read_section(name, config.get(name), table)
     return config
 
 
@@ -182,139 +248,52 @@ class Instance:
     model: SensitivityModel
     d: np.ndarray
     obj: SeparableObjective
-    grid_spec: Optional[powergrid.GridSpec] = None
 
 
-def _resolve_objective(obj_cfg: dict, n: int, default_y_ref, default_gammas=(1.0, 1.0)):
-    if "custom" in obj_cfg:
-        name = str(obj_cfg["custom"])
-        factory = _CUSTOM_OBJECTIVES.get(name)
+def _objective(objc: dict, n: int, y_ref, gammas) -> SeparableObjective:
+    """The configured objective (quadratic defaults ``y_ref``, ``gammas``) for n agents."""
+    if objc["custom"] is not None:
+        key, factory = "custom", _CUSTOM_OBJECTIVES.get(objc["custom"])
         if factory is None:
-            raise ConfigError(f"unknown custom objective '{name}'")
+            raise ConfigError(f"'objective.custom': '{objc['custom']}' is not registered")
         obj = factory(n)
-        if obj.n != n:
-            raise ConfigError(
-                f"custom objective '{name}' has {obj.n} agents, plant has {n}"
-            )
-        return obj
-    gamma1 = obj_cfg.get("gamma1", default_gammas[0])
-    gamma2 = obj_cfg.get("gamma2", default_gammas[1])
-    y_ref = obj_cfg.get("y_ref")
-    y_ref = default_y_ref if y_ref is None else np.asarray(y_ref, dtype=float)
-    try:
-        return QuadraticObjective(gamma1=gamma1, gamma2=gamma2, y_ref=y_ref)
-    except (ValueError, OfonetError) as exc:
-        raise ConfigError(f"invalid objective section: {exc}") from exc
+    else:
+        key = "y_ref"
+        y_ref = y_ref if objc["y_ref"] is None else objc["y_ref"]
+        # a parsed weight is positive, so ``or`` only replaces an absent one
+        gamma1, gamma2 = objc["gamma1"] or gammas[0], objc["gamma2"] or gammas[1]
+        obj = convert("objective.y_ref", QuadraticObjective, gamma1, gamma2, y_ref)
+    if obj.n != n:
+        raise ConfigError(f"'objective.{key}' gives {obj.n} agents, the plant has {n}")
+    return obj
 
 
 def _resolve_instance(config: dict) -> Instance:
-    has_plant = "plant" in config
-    has_grid = "grid" in config
-    if has_plant == has_grid:
-        raise ConfigError(
-            "config must contain exactly one plant source: 'plant' or 'grid'"
-        )
-    obj_cfg = _section(config, "objective")
-    if has_grid:
-        spec = powergrid.spec_from_dict(config["grid"] or {})
-        plant, model, d_eff = powergrid.assemble_plant(spec)
-        default_y_ref = model.H @ spec.i_star + spec.d_meas
-        obj = _resolve_objective(
-            obj_cfg, model.n, default_y_ref, (spec.gamma1, spec.gamma2)
-        )
-        return Instance(plant=plant, model=model, d=d_eff, obj=obj, grid_spec=spec)
-    plant = plant_from_dict(config["plant"])
-    model = compute_sensitivity(plant)
-    obj = _resolve_objective(obj_cfg, model.n, np.zeros(model.n))
-    return Instance(plant=plant, model=model, d=np.asarray(plant.d), obj=obj)
-
-
-def _resolve_controller(config: dict) -> ControllerConfig:
-    ctl = _section(config, "controller")
-    if "eta" not in ctl:
-        raise ConfigError("config is missing required key 'controller.eta'")
-    eta = _eta(ctl["eta"])
-    mode_name = str(ctl.get("mode", "decentralized")).lower()
-    try:
-        mode = Mode(mode_name)
-    except ValueError as exc:
-        raise ConfigError(
-            f"'controller.mode' must be 'centralized' or 'decentralized', got '{mode_name}'"
-        ) from exc
-    return ControllerConfig(mode=mode, eta=eta)
-
-
-def _vector_key(value, n: int, key: str) -> np.ndarray:
-    """``value`` of the setting ``key`` as a finite float vector of length ``n``."""
-    try:
-        return as_vector(value, n, "the value", finite=True)
-    except (TypeError, ValueError, OfonetError) as exc:
-        raise ConfigError(f"invalid '{key}': {exc}") from exc
-
-
-@dataclass
-class SimSettings:
-    steps: int
-    loop: str
-    u0: Optional[np.ndarray]
-    x0: Optional[np.ndarray]
-    decimation: int
-    seed: Optional[int]
-
-
-def _resolve_simulation(config: dict, n: int, n_state: int) -> SimSettings:
-    simc = _section(config, "simulation")
-    steps = _steps(config)
-    loop = str(simc.get("loop", "algebraic")).lower()
-    if loop not in ("algebraic", "lti"):
-        raise ConfigError(f"'simulation.loop' must be 'algebraic' or 'lti', got '{loop}'")
-    decimation = _int_key(config, "simulation", "decimation", 1)
-    if decimation < 1:
-        raise ConfigError(f"'simulation.decimation' must be >= 1, got {decimation}")
-    seed = _int_key(config, "simulation", "seed", None)
-    u0_cfg = simc.get("u0", "zeros")
-    if u0_cfg is None or u0_cfg == "zeros":
-        u0 = None
-    elif u0_cfg == "random":
-        if seed is None:
-            raise ConfigError("'simulation.seed' is required when u0 is 'random'")
-        u0 = np.random.default_rng(seed).standard_normal(n)
+    if ("plant" in config) == ("grid" in config):
+        raise ConfigError("config must contain exactly one plant source: 'plant' or 'grid'")
+    if "grid" in config:
+        spec = powergrid.spec_from_dict(config["grid"])
+        plant, model, d = powergrid.assemble_plant(spec)
+        y_ref, gammas = model.H @ spec.i_star + spec.d_meas, (spec.gamma1, spec.gamma2)
     else:
-        u0 = _vector_key(u0_cfg, n, "simulation.u0")
-    x0_cfg = simc.get("x0", "zeros")
-    x0 = None
-    if x0_cfg is not None and x0_cfg != "zeros":
-        x0 = _vector_key(x0_cfg, n_state, "simulation.x0")
-    return SimSettings(
-        steps=steps, loop=loop, u0=u0, x0=x0, decimation=decimation, seed=seed
-    )
+        plant = plant_from_dict(config["plant"])
+        model, d = compute_sensitivity(plant), plant.d
+        y_ref, gammas = np.zeros(model.n), (1.0, 1.0)
+    obj = _objective(config["objective"], model.n, y_ref, gammas)
+    return Instance(plant=plant, model=model, d=d, obj=obj)
 
 
-def _resolve_convention(config: dict) -> Convention:
-    name = str(_section(config, "analysis").get("convention", "tight")).lower()
-    try:
-        return Convention(name)
-    except ValueError as exc:
-        raise ConfigError(
-            f"'analysis.convention' must be 'paper' or 'tight', got '{name}'"
-        ) from exc
-
-
-def _resolve_eta_grid(config: dict) -> list:
-    grid = _section(config, "analysis").get("eta_grid", list(DEFAULT_ETA_GRID))
-    try:
-        values = [float(v) for v in grid]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'analysis.eta_grid' must be a list of numbers: {exc}") from exc
-    if not values or any(v <= 0.0 for v in values):
-        raise ConfigError("'analysis.eta_grid' must contain positive numbers")
-    return values
+def _controller(config: dict) -> ControllerConfig:
+    ctl = config["controller"]
+    if ctl["eta"] is None:
+        raise ConfigError("'controller.eta' is required (grid sweep also takes --eta)")
+    return ControllerConfig(mode=Mode(ctl["mode"]), eta=ctl["eta"])
 
 
 def _resolve_out_dir(config: dict, default: Optional[str] = None) -> Optional[str]:
     """``output.dir`` (else ``default``), created when missing; None when both are None."""
-    out = _section(config, "output").get("dir")
-    out = default if out is None else str(out)
+    out = config["output"]["dir"]
+    out = default if out is None else out
     if out is None:
         return None
     try:
@@ -346,46 +325,16 @@ def _dump_json(data, path: Optional[str] = None) -> str:
 def cmd_analyze(args) -> int:
     config = _configure(args)
     inst = _resolve_instance(config)
-    ctl = _resolve_controller(config)
-    convention = _resolve_convention(config)
-    eta_grid = _resolve_eta_grid(config)
+    ctl = _controller(config)
     report = analysis.build_report(
-        inst.obj, inst.model, inst.d, ctl.eta, eta_grid, inst.plant
+        inst.obj, inst.model, inst.d, ctl.eta, config["analysis"]["eta_grid"], inst.plant
     )
     out_dir = _resolve_out_dir(config)
     path = os.path.join(out_dir, "analysis_report.json") if out_dir else None
     sys.stdout.write(_dump_json(report, path))
-    rate = report["conventions"][convention.value]["rate_at_eta"]
+    rate = report["conventions"][config["analysis"]["convention"]]["rate_at_eta"]
     ok = report["coupling"]["satisfied"] and bool(rate.get("admissible"))
     return EXIT_OK if ok else EXIT_NUMERICAL
-
-
-def _reference_points(inst: Instance):
-    star = global_optimum(inst.obj, inst.model, inst.d)
-    fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
-    return star, fixed
-
-
-def _run_loop(inst: Instance, ctl: ControllerConfig, settings: SimSettings):
-    if settings.loop == "lti":
-        return sim.run_lti(
-            inst.plant,
-            inst.obj,
-            ctl,
-            x0=settings.x0,
-            u0=settings.u0,
-            steps=settings.steps,
-            seed=settings.seed,
-        )
-    return sim.run_algebraic(
-        inst.model,
-        inst.obj,
-        inst.d,
-        ctl,
-        u0=settings.u0,
-        steps=settings.steps,
-        seed=settings.seed,
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -394,10 +343,21 @@ def cmd_simulate(args) -> int:
 
 def _simulate(config: dict) -> int:
     inst = _resolve_instance(config)
-    ctl = _resolve_controller(config)
-    settings = _resolve_simulation(config, inst.model.n, inst.plant.n_state)
-    convention = _resolve_convention(config)
-    star, fixed = _reference_points(inst)
+    ctl = _controller(config)
+    simc = config["simulation"]
+    u0, x0, seed = simc["u0"], simc["x0"], simc["seed"]
+    if isinstance(u0, str):  # "random"
+        if seed is None:
+            raise ConfigError("'simulation.seed' is required when u0 is 'random'")
+        rng = convert("simulation.seed", np.random.default_rng, seed)
+        u0 = rng.standard_normal(inst.model.n)
+    elif u0 is not None:
+        u0 = convert("simulation.u0", as_vector, u0, inst.model.n, "the value")
+    if x0 is not None:
+        x0 = convert("simulation.x0", as_vector, x0, inst.plant.n_state, "the value")
+    convention = Convention(config["analysis"]["convention"])
+    star = global_optimum(inst.obj, inst.model, inst.d)
+    fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
     if ctl.mode is Mode.CENTRALIZED:
         u_ref, u_ref_kind = star.u, "optimum"
     else:
@@ -409,18 +369,22 @@ def _simulate(config: dict) -> int:
     def payload(traj, diverged, step=None):
         data = {
             "mode": ctl.mode.value,
-            "loop": settings.loop,
+            "loop": simc["loop"],
             "eta": ctl.eta,
-            "steps_requested": settings.steps,
-            "seed": settings.seed,
+            "steps_requested": simc["steps"],
+            "seed": seed,
             "u_ref_kind": u_ref_kind,
             "diverged": diverged,
         }
         if step is not None:
             data["divergence_step"] = step
-        if traj is not None:
+        if traj is None:
+            # a run that diverged at step 0 records no rows: no CSV, not a stale one
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(csv_path)
+        else:
             err = sim.metrics(traj, u_ref, inst.model)
-            sim.write_trajectory_csv(csv_path, traj, err, settings.decimation)
+            sim.write_trajectory_csv(csv_path, traj, err, simc["decimation"])
             data["iterations"] = traj.info.iterations
             data["early_stopped"] = traj.info.early_stopped
             data["final_rel_err"] = float(err.rel_err_u[-1])
@@ -439,7 +403,14 @@ def _simulate(config: dict) -> int:
         return data
 
     try:
-        traj = _run_loop(inst, ctl, settings)
+        if simc["loop"] == "lti":
+            traj = sim.run_lti(
+                inst.plant, inst.obj, ctl, x0=x0, u0=u0, steps=simc["steps"], seed=seed
+            )
+        else:
+            traj = sim.run_algebraic(
+                inst.model, inst.obj, inst.d, ctl, u0=u0, steps=simc["steps"], seed=seed
+            )
     except NonFinite as exc:
         sys.stdout.write(_dump_json(payload(exc.trajectory, True, exc.step), metrics_path))
         return EXIT_NUMERICAL
@@ -512,12 +483,8 @@ def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
 def cmd_figures(args) -> int:
     config = _configure(args)
     out_dir = _resolve_out_dir(config, ".")
-    steps = _steps(config)
-    seed = _int_key(config, "simulation", "seed", None)
-    if args.preset == "fig3":
-        manifest = _fig3_bundle(out_dir, steps, seed)
-    else:
-        manifest = _fig4_bundle(out_dir, steps, seed)
+    bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
+    manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")
     sys.stdout.write(_dump_json(manifest, path))
     return EXIT_OK
@@ -534,17 +501,11 @@ def _grid_config(args) -> dict:
 
 def cmd_grid_build(args) -> int:
     config = _grid_config(args)
-    spec = powergrid.spec_from_dict(config["grid"] or {})
+    spec = powergrid.spec_from_dict(config["grid"])
     plant, model, d_eff = powergrid.assemble_plant(spec)
     out_dir = _resolve_out_dir(config, ".")
     _dump_json(powergrid.spec_to_dict(spec), os.path.join(out_dir, "grid_spec.json"))
-    plant_dict = {
-        "A": plant.A.tolist(),
-        "B": plant.B.tolist(),
-        "C": plant.C.tolist(),
-        "D": plant.D.tolist(),
-        "d": plant.d.tolist(),
-    }
+    plant_dict = {key: getattr(plant, key).tolist() for key in PLANT_KEYS}
     _dump_json(plant_dict, os.path.join(out_dir, "grid_plant.json"))
     _, radius = is_schur_stable(plant.A)
     summary = {
@@ -565,20 +526,11 @@ def cmd_grid_simulate(args) -> int:
 
 def cmd_grid_sweep(args) -> int:
     config = _grid_config(args)
-    spec = powergrid.spec_from_dict(config["grid"] or {})
-    try:
-        g_values = [float(v) for v in args.g.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--g must be a comma-separated list of numbers: {exc}") from exc
+    spec = powergrid.spec_from_dict(config["grid"])
+    g_values = convert("--g", lambda g: [float(v) for v in g.split(",") if v != ""], args.g)
     if not g_values:
         raise ConfigError("--g must contain at least one value")
-    eta = args.eta
-    if eta is None:
-        eta = _section(config, "controller").get("eta")
-    if eta is None:
-        raise ConfigError("step size required: pass --eta or set 'controller.eta'")
-    eta = _eta(eta)
-    steps = _steps(config, args.steps)
+    eta, steps = _controller(config).eta, config["simulation"]["steps"]
     rows = powergrid.sweep_g(g_values, eta, steps=steps, spec=spec)
     out_dir = _resolve_out_dir(config, ".")
     path = os.path.join(out_dir, "grid_sweep.csv")
@@ -592,13 +544,6 @@ def cmd_grid_sweep(args) -> int:
     }
     sys.stdout.write(_dump_json(summary))
     return EXIT_OK
-
-
-def _configure(args) -> dict:
-    config = _load_config(getattr(args, "config", None))
-    config = _apply_env(config, os.environ)
-    config = _apply_flags(config, args)
-    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,10 @@
-"""Exception classes for the ofonet package, and its one vector-length check.
+"""Exception classes for the ofonet package, its one vector-length check, the config reader.
 
 Numerical failures carry enough context (iteration counts, residuals,
 spectral radii, partial trajectories) for callers to report or recover.
 ``as_vector`` is the single "must have length n" check every layer uses.
+``read_section`` reads each config section through a key table, and
+``convert`` is the one place where a rejected value becomes a ConfigError.
 """
 
 import numpy as np
@@ -18,6 +20,10 @@ __all__ = [
     "UnstableDiscretization",
     "ConfigError",
     "as_vector",
+    "as_section",
+    "convert",
+    "read_section",
+    "finite",
 ]
 
 
@@ -97,3 +103,44 @@ class UnstableDiscretization(OfonetError):
 
 class ConfigError(OfonetError):
     """A run configuration is malformed; the message names the offending key."""
+
+
+def as_section(name: str, data) -> dict:
+    """Config section ``name`` as a dict: {} for None (absent), else a JSON object."""
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{name}' section must be an object")
+    return data
+
+
+def convert(name: str, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``; any error it raises becomes a ConfigError naming ``name``."""
+    try:
+        return parse(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError, OfonetError) as exc:
+        raise ConfigError(f"invalid '{name}': {exc}") from exc
+
+
+def read_section(name: str, data, table: dict) -> dict:
+    """Read config section ``name`` through ``table``: key -> (parser, default).
+
+    Unknown keys are rejected; an absent or null key takes its default,
+    any other value goes through its parser under the name 'name.key'.
+    """
+    data = as_section(name, data)
+    unknown = sorted(set(data) - set(table))
+    if unknown:
+        raise ConfigError("unknown key " + ", ".join(f"'{name}.{key}'" for key in unknown))
+    return {
+        key: default if data.get(key) is None else convert(f"{name}.{key}", parse, data[key])
+        for key, (parse, default) in table.items()
+    }
+
+
+def finite(value) -> np.ndarray:
+    """Config parser: a float array with finite entries."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("contains non-finite entries")
+    return arr

@@ -22,7 +22,15 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DimensionMismatch, SingularMatrix, as_vector
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    SingularMatrix,
+    as_vector,
+    convert,
+    finite,
+    read_section,
+)
 
 __all__ = [
     "SCHUR_TOL",
@@ -32,7 +40,11 @@ __all__ = [
     "compute_sensitivity",
     "step",
     "plant_from_dict",
+    "PLANT_KEYS",
 ]
+
+# The keys of a "plant" config section: the fields of ``LtiPlant``.
+PLANT_KEYS = ("A", "B", "C", "D", "d")
 
 # Margin on the unit circle below which a spectral radius counts as stable.
 SCHUR_TOL = 1e-9
@@ -227,36 +239,14 @@ def step(plant: LtiPlant, x, u) -> tuple[NDArray[np.float64], NDArray[np.float64
 
 
 def plant_from_dict(data: dict) -> LtiPlant:
-    """Build a plant from parsed JSON with keys "A", "B", "C", "D", "d".
+    """Build a plant from parsed JSON with the keys ``PLANT_KEYS``.
 
-    Matrices are row-major nested arrays of finite doubles.  Any
-    malformed entry is rejected with ConfigError naming the offending key.
+    Matrices are row-major nested arrays of finite doubles, each
+    converted once.  Any malformed entry is rejected with ConfigError
+    naming the offending key.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("plant specification must be a JSON object")
-    required = ("A", "B", "C", "D", "d")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"plant specification is missing key '{key}'")
-    unknown = set(data) - set(required)
-    if unknown:
-        raise ConfigError(f"unknown plant keys: {sorted(unknown)}")
-    parsed = {}
-    for key in required:
-        try:
-            arr = np.asarray(data[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"plant key '{key}' is not numeric: {exc}") from exc
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"plant key '{key}' contains non-finite entries")
-        want = 1 if key == "d" else 2
-        if arr.ndim != want:
-            raise ConfigError(
-                f"plant key '{key}' must be {want}-dimensional, got ndim={arr.ndim}"
-            )
-        parsed[key] = arr
-    try:
-        return LtiPlant(**parsed)
-    except (DimensionMismatch, ValueError) as exc:
-        raise ConfigError(f"inconsistent plant specification: {exc}") from exc
-
+    parsed = read_section("plant", data, {key: (finite, None) for key in PLANT_KEYS})
+    missing = [key for key in PLANT_KEYS if parsed[key] is None]
+    if missing:
+        raise ConfigError(f"'plant.{missing[0]}' is required")
+    return convert("plant", LtiPlant, **parsed)

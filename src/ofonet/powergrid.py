@@ -35,12 +35,13 @@ from .analysis import Convention
 from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import (
-    ConfigError,
     CouplingTooStrong,
-    DimensionMismatch,
     NotCertifiable,
     UnstableDiscretization,
     as_vector,
+    convert,
+    finite,
+    read_section,
 )
 from .objective import QuadraticObjective
 from .plant import LtiPlant, SensitivityModel, _unstable_radius
@@ -60,33 +61,62 @@ __all__ = [
 DEFAULT_EDGES = ((1, 4), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (1, 2), (6, 7))
 
 
+def _default_fields(n: int, e: int) -> dict:
+    """The default vectors of an ``n``-node, ``e``-edge grid."""
+    return {
+        "c_cap": np.ones(n),
+        "l_ind": np.ones(e),
+        "r_line": 10.0 * np.ones(e),
+        "g_node": np.ones(n),
+        "i_star": np.ones(n),
+        "delta_i": np.ones(n),
+        "d_meas": np.zeros(n),
+    }
+
+
+def _edge_pairs(edges) -> tuple[tuple[int, int], ...]:
+    return tuple((int(i), int(j)) for i, j in edges)
+
+
+def _real(value):
+    """A JSON number, kept as given (an int stays an int in ``spec_to_dict``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Physical parameters and topology of the DC grid.
 
     Edges are 1-based node pairs; each column of the incidence matrix
-    gets +1 at the lower-index endpoint and -1 at the higher one.
+    gets +1 at the lower-index endpoint and -1 at the higher one.  A
+    vector left None takes its ``default_topology`` value (unit
+    capacitances, inductances, conductances and injections, line
+    resistance 10, zero measurement offset) at the grid's size.
     """
 
-    n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    c_cap: NDArray[np.float64]
-    l_ind: NDArray[np.float64]
-    r_line: NDArray[np.float64]
-    g_node: NDArray[np.float64]
-    i_star: NDArray[np.float64]
-    delta_i: NDArray[np.float64]
-    d_meas: NDArray[np.float64]
+    n_nodes: int = 8
+    edges: tuple[tuple[int, int], ...] = DEFAULT_EDGES
+    c_cap: NDArray[np.float64] | None = None
+    l_ind: NDArray[np.float64] | None = None
+    r_line: NDArray[np.float64] | None = None
+    g_node: NDArray[np.float64] | None = None
+    i_star: NDArray[np.float64] | None = None
+    delta_i: NDArray[np.float64] | None = None
+    d_meas: NDArray[np.float64] | None = None
     eps: float = 0.1
     gamma1: float = 1.0
     gamma2: float = 1.0
 
     def __post_init__(self):
         n = self.n_nodes
-        if n < 2:
-            raise ValueError(f"need at least 2 nodes, got {n}")
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
+        edges = _edge_pairs(self.edges)
         e = len(edges)
+        # a connected graph on n nodes needs n - 1 edges; checked before
+        # anything n-sized is allocated
+        if not 2 <= n <= e + 1:
+            raise ValueError(f"n_nodes must lie in [2, len(edges) + 1 = {e + 1}], got {n}")
         adjacency = [set() for _ in range(n)]
         for i, j in edges:
             if not (1 <= i <= n and 1 <= j <= n):
@@ -108,6 +138,7 @@ class GridSpec:
             missing = sorted(k + 1 for k in range(n) if k not in seen)
             raise ValueError(f"edge list does not connect nodes {missing} to node 1")
         object.__setattr__(self, "edges", edges)
+        defaults = _default_fields(n, e)
         for name, length, positive in (
             ("c_cap", n, True),
             ("l_ind", e, True),
@@ -117,15 +148,17 @@ class GridSpec:
             ("delta_i", n, False),
             ("d_meas", n, False),
         ):
-            vec = as_vector(getattr(self, name), length, name, finite=True)
+            value = getattr(self, name)
+            value = defaults[name] if value is None else value
+            vec = as_vector(value, length, name, finite=True)
             if positive and not np.all(vec > 0.0):
                 raise ValueError(f"{name} must be strictly positive")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
-        if not (self.eps > 0.0 and np.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
-            raise ValueError("objective weights must be positive")
+        for name in ("eps", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def n_edges(self) -> int:
@@ -140,18 +173,7 @@ def default_topology() -> GridSpec:
     Unit capacitances, inductances, conductances, and injections; line
     resistance 10; Euler step 0.1; unit objective weights.
     """
-    n, e = 8, len(DEFAULT_EDGES)
-    return GridSpec(
-        n_nodes=n,
-        edges=DEFAULT_EDGES,
-        c_cap=np.ones(n),
-        l_ind=np.ones(e),
-        r_line=10.0 * np.ones(e),
-        g_node=np.ones(n),
-        i_star=np.ones(n),
-        delta_i=np.ones(n),
-        d_meas=np.zeros(n),
-    )
+    return GridSpec()
 
 
 def incidence(spec: GridSpec) -> NDArray[np.float64]:
@@ -351,53 +373,24 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
 
 
 def spec_to_dict(spec: GridSpec) -> dict:
-    return {
-        "n_nodes": spec.n_nodes,
-        "edges": [list(edge) for edge in spec.edges],
-        "c_cap": spec.c_cap.tolist(),
-        "l_ind": spec.l_ind.tolist(),
-        "r_line": spec.r_line.tolist(),
-        "g_node": spec.g_node.tolist(),
-        "i_star": spec.i_star.tolist(),
-        "delta_i": spec.delta_i.tolist(),
-        "d_meas": spec.d_meas.tolist(),
-        "eps": spec.eps,
-        "gamma1": spec.gamma1,
-        "gamma2": spec.gamma2,
-    }
+    """The JSON form of ``spec``: one key per field, vectors and edges as lists."""
+    data = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    data["edges"] = [list(edge) for edge in spec.edges]
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
+
+
+_GRID_PARSERS = dict(n_nodes=int, edges=_edge_pairs, eps=_real, gamma1=_real, gamma2=_real)
+# The "grid" config table: one key per GridSpec field, absent meaning the
+# field's default; the vector fields parse as finite arrays.
+GRID_TABLE = {
+    f.name: (_GRID_PARSERS.get(f.name, finite), None) for f in dataclasses.fields(GridSpec)
+}
 
 
 def spec_from_dict(data: dict) -> GridSpec:
-    """Build a GridSpec from parsed JSON, defaulting absent fields.
+    """Build a GridSpec from parsed JSON; an absent or null field takes its default.
 
     Raises ConfigError naming the offending key on bad shapes or values.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("grid spec must be a JSON object")
-    defaults = default_topology()
-    known = set(spec_to_dict(defaults))
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown grid spec keys: {sorted(unknown)}")
-    n = int(data.get("n_nodes", defaults.n_nodes))
-    edges = tuple(tuple(edge) for edge in data.get("edges", defaults.edges))
-    e = len(edges)
-    merged = {"n_nodes": n, "edges": edges}
-    fallback = {
-        "c_cap": np.ones(n),
-        "l_ind": np.ones(e),
-        "r_line": 10.0 * np.ones(e),
-        "g_node": np.ones(n),
-        "i_star": np.ones(n),
-        "delta_i": np.ones(n),
-        "d_meas": np.zeros(n),
-        "eps": defaults.eps,
-        "gamma1": defaults.gamma1,
-        "gamma2": defaults.gamma2,
-    }
-    for key, default in fallback.items():
-        merged[key] = data.get(key, default)
-    try:
-        return GridSpec(**merged)
-    except (ValueError, DimensionMismatch) as exc:
-        raise ConfigError(f"invalid grid spec: {exc}") from exc
+    values = read_section("grid", data, GRID_TABLE)
+    return convert("grid", GridSpec, **{k: v for k, v in values.items() if v is not None})

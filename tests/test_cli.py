@@ -1,13 +1,19 @@
 """End-to-end CLI checks: exit codes, emitted files, schema validity."""
 
+import copy
 import csv
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ofonet import cli
+from ofonet import cli, powergrid
+from ofonet.plant import PLANT_KEYS
 
 REF_PLANT = {
     "A": [[0.0, 0.0], [0.0, 0.0]],
@@ -16,6 +22,10 @@ REF_PLANT = {
     "D": [[0.0, 0.0], [0.0, 0.0]],
     "d": [1.0, 1.0],
 }
+
+
+# a one-agent inline plant with steady-state gain 1
+ONE_AGENT = {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]], "d": [0.0]}
 
 
 def load_schema(name):
@@ -294,10 +304,31 @@ def test_unknown_section_rejected(tmp_path):
         (["simulate"], {"simulation": {"x0": [0.0] * 3}}, "'simulation.x0'"),
         # an output directory below a file, which is not a directory
         (["figures", "--out", "/dev/null/out", "fig4"], {}, "'output.dir'"),
+        # misspelled keys, in a section the subcommand uses or not
+        (["grid", "simulate"], {"controller": {"eta": 0.05, "mdoe": "x"}}, "'controller.mdoe'"),
+        (["grid", "simulate"], {"simulation": {"lop": "lti"}}, "'simulation.lop'"),
+        (["figures", "fig4"], {"simulation": {"lop": "lti"}}, "'simulation.lop'"),
+        (["grid", "build"], {"analysis": {"eta_grid": []}}, "'analysis.eta_grid'"),
+        (["analyze"], {"analysis": {"eta_grid": [0.1, "nan"]}}, "'analysis.eta_grid'"),
+        (["analyze"], {"objective": {"y_ref": ["a"] * 8}}, "'objective.y_ref'"),
+        (["analyze"], {"objective": {"y_ref": [1.0, 2.0]}}, "'objective.y_ref'"),
+        (
+            ["simulate"],
+            {"plant": ONE_AGENT, "objective": {"y_ref": [1.0, 2.0]}},
+            "'objective.y_ref'",
+        ),
+        (["analyze"], {"grid": {"n_nodes": "x"}}, "'grid.n_nodes'"),
+        (["analyze"], {"grid": {"n_nodes": -5}}, "'grid': n_nodes"),
+        (["grid", "build"], {"grid": {"n_nodes": 10**12}}, "'grid': n_nodes"),
+        (["analyze"], {"grid": {"edges": [1, 2]}}, "'grid.edges'"),
+        (["grid", "sweep"], {"grid": {"eps": "x"}}, "'grid.eps'"),
+        (["analyze"], {"grid": {"gamma1": "x"}}, "'grid.gamma1'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
     config = {"grid": {}, "controller": {"eta": 0.05}, **extra}
+    if "plant" in extra:
+        del config["grid"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
@@ -331,3 +362,110 @@ def test_convention_flag_selects_gate(tmp_path, capsys):
     assert report["conventions"]["paper"]["rate_at_eta"]["admissible"]
     # both convention blocks are always present regardless of the gate
     assert report["conventions"]["tight"]["rate_at_eta"]["admissible"]
+
+
+def test_divergence_at_step_0_leaves_no_stale_csv(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = {
+        "plant": {**ONE_AGENT, "C": [[4.0]]},
+        "controller": {"eta": 0.1},
+        "simulation": {"steps": 50},
+        "output": {"dir": str(out)},
+    }
+    assert run(["--config", write_config(tmp_path, config), "simulate"]) == 0
+    assert (out / "trajectory.csv").exists()
+    capsys.readouterr()
+    config["simulation"]["u0"] = [1e308]
+    assert run(["--config", write_config(tmp_path, config, "div.json"), "simulate"]) == 1
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["divergence_step"] == 0
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_env_field_is_matched_to_a_key(tmp_path, capsys, monkeypatch):
+    env = {"OFO_PLANT_D": "[[1]]", "OFO_PLANT_d": "[2]", "OFO_GRID_N_NODES": "4"}
+    assert cli._apply_env({}, env) == {"plant": {"D": [[1]], "d": [2]}, "grid": {"n_nodes": 4}}
+    cfg = write_config(tmp_path, {"plant": ONE_AGENT, "controller": {"eta": 0.1}})
+    monkeypatch.setenv("OFO_PLANT_A", "[[0.5]]")
+    assert run(["--config", cfg, "analyze"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # H = C (1 - A)^-1 B = 2 with the overriding A = 0.5
+    assert report["conventions"]["tight"]["constants"]["sigma_max_h"] == pytest.approx(2.0)
+    monkeypatch.setenv("OFO_CONTROLLER_ETAA", "1")
+    assert run(["--config", cfg, "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'OFO_CONTROLLER_ETAA'" in err
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S)))
+    keys = {key for table in cli.SECTIONS.values() for key in table}
+    keys |= set(PLANT_KEYS) | set(powergrid.GRID_TABLE)
+    assert keys - listed == set()
+
+
+# Valid configs whose every section key the property test below mutates.
+VALID_CONFIGS = {
+    "grid": {
+        "grid": powergrid.spec_to_dict(powergrid.default_topology()),
+        "objective": {"gamma1": 1.0, "gamma2": 1.0, "y_ref": [1.0] * 8},
+        "controller": {"eta": 0.05, "mode": "centralized"},
+        "simulation": {"loop": "lti", "u0": "random", "seed": 3, "x0": "zeros", "decimation": 2},
+        "analysis": {"convention": "paper", "eta_grid": [0.01, 0.05]},
+        "output": {"dir": "out"},
+    },
+    "plant": {
+        "plant": REF_PLANT,
+        "objective": {"gamma1": 1.0, "gamma2": 1.0, "y_ref": [0.0, 0.0]},
+        "controller": {"eta": 0.1, "mode": "decentralized"},
+        "simulation": {"loop": "lti", "u0": [0.5, 0.5], "x0": [0.0, 1.0], "decimation": 1},
+        "analysis": {"convention": "tight", "eta_grid": [0.1]},
+        "output": {"dir": "out"},
+    },
+}
+COMMANDS = {
+    "grid": (["analyze"], ["simulate"], ["grid", "simulate"]),
+    "plant": (["analyze"], ["simulate"]),
+}
+TARGETS = [
+    (kind, section, key, command)
+    for kind, config in VALID_CONFIGS.items()
+    for section, body in config.items()
+    for key in body
+    for command in COMMANDS[kind]
+]
+VALUES = (None, "x", [], {}, [1, "a"], float("nan"), float("inf"), -5, 10**12, True)
+MUTATIONS = [("drop",), ("unknown",)] + [("set", value) for value in VALUES]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(target=st.sampled_from(TARGETS), mutation=st.sampled_from(MUTATIONS))
+def test_mutated_config_exits_cleanly(tmp_path, monkeypatch, capsys, target, mutation):
+    kind, section, key, command = target
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OFO_SIMULATION_STEPS", "50")
+    config = copy.deepcopy(VALID_CONFIGS[kind])
+    if mutation[0] == "drop":
+        del config[section][key]
+    elif mutation[0] == "unknown":
+        key = "bogus"
+        config[section][key] = 1.0
+    else:
+        config[section][key] = mutation[1]
+    path = write_config(tmp_path, config)
+    capsys.readouterr()
+    code = run(["--config", path, *command])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"'{section}.{key}'" in err or f"'{section}'" in err, err
