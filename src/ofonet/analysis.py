@@ -5,7 +5,8 @@ singular values of the sensitivity and the declared objective moduli:
 
 * monotonicity constants (m, c, L) of the pseudo-gradient and the
   diagonal-dominance condition m > c in its singular-value form
-  (``coupling_condition``, defined in ``equilibria`` and re-exported);
+  (``Convention``, ``MonotonicityConstants``, ``monotonicity_constants``
+  and ``coupling_condition``, owned by ``equilibria`` and re-exported);
 * the algebraic-loop contraction rate rho(eta) and the admissible step
   interval, plus the distance bound between the decentralized fixed
   point and the global optimum;
@@ -28,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,11 +38,16 @@ from numpy.typing import NDArray
 from . import objective as obj_mod
 from .equilibria import (
     SVAL_TOL,
+    Convention,
+    MonotonicityConstants,
     _gradient,
+    _max_abs_diag,
+    _n_factor,
     _svals,
     coupling_condition,
     decentralized_fixed_point,
     global_optimum,
+    monotonicity_constants,
 )
 from .errors import CouplingTooStrong, NotCertifiable
 from .objective import SeparableObjective
@@ -72,41 +78,9 @@ __all__ = [
 TRACK_SLACK = 1e-9
 
 
-class Convention(enum.Enum):
-    """Constant convention: N-scaled aggregates vs blockwise-tight ones."""
-
-    PAPER = "paper"
-    TIGHT = "tight"
-
-
 class Branch(enum.Enum):
     ETA1 = "eta1"
     ETA2 = "eta2"
-
-
-@dataclass(frozen=True)
-class MonotonicityConstants:
-    """Strong-monotonicity modulus m, coupling penalty c, smoothness L.
-
-    m - c is the effective modulus of the pseudo-gradient; L bounds the
-    Lipschitz constant of the full steady-state gradient.
-    """
-
-    m: float
-    c: float
-    L: float
-    sigma_max_h: float
-    sigma_min_h: float
-    sigma_max_offdiag: float
-    convention: Convention
-
-    def __post_init__(self):
-        if not (self.m > 0.0 and self.L > 0.0):
-            raise ValueError(f"m and L must be positive, got m={self.m}, L={self.L}")
-        if self.c < 0.0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
-        if self.sigma_min_h > self.sigma_max_h:
-            raise ValueError("sigma_min_h exceeds sigma_max_h")
 
 
 @dataclass(frozen=True)
@@ -182,37 +156,6 @@ def _sigma_min_sq(M) -> float:
         return 0.0
     s = _svals(M)
     return float(s[-1] ** 2)
-
-
-def _n_factor(n: int, convention: Convention) -> float:
-    return float(n) if convention is Convention.PAPER else 1.0
-
-
-def monotonicity_constants(
-    obj: SeparableObjective,
-    model: SensitivityModel,
-    convention: Convention = Convention.TIGHT,
-) -> MonotonicityConstants:
-    """Compute (m, c, L) from the sensitivity spectrum and the moduli.
-
-    m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - H_diag) sigma_max(H) L_y,
-    L = L_u + sigma_max(H)^2 L_y, each multiplied by N under the
-    N-scaled convention.
-    """
-    s = _svals(model.H)
-    sigma_max_h = float(s[0])
-    sigma_min_h = float(s[-1])
-    sigma_off = float(_svals(model.H - model.H_diag)[0])
-    k = _n_factor(model.n, convention)
-    return MonotonicityConstants(
-        m=k * (obj.m_u + sigma_min_h**2 * obj.m_y),
-        c=k * sigma_off * sigma_max_h * obj.L_y,
-        L=k * (obj.L_u + sigma_max_h**2 * obj.L_y),
-        sigma_max_h=sigma_max_h,
-        sigma_min_h=sigma_min_h,
-        sigma_max_offdiag=sigma_off,
-        convention=convention,
-    )
 
 
 def _rho(consts: MonotonicityConstants, eta: float) -> float:
@@ -324,7 +267,7 @@ def _xi_constants(plant, obj, model, convention):
     k = _n_factor(model.n, convention)
     consts = monotonicity_constants(obj, model, convention)
     sigma_h = consts.sigma_max_h
-    sigma_hd = float(np.max(np.abs(np.diag(model.H_diag))))
+    sigma_hd = _max_abs_diag(model)
     sigma_c = float(_svals(plant.C)[0])
     sigma_c_min_sq = _sigma_min_sq(plant.C)
     sigma_off = consts.sigma_max_offdiag
@@ -478,6 +421,11 @@ def _rate_entry(consts, eta):
     }
 
 
+def _fields(record) -> dict:
+    """The fields of a certificate record, its convention left out."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name != "convention"}
+
+
 def build_report(
     obj: SeparableObjective,
     model: SensitivityModel,
@@ -515,14 +463,7 @@ def build_report(
         consts = monotonicity_constants(obj, model, convention)
         sub = suboptimality_bound(obj, model, d, inf_sol.u, consts)
         entry = {
-            "constants": {
-                "m": consts.m,
-                "c": consts.c,
-                "L": consts.L,
-                "sigma_max_h": consts.sigma_max_h,
-                "sigma_min_h": consts.sigma_min_h,
-                "sigma_max_offdiag": consts.sigma_max_offdiag,
-            },
+            "constants": _fields(consts),
             "rate_table": [_rate_entry(consts, float(e)) for e in eta_grid],
             "rate_at_eta": _rate_entry(consts, float(eta)),
             "suboptimality": {
@@ -539,17 +480,8 @@ def build_report(
             try:
                 cert = xi_matrix(plant, obj, model, eta, convention)
                 entry["lti"] = {
-                    "eta": cert.eta,
+                    **_fields(cert),
                     "xi": cert.xi.tolist(),
-                    "lam_max": cert.lam_max,
-                    "m_prime": cert.m_prime,
-                    "l_prime": cert.l_prime,
-                    "a1": cert.a1,
-                    "a2": cert.a2,
-                    "a3": cert.a3,
-                    "a4": cert.a4,
-                    "t": cert.t,
-                    "eta_star": cert.eta_star,
                     "branch": cert.branch.value if cert.branch else None,
                 }
             except CouplingTooStrong as exc:

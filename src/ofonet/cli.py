@@ -56,7 +56,9 @@ from .errors import (
     as_vector,
     convert,
     finite,
+    number,
     read_section,
+    whole,
 )
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import (
@@ -73,16 +75,6 @@ __all__ = ["main", "register_objective"]
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
-
-CONFIG_SECTIONS = (
-    "plant",
-    "grid",
-    "objective",
-    "controller",
-    "simulation",
-    "analysis",
-    "output",
-)
 
 DEFAULT_ETA_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
 
@@ -107,7 +99,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - set(CONFIG_SECTIONS)
+    unknown = set(data) - set(_SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     return data
@@ -115,17 +107,17 @@ def _load_config(path: Optional[str]) -> dict:
 
 # Parsers of config values; ``convert`` names the key of any error they raise.
 def _positive(value) -> float:
-    number = float(value)
-    if not (number > 0.0 and math.isfinite(number)):
-        raise ValueError(f"must be positive and finite, got {number}")
-    return number
+    value = float(number(value))
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
 
 
 def _integer(value) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"must be >= 1, got {number}")
-    return number
+    value = whole(value)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
 
 
 def _choice(value, names: tuple) -> str:
@@ -178,7 +170,7 @@ SECTIONS = {
         "u0": (_u0, None),
         "x0": (_x0, None),
         "decimation": (_integer, 1),
-        "seed": (int, None),
+        "seed": (whole, None),
     },
     "analysis": {
         "convention": (partial(_choice, names=tuple(c.value for c in Convention)), "tight"),
@@ -250,8 +242,9 @@ class Instance:
     obj: SeparableObjective
 
 
-def _objective(objc: dict, n: int, y_ref, gammas) -> SeparableObjective:
-    """The configured objective (quadratic defaults ``y_ref``, ``gammas``) for n agents."""
+def _objective(objc: dict, default: QuadraticObjective) -> SeparableObjective:
+    """The configured objective for the agents of ``default``, which fills any unset key."""
+    n = default.n
     if objc["custom"] is not None:
         key, factory = "custom", _CUSTOM_OBJECTIVES.get(objc["custom"])
         if factory is None:
@@ -259,9 +252,9 @@ def _objective(objc: dict, n: int, y_ref, gammas) -> SeparableObjective:
         obj = factory(n)
     else:
         key = "y_ref"
-        y_ref = y_ref if objc["y_ref"] is None else objc["y_ref"]
+        y_ref = default.y_ref if objc["y_ref"] is None else objc["y_ref"]
         # a parsed weight is positive, so ``or`` only replaces an absent one
-        gamma1, gamma2 = objc["gamma1"] or gammas[0], objc["gamma2"] or gammas[1]
+        gamma1, gamma2 = objc["gamma1"] or default.gamma1, objc["gamma2"] or default.gamma2
         obj = convert("objective.y_ref", QuadraticObjective, gamma1, gamma2, y_ref)
     if obj.n != n:
         raise ConfigError(f"'objective.{key}' gives {obj.n} agents, the plant has {n}")
@@ -269,17 +262,22 @@ def _objective(objc: dict, n: int, y_ref, gammas) -> SeparableObjective:
 
 
 def _resolve_instance(config: dict) -> Instance:
+    """The configured plant, model, disturbance and objective; start vectors length-checked."""
     if ("plant" in config) == ("grid" in config):
         raise ConfigError("config must contain exactly one plant source: 'plant' or 'grid'")
     if "grid" in config:
         spec = powergrid.spec_from_dict(config["grid"])
         plant, model, d = powergrid.assemble_plant(spec)
-        y_ref, gammas = model.H @ spec.i_star + spec.d_meas, (spec.gamma1, spec.gamma2)
+        default = powergrid.grid_objective(spec, model)
     else:
         plant = plant_from_dict(config["plant"])
         model, d = compute_sensitivity(plant), plant.d
-        y_ref, gammas = np.zeros(model.n), (1.0, 1.0)
-    obj = _objective(config["objective"], model.n, y_ref, gammas)
+        default = QuadraticObjective(1.0, 1.0, np.zeros(model.n))
+    for key, size in (("u0", model.n), ("x0", plant.n_state)):
+        value = config["simulation"][key]
+        if value is not None and not isinstance(value, str):  # "random" has no length
+            convert(f"simulation.{key}", as_vector, value, size, "the value")
+    obj = _objective(config["objective"], default)
     return Instance(plant=plant, model=model, d=d, obj=obj)
 
 
@@ -351,10 +349,6 @@ def _simulate(config: dict) -> int:
             raise ConfigError("'simulation.seed' is required when u0 is 'random'")
         rng = convert("simulation.seed", np.random.default_rng, seed)
         u0 = rng.standard_normal(inst.model.n)
-    elif u0 is not None:
-        u0 = convert("simulation.u0", as_vector, u0, inst.model.n, "the value")
-    if x0 is not None:
-        x0 = convert("simulation.x0", as_vector, x0, inst.plant.n_state, "the value")
     convention = Convention(config["analysis"]["convention"])
     star = global_optimum(inst.obj, inst.model, inst.d)
     fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
@@ -440,9 +434,8 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
             else:
                 err = sim.metrics(traj, star.u)
                 if loop == "lti":
-                    err = replace(
-                        err, combined_sq=sim.combined_sq(traj, fixed.u, model)
-                    )
+                    own = sim.metrics(traj, fixed.u, model).combined_sq
+                    err = replace(err, combined_sq=own)
             name = f"fig3_{mode.value}_{loop}.csv"
             sim.write_trajectory_csv(os.path.join(out_dir, name), traj, err)
             files[f"{mode.value}_{loop}"] = name
@@ -552,9 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", default=argparse.SUPPRESS, help="output directory for emitted files"
     )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed override"
-    )
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed override")
     common.add_argument(
         "--convention",
         choices=[c.value for c in Convention],
@@ -566,45 +557,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Feedback-optimization simulation and certification toolkit",
         parents=[common],
     )
+
+    def command(group, name, text, func):
+        sub = group.add_parser(name, parents=[common], help=text)
+        sub.set_defaults(func=func)
+        return sub
+
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = subs.add_parser(
-        "analyze", parents=[common], help="emit the certificate report as JSON"
-    )
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_sim = subs.add_parser(
-        "simulate", parents=[common], help="run the configured closed loop"
-    )
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_fig = subs.add_parser(
-        "figures", parents=[common], help="reproduce a preset experiment bundle"
-    )
-    p_fig.add_argument("preset", choices=["fig3", "fig4"])
-    p_fig.set_defaults(func=cmd_figures)
-
-    p_grid = subs.add_parser(
-        "grid", parents=[common], help="DC-grid case-study helpers"
-    )
-    grid_subs = p_grid.add_subparsers(dest="grid_command", required=True)
-    g_build = grid_subs.add_parser(
-        "build", parents=[common], help="assemble and export the grid plant"
-    )
-    g_build.set_defaults(func=cmd_grid_build)
-    g_sim = grid_subs.add_parser(
-        "simulate", parents=[common], help="simulate the configured grid loop"
-    )
-    g_sim.set_defaults(func=cmd_grid_simulate)
-    g_sweep = grid_subs.add_parser(
-        "sweep", parents=[common], help="sweep the node conductance"
-    )
-    g_sweep.add_argument(
+    command(subs, "analyze", "emit the certificate report as JSON", cmd_analyze)
+    command(subs, "simulate", "run the configured closed loop", cmd_simulate)
+    figures = command(subs, "figures", "reproduce a preset experiment bundle", cmd_figures)
+    figures.add_argument("preset", choices=["fig3", "fig4"])
+    grid = subs.add_parser("grid", parents=[common], help="DC-grid case-study helpers")
+    grid_subs = grid.add_subparsers(dest="grid_command", required=True)
+    command(grid_subs, "build", "assemble and export the grid plant", cmd_grid_build)
+    command(grid_subs, "simulate", "simulate the configured grid loop", cmd_grid_simulate)
+    sweep = command(grid_subs, "sweep", "sweep the node conductance", cmd_grid_sweep)
+    sweep.add_argument(
         "--g", default="1,2,5,10,20,50,100", help="comma-separated conductance values"
     )
-    g_sweep.add_argument("--eta", type=float, default=None, help="controller step size")
-    g_sweep.add_argument("--steps", type=int, default=None, help="iteration budget")
-    g_sweep.set_defaults(func=cmd_grid_sweep)
+    sweep.add_argument("--eta", type=float, default=None, help="controller step size")
+    sweep.add_argument("--steps", type=int, default=None, help="iteration budget")
     return parser
 
 

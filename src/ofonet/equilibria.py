@@ -13,9 +13,11 @@ phi_i1(u_i) + phi_i2([Hu + d]_i) over its own input.  One solver,
 parametrized by G, computes both to tolerances well below anything the
 trajectory tests assert against.
 
-The module also owns the diagonal-dominance coupling condition, which
-certifies that the Nash equilibrium is unique; ``analysis`` re-exports
-it among the certificates.
+The module also owns the monotonicity constants (m, c, L) of an
+instance, in both conventions, and the diagonal-dominance coupling
+condition built from them, which certifies that the Nash equilibrium is
+unique.  Both solvers take their step sizes from the same constants;
+``analysis`` re-exports them among the certificates.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ __all__ = [
     "SVAL_TOL",
     "SOLVE_TOL",
     "MAX_ITER",
+    "Convention",
+    "MonotonicityConstants",
     "SolutionKind",
     "EquilibriumSolution",
+    "monotonicity_constants",
     "coupling_condition",
     "global_optimum",
     "decentralized_fixed_point",
@@ -84,11 +89,85 @@ class EquilibriumSolution:
         object.__setattr__(self, "residual", float(self.residual))
 
 
+class Convention(enum.Enum):
+    """Constant convention: N-scaled aggregates vs blockwise-tight ones."""
+
+    PAPER = "paper"
+    TIGHT = "tight"
+
+
+@dataclass(frozen=True)
+class MonotonicityConstants:
+    """Strong-monotonicity modulus m, coupling penalty c, smoothness L.
+
+    m - c is the effective modulus of the pseudo-gradient; L bounds the
+    Lipschitz constant of the full steady-state gradient.
+    """
+
+    m: float
+    c: float
+    L: float
+    sigma_max_h: float
+    sigma_min_h: float
+    sigma_max_offdiag: float
+    convention: Convention
+
+    def __post_init__(self):
+        if not (self.m > 0.0 and self.L > 0.0):
+            raise ValueError(f"m and L must be positive, got m={self.m}, L={self.L}")
+        if self.c < 0.0:
+            raise ValueError(f"c must be nonnegative, got {self.c}")
+        if self.sigma_min_h > self.sigma_max_h:
+            raise ValueError("sigma_min_h exceeds sigma_max_h")
+
+
 def _svals(M) -> NDArray[np.float64]:
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if s.size and s[0] > 0.0:
         s = np.where(s < SVAL_TOL * s[0], 0.0, s)
     return s
+
+
+def _n_factor(n: int, convention: Convention) -> float:
+    return float(n) if convention is Convention.PAPER else 1.0
+
+
+def _max_abs_diag(model: SensitivityModel) -> float:
+    """max_i |H_ii|, the spectral norm of H_diag; 0 for an empty model."""
+    return float(np.max(np.abs(np.diag(model.H_diag)))) if model.n else 0.0
+
+
+def monotonicity_constants(
+    obj: SeparableObjective,
+    model: SensitivityModel,
+    convention: Convention = Convention.TIGHT,
+) -> MonotonicityConstants:
+    """Compute (m, c, L) from the sensitivity spectrum and the moduli.
+
+    m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - H_diag) sigma_max(H) L_y,
+    L = L_u + sigma_max(H)^2 L_y, each multiplied by N under the
+    N-scaled convention.
+    """
+    s = _svals(model.H)
+    sigma_max_h = float(s[0])
+    sigma_min_h = float(s[-1])
+    sigma_off = float(_svals(model.H - model.H_diag)[0])
+    k = _n_factor(model.n, convention)
+    return MonotonicityConstants(
+        m=k * (obj.m_u + sigma_min_h**2 * obj.m_y),
+        c=k * sigma_off * sigma_max_h * obj.L_y,
+        L=k * (obj.L_u + sigma_max_h**2 * obj.L_y),
+        sigma_max_h=sigma_max_h,
+        sigma_min_h=sigma_min_h,
+        sigma_max_offdiag=sigma_off,
+        convention=convention,
+    )
+
+
+def _coupling(obj, k: MonotonicityConstants) -> tuple[bool, float, float]:
+    """(satisfied, lhs, rhs) of the coupling condition from the tight constants ``k``."""
+    rhs = k.m / (k.sigma_max_h * obj.L_y)
+    return k.sigma_max_offdiag <= rhs, k.sigma_max_offdiag, rhs
 
 
 def coupling_condition(
@@ -98,12 +177,10 @@ def coupling_condition(
 
     Returns (satisfied, lhs, rhs) for
     sigma_max(H - H_diag) <= (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y),
-    which is m > c with the agent-count factor cancelled.
+    which is m > c with the agent-count factor cancelled; the tight
+    constants give both sides.
     """
-    s = _svals(model.H)
-    lhs = float(_svals(model.H - model.H_diag)[0])
-    rhs = float((obj.m_u + s[-1] ** 2 * obj.m_y) / (s[0] * obj.L_y))
-    return lhs <= rhs, lhs, rhs
+    return _coupling(obj, monotonicity_constants(obj, model))
 
 
 def _gradient(obj, model, G, d, u):
@@ -157,15 +234,12 @@ def _solve(obj, model, d, G, kind, step_size, certified=True) -> EquilibriumSolu
 def global_optimum(obj: SeparableObjective, model: SensitivityModel, d) -> EquilibriumSolution:
     """Solve for the unique minimizer of the steady-state design problem (G = H).
 
-    The iteration step is tau = m / L^2 with m = m_u + sigma_min(H)^2 m_y
-    and L = L_u + sigma_max(H)^2 L_y.
+    The iteration step is tau = m / L^2 with the tight constants m, L.
     """
 
     def step_size():
-        s = _svals(model.H)
-        m = obj.m_u + s[-1] ** 2 * obj.m_y
-        L = obj.L_u + s[0] ** 2 * obj.L_y
-        return m / L**2
+        k = monotonicity_constants(obj, model)
+        return k.m / k.L**2
 
     return _solve(obj, model, d, model.H, SolutionKind.GLOBAL_OPTIMUM, step_size)
 
@@ -178,17 +252,16 @@ def decentralized_fixed_point(
     When the diagonal-dominance margin fails, the solver still runs but
     the result carries ``uniqueness_certified=False`` instead of raising:
     exploration beyond the certified regime is allowed, just unlabeled.
+    The iteration step is (m - c) / L_d^2 with the tight constants m, c
+    and L_d = L_u + max_i |H_ii| sigma_max(H) L_y.
     """
-    certified, sigma_off, _ = coupling_condition(obj, model)
+    k = monotonicity_constants(obj, model)
+    certified = _coupling(obj, k)[0]
 
     def step_size():
-        s = _svals(model.H)
-        m = obj.m_u + s[-1] ** 2 * obj.m_y
-        c = sigma_off * s[0] * obj.L_y
-        sigma_hd = float(np.max(np.abs(np.diag(model.H_diag)))) if model.n else 0.0
-        L = obj.L_u + sigma_hd * s[0] * obj.L_y
+        L = obj.L_u + _max_abs_diag(model) * k.sigma_max_h * obj.L_y
         # m - c > 0 makes tau provably contractive; otherwise best effort.
-        return (m - c) / L**2 if m > c else m / L**2
+        return (k.m - k.c) / L**2 if k.m > k.c else k.m / L**2
 
     return _solve(
         obj, model, d, model.H_diag, SolutionKind.DECENTRALIZED_FIXED_POINT,

@@ -5,6 +5,8 @@ spectral radii, partial trajectories) for callers to report or recover.
 ``as_vector`` is the single "must have length n" check every layer uses.
 ``read_section`` reads each config section through a key table, and
 ``convert`` is the one place where a rejected value becomes a ConfigError.
+``finite``, ``number`` and ``whole`` are the shared value parsers: a JSON
+boolean or string is never a number.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ __all__ = [
     "convert",
     "read_section",
     "finite",
+    "number",
+    "whole",
 ]
 
 
@@ -144,3 +148,18 @@ def finite(value) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("contains non-finite entries")
     return arr
+
+
+def number(value):
+    """Config parser: a JSON number, kept as given; a bool or any non-number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return value
+
+
+def whole(value) -> int:
+    """Config parser: a JSON number without a fractional part, as an int."""
+    value = number(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return int(value)

@@ -37,6 +37,7 @@ __all__ = [
     "LtiPlant",
     "SensitivityModel",
     "is_schur_stable",
+    "sensitivity",
     "compute_sensitivity",
     "step",
     "plant_from_dict",
@@ -208,25 +209,24 @@ class SensitivityModel:
         return self.H.shape[0]
 
 
-def compute_sensitivity(plant: LtiPlant) -> SensitivityModel:
-    """Derive the steady-state sensitivity model of a stable plant.
+def sensitivity(A, B, C, D) -> SensitivityModel:
+    """The steady-state sensitivity model of the realization (A, B, C, D).
 
     Solves (I - A) X = B column-wise rather than forming an explicit
-    inverse, then sets H = C X + D.
-
-    Raises
-    ------
-    SingularMatrix
-        If (I - A) is numerically singular, which means an unstable or
-        marginally stable plant slipped past validation.
+    inverse, then sets H = C X + D.  A need not be stable; a numerically
+    singular (I - A) raises SingularMatrix.
     """
-    n_state = plant.n_state
     try:
-        H_x = np.linalg.solve(np.eye(n_state) - plant.A, plant.B)
+        H_x = np.linalg.solve(np.eye(A.shape[0]) - A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"(I - A) is singular: {exc}") from exc
-    H = plant.C @ H_x + plant.D
+    H = C @ H_x + D
     return SensitivityModel(H=H, H_diag=np.diag(np.diag(H)), H_x=H_x)
+
+
+def compute_sensitivity(plant: LtiPlant) -> SensitivityModel:
+    """The steady-state sensitivity model of a (stable) plant."""
+    return sensitivity(plant.A, plant.B, plant.C, plant.D)
 
 
 def step(plant: LtiPlant, x, u) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -41,10 +41,12 @@ from .errors import (
     as_vector,
     convert,
     finite,
+    number,
     read_section,
+    whole,
 )
 from .objective import QuadraticObjective
-from .plant import LtiPlant, SensitivityModel, _unstable_radius
+from .plant import LtiPlant, SensitivityModel, _unstable_radius, sensitivity
 
 __all__ = [
     "GridSpec",
@@ -76,13 +78,6 @@ def _default_fields(n: int, e: int) -> dict:
 
 def _edge_pairs(edges) -> tuple[tuple[int, int], ...]:
     return tuple((int(i), int(j)) for i, j in edges)
-
-
-def _real(value):
-    """A JSON number, kept as given (an int stays an int in ``spec_to_dict``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"must be a number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -203,30 +198,21 @@ def _raw_matrices(spec: GridSpec):
     return a_d, b_d, c_d
 
 
-def _sensitivity_from(a_d, b_d, c_d) -> SensitivityModel:
-    # (I - A_d) = -eps E^{-1} K is invertible for any eps, stable or not,
-    # so the steady-state map exists even when the discretization is too
-    # coarse to simulate.
-    h_x = np.linalg.solve(np.eye(a_d.shape[0]) - a_d, b_d)
-    h = c_d @ h_x
-    return SensitivityModel(H=h, H_diag=np.diag(np.diag(h)), H_x=h_x)
-
-
 def _discretize(spec: GridSpec):
-    """The plant (None when unstable), model, d_eff and unstable radius of ``spec``."""
+    """The plant (None when unstable), model, d_eff and unstable radius of ``spec``.
+
+    (I - A_d) = -eps E^{-1} K is invertible for any eps, stable or not,
+    so the steady-state map exists even when the discretization is too
+    coarse to simulate.
+    """
     a_d, b_d, c_d = _raw_matrices(spec)
+    d_d = np.zeros((spec.n_nodes, spec.n_nodes))
     radius = _unstable_radius(a_d)
-    model = _sensitivity_from(a_d, b_d, c_d)
+    model = sensitivity(a_d, b_d, c_d, d_d)
     d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
     plant = None
     if radius is None:
-        plant = LtiPlant(
-            A=a_d,
-            B=b_d,
-            C=c_d,
-            D=np.zeros((spec.n_nodes, spec.n_nodes)),
-            d=d_eff,
-        )
+        plant = LtiPlant(A=a_d, B=b_d, C=c_d, D=d_d, d=d_eff)
     return plant, model, d_eff, radius
 
 
@@ -379,7 +365,8 @@ def spec_to_dict(spec: GridSpec) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
 
 
-_GRID_PARSERS = dict(n_nodes=int, edges=_edge_pairs, eps=_real, gamma1=_real, gamma2=_real)
+# a number is kept as given, so an int stays an int in ``spec_to_dict``
+_GRID_PARSERS = dict(n_nodes=whole, edges=_edge_pairs, eps=number, gamma1=number, gamma2=number)
 # The "grid" config table: one key per GridSpec field, absent meaning the
 # field's default; the vector fields parse as finite arrays.
 GRID_TABLE = {

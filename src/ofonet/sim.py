@@ -24,6 +24,8 @@ for bit and records no trajectory.
 
 Rows are recorded into arrays that grow RECORD_BLOCK rows at a time, so
 memory follows the iterations actually run, not the step budget.
+``metrics`` alone computes a run's per-step errors (rel_err_u and, for a
+dynamic run given a model, the combined squared error).
 
 CSV format contract: each data row is formatted by one template,
 "%d" for k then ",%.17g" per value, and written CSV_CHUNK_ROWS rows at a
@@ -64,7 +66,6 @@ __all__ = [
     "run_algebraic",
     "run_lti",
     "metrics",
-    "combined_sq",
     "write_trajectory_csv",
 ]
 
@@ -367,25 +368,9 @@ def metrics(
         rel = err if absolute else err / ref_norm
         combined = None
         if trajectory.x_series is not None and model is not None:
-            combined = _combined_sq(trajectory, model, err)
+            resid = trajectory.x_series - trajectory.u_series @ model.H_x.T
+            combined = np.sum(resid**2, axis=1) + err**2
     return ErrorMetrics(rel_err_u=rel, combined_sq=combined, absolute=absolute)
-
-
-def combined_sq(
-    trajectory: Trajectory, u_ref, model: SensitivityModel
-) -> NDArray[np.float64]:
-    """Only the combined squared error of ``metrics`` for a dynamic run."""
-    if trajectory.x_series is None:
-        raise ValueError("combined error needs a dynamic run with recorded states")
-    u_ref = as_vector(u_ref, trajectory.u_series.shape[1], "u_ref")
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
-        return _combined_sq(trajectory, model, err)
-
-
-def _combined_sq(trajectory: Trajectory, model: SensitivityModel, err):
-    resid = trajectory.x_series - trajectory.u_series @ model.H_x.T
-    return np.sum(resid**2, axis=1) + err**2
 
 
 def _usable_cpus() -> int:

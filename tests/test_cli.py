@@ -323,6 +323,20 @@ def test_unknown_section_rejected(tmp_path):
         (["analyze"], {"grid": {"edges": [1, 2]}}, "'grid.edges'"),
         (["grid", "sweep"], {"grid": {"eps": "x"}}, "'grid.eps'"),
         (["analyze"], {"grid": {"gamma1": "x"}}, "'grid.gamma1'"),
+        # a JSON boolean, a numeric string or a fraction is not a valid number here
+        (["grid", "simulate"], {"controller": {"eta": True}}, "'controller.eta'"),
+        (["grid", "simulate"], {"controller": {"eta": "0.05"}}, "'controller.eta'"),
+        (["analyze"], {"objective": {"gamma1": True}}, "'objective.gamma1'"),
+        (["grid", "simulate"], {"simulation": {"decimation": True}}, "'simulation.decimation'"),
+        (["grid", "simulate"], {"simulation": {"seed": True}}, "'simulation.seed'"),
+        (["grid", "simulate"], {"simulation": {"steps": True}}, "'simulation.steps'"),
+        (["grid", "simulate"], {"simulation": {"steps": 50.7}}, "'simulation.steps'"),
+        (["grid", "simulate"], {"simulation": {"decimation": 7.9}}, "'simulation.decimation'"),
+        (["analyze"], {"grid": {"n_nodes": 7.5}}, "'grid.n_nodes'"),
+        (["analyze"], {"grid": {"n_nodes": True}}, "'grid.n_nodes'"),
+        # start vectors are length-checked by every command that builds the instance
+        (["analyze"], {"simulation": {"u0": []}}, "'simulation.u0'"),
+        (["analyze"], {"simulation": {"x0": [1, 2]}}, "'simulation.x0'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):

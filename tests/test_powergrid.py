@@ -12,7 +12,7 @@ from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point
 from ofonet.errors import ConfigError, NonFinite, UnstableDiscretization
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import is_schur_stable
+from ofonet.plant import compute_sensitivity, is_schur_stable
 from ofonet.sim import run_lti
 
 
@@ -59,6 +59,26 @@ def test_effective_disturbance_composition():
     _, model, d_eff = pg.assemble_plant(spec)
     expected = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
     npt.assert_allclose(d_eff, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+def test_grid_model_equals_compute_sensitivity_of_its_plant(jitter):
+    spec = pg.default_topology()
+    if jitter:
+        rng = np.random.default_rng(7)
+        spec = dataclasses.replace(
+            spec,
+            c_cap=rng.uniform(0.5, 2.0, 8),
+            l_ind=rng.uniform(0.5, 2.0, 9),
+            r_line=rng.uniform(5.0, 15.0, 9),
+            g_node=rng.uniform(0.5, 2.0, 8),
+            eps=0.05,
+        )
+    plant, model, _, radius = pg._discretize(spec)
+    assert radius is None
+    again = compute_sensitivity(plant)
+    for name in ("H", "H_diag", "H_x"):
+        assert getattr(model, name).tobytes() == getattr(again, name).tobytes(), name
 
 
 def test_grid_objective_reference():

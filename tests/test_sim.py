@@ -202,9 +202,6 @@ def test_combined_sq_needs_states_and_model():
         (ltraj.u_series - U_INF) ** 2, axis=1
     )
     npt.assert_allclose(combined, expected, rtol=1e-12)
-    assert sim.combined_sq(ltraj, U_INF, model).tobytes() == combined.tobytes()
-    with pytest.raises(ValueError):
-        sim.combined_sq(traj, U_INF, model)
 
 
 def test_csv_format_and_roundtrip(tmp_path):
