@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,7 +134,6 @@ class LtiRateCertificate:
     a4: float
     t: float
     eta: float
-    convention: Convention
     eta_star: Optional[float] = None
     branch: Optional[Branch] = None
 
@@ -357,7 +356,6 @@ def xi_matrix(
         a4=a4,
         t=t,
         eta=float(eta),
-        convention=convention,
         eta_star=star,
         branch=branch,
     )
@@ -421,11 +419,6 @@ def _rate_entry(consts, eta):
     }
 
 
-def _fields(record) -> dict:
-    """The fields of a certificate record, its convention left out."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name != "convention"}
-
-
 def build_report(
     obj: SeparableObjective,
     model: SensitivityModel,
@@ -463,7 +456,7 @@ def build_report(
         consts = monotonicity_constants(obj, model, convention)
         sub = suboptimality_bound(obj, model, d, inf_sol.u, consts)
         entry = {
-            "constants": _fields(consts),
+            "constants": asdict(consts),
             "rate_table": [_rate_entry(consts, float(e)) for e in eta_grid],
             "rate_at_eta": _rate_entry(consts, float(eta)),
             "suboptimality": {
@@ -480,7 +473,7 @@ def build_report(
             try:
                 cert = xi_matrix(plant, obj, model, eta, convention)
                 entry["lti"] = {
-                    **_fields(cert),
+                    **asdict(cert),
                     "xi": cert.xi.tolist(),
                     "branch": cert.branch.value if cert.branch else None,
                 }

@@ -351,10 +351,10 @@ def _simulate(config: dict) -> int:
         u0 = rng.standard_normal(inst.model.n)
     convention = Convention(config["analysis"]["convention"])
     star = global_optimum(inst.obj, inst.model, inst.d)
-    fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
     if ctl.mode is Mode.CENTRALIZED:
         u_ref, u_ref_kind = star.u, "optimum"
     else:
+        fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
         u_ref, u_ref_kind = fixed.u, "fixed_point"
     out_dir = _resolve_out_dir(config, ".")
     csv_path = os.path.join(out_dir, "trajectory.csv")
@@ -398,13 +398,9 @@ def _simulate(config: dict) -> int:
 
     try:
         if simc["loop"] == "lti":
-            traj = sim.run_lti(
-                inst.plant, inst.obj, ctl, x0=x0, u0=u0, steps=simc["steps"], seed=seed
-            )
+            traj = sim.run_lti(inst.plant, inst.obj, ctl, x0=x0, u0=u0, steps=simc["steps"])
         else:
-            traj = sim.run_algebraic(
-                inst.model, inst.obj, inst.d, ctl, u0=u0, steps=simc["steps"], seed=seed
-            )
+            traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, u0=u0, steps=simc["steps"])
     except NonFinite as exc:
         sys.stdout.write(_dump_json(payload(exc.trajectory, True, exc.step), metrics_path))
         return EXIT_NUMERICAL
@@ -424,9 +420,9 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
         for loop in ("algebraic", "lti"):
             cfg = ControllerConfig(mode=mode, eta=eta)
             if loop == "lti":
-                traj = sim.run_lti(plant, obj, cfg, steps=steps, seed=seed)
+                traj = sim.run_lti(plant, obj, cfg, steps=steps)
             else:
-                traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps, seed=seed)
+                traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps)
             # rel_err_u is against u_star; combined_sq against the mode's own
             # limit, which for the centralized loop is u_star as well
             if mode is Mode.CENTRALIZED:

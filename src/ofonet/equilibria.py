@@ -11,7 +11,9 @@ decentralized controller; its zeros u_inf are exactly the Nash
 equilibria of the game in which player i minimizes
 phi_i1(u_i) + phi_i2([Hu + d]_i) over its own input.  One solver,
 parametrized by G, computes both to tolerances well below anything the
-trajectory tests assert against.
+trajectory tests assert against.  A solution records u, y = Hu + d, the
+residual ||F_G(u)|| and whether the point is certified unique; the
+entry point that returned it says which point it is.
 
 The module also owns the monotonicity constants (m, c, L) of an
 instance, in both conventions, and the diagonal-dominance coupling
@@ -39,7 +41,6 @@ __all__ = [
     "MAX_ITER",
     "Convention",
     "MonotonicityConstants",
-    "SolutionKind",
     "EquilibriumSolution",
     "monotonicity_constants",
     "coupling_condition",
@@ -55,11 +56,6 @@ MAX_ITER = 10**6
 SVAL_TOL = 1e-12
 
 
-class SolutionKind(enum.Enum):
-    GLOBAL_OPTIMUM = "global_optimum"
-    DECENTRALIZED_FIXED_POINT = "decentralized_fixed_point"
-
-
 @dataclass(frozen=True)
 class EquilibriumSolution:
     """A solved operating point together with its defining residual.
@@ -72,7 +68,6 @@ class EquilibriumSolution:
     u: NDArray[np.float64]
     y: NDArray[np.float64]
     residual: float
-    kind: SolutionKind
     uniqueness_certified: bool = True
 
     def __post_init__(self):
@@ -110,7 +105,6 @@ class MonotonicityConstants:
     sigma_max_h: float
     sigma_min_h: float
     sigma_max_offdiag: float
-    convention: Convention
 
     def __post_init__(self):
         if not (self.m > 0.0 and self.L > 0.0):
@@ -160,7 +154,6 @@ def monotonicity_constants(
         sigma_max_h=sigma_max_h,
         sigma_min_h=sigma_min_h,
         sigma_max_offdiag=sigma_off,
-        convention=convention,
     )
 
 
@@ -202,8 +195,8 @@ def _iterate(grad_fn, u0, tau):
     raise NoConvergence(MAX_ITER, float(np.linalg.norm(grad_fn(u))))
 
 
-def _solve(obj, model, d, G, kind, step_size, certified=True) -> EquilibriumSolution:
-    """The zero of F_G, of the solution kind ``kind``.
+def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSolution:
+    """The zero of F_G; ``label`` names the point in a singular-solve error.
 
     Quadratic objectives are solved exactly through the linear equations
     (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d); anything else
@@ -218,16 +211,14 @@ def _solve(obj, model, d, G, kind, step_size, certified=True) -> EquilibriumSolu
         try:
             u = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(
-                f"{kind.value.replace('_', ' ')} equations are singular: {exc}"
-            ) from exc
+            raise SingularMatrix(f"{label} equations are singular: {exc}") from exc
     else:
         u, _ = _iterate(
             lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), step_size()
         )
     residual = float(np.linalg.norm(_gradient(obj, model, G, d, u)))
     return EquilibriumSolution(
-        u=u, y=H @ u + d, residual=residual, kind=kind, uniqueness_certified=certified
+        u=u, y=H @ u + d, residual=residual, uniqueness_certified=certified
     )
 
 
@@ -241,7 +232,7 @@ def global_optimum(obj: SeparableObjective, model: SensitivityModel, d) -> Equil
         k = monotonicity_constants(obj, model)
         return k.m / k.L**2
 
-    return _solve(obj, model, d, model.H, SolutionKind.GLOBAL_OPTIMUM, step_size)
+    return _solve(obj, model, d, model.H, "global optimum", step_size)
 
 
 def decentralized_fixed_point(
@@ -264,8 +255,7 @@ def decentralized_fixed_point(
         return (k.m - k.c) / L**2 if k.m > k.c else k.m / L**2
 
     return _solve(
-        obj, model, d, model.H_diag, SolutionKind.DECENTRALIZED_FIXED_POINT,
-        step_size, certified,
+        obj, model, d, model.H_diag, "decentralized fixed point", step_size, certified
     )
 
 

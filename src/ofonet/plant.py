@@ -10,13 +10,14 @@ have a higher dimension than the number of agents (rectangular B and C),
 which is what networked physical models such as the DC grid produce.
 
 The steady-state sensitivity H = C (I - A)^{-1} B + D maps constant
-inputs to steady-state outputs, y = H u + d; its diagonal part H_diag is
-all the decentralized controller gets to use.
+inputs to steady-state outputs, y = H u + d.  ``SensitivityModel`` takes H
+and the state sensitivity H_x and derives the diagonal part H_diag from
+H; H_diag is all the decentralized controller gets to use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -171,36 +172,25 @@ class SensitivityModel:
     H : ndarray, shape (n, n)
         Steady-state gain C (I - A)^{-1} B + D.
     H_diag : ndarray, shape (n, n)
-        Diagonal matrix holding the diagonal of H.
+        Diagonal matrix holding the diagonal of H; derived from H, not
+        a constructor argument.
     H_x : ndarray, shape (n_state, n)
         State sensitivity (I - A)^{-1} B.
     """
 
     H: NDArray[np.float64]
-    H_diag: NDArray[np.float64]
+    H_diag: NDArray[np.float64] = field(init=False)
     H_x: NDArray[np.float64]
 
     def __post_init__(self):
         H = _as_matrix(self.H, "H")
-        H_diag = _as_matrix(self.H_diag, "H_diag")
         H_x = _as_matrix(self.H_x, "H_x")
         n = H.shape[0]
         if H.shape != (n, n):
             raise DimensionMismatch(f"H must be square, got shape {H.shape}")
-        if H_diag.shape != (n, n):
-            raise DimensionMismatch(
-                f"H_diag must have shape ({n}, {n}), got {H_diag.shape}"
-            )
         if H_x.shape[1] != n:
-            raise DimensionMismatch(
-                f"H_x must have {n} columns, got shape {H_x.shape}"
-            )
-        off = H_diag - np.diag(np.diag(H_diag))
-        if np.any(off != 0.0):
-            raise ValueError("H_diag has nonzero off-diagonal entries")
-        if np.any(np.diag(H_diag) != np.diag(H)):
-            raise ValueError("diagonal of H_diag differs from diagonal of H")
-        for name, arr in (("H", H), ("H_diag", H_diag), ("H_x", H_x)):
+            raise DimensionMismatch(f"H_x must have {n} columns, got shape {H_x.shape}")
+        for name, arr in (("H", H), ("H_diag", np.diag(np.diag(H))), ("H_x", H_x)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -221,7 +211,7 @@ def sensitivity(A, B, C, D) -> SensitivityModel:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"(I - A) is singular: {exc}") from exc
     H = C @ H_x + D
-    return SensitivityModel(H=H, H_diag=np.diag(np.diag(H)), H_x=H_x)
+    return SensitivityModel(H=H, H_x=H_x)
 
 
 def compute_sensitivity(plant: LtiPlant) -> SensitivityModel:

@@ -36,7 +36,6 @@ from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import (
     CouplingTooStrong,
-    NotCertifiable,
     UnstableDiscretization,
     as_vector,
     convert,
@@ -63,7 +62,7 @@ __all__ = [
 DEFAULT_EDGES = ((1, 4), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (1, 2), (6, 7))
 
 
-def _default_fields(n: int, e: int) -> dict:
+def _default_vectors(n: int, e: int) -> dict:
     """The default vectors of an ``n``-node, ``e``-edge grid."""
     return {
         "c_cap": np.ones(n),
@@ -133,7 +132,7 @@ class GridSpec:
             missing = sorted(k + 1 for k in range(n) if k not in seen)
             raise ValueError(f"edge list does not connect nodes {missing} to node 1")
         object.__setattr__(self, "edges", edges)
-        defaults = _default_fields(n, e)
+        defaults = _default_vectors(n, e)
         for name, length, positive in (
             ("c_cap", n, True),
             ("l_ind", e, True),
@@ -275,7 +274,7 @@ def _sweep_row(spec: GridSpec, g: float, eta: float) -> tuple[dict, tuple | None
             cert = analysis.xi_matrix(plant, obj, model, eta, Convention.TIGHT)
             row["lam_max_xi"] = cert.lam_max
             row["eta_star"] = cert.eta_star
-        except (CouplingTooStrong, NotCertifiable) as exc:
+        except CouplingTooStrong as exc:
             _annotate(row, f"dynamic certificate unavailable ({exc})")
     return row, (model.H, d_eff, obj.y_ref, fixed.u)
 
@@ -365,8 +364,13 @@ def spec_to_dict(spec: GridSpec) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
 
 
+def _edges(value) -> tuple[tuple[int, int], ...]:
+    """Config parser: node pairs whose endpoints are whole JSON numbers."""
+    return tuple((whole(i), whole(j)) for i, j in value)
+
+
 # a number is kept as given, so an int stays an int in ``spec_to_dict``
-_GRID_PARSERS = dict(n_nodes=whole, edges=_edge_pairs, eps=number, gamma1=number, gamma2=number)
+_GRID_PARSERS = dict(n_nodes=whole, edges=_edges, eps=number, gamma1=number, gamma2=number)
 # The "grid" config table: one key per GridSpec field, absent meaning the
 # field's default; the vector fields parse as finite arrays.
 GRID_TABLE = {

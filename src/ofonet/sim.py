@@ -15,7 +15,8 @@ and early stop included, is written once.
 The loop applies one update map built by ``controller.update_map`` once
 per run.  Runs early-stop when successive iterates move less than
 EARLY_STOP_TOL and raise NonFinite, carrying the finite prefix, when an
-iterate diverges.
+iterate diverges.  ``RunInfo`` holds only what the loop found out: the
+updates performed and whether the run stopped early.
 
 Sweep rows run as one batched loop, ``_run_algebraic_batch``: the
 decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
@@ -53,7 +54,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .controller import ControllerConfig, Mode, update_map
+from .controller import ControllerConfig, update_map
 from .errors import DimensionMismatch, NonFinite, as_vector
 from .plant import LtiPlant, SensitivityModel, compute_sensitivity
 
@@ -78,12 +79,8 @@ CSV_CHUNK_ROWS = 1024
 
 @dataclass(frozen=True)
 class RunInfo:
-    mode: Mode
-    eta: float
-    plant_kind: str  # "algebraic" or "lti"
     iterations: int  # controller updates performed
     early_stopped: bool
-    seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ def _step_norm(v_next, v) -> float:
     return math.nan
 
 
-def _run(kind: str, advance, cfg, obj, model, u, x, steps, seed) -> Trajectory:
+def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
     """The recording closed loop of ``run_algebraic`` and ``run_lti``.
 
     ``advance(x, u)`` returns the plant's next state (None when ``x`` is
@@ -206,7 +203,7 @@ def _run(kind: str, advance, cfg, obj, model, u, x, steps, seed) -> Trajectory:
     iterations = 0
 
     def info(k):
-        return RunInfo(cfg.mode, cfg.eta, kind, k, early, seed)
+        return RunInfo(k, early)
 
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -237,7 +234,6 @@ def run_algebraic(
     cfg: ControllerConfig,
     u0=None,
     steps: int = DEFAULT_STEPS,
-    seed: Optional[int] = None,
 ) -> Trajectory:
     """Run the steady-state (algebraic) closed loop for up to ``steps`` updates.
 
@@ -246,9 +242,7 @@ def run_algebraic(
     """
     H, d = model.H, _start(d, model.n, "d")
     u = _start(u0, model.n, "u0")
-    return _run(
-        "algebraic", lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps, seed
-    )
+    return _run(lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps)
 
 
 def run_lti(
@@ -258,7 +252,6 @@ def run_lti(
     x0=None,
     u0=None,
     steps: int = DEFAULT_STEPS,
-    seed: Optional[int] = None,
 ) -> Trajectory:
     """Run the closed loop against the full plant dynamics.
 
@@ -270,9 +263,8 @@ def run_lti(
     x = _start(x0, plant.n_state, "x0")
     u = _start(u0, plant.n, "u0")
     return _run(
-        "lti",
         lambda x, u: (A @ x + B @ u, C @ x + D @ u + dist),
-        cfg, obj, compute_sensitivity(plant), u, x, steps, seed,
+        cfg, obj, compute_sensitivity(plant), u, x, steps,
     )
 
 

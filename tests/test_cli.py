@@ -24,6 +24,11 @@ REF_PLANT = {
 }
 
 
+def _edges_with(pair):
+    """The default grid edges as JSON lists, with ``pair`` in place of edge (1, 2)."""
+    return [list(pair) if edge == (1, 2) else list(edge) for edge in powergrid.DEFAULT_EDGES]
+
+
 # a one-agent inline plant with steady-state gain 1
 ONE_AGENT = {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]], "d": [0.0]}
 
@@ -141,6 +146,35 @@ def test_simulate_divergence_truncates(tmp_path, capsys):
     assert metrics["diverged"]
     rows = list(csv.reader((out / "trajectory.csv").read_text().splitlines()))
     assert len(rows) - 1 == metrics["divergence_step"]
+
+
+def test_centralized_simulate_skips_the_fixed_point(tmp_path, capsys):
+    # H = B has a singular diagonal product H_diag H, so only the
+    # decentralized fixed point equations are singular
+    plant = {**REF_PLANT, "B": [[1.0, 2.0], [2.0, 1.0]], "d": [0.0, 0.0]}
+    for mode, code in (("centralized", 0), ("decentralized", 1)):
+        cfg = write_config(
+            tmp_path,
+            {
+                "plant": plant,
+                "controller": {"eta": 0.1, "mode": mode},
+                "simulation": {"steps": 200},
+                "output": {"dir": str(tmp_path / mode)},
+            },
+        )
+        assert run(["--config", cfg, "simulate"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            validate(json.loads(captured.out), "metrics")
+        else:
+            assert "decentralized fixed point equations are singular" in captured.err
+
+
+def test_grid_edges_accept_whole_floats(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {"edges": _edges_with((1.0, 2.0))}})
+    assert run(["--config", cfg, "--out", str(tmp_path), "grid", "build"]) == 0
+    spec = json.loads((tmp_path / "grid_spec.json").read_text())
+    assert spec["edges"] == [list(edge) for edge in powergrid.DEFAULT_EDGES]
 
 
 def test_simulate_random_u0_needs_seed(tmp_path):
@@ -337,6 +371,9 @@ def test_unknown_section_rejected(tmp_path):
         # start vectors are length-checked by every command that builds the instance
         (["analyze"], {"simulation": {"u0": []}}, "'simulation.u0'"),
         (["analyze"], {"simulation": {"x0": [1, 2]}}, "'simulation.x0'"),
+        # an edge endpoint is a whole number, not a fraction or a boolean
+        (["grid", "build"], {"grid": {"edges": _edges_with((1, 2.7))}}, "'grid.edges'"),
+        (["grid", "build"], {"grid": {"edges": _edges_with((True, 2))}}, "'grid.edges'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):

@@ -151,12 +151,14 @@ def test_sensitivity_matches_long_run(rng):
     npt.assert_allclose(y, model.H @ u + d, atol=1e-8)
 
 
-def test_model_rejects_wrong_diagonal():
-    h = np.array([[1.0, 0.5], [0.0, 1.0]])
+def test_model_derives_diagonal_from_h():
+    h = np.array([[1.0, 0.5], [-0.25, 2.0]])
+    model = SensitivityModel(H=h, H_x=h)
+    npt.assert_array_equal(model.H_diag, np.diag(np.diag(h)))
     with pytest.raises(ValueError):
-        SensitivityModel(H=h, H_diag=np.eye(2) * 2.0, H_x=h)
-    with pytest.raises(ValueError):
-        SensitivityModel(H=h, H_diag=h, H_x=h)  # off-diagonal entries present
+        model.H_diag[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        SensitivityModel(H=h, H_diag=np.diag(np.diag(h)), H_x=h)
 
 
 def test_arrays_frozen():

@@ -387,13 +387,6 @@ def test_csv_includes_states_and_combined(tmp_path):
     ]
 
 
-def test_u0_seed_recorded():
-    _, model, obj, d = reference_instance()
-    traj = sim.run_algebraic(model, obj, d, dec(0.1), steps=10, seed=42)
-    assert traj.info.seed == 42
-    assert traj.info.mode is Mode.DECENTRALIZED
-
-
 def test_steady_state_matches_sensitivity(rng):
     # holding u fixed, the dynamic loop settles onto y = H u + d
     from conftest import random_stable_instance
