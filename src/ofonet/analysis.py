@@ -19,9 +19,14 @@ Every constant exists in two conventions.  The N-scaled convention
 multiplies the aggregate moduli by the agent count N; the blockwise
 (tight) convention drops that factor, which the separable structure
 permits.  Both agree on the diagonal-dominance condition (N cancels),
-but the N-scaled sub-optimality bound can undershoot the true distance;
-the tight convention is therefore the checked default, with the
-N-scaled values always reported alongside for comparison.
+and the N-scaled rate gate at eta is the tight one at N eta.  The
+N-scaled sub-optimality bound undershoots the true distance: on the
+seven default rows of ``figures fig4`` it lies below the measured
+distance on every row, each flagged applicable (0.042 against 0.102
+relative at g = 1), while the tight bound holds on all of them.  The
+tight constants are therefore the checked ones (the ``ofo analyze``
+gate and ``metrics.json``), and the N-scaled values are reported
+alongside for comparison.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .equilibria import (
     global_optimum,
     monotonicity_constants,
 )
-from .errors import CouplingTooStrong, NotCertifiable
+from .errors import CouplingTooStrong, NotCertifiable, SingularMatrix
 from .objective import SeparableObjective
 from .plant import LtiPlant, SensitivityModel
 
@@ -432,34 +437,44 @@ def build_report(
     Both conventions are evaluated: constants, the rate table over
     ``eta_grid``, the sub-optimality bound against the solved fixed
     point, and (when a plant is supplied) the dynamic-loop certificate
-    at ``eta`` with its critical step size.
+    at ``eta`` with its critical step size.  When the fixed-point
+    equations are singular, ``equilibrium.error`` holds the solver's
+    message and the fields that need the fixed point are None.
     """
     d = np.asarray(d, dtype=float)
     satisfied, lhs, rhs = coupling_condition(obj, model)
     star = global_optimum(obj, model, d)
-    inf_sol = decentralized_fixed_point(obj, model, d)
-    distance = float(np.linalg.norm(star.u - inf_sol.u))
     norm_star = float(np.linalg.norm(star.u))
+    equilibrium = dict.fromkeys(["u_inf", "distance", "relative_distance", "uniqueness_certified"])
+    try:
+        inf_sol = decentralized_fixed_point(obj, model, d)
+    except SingularMatrix as exc:
+        inf_sol, equilibrium["error"] = None, str(exc)
+    else:
+        distance = float(np.linalg.norm(star.u - inf_sol.u))
+        equilibrium.update(
+            u_inf=inf_sol.u.tolist(),
+            distance=distance,
+            relative_distance=distance / norm_star if norm_star > 0.0 else None,
+            uniqueness_certified=inf_sol.uniqueness_certified,
+        )
     report = {
         "n": model.n,
         "coupling": {"satisfied": satisfied, "lhs": lhs, "rhs": rhs},
-        "equilibrium": {
-            "u_star": star.u.tolist(),
-            "u_inf": inf_sol.u.tolist(),
-            "distance": distance,
-            "relative_distance": distance / norm_star if norm_star > 0.0 else None,
-            "uniqueness_certified": inf_sol.uniqueness_certified,
-        },
+        "equilibrium": {"u_star": star.u.tolist(), **equilibrium},
         "conventions": {},
     }
     for convention in (Convention.TIGHT, Convention.PAPER):
         consts = monotonicity_constants(obj, model, convention)
-        sub = suboptimality_bound(obj, model, d, inf_sol.u, consts)
         entry = {
             "constants": asdict(consts),
             "rate_table": [_rate_entry(consts, float(e)) for e in eta_grid],
             "rate_at_eta": _rate_entry(consts, float(eta)),
-            "suboptimality": {
+            "suboptimality": None,
+        }
+        if inf_sol is not None:
+            sub = suboptimality_bound(obj, model, d, inf_sol.u, consts)
+            entry["suboptimality"] = {
                 "bound": None if math.isinf(sub.bound) else sub.bound,
                 "applicable": sub.applicable,
                 "relative_bound": (
@@ -467,8 +482,7 @@ def build_report(
                     if norm_star > 0.0 and not math.isinf(sub.bound)
                     else None
                 ),
-            },
-        }
+            }
         if plant is not None:
             try:
                 cert = xi_matrix(plant, obj, model, eta, convention)

@@ -3,9 +3,12 @@
 Subcommands
 -----------
 analyze
-    Emit every certificate for the configured instance as JSON; exits 0
+    Emit every certificate of ``analysis.build_report`` for the configured
+    instance as JSON, with rate tables over ``DEFAULT_ETA_GRID``; exits 0
     only when the diagonal-dominance condition holds and the configured
-    step size is admissible.
+    step size is admissible under the tight constants, the checked ones.
+    Singular fixed-point equations still give a report, without the
+    fields that need the fixed point, and exit 1.
 simulate
     Run the configured closed loop; writes trajectory.csv and
     metrics.json, truncating the CSV at the divergence step if the loop
@@ -19,14 +22,14 @@ grid {build,simulate,sweep}
     topology when absent).
 
 Configuration is a JSON file selected with --config; sections are
-plant | grid (exactly one), objective, controller, simulation, analysis,
-output.  Each section has one key table (``SECTIONS`` here,
-``plant.PLANT_KEYS``, ``powergrid.GRID_TABLE``): an unknown key is
-rejected, an absent or null key takes its default, and a malformed value
-exits 2 naming 'section.key'.  Environment variables OFO_<SECTION>_<KEY>
-override file values; KEY is a key of the section, else the one key equal
-to it up to case (OFO_CONTROLLER_ETA=0.1, OFO_PLANT_A=[[0.5]]).
-Command-line flags override both.
+plant | grid (exactly one), objective, controller, simulation, output.
+Each section has one key table (``SECTIONS`` here, ``plant.PLANT_KEYS``,
+``powergrid.GRID_TABLE``): an unknown section or key is rejected, an
+absent or null key takes its default, and a malformed value exits 2
+naming 'section.key'.  Environment variables OFO_<SECTION>_<KEY> override
+file values; KEY is a key of the section, else the one key equal to it up
+to case (OFO_CONTROLLER_ETA=0.1, OFO_PLANT_A=[[0.5]]).  The flags --seed
+and --out, and --eta and --steps of grid sweep, override both.
 Exit codes: 0 success, 1 numerical or I/O failure, 2 usage or config error.
 """
 
@@ -45,7 +48,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analysis, powergrid, sim
-from .analysis import Convention
 from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import (
@@ -144,13 +146,6 @@ def _u0(value):
     return value if value == "random" else _x0(value)
 
 
-def _step_sizes(value) -> list:
-    grid = finite(value)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > 0.0):
-        raise ValueError("must be a nonempty list of positive step sizes")
-    return grid.tolist()
-
-
 # The key table of each section other than plant and grid: key -> (parser,
 # default).  ``_configure`` reads all five for every subcommand.
 SECTIONS = {
@@ -172,10 +167,6 @@ SECTIONS = {
         "decimation": (_integer, 1),
         "seed": (whole, None),
     },
-    "analysis": {
-        "convention": (partial(_choice, names=tuple(c.value for c in Convention)), "tight"),
-        "eta_grid": (_step_sizes, DEFAULT_ETA_GRID),
-    },
     "output": {"dir": (_text, None)},
 }
 
@@ -185,7 +176,6 @@ _SECTION_KEYS = {"plant": PLANT_KEYS, "grid": tuple(powergrid.GRID_TABLE), **SEC
 # (flag, section, key) of the command-line flags that override a config key
 _FLAG_KEYS = (
     ("seed", "simulation", "seed"),
-    ("convention", "analysis", "convention"),
     ("out", "output", "dir"),
     ("eta", "controller", "eta"),
     ("steps", "simulation", "steps"),
@@ -325,12 +315,15 @@ def cmd_analyze(args) -> int:
     inst = _resolve_instance(config)
     ctl = _controller(config)
     report = analysis.build_report(
-        inst.obj, inst.model, inst.d, ctl.eta, config["analysis"]["eta_grid"], inst.plant
+        inst.obj, inst.model, inst.d, ctl.eta, DEFAULT_ETA_GRID, inst.plant
     )
     out_dir = _resolve_out_dir(config)
     path = os.path.join(out_dir, "analysis_report.json") if out_dir else None
     sys.stdout.write(_dump_json(report, path))
-    rate = report["conventions"][config["analysis"]["convention"]]["rate_at_eta"]
+    if "error" in report["equilibrium"]:  # a singular fixed point
+        print(f"error: {report['equilibrium']['error']}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    rate = report["conventions"]["tight"]["rate_at_eta"]
     ok = report["coupling"]["satisfied"] and bool(rate.get("admissible"))
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -349,7 +342,6 @@ def _simulate(config: dict) -> int:
             raise ConfigError("'simulation.seed' is required when u0 is 'random'")
         rng = convert("simulation.seed", np.random.default_rng, seed)
         u0 = rng.standard_normal(inst.model.n)
-    convention = Convention(config["analysis"]["convention"])
     star = global_optimum(inst.obj, inst.model, inst.d)
     if ctl.mode is Mode.CENTRALIZED:
         u_ref, u_ref_kind = star.u, "optimum"
@@ -384,7 +376,7 @@ def _simulate(config: dict) -> int:
             data["final_rel_err"] = float(err.rel_err_u[-1])
             data["absolute_errors"] = err.absolute
         if ctl.mode is Mode.DECENTRALIZED:
-            consts = analysis.monotonicity_constants(inst.obj, inst.model, convention)
+            consts = analysis.monotonicity_constants(inst.obj, inst.model)
             sub = analysis.suboptimality_bound(
                 inst.obj, inst.model, inst.d, fixed.u, consts
             )
@@ -392,7 +384,7 @@ def _simulate(config: dict) -> int:
                 "distance": float(np.linalg.norm(star.u - fixed.u)),
                 "bound": sub.bound,
                 "applicable": sub.applicable,
-                "convention": convention.value,
+                "convention": "tight",
             }
         return data
 
@@ -535,19 +527,14 @@ def cmd_grid_sweep(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, set]:
+    """The ``ofo`` parser and every flag of it and its subcommands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file")
     common.add_argument(
         "--out", default=argparse.SUPPRESS, help="output directory for emitted files"
     )
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed override")
-    common.add_argument(
-        "--convention",
-        choices=[c.value for c in Convention],
-        default=argparse.SUPPRESS,
-        help="constant convention for checked certificates",
-    )
     parser = argparse.ArgumentParser(
         prog="ofo",
         description="Feedback-optimization simulation and certification toolkit",
@@ -574,11 +561,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--eta", type=float, default=None, help="controller step size")
     sweep.add_argument("--steps", type=int, default=None, help="iteration budget")
-    return parser
+    parsers = (parser, *subs.choices.values(), *grid_subs.choices.values())
+    return parser, {flag for p in parsers for flag in p._option_string_actions}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the value of an unknown flag before the subcommand for
+    # the subcommand ("invalid choice: 'paper'"), so a flag that is not a
+    # known flag or a prefix of one (argparse's abbreviation) is named first
+    names = [arg.split("=")[0] for arg in argv if arg.startswith("--")]
+    unknown = [name for name in names if not any(f.startswith(name) for f in flags)]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

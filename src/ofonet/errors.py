@@ -4,10 +4,14 @@ Numerical failures carry enough context (iteration counts, residuals,
 spectral radii, partial trajectories) for callers to report or recover.
 ``as_vector`` is the single "must have length n" check every layer uses.
 ``read_section`` reads each config section through a key table, and
-``convert`` is the one place where a rejected value becomes a ConfigError.
-``finite``, ``number`` and ``whole`` are the shared value parsers: a JSON
-boolean or string is never a number.
+``convert`` is the one place where a rejected value becomes a ConfigError;
+a constructor check marks its error with ``on_field`` so that ``convert``
+names the field, 'section.field'.  ``finite``, ``number`` and ``whole``
+are the shared value parsers: a JSON boolean or string is never a number,
+not even as one entry of a vector or matrix.
 """
+
+import itertools
 
 import numpy as np
 
@@ -24,6 +28,7 @@ __all__ = [
     "as_vector",
     "as_section",
     "convert",
+    "on_field",
     "read_section",
     "finite",
     "number",
@@ -118,12 +123,23 @@ def as_section(name: str, data) -> dict:
     return data
 
 
+def on_field(field: str, exc: Exception) -> Exception:
+    """``exc``, marked as the rejection of argument ``field`` by a constructor check."""
+    exc.field = field
+    return exc
+
+
 def convert(name: str, parse, *args, **kwargs):
-    """``parse(*args, **kwargs)``; any error it raises becomes a ConfigError naming ``name``."""
+    """``parse(*args, **kwargs)``; any error it raises becomes a ConfigError naming ``name``.
+
+    An error marked by ``on_field`` is named 'name.field'.
+    """
     try:
         return parse(*args, **kwargs)
     except (TypeError, ValueError, OverflowError, OfonetError) as exc:
-        raise ConfigError(f"invalid '{name}': {exc}") from exc
+        field = getattr(exc, "field", None)
+        key = name if field is None else f"{name}.{field}"
+        raise ConfigError(f"invalid '{key}': {exc}") from exc
 
 
 def read_section(name: str, data, table: dict) -> dict:
@@ -143,8 +159,18 @@ def read_section(name: str, data, table: dict) -> dict:
 
 
 def finite(value) -> np.ndarray:
-    """Config parser: a float array with finite entries."""
+    """Config parser: an array of JSON numbers, as floats, with finite entries.
+
+    The float conversion would read a boolean as 0 or 1, parse a numeric
+    string and read null as NaN, so one pass over the rows of ``value``
+    rejects all three.
+    """
     arr = np.asarray(value, dtype=float)
+    rows = [value] if arr.ndim else [[value]]
+    for _ in range(arr.ndim - 1):
+        rows = itertools.chain.from_iterable(rows)
+    if any({bool, str, type(None)} & set(map(type, row)) for row in rows):
+        raise TypeError("entries must be JSON numbers, not strings, booleans or null")
     if not np.all(np.isfinite(arr)):
         raise ValueError("contains non-finite entries")
     return arr

@@ -30,6 +30,7 @@ from .errors import (
     as_vector,
     convert,
     finite,
+    on_field,
     read_section,
 )
 
@@ -55,9 +56,10 @@ SCHUR_TOL = 1e-9
 def _as_matrix(value, name: str) -> NDArray[np.float64]:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
+        message = f"{name} must be a 2-D matrix, got ndim={arr.ndim}"
+        raise on_field(name, DimensionMismatch(message))
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise on_field(name, ValueError(f"{name} contains non-finite entries"))
     return arr
 
 
@@ -124,31 +126,30 @@ class LtiPlant:
     d: NDArray[np.float64]
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = _as_matrix(self.B, "B")
-        C = _as_matrix(self.C, "C")
-        D = _as_matrix(self.D, "D")
-        n_state = A.shape[0]
-        if A.shape[1] != n_state:
-            raise DimensionMismatch(f"A must be square, got shape {A.shape}")
-        n = B.shape[1]
-        if B.shape[0] != n_state:
-            raise DimensionMismatch(
-                f"B must have {n_state} rows to match A, got shape {B.shape}"
-            )
-        if C.shape != (n, n_state):
-            raise DimensionMismatch(
-                f"C must have shape ({n}, {n_state}), got {C.shape}"
-            )
-        if D.shape != (n, n):
-            raise DimensionMismatch(f"D must have shape ({n}, {n}), got {D.shape}")
-        d = as_vector(self.d, n, "d", finite=True)
+        A, B, C, D = (_as_matrix(getattr(self, name), name) for name in "ABCD")
+        n_state, n = A.shape[0], B.shape[1]
+        # A fixes the state dimension and B the agent count; each error names
+        # the matrix it rejects
+        for name, arr, shape in (
+            ("A", A, (n_state, n_state)),
+            ("B", B, (n_state, n)),
+            ("C", C, (n, n_state)),
+            ("D", D, (n, n)),
+        ):
+            if arr.shape != shape:
+                message = f"{name} must have shape {shape}, got {arr.shape}"
+                raise on_field(name, DimensionMismatch(message))
+        try:
+            d = as_vector(self.d, n, "d", finite=True)
+        except (ValueError, DimensionMismatch) as exc:
+            raise on_field("d", exc)
         radius = _unstable_radius(A)
         if radius is not None:
-            raise ValueError(
+            message = (
                 f"A is not Schur stable (spectral radius {radius:.6g}); "
                 "(I - A) would be singular or ill-conditioned"
             )
+            raise on_field("A", ValueError(message))
         for name, arr in (("A", A), ("B", B), ("C", C), ("D", D), ("d", d)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -36,11 +36,13 @@ from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import (
     CouplingTooStrong,
+    DimensionMismatch,
     UnstableDiscretization,
     as_vector,
     convert,
     finite,
     number,
+    on_field,
     read_section,
     whole,
 )
@@ -108,15 +110,17 @@ class GridSpec:
         edges = _edge_pairs(self.edges)
         e = len(edges)
         # a connected graph on n nodes needs n - 1 edges; checked before
-        # anything n-sized is allocated
+        # anything n-sized is allocated.  Every other check names the field
+        # it rejects; this one relates two, so it names neither.
         if not 2 <= n <= e + 1:
             raise ValueError(f"n_nodes must lie in [2, len(edges) + 1 = {e + 1}], got {n}")
         adjacency = [set() for _ in range(n)]
         for i, j in edges:
             if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"edge ({i}, {j}) references a node outside 1..{n}")
+                message = f"edge ({i}, {j}) references a node outside 1..{n}"
+                raise on_field("edges", ValueError(message))
             if i == j:
-                raise ValueError(f"self-loop at node {i}")
+                raise on_field("edges", ValueError(f"self-loop at node {i}"))
             adjacency[i - 1].add(j - 1)
             adjacency[j - 1].add(i - 1)
         # connectivity via breadth-first search from node 1
@@ -130,7 +134,8 @@ class GridSpec:
                     frontier.append(nxt)
         if len(seen) != n:
             missing = sorted(k + 1 for k in range(n) if k not in seen)
-            raise ValueError(f"edge list does not connect nodes {missing} to node 1")
+            message = f"edge list does not connect nodes {missing} to node 1"
+            raise on_field("edges", ValueError(message))
         object.__setattr__(self, "edges", edges)
         defaults = _default_vectors(n, e)
         for name, length, positive in (
@@ -144,15 +149,19 @@ class GridSpec:
         ):
             value = getattr(self, name)
             value = defaults[name] if value is None else value
-            vec = as_vector(value, length, name, finite=True)
-            if positive and not np.all(vec > 0.0):
-                raise ValueError(f"{name} must be strictly positive")
+            try:
+                vec = as_vector(value, length, name, finite=True)
+                if positive and not np.all(vec > 0.0):
+                    raise ValueError(f"{name} must be strictly positive")
+            except (ValueError, DimensionMismatch) as exc:
+                raise on_field(name, exc)
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         for name in ("eps", "gamma1", "gamma2"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                message = f"{name} must be positive and finite, got {value}"
+                raise on_field(name, ValueError(message))
 
     @property
     def n_edges(self) -> int:

@@ -342,8 +342,9 @@ def test_unknown_section_rejected(tmp_path):
         (["grid", "simulate"], {"controller": {"eta": 0.05, "mdoe": "x"}}, "'controller.mdoe'"),
         (["grid", "simulate"], {"simulation": {"lop": "lti"}}, "'simulation.lop'"),
         (["figures", "fig4"], {"simulation": {"lop": "lti"}}, "'simulation.lop'"),
-        (["grid", "build"], {"analysis": {"eta_grid": []}}, "'analysis.eta_grid'"),
-        (["analyze"], {"analysis": {"eta_grid": [0.1, "nan"]}}, "'analysis.eta_grid'"),
+        # 'analysis' (convention, eta_grid) is no longer a section
+        (["grid", "build"], {"analysis": {"eta_grid": [0.1]}}, "'analysis'"),
+        (["analyze"], {"analysis": {"convention": "paper"}}, "'analysis'"),
         (["analyze"], {"objective": {"y_ref": ["a"] * 8}}, "'objective.y_ref'"),
         (["analyze"], {"objective": {"y_ref": [1.0, 2.0]}}, "'objective.y_ref'"),
         (
@@ -374,6 +375,25 @@ def test_unknown_section_rejected(tmp_path):
         # an edge endpoint is a whole number, not a fraction or a boolean
         (["grid", "build"], {"grid": {"edges": _edges_with((1, 2.7))}}, "'grid.edges'"),
         (["grid", "build"], {"grid": {"edges": _edges_with((True, 2))}}, "'grid.edges'"),
+        # no entry of a vector or matrix is a string, a boolean or null
+        (["analyze"], {"plant": {**REF_PLANT, "d": ["1.0", True]}}, "'plant.d'"),
+        (["analyze"], {"objective": {"y_ref": ["0"] + [0.0] * 7}}, "'objective.y_ref'"),
+        (["analyze"], {"objective": {"y_ref": [False] + [0.0] * 7}}, "'objective.y_ref'"),
+        (["grid", "build"], {"grid": {"c_cap": ["1"] + [1.0] * 7}}, "'grid.c_cap'"),
+        (["grid", "build"], {"grid": {"c_cap": [True] + [1.0] * 7}}, "'grid.c_cap'"),
+        (["simulate"], {"simulation": {"u0": [0.1, True] + [0.0] * 6}}, "'simulation.u0'"),
+        (["analyze"], {"objective": {"y_ref": [None] * 8}}, "'objective.y_ref': entries must"),
+        # a value that conflicts with another key is named by its own field
+        (["analyze"], {"grid": {"c_cap": [1.0]}}, "'grid.c_cap': c_cap must have length 8"),
+        (
+            ["analyze"],
+            {"plant": {**REF_PLANT, "D": [[0.0]]}},
+            "'plant.D': D must have shape (2, 2)",
+        ),
+        (["analyze"], {"plant": {**REF_PLANT, "d": [1.0]}}, "'plant.d': d must have length 2"),
+        (["analyze"], {"plant": {**ONE_AGENT, "A": [[1.5]]}}, "'plant.A': A is not Schur stable"),
+        (["analyze"], {"grid": {"eps": -0.1}}, "'grid.eps': eps must be positive"),
+        (["grid", "build"], {"grid": {"edges": _edges_with((1, 1))}}, "'grid.edges': self-loop"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
@@ -406,13 +426,68 @@ def test_output_write_failure_exits_1_without_traceback(tmp_path, capsys, monkey
     assert "Traceback" not in err
 
 
-def test_convention_flag_selects_gate(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, env, name",
+    [
+        # --convention and the 'analysis' keys are no longer read
+        (["--convention", "paper", "analyze"], {}, "--convention"),
+        (["analyze", "--convention=tight"], {}, "--convention"),
+        (["analyze"], {"OFO_ANALYSIS_CONVENTION": "paper"}, "'OFO_ANALYSIS_CONVENTION'"),
+        (["analyze"], {"OFO_ANALYSIS_ETA_GRID": "[0.1]"}, "'OFO_ANALYSIS_ETA_GRID'"),
+        (
+            ["simulate"],
+            {"OFO_SIMULATION_U0": '["0.1", true, 0, 0, 0, 0, 0, 0]'},
+            "'simulation.u0'",
+        ),
+    ],
+)
+def test_flag_or_variable_error_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, env, name):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
     cfg = write_config(tmp_path, {"grid": {}, "controller": {"eta": 0.05}})
-    assert run(["--config", cfg, "--convention", "paper", "analyze"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["conventions"]["paper"]["rate_at_eta"]["admissible"]
-    # both convention blocks are always present regardless of the gate
-    assert report["conventions"]["tight"]["rate_at_eta"]["admissible"]
+    try:
+        code = run(["--config", cfg, "--out", str(tmp_path / "out"), *argv])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and name in errors[0], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eta, code", [(0.5, 0), (1.5, 1)])
+def test_analyze_gates_on_tight_rate(tmp_path, capsys, eta, code):
+    cfg = write_config(tmp_path, {"grid": {}, "controller": {"eta": eta}})
+    assert run(["--config", cfg, "analyze"]) == code
+    rates = {
+        name: entry["rate_at_eta"]["admissible"]
+        for name, entry in json.loads(capsys.readouterr().out)["conventions"].items()
+    }
+    # the N-scaled gate is the tight one at N eta (4 and 12), so it fails at both
+    assert rates == {"tight": code == 0, "paper": False}
+
+
+def test_analyze_reports_a_singular_fixed_point(tmp_path, capsys):
+    # H = B, and gamma1 I + gamma2 H_diag H = I + B is singular
+    plant = {**REF_PLANT, "B": [[1.0, 2.0], [2.0, 1.0]]}
+    cfg = write_config(tmp_path, {"plant": plant, "controller": {"eta": 0.1}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "out"), "analyze"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    validate(report, "analysis_report")
+    assert report == json.loads((tmp_path / "out" / "analysis_report.json").read_text())
+    message = "decentralized fixed point equations are singular"
+    assert captured.err.startswith(f"error: {message}")
+    eq = report["equilibrium"]
+    assert eq["error"].startswith(message)
+    assert eq["u_star"] == pytest.approx([-0.3, -0.3])
+    assert [eq[k] for k in ("u_inf", "distance", "relative_distance")] == [None] * 3
+    assert eq["uniqueness_certified"] is None
+    for entry in report["conventions"].values():
+        assert entry["suboptimality"] is None
+        assert len(entry["rate_table"]) == len(cli.DEFAULT_ETA_GRID)
+        assert "xi" in entry["lti"] or "error" in entry["lti"]
 
 
 def test_divergence_at_step_0_leaves_no_stale_csv(tmp_path, capsys):
@@ -465,7 +540,6 @@ VALID_CONFIGS = {
         "objective": {"gamma1": 1.0, "gamma2": 1.0, "y_ref": [1.0] * 8},
         "controller": {"eta": 0.05, "mode": "centralized"},
         "simulation": {"loop": "lti", "u0": "random", "seed": 3, "x0": "zeros", "decimation": 2},
-        "analysis": {"convention": "paper", "eta_grid": [0.01, 0.05]},
         "output": {"dir": "out"},
     },
     "plant": {
@@ -473,7 +547,6 @@ VALID_CONFIGS = {
         "objective": {"gamma1": 1.0, "gamma2": 1.0, "y_ref": [0.0, 0.0]},
         "controller": {"eta": 0.1, "mode": "decentralized"},
         "simulation": {"loop": "lti", "u0": [0.5, 0.5], "x0": [0.0, 1.0], "decimation": 1},
-        "analysis": {"convention": "tight", "eta_grid": [0.1]},
         "output": {"dir": "out"},
     },
 }
@@ -488,7 +561,10 @@ TARGETS = [
     for key in body
     for command in COMMANDS[kind]
 ]
+# no key takes a list with a string or boolean entry, so these always exit 2
+NON_NUMBER_ENTRIES = ([0.5, "1"], [0.5, True])
 VALUES = (None, "x", [], {}, [1, "a"], float("nan"), float("inf"), -5, 10**12, True)
+VALUES += NON_NUMBER_ENTRIES
 MUTATIONS = [("drop",), ("unknown",)] + [("set", value) for value in VALUES]
 
 
@@ -518,5 +594,7 @@ def test_mutated_config_exits_cleanly(tmp_path, monkeypatch, capsys, target, mut
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if mutation[0] == "set" and mutation[1] in NON_NUMBER_ENTRIES:
+        assert code == 2, err
     if code == 2:
         assert f"'{section}.{key}'" in err or f"'{section}'" in err, err
