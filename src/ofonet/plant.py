@@ -18,7 +18,6 @@ H; H_diag is all the decentralized controller gets to use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,17 +84,17 @@ def is_schur_stable(A) -> tuple[bool, float]:
     return radius < 1.0 - SCHUR_TOL, radius
 
 
-def _unstable_radius(A: NDArray[np.float64]) -> Optional[float]:
-    """Spectral radius of a square matrix that fails ``is_schur_stable``, else None.
+def _unstable_radius(A: NDArray[np.float64]) -> list:
+    """Per matrix of the stack A (B, n, n): its radius if not Schur stable, else None.
 
     Since max |eig(A)| <= ||A||_2, a spectral norm below ``1 - SCHUR_TOL``
-    proves stability from one values-only SVD; only a matrix with
-    ||A||_2 >= 1 - SCHUR_TOL pays the nonsymmetric eigenvalue solve.
+    proves stability from one values-only SVD call for the whole stack;
+    only a matrix with ||A||_2 >= 1 - SCHUR_TOL pays the nonsymmetric
+    eigenvalue solve.
     """
-    if not A.size or np.linalg.svd(A, compute_uv=False)[0] < 1.0 - SCHUR_TOL:
-        return None
-    stable, radius = is_schur_stable(A)
-    return None if stable else radius
+    norms = np.linalg.svd(A, compute_uv=False)[:, 0] if A.size else np.zeros(len(A))
+    checks = [(True, 0.0) if s < 1.0 - SCHUR_TOL else is_schur_stable(a) for a, s in zip(A, norms)]
+    return [None if stable else radius for stable, radius in checks]
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class LtiPlant:
             d = as_vector(self.d, n, "d", finite=True)
         except (ValueError, DimensionMismatch) as exc:
             raise on_field("d", exc)
-        radius = _unstable_radius(A)
+        radius = _unstable_radius(A[None])[0]
         if radius is not None:
             message = (
                 f"A is not Schur stable (spectral radius {radius:.6g}); "
@@ -200,18 +199,22 @@ class SensitivityModel:
         return self.H.shape[0]
 
 
-def sensitivity(A, B, C, D) -> SensitivityModel:
+def sensitivity(A, B, C, D):
     """The steady-state sensitivity model of the realization (A, B, C, D).
 
     Solves (I - A) X = B column-wise rather than forming an explicit
     inverse, then sets H = C X + D.  A need not be stable; a numerically
-    singular (I - A) raises SingularMatrix.
+    singular (I - A) raises SingularMatrix.  A stack A (B, n_state,
+    n_state) sharing B, C and D is solved in one call and gives a list of
+    models; one singular slice fails the whole stack.
     """
     try:
-        H_x = np.linalg.solve(np.eye(A.shape[0]) - A, B)
+        H_x = np.linalg.solve(np.eye(A.shape[-1]) - A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"(I - A) is singular: {exc}") from exc
     H = C @ H_x + D
+    if A.ndim == 3:
+        return [SensitivityModel(H=h, H_x=h_x) for h, h_x in zip(H, H_x)]
     return SensitivityModel(H=H, H_x=H_x)
 
 

@@ -20,6 +20,13 @@ injection into an effective output disturbance H (I_star - delta_I) + d_meas.
 The steady-state sensitivity is recomputed from the realized discrete
 matrices rather than any closed form, so the closed-loop layers see a
 self-consistent y = H u + d.
+
+Grids that differ only in G share one assembly: their A_d lie on one
+leading axis (B, n_state, n_state), screened by one SVD call and solved
+by one stacked solve; ``assemble_plant`` is B = 1, ``sweep_g`` stacks
+every positive G.  A G so small that 1 + eps g / c_cap rounds to 1 leaves
+the grid without a ground path (the incidence matrix has rank n - 1), so
+(I - A_d) is singular: the sweep notes that row, certificate cells empty.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import (
     CouplingTooStrong,
     DimensionMismatch,
+    SingularMatrix,
     UnstableDiscretization,
     as_vector,
     convert,
@@ -189,39 +197,43 @@ def incidence(spec: GridSpec) -> NDArray[np.float64]:
     return mat
 
 
-def _raw_matrices(spec: GridSpec):
+def _raw_matrices(spec: GridSpec, g_node: NDArray[np.float64]):
+    """A_d of ``spec`` stacked over the rows of ``g_node`` (B, n), and B_d and C_d.
+
+    Slices differ only on the G diagonal, 1 + eps (e_inv_i (-g_i)).
+    """
     n, e = spec.n_nodes, spec.n_edges
     b_inc = incidence(spec)
-    k_mat = np.block(
-        [
-            [-np.diag(spec.g_node), -b_inc],
-            [b_inc.T, -np.diag(spec.r_line)],
-        ]
-    )
+    k_mat = np.block([[np.zeros((n, n)), -b_inc], [b_inc.T, -np.diag(spec.r_line)]])
     e_inv = np.concatenate([1.0 / spec.c_cap, 1.0 / spec.l_ind])
-    a_d = np.eye(n + e) + spec.eps * (e_inv[:, None] * k_mat)
-    b_d = np.zeros((n + e, n))
-    b_d[:n, :] = np.diag(spec.eps / spec.c_cap)
+    a_d = np.repeat((np.eye(n + e) + spec.eps * (e_inv[:, None] * k_mat))[None], len(g_node), 0)
+    a_d[:, range(n), range(n)] = 1.0 + spec.eps * (e_inv[:n] * -g_node)
+    b_d = np.vstack([np.diag(spec.eps / spec.c_cap), np.zeros((e, n))])
     c_d = np.hstack([np.eye(n), np.zeros((n, e))])
     return a_d, b_d, c_d
 
 
-def _discretize(spec: GridSpec):
-    """The plant (None when unstable), model, d_eff and unstable radius of ``spec``.
+def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> list:
+    """Per row of ``g_node`` (B, n), the plant (None when unstable), model,
+    d_eff and unstable radius of ``spec`` with that g_node, or the
+    SingularMatrix its steady-state solve raised.
 
-    (I - A_d) = -eps E^{-1} K is invertible for any eps, stable or not,
-    so the steady-state map exists even when the discretization is too
-    coarse to simulate.
+    (I - A_d) = -eps E^{-1} K is invertible for positive conductances,
+    so the steady-state map exists even when A_d is unstable.
     """
-    a_d, b_d, c_d = _raw_matrices(spec)
+    a_d, b_d, c_d = _raw_matrices(spec, g_node)
     d_d = np.zeros((spec.n_nodes, spec.n_nodes))
-    radius = _unstable_radius(a_d)
-    model = sensitivity(a_d, b_d, c_d, d_d)
-    d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
-    plant = None
-    if radius is None:
-        plant = LtiPlant(A=a_d, B=b_d, C=c_d, D=d_d, d=d_eff)
-    return plant, model, d_eff, radius
+    try:
+        models = sensitivity(a_d, b_d, c_d, d_d)
+    except SingularMatrix as exc:
+        # one singular slice fails the stacked solve: solve each row alone
+        return [exc] if len(g_node) == 1 else [o for g in g_node for o in _discretize(spec, g[None])]
+    out = []
+    for a, radius, model in zip(a_d, _unstable_radius(a_d), models):
+        d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
+        plant = LtiPlant(A=a, B=b_d, C=c_d, D=d_d, d=d_eff) if radius is None else None
+        out.append((plant, model, d_eff, radius))
+    return out
 
 
 def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[np.float64]]:
@@ -234,8 +246,13 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     ------
     UnstableDiscretization
         If the Euler step is too large for the chosen parameters.
+    SingularMatrix
+        If (I - A_d) is numerically singular (a vanishing conductance).
     """
-    plant, model, d_eff, radius = _discretize(spec)
+    outcome = _discretize(spec, spec.g_node[None])[0]
+    if isinstance(outcome, SingularMatrix):
+        raise outcome
+    plant, model, d_eff, radius = outcome
     if plant is None:
         raise UnstableDiscretization(radius)
     return plant, model, d_eff
@@ -247,20 +264,20 @@ def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjectiv
     return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
 
 
-def _sweep_row(spec: GridSpec, g: float, eta: float) -> tuple[dict, tuple | None]:
+def _sweep_row(spec: GridSpec, g: float, outcome, eta: float) -> tuple[dict, tuple | None]:
     """One sweep row without its closed loop, and the loop's inputs.
 
-    The inputs are (H, d_eff, y_ref, decentralized fixed point), or None
-    for a row that cannot run a loop.
+    ``outcome`` is the row's ``_discretize`` result or the error naming
+    why it has none.  The inputs are (H, d_eff, y_ref, decentralized
+    fixed point), or None for a row that cannot run a loop.
     """
-    if not (g > 0.0 and np.isfinite(g)):
-        return {"g": g, "note": "conductance must be positive"}, None
-    spec_g = dataclasses.replace(spec, g_node=g * np.ones(spec.n_nodes))
+    if isinstance(outcome, Exception):
+        return {"g": g, "note": str(outcome)}, None
+    plant, model, d_eff, radius = outcome
     row: dict = {"g": g, "note": ""}
-    plant, model, d_eff, radius = _discretize(spec_g)
     if plant is None:
         row["note"] = f"unstable discretization (spectral radius {radius:.6g})"
-    obj = grid_objective(spec_g, model)
+    obj = grid_objective(spec, model)
     satisfied, lhs, rhs = analysis.coupling_condition(obj, model)
     row["coupling_ok"] = satisfied
     row["coupling_lhs"] = lhs
@@ -300,18 +317,23 @@ def sweep_g(
 ) -> list[dict]:
     """Evaluate the sub-optimality trade-off across node conductances.
 
-    For each G the grid is reassembled, both reference points solved
-    and the certificates recorded, row by row.  The decentralized loops
-    of all rows then run as one batched loop, which reproduces each
-    row's ``sim.run_algebraic`` final iterate bit for bit.  Failures
-    annotate their row, a diverged loop with the step at which it
-    diverged; the sweep itself never aborts.
+    The grids of all positive G are assembled, screened and solved on
+    one leading axis, then both reference points and the certificates
+    are recorded row by row.  The decentralized loops of all rows run as
+    one batched loop, which reproduces each row's ``sim.run_algebraic``
+    final iterate bit for bit.  Failures annotate their row, a singular
+    solve with empty certificate cells and a diverged loop with the step
+    at which it diverged; the sweep itself never aborts.
     """
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()
+    g_values = [float(g) for g in g_values]
+    ok = [g > 0.0 and np.isfinite(g) for g in g_values]
+    outcomes = iter(_discretize(base, np.outer(np.compress(ok, g_values), np.ones(base.n_nodes))))
     rows, pending = [], []
-    for g in g_values:
-        row, loop = _sweep_row(base, float(g), eta)
+    for g, valid in zip(g_values, ok):
+        outcome = next(outcomes) if valid else ValueError("conductance must be positive")
+        row, loop = _sweep_row(base, g, outcome, eta)
         rows.append(row)
         if loop is not None:
             pending.append((row, loop))

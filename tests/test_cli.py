@@ -288,6 +288,19 @@ def test_grid_sweep_diverging_rows_exit_0(tmp_path, capsys):
         assert "closed loop diverged (non-finite iterate at step " in row["note"]
 
 
+def test_grid_sweep_singular_row_exits_0(tmp_path, capsys):
+    # a vanishing conductance makes that row's (I - A_d) singular; the
+    # sweep annotates it and every other row is as without it
+    out = tmp_path / "sing"
+    assert run(["--out", str(out), "grid", "sweep", "--g", "1,1e-18,5", "--eta", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["annotated_rows"] == [1e-18]
+    assert run(["--out", str(tmp_path / "ref"), "grid", "sweep", "--g", "1,5", "--eta", "0.05"]) == 0
+    lines = (out / "grid_sweep.csv").read_text().splitlines()
+    empty = "," * (len(powergrid.SWEEP_COLUMNS) - 2)
+    assert lines[2] == f"1.0000000000000001e-18{empty},(I - A) is singular: Singular matrix"
+    assert lines[:2] + lines[3:] == (tmp_path / "ref" / "grid_sweep.csv").read_text().splitlines()
+
+
 def test_grid_sweep_bad_g(tmp_path):
     assert run(["grid", "sweep", "--g", "1,oops", "--eta", "0.05"]) == 2
 

@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ofonet.powergrid as pg
 import ofonet.sim as sim
 from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point
-from ofonet.errors import ConfigError, NonFinite, UnstableDiscretization
+from ofonet.errors import ConfigError, NonFinite, SingularMatrix, UnstableDiscretization
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import compute_sensitivity, is_schur_stable
+from ofonet.plant import compute_sensitivity, is_schur_stable, sensitivity
 from ofonet.sim import run_lti
 
 
@@ -74,7 +76,7 @@ def test_grid_model_equals_compute_sensitivity_of_its_plant(jitter):
             g_node=rng.uniform(0.5, 2.0, 8),
             eps=0.05,
         )
-    plant, model, _, radius = pg._discretize(spec)
+    (plant, model, _, radius), = pg._discretize(spec, spec.g_node[None])
     assert radius is None
     again = compute_sensitivity(plant)
     for name in ("H", "H_diag", "H_x"):
@@ -110,7 +112,7 @@ def test_unstable_conductance_raises():
 def test_unstable_discretization_reports_eigenvalue_radius():
     spec = pg.default_topology()
     bad = pg.spec_from_dict({**pg.spec_to_dict(spec), "g_node": [20.0] * 8})
-    a_d, _, _ = pg._raw_matrices(bad)
+    a_d = pg._raw_matrices(bad, bad.g_node[None])[0][0]
     with pytest.raises(UnstableDiscretization) as info:
         pg.assemble_plant(bad)
     assert info.value.spectral_radius == is_schur_stable(a_d)[1]
@@ -119,7 +121,8 @@ def test_unstable_discretization_reports_eigenvalue_radius():
 def test_stock_grid_assembles_without_eigenvalue_solve(monkeypatch):
     # ||A_d||_2 < 1 on the default topology certifies stability by itself
     spec = pg.default_topology()
-    assert np.linalg.svd(pg._raw_matrices(spec)[0], compute_uv=False)[0] < 1.0 - 1e-9
+    a_d = pg._raw_matrices(spec, spec.g_node[None])[0][0]
+    assert np.linalg.svd(a_d, compute_uv=False)[0] < 1.0 - 1e-9
 
     def boom(a):
         raise AssertionError("eigvals called on a grid with ||A_d||_2 < 1")
@@ -127,6 +130,79 @@ def test_stock_grid_assembles_without_eigenvalue_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", boom)
     plant, _, _ = pg.assemble_plant(spec)
     assert plant.n_state == 17
+
+
+def _random_spec(seed: int, n: int, eps: float) -> pg.GridSpec:
+    """A jittered grid on a random connected topology: a random spanning
+    tree on relabelled nodes plus up to n extra edges."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n) + 1
+    edges = {tuple(sorted((label[k], label[rng.integers(k)]))) for k in range(1, n)}
+    for _ in range(rng.integers(n + 1)):
+        i, j = rng.choice(n, 2, replace=False) + 1
+        edges.add((min(i, j), max(i, j)))
+    e = len(edges)
+    return pg.GridSpec(
+        n_nodes=n,
+        edges=tuple(sorted(edges)),
+        c_cap=rng.uniform(0.5, 2.0, n),
+        l_ind=rng.uniform(0.5, 2.0, e),
+        r_line=rng.uniform(2.0, 20.0, e),
+        g_node=np.ones(n),
+        i_star=rng.uniform(0.0, 2.0, n),
+        delta_i=rng.uniform(0.0, 2.0, n),
+        d_meas=rng.uniform(-0.2, 0.2, n),
+        eps=eps,
+    )
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    batch=st.integers(1, 5),
+    eps=st.floats(0.01, 0.5),
+)
+@example(seed=0, n=8, batch=4, eps=0.5)
+def test_stacked_slices_equal_assemble_plant(seed, n, batch, eps):
+    # per-node conductances on a log scale from 0.05 to 20: at eps near
+    # 0.5 the larger ones make A_d unstable
+    spec = _random_spec(seed, n, eps)
+    g_node = np.exp(np.random.default_rng(seed + 1).uniform(np.log(0.05), np.log(20.0), (batch, n)))
+    a_d, b_d, c_d = pg._raw_matrices(spec, g_node)
+    e_inv = np.concatenate([1.0 / spec.c_cap, 1.0 / spec.l_ind])
+    inc = pg.incidence(spec)
+    d_d = np.zeros((n, n))
+    for g, a, outcome in zip(g_node, a_d, pg._discretize(spec, g_node)):
+        # the slice is the full formula I + eps E^{-1} K, byte for byte
+        k_mat = np.block([[-np.diag(g), -inc], [inc.T, -np.diag(spec.r_line)]])
+        full = np.eye(len(e_inv)) + spec.eps * (e_inv[:, None] * k_mat)
+        assert a.tobytes() == full.tobytes()
+        plant, model, d_eff, radius = outcome
+        alone = sensitivity(full, b_d, c_d, d_d)
+        for name in ("H", "H_diag", "H_x"):
+            assert getattr(model, name).tobytes() == getattr(alone, name).tobytes(), name
+        spec_g = dataclasses.replace(spec, g_node=g)
+        if radius is not None:
+            assert plant is None
+            with pytest.raises(UnstableDiscretization) as info:
+                pg.assemble_plant(spec_g)
+            assert info.value.spectral_radius == radius == is_schur_stable(full)[1]
+            continue
+        ref_plant, ref_model, ref_d = pg.assemble_plant(spec_g)
+        assert plant.A.tobytes() == ref_plant.A.tobytes()
+        assert d_eff.tobytes() == ref_d.tobytes() == plant.d.tobytes()
+        for name in ("H", "H_diag", "H_x"):
+            assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes(), name
+
+
+def test_sweep_annotates_singular_row_and_keeps_the_rest():
+    # g = 1e-18 rounds A_d to the ungrounded grid's, so (I - A_d) is singular
+    rows = pg.sweep_g([1.0, 1e-18, 5.0], eta=0.05, steps=2000)
+    assert rows[1] == {"g": 1e-18, "note": "(I - A) is singular: Singular matrix"}
+    assert [rows[0], rows[2]] == pg.sweep_g([1.0, 5.0], eta=0.05, steps=2000)
+    with pytest.raises(SingularMatrix, match="singular"):
+        pg.assemble_plant(dataclasses.replace(pg.default_topology(), g_node=1e-18 * np.ones(8)))
 
 
 def test_sweep_columns_and_notes():
@@ -144,7 +220,7 @@ def test_sweep_columns_and_notes():
 def _grid_row(g):
     spec = pg.default_topology()
     spec = dataclasses.replace(spec, g_node=g * np.ones(spec.n_nodes))
-    plant, model, d_eff, _ = pg._discretize(spec)
+    (plant, model, d_eff, _), = pg._discretize(spec, spec.g_node[None])
     return plant, model, pg.grid_objective(spec, model), d_eff
 
 
