@@ -25,7 +25,6 @@ from .analysis import (
     Convention,
     contraction_rate,
     coupling_condition,
-    eta_star,
     monotonicity_constants,
     suboptimality_bound,
     xi_matrix,
@@ -53,7 +52,6 @@ __all__ = [
     "contraction_rate",
     "coupling_condition",
     "decentralized_fixed_point",
-    "eta_star",
     "global_optimum",
     "metrics",
     "monotonicity_constants",

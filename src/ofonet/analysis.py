@@ -8,12 +8,16 @@ singular values of the sensitivity and the declared objective moduli:
   (``Convention``, ``MonotonicityConstants``, ``monotonicity_constants``
   and ``coupling_condition``, owned by ``equilibria`` and re-exported);
 * the algebraic-loop contraction rate rho(eta) and the admissible step
-  interval, plus the distance bound between the decentralized fixed
-  point and the global optimum;
-* the dynamic-loop certificate: a 2x2 matrix Xi(eta) whose largest
-  eigenvalue bounds the per-step decay of the combined squared error
+  interval (``ContractionRate``), plus the distance bound between the
+  decentralized fixed point and the global optimum
+  (``SuboptimalityBound``);
+* the dynamic-loop certificate (``LtiRateCertificate``, from
+  ``xi_matrix``): a 2x2 matrix Xi(eta) whose largest eigenvalue bounds
+  the per-step decay of the combined squared error
   ||x - H_x u||^2 + ||u - u_inf||^2, with the critical step size
-  eta_star below which lam_max(Xi) < 1.
+  eta_star below which lam_max(Xi) < 1 and the branch that gives it.
+
+``build_report`` gathers all of them into one JSON document.
 
 Every constant exists in two conventions.  The N-scaled convention
 multiplies the aggregate moduli by the agent count N; the blockwise
@@ -32,7 +36,6 @@ alongside for comparison.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -45,7 +48,6 @@ from .equilibria import (
     SVAL_TOL,
     Convention,
     MonotonicityConstants,
-    _gradient,
     _max_abs_diag,
     _n_factor,
     _svals,
@@ -54,33 +56,25 @@ from .equilibria import (
     global_optimum,
     monotonicity_constants,
 )
-from .errors import CouplingTooStrong, NotCertifiable, SingularMatrix
+from .errors import CouplingTooStrong, SingularMatrix
 from .objective import SeparableObjective
 from .plant import LtiPlant, SensitivityModel
 
 __all__ = [
     "SVAL_TOL",
-    "TRACK_SLACK",
     "Convention",
     "Branch",
     "MonotonicityConstants",
     "ContractionRate",
-    "TrackingCheck",
     "SuboptimalityBound",
     "LtiRateCertificate",
     "monotonicity_constants",
     "coupling_condition",
     "contraction_rate",
-    "tracking_inequality_check",
     "suboptimality_bound",
     "xi_matrix",
-    "eta_star",
-    "monotonicity_gap_test",
     "build_report",
 ]
-
-# Additive slack on per-step trajectory inequalities.
-TRACK_SLACK = 1e-9
 
 
 class Branch(enum.Enum):
@@ -104,17 +98,6 @@ class ContractionRate:
 
 
 @dataclass(frozen=True)
-class TrackingCheck:
-    """Per-step verdicts of the linear tracking inequality along a run."""
-
-    one_step_ok: NDArray[np.bool_]
-    telescoped_ok: NDArray[np.bool_]
-    rho: float
-    admissible: bool
-    bias: float
-
-
-@dataclass(frozen=True)
 class SuboptimalityBound:
     bound: float
     applicable: bool
@@ -126,7 +109,7 @@ class LtiRateCertificate:
 
     lam_max bounds the one-step contraction factor of the combined
     squared error at the given eta.  eta_star is the critical step
-    (None when the instance is not certifiable), capped at m'/L'.
+    (None when sigma_max(A) >= 1), capped at m'/L'.
     """
 
     xi: NDArray[np.float64]
@@ -162,80 +145,24 @@ def _sigma_min_sq(M) -> float:
     return float(s[-1] ** 2)
 
 
-def _rho(consts: MonotonicityConstants, eta: float) -> float:
-    """rho(eta) = sqrt(1 - 2 m eta + L^2 eta^2) + c eta; NaN for a negative radicand."""
-    m, c, L = consts.m, consts.c, consts.L
-    radicand = 1.0 - 2.0 * m * eta + (L * eta) ** 2
-    return math.sqrt(radicand) + c * eta if radicand >= 0.0 else math.nan
-
-
-def _neglected_coupling(obj, model, y) -> float:
-    """||(H^T - H_diag) grad_y(y)||, the gradient term the decentralized loop drops."""
-    return float(np.linalg.norm((model.H.T - model.H_diag) @ obj_mod.grad_y(obj, y)))
-
-
 def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRate:
     """Linear rate rho = sqrt(1 - 2 m eta + L^2 eta^2) + c eta.
 
     The step is admissible when it lies in the open interval
     (0, 2(m-c)/(L^2-m^2)) and rho < 1; both are checked numerically
-    rather than trusting either to imply the other.
+    rather than trusting either to imply the other.  rho is NaN when
+    the radicand is negative.
     """
     m, c, L = consts.m, consts.c, consts.L
     if m <= c:
         raise CouplingTooStrong(f"m={m:.6g} <= c={c:.6g}")
     degenerate = L == m
     eta_upper = math.inf if degenerate else 2.0 * (m - c) / (L**2 - m**2)
-    rho = _rho(consts, eta)
+    radicand = 1.0 - 2.0 * m * eta + (L * eta) ** 2
+    rho = math.sqrt(radicand) + c * eta if radicand >= 0.0 else math.nan
     admissible = bool(0.0 < eta < eta_upper and not math.isnan(rho) and rho < 1.0)
     return ContractionRate(
         rho=rho, admissible=admissible, eta_upper=eta_upper, degenerate=degenerate
-    )
-
-
-def tracking_inequality_check(
-    trajectory,
-    obj: SeparableObjective,
-    model: SensitivityModel,
-    u_star,
-    y_star,
-    consts: MonotonicityConstants,
-    eta: float,
-) -> TrackingCheck:
-    """Verify the linear tracking inequality along a decentralized run.
-
-    For each step the one-step form
-        ||u_{k+1} - u*|| <= rho ||u_k - u*|| + eta * bias + TRACK_SLACK
-    and the telescoped form
-        ||u_k - u*|| <= rho^k ||u_0 - u*|| + eta * bias * sum_{j<k} rho^j
-    are evaluated, where bias = ||(H^T - H_diag) grad_y(y*)||.  With an
-    inadmissible eta the flags are still produced, just not meaningful
-    as a certificate; ``admissible`` says which case applies.
-    """
-    u_star = np.asarray(u_star, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
-    rho = _rho(consts, eta)
-    admissible = bool(not math.isnan(rho) and 0.0 < rho < 1.0)
-    bias = _neglected_coupling(obj, model, y_star)
-    u_series = np.asarray(trajectory.u_series, dtype=float)
-    dist = np.linalg.norm(u_series - u_star, axis=1)
-    n_steps = len(dist) - 1
-    one_step = np.zeros(max(n_steps, 0), dtype=bool)
-    for k in range(n_steps):
-        one_step[k] = dist[k + 1] <= rho * dist[k] + eta * bias + TRACK_SLACK
-    telescoped = np.zeros(len(dist), dtype=bool)
-    geo = 0.0  # sum_{j<k} rho^j
-    pw = 1.0  # rho^k
-    for k in range(len(dist)):
-        telescoped[k] = dist[k] <= pw * dist[0] + eta * bias * geo + TRACK_SLACK
-        geo += pw
-        pw *= rho
-    return TrackingCheck(
-        one_step_ok=one_step,
-        telescoped_ok=telescoped,
-        rho=rho,
-        admissible=admissible,
-        bias=bias,
     )
 
 
@@ -254,8 +181,9 @@ def suboptimality_bound(
     """
     u_inf = np.asarray(u_inf, dtype=float)
     d = np.asarray(d, dtype=float)
-    y_inf = model.H @ u_inf + d
-    lead = _neglected_coupling(obj, model, y_inf)
+    # the gradient term the decentralized loop drops, at y_inf
+    grad_y_inf = obj_mod.grad_y(obj, model.H @ u_inf + d)
+    lead = float(np.linalg.norm((model.H.T - model.H_diag) @ grad_y_inf))
     two_m = 2.0 * consts.m
     satisfied, _, _ = coupling_condition(obj, model)
     if two_m > 1.0:
@@ -296,10 +224,14 @@ def _xi_constants(plant, obj, model, convention):
 
 
 def _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t):
-    if m_prime <= 0.0:
-        raise NotCertifiable(f"m' = {m_prime:.6g} <= 0 (coupling too strong)")
+    """(eta_star, branch) for m' > 0; (None, None) when t <= 0, i.e. sigma_max(A) >= 1.
+
+    Two-branch closed form selected by the sign of a3 m' + 2 a1 a2 - a4 L',
+    capped at m'/L' (the cap is what keeps the (2,2) block of Xi a
+    contraction).
+    """
     if t <= 0.0:
-        raise NotCertifiable(f"t = {t:.6g} <= 0 (sigma_max(A) >= 1)")
+        return None, None
     disc = a3 * m_prime + 2.0 * a1 * a2 - a4 * l_prime
     lin = a4 * m_prime + a2**2 + t * l_prime
     if disc > 0.0:
@@ -330,7 +262,7 @@ def xi_matrix(
           [a1 eta^2 + a2 eta,                  1 - m' eta + L' eta^2]].
 
     The eigenvalue comes from the 2x2 closed form.  eta_star and its
-    branch are attached when the instance is certifiable, else left None.
+    branch are attached when sigma_max(A) < 1, else left None.
     """
     m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(plant, obj, model, convention)
     if m_prime <= 0.0:
@@ -346,10 +278,7 @@ def xi_matrix(
     half_sum = 0.5 * (xi[0, 0] + xi[1, 1])
     half_diff = 0.5 * (xi[0, 0] - xi[1, 1])
     lam_max = half_sum + math.hypot(half_diff, off)
-    try:
-        star, branch = _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t)
-    except NotCertifiable:
-        star, branch = None, None
+    star, branch = _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t)
     return LtiRateCertificate(
         xi=xi,
         lam_max=float(lam_max),
@@ -364,50 +293,6 @@ def xi_matrix(
         eta_star=star,
         branch=branch,
     )
-
-
-def eta_star(
-    plant: LtiPlant,
-    obj: SeparableObjective,
-    model: SensitivityModel,
-    convention: Convention = Convention.TIGHT,
-) -> tuple[float, Branch]:
-    """Critical step size below which lam_max(Xi) < 1.
-
-    Two-branch closed form selected by the sign of
-    a3 m' + 2 a1 a2 - a4 L', additionally capped at m'/L' (the cap is
-    what keeps the (2,2) block of Xi a contraction).
-    """
-    consts = _xi_constants(plant, obj, model, convention)
-    return _eta_star_from_constants(*consts)
-
-
-def monotonicity_gap_test(
-    obj: SeparableObjective,
-    model: SensitivityModel,
-    d,
-    consts: MonotonicityConstants,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical check of (m - c)-strong monotonicity of the pseudo-gradient.
-
-    Draws ``trials`` random pairs in [-10, 10]^n and returns the minimum
-    of <F(u1) - F(u2), u1 - u2> - (m - c) ||u1 - u2||^2; nonnegative up
-    to roundoff when the constants are valid for the instance.
-    """
-    d = np.asarray(d, dtype=float)
-    n = model.n
-    margin = consts.m - consts.c
-    pseudo = functools.partial(_gradient, obj, model, model.H_diag, d)
-    worst = math.inf
-    for _ in range(trials):
-        u1 = rng.uniform(-10.0, 10.0, size=n)
-        u2 = rng.uniform(-10.0, 10.0, size=n)
-        diff = u1 - u2
-        gap = float(np.dot(pseudo(u1) - pseudo(u2), diff) - margin * np.dot(diff, diff))
-        worst = min(worst, gap)
-    return worst
 
 
 def _rate_entry(consts, eta):

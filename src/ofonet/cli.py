@@ -236,6 +236,10 @@ def _objective(objc: dict, default: QuadraticObjective) -> SeparableObjective:
     """The configured objective for the agents of ``default``, which fills any unset key."""
     n = default.n
     if objc["custom"] is not None:
+        # a custom objective takes none of the quadratic's keys
+        for other in ("gamma1", "gamma2", "y_ref"):
+            if objc[other] is not None:
+                raise ConfigError(f"'objective.custom' excludes 'objective.{other}'")
         key, factory = "custom", _CUSTOM_OBJECTIVES.get(objc["custom"])
         if factory is None:
             raise ConfigError(f"'objective.custom': '{objc['custom']}' is not registered")

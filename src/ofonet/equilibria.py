@@ -1,4 +1,4 @@
-"""Reference solutions: global optimum, decentralized fixed point, Nash checks.
+"""Global optimum, decentralized fixed point and the monotonicity constants behind them.
 
 The steady-state design problem is min_u Phi(u, Hu + d).  Both reference
 points are zeros of one gradient,
@@ -46,8 +46,6 @@ __all__ = [
     "coupling_condition",
     "global_optimum",
     "decentralized_fixed_point",
-    "nash_residual",
-    "best_response_check",
 ]
 
 SOLVE_TOL = 1e-10
@@ -257,47 +255,3 @@ def decentralized_fixed_point(
     return _solve(
         obj, model, d, model.H_diag, "decentralized fixed point", step_size, certified
     )
-
-
-def nash_residual(obj: SeparableObjective, model: SensitivityModel, d, u) -> float:
-    """Norm of the pseudo-gradient at u; zero iff u is a Nash equilibrium."""
-    d = as_vector(d, model.n, "d")
-    u = as_vector(u, model.n, "u")
-    return float(np.linalg.norm(_gradient(obj, model, model.H_diag, d, u)))
-
-
-def _player_cost(obj, model, d, u, i):
-    y_i = float(model.H[i] @ u + d[i])
-    return obj.input_costs[i][0](float(u[i])) + obj.output_costs[i][0](y_i)
-
-
-def best_response_check(
-    obj: SeparableObjective,
-    model: SensitivityModel,
-    d,
-    u,
-    i: int,
-    grid_radius: float,
-    tol: float = 1e-8,
-) -> bool:
-    """Brute-force unilateral-deviation test for player i.
-
-    Scans 201 evenly spaced deviations of u_i over
-    [-grid_radius, +grid_radius] and reports whether none of them lowers
-    player i's own cost by more than ``tol``.  Deliberately independent
-    of the gradient machinery so it can serve as its oracle.
-    """
-    n = model.n
-    d = as_vector(d, n, "d")
-    u = as_vector(u, n, "u")
-    if not 0 <= i < n:
-        raise DimensionMismatch(f"agent index {i} out of range for n={n}")
-    if grid_radius <= 0.0:
-        raise ValueError(f"grid_radius must be positive, got {grid_radius}")
-    base = _player_cost(obj, model, d, u, i)
-    trial = u.copy()
-    for delta in np.linspace(-grid_radius, grid_radius, 201):
-        trial[i] = u[i] + delta
-        if _player_cost(obj, model, d, trial, i) < base - tol:
-            return False
-    return True

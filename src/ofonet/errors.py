@@ -21,7 +21,6 @@ __all__ = [
     "SingularMatrix",
     "CouplingTooStrong",
     "NoConvergence",
-    "NotCertifiable",
     "NonFinite",
     "UnstableDiscretization",
     "ConfigError",
@@ -75,14 +74,6 @@ class NoConvergence(OfonetError):
             f"no convergence after {self.iterations} iterations "
             f"(residual {self.residual:.3e})"
         )
-
-
-class NotCertifiable(OfonetError):
-    """A closed-form certificate does not apply to the given instance."""
-
-    def __init__(self, reason):
-        self.reason = str(reason)
-        super().__init__(self.reason)
 
 
 class NonFinite(OfonetError):

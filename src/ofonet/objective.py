@@ -2,9 +2,10 @@
 
 Each agent i carries an input cost phi_i1(u_i) and an output cost
 phi_i2(y_i); the global objective is the sum over agents.  The moduli
-(L_u, m_u, L_y, m_y) are declared by the caller and bound every agent;
-the library validates them by sampling but never infers them, since
-inference from point evaluations is ill-posed.
+(L_u, m_u, L_y, m_y) are declared by the caller and bound every agent.
+The library checks only 0 < m <= L for each pair and never infers them,
+since inference from point evaluations is ill-posed; the sampled check
+of the monotonicity they imply lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "QuadraticObjective",
     "grad_u",
     "grad_y",
-    "value",
 ]
 
 # A scalar cost is a (value, derivative) pair of callables float -> float.
@@ -71,8 +71,8 @@ class SeparableObjective:
         """Number of agents."""
         return len(self.input_costs)
 
-    # The unchecked methods take float vectors of length n; grad_u, grad_y
-    # and value check the length first, a closed loop checks once per run.
+    # The unchecked methods take float vectors of length n; grad_u and grad_y
+    # check the length first, a closed loop checks once per run.
     def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
         """Unchecked grad_u: component i is dphi_i1(u_i)."""
         return np.array([df(ui) for (_, df), ui in zip(self.input_costs, u.tolist())])
@@ -80,15 +80,6 @@ class SeparableObjective:
     def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         """Unchecked grad_y: component i is dphi_i2(y_i)."""
         return np.array([df(yi) for (_, df), yi in zip(self.output_costs, y.tolist())])
-
-    def total_cost(self, u: NDArray[np.float64], y: NDArray[np.float64]) -> float:
-        """Unchecked value: sum_i phi_i1(u_i) + phi_i2(y_i)."""
-        total = 0.0
-        for (f, _), ui in zip(self.input_costs, u):
-            total += f(float(ui))
-        for (f, _), yi in zip(self.output_costs, y):
-            total += f(float(yi))
-        return float(total)
 
 
 class QuadraticObjective(SeparableObjective):
@@ -139,12 +130,6 @@ class QuadraticObjective(SeparableObjective):
     def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         return self.gamma2 * (y - self.y_ref)
 
-    def total_cost(self, u: NDArray[np.float64], y: NDArray[np.float64]) -> float:
-        return float(
-            0.5 * self.gamma1 * np.dot(u, u)
-            + 0.5 * self.gamma2 * np.sum((y - self.y_ref) ** 2)
-        )
-
 
 def grad_u(obj: SeparableObjective, u) -> NDArray[np.float64]:
     """Gradient of the summed input cost; component i is dphi_i1(u_i)."""
@@ -154,8 +139,3 @@ def grad_u(obj: SeparableObjective, u) -> NDArray[np.float64]:
 def grad_y(obj: SeparableObjective, y) -> NDArray[np.float64]:
     """Gradient of the summed output cost; component i is dphi_i2(y_i)."""
     return obj.output_gradient(as_vector(y, obj.n, "y"))
-
-
-def value(obj: SeparableObjective, u, y) -> float:
-    """Total cost sum_i phi_i1(u_i) + phi_i2(y_i)."""
-    return obj.total_cost(as_vector(u, obj.n, "u"), as_vector(y, obj.n, "y"))

@@ -40,7 +40,6 @@ __all__ = [
     "is_schur_stable",
     "sensitivity",
     "compute_sensitivity",
-    "step",
     "plant_from_dict",
     "PLANT_KEYS",
 ]
@@ -221,15 +220,6 @@ def sensitivity(A, B, C, D):
 def compute_sensitivity(plant: LtiPlant) -> SensitivityModel:
     """The steady-state sensitivity model of a (stable) plant."""
     return sensitivity(plant.A, plant.B, plant.C, plant.D)
-
-
-def step(plant: LtiPlant, x, u) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Advance the plant one sample: returns (x_next, y) for state x, input u."""
-    x = as_vector(x, plant.n_state, "state")
-    u = as_vector(u, plant.n, "input")
-    x_next = plant.A @ x + plant.B @ u
-    y = plant.C @ x + plant.D @ u + plant.d
-    return x_next, y
 
 
 def plant_from_dict(data: dict) -> LtiPlant:

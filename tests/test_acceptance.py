@@ -15,18 +15,20 @@ from conftest import (
     random_weakly_coupled,
     reference_instance,
 )
+from oracles import (
+    best_response_check,
+    monotonicity_gap_test,
+    nash_residual,
+    tracking_inequality_check,
+    value,
+)
 
 import ofonet.analysis as an
 import ofonet.powergrid as pg
 import ofonet.sim as sim
 from ofonet.controller import ControllerConfig, Mode
-from ofonet.equilibria import (
-    best_response_check,
-    decentralized_fixed_point,
-    global_optimum,
-    nash_residual,
-)
-from ofonet.objective import grad_u, grad_y, value
+from ofonet.equilibria import decentralized_fixed_point, global_optimum
+from ofonet.objective import grad_u, grad_y
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
 U_INF = np.array([-0.375, -0.5])
@@ -99,7 +101,7 @@ def test_pseudo_gradient_monotonicity_gap(pool100):
     worst = np.inf
     for _, model, obj, d in pool100:
         consts = an.monotonicity_constants(obj, model)
-        gap = an.monotonicity_gap_test(obj, model, d, consts, trials=1000, rng=rng)
+        gap = monotonicity_gap_test(obj, model, d, consts, trials=1000, rng=rng)
         worst = min(worst, gap)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-10 and elapsed < 60.0
@@ -129,7 +131,7 @@ def test_tracking_inequality_along_trajectories(grid_setup):
         star = global_optimum(obj_i, model_i, d_i)
         cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
         traj = sim.run_algebraic(model_i, obj_i, d_i, cfg, steps=5000)
-        check = an.tracking_inequality_check(
+        check = tracking_inequality_check(
             traj, obj_i, model_i, star.u, star.y, consts, eta
         )
         if not (check.admissible and check.one_step_ok.all() and check.telescoped_ok.all()):
@@ -185,8 +187,7 @@ def test_distance_bound_and_convention_regression(pool100):
 
 def decay_certified(plant, model, obj, d, steps=4000):
     fp = decentralized_fixed_point(obj, model, d)
-    star, _ = an.eta_star(plant, obj, model)
-    eta = 0.9 * star
+    eta = 0.9 * an.xi_matrix(plant, obj, model, eta=0.0).eta_star
     cert = an.xi_matrix(plant, obj, model, eta)
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     traj = sim.run_lti(plant, obj, cfg, steps=steps)

@@ -6,11 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_weakly_coupled, reference_instance, static_plant
+from oracles import monotonicity_gap_test, tracking_inequality_check
 
 import ofonet.analysis as an
 from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point, global_optimum
-from ofonet.errors import CouplingTooStrong, NotCertifiable
+from ofonet.errors import CouplingTooStrong
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import LtiPlant, compute_sensitivity
 from ofonet.sim import run_algebraic
@@ -113,7 +114,7 @@ def test_tracking_inequality_2x2():
     star = global_optimum(obj, model, d)
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=0.05)
     traj = run_algebraic(model, obj, d, cfg, steps=500)
-    check = an.tracking_inequality_check(
+    check = tracking_inequality_check(
         traj, obj, model, star.u, star.y, consts, 0.05
     )
     assert check.admissible
@@ -171,7 +172,8 @@ def test_xi_matrix_scalar_oracle():
 
 def test_eta_star_scalar_boundary():
     plant, model, obj = scalar_dynamic_instance()
-    star, branch = an.eta_star(plant, obj, model)
+    cert = an.xi_matrix(plant, obj, model, eta=0.01)
+    star, branch = cert.eta_star, cert.branch
     assert branch is an.Branch.ETA1
     below = an.xi_matrix(plant, obj, model, eta=0.999 * star)
     above = an.xi_matrix(plant, obj, model, eta=1.001 * star)
@@ -180,7 +182,7 @@ def test_eta_star_scalar_boundary():
 
 def test_eta_star_capped_by_descent_window():
     plant, model, obj = scalar_dynamic_instance()
-    star, _ = an.eta_star(plant, obj, model)
+    star = an.xi_matrix(plant, obj, model, eta=0.01).eta_star
     # the cap m'/L' = 10/125 sits above the certified root here
     assert star <= 10.0 / 125.0
 
@@ -190,23 +192,46 @@ def test_xi_lam_max_matches_eig(rng):
 
     for _ in range(10):
         plant, model, obj, _ = random_stable_instance(rng)
-        star, _ = an.eta_star(plant, obj, model)
+        star = an.xi_matrix(plant, obj, model, eta=0.0).eta_star
         cert = an.xi_matrix(plant, obj, model, eta=0.9 * star)
         npt.assert_allclose(cert.lam_max, np.linalg.eigvalsh(cert.xi)[-1], atol=1e-12)
         assert cert.lam_max < 1.0
 
 
+def test_eta_star_absent_when_a_is_not_a_contraction():
+    # sigma_max(A) >= 1 > rho(A) with a decoupled H = I: t < 0 leaves no critical step
+    a = np.array([[0.2, 1.2], [0.0, 0.2]])
+    plant = LtiPlant(A=a, B=np.eye(2) - a, C=np.eye(2), D=np.zeros((2, 2)), d=np.zeros(2))
+    model = compute_sensitivity(plant)
+    npt.assert_allclose(model.H, np.eye(2), atol=1e-12)
+    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
+    cert = an.xi_matrix(plant, obj, model, eta=0.05)
+    assert cert.t == pytest.approx(-0.519, abs=1e-3)
+    assert cert.eta_star is None
+    assert cert.branch is None
+    report = an.build_report(obj, model, plant.d, 0.05, [0.05], plant)
+    assert report["conventions"]["tight"]["lti"]["eta_star"] is None
+
+
+def test_eta_star_second_branch():
+    # (m', L', a1, a2, a3, a4, t) = (1, 1, 0, 0, 0, 1, 0.5): a3 m' + 2 a1 a2 - a4 L' = -1
+    # selects the linear branch t m' / (a4 m' + a2^2 + t L') = 0.5 / 1.5, below the cap m'/L' = 1
+    star, branch = an._eta_star_from_constants(1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5)
+    assert star == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert branch is an.Branch.ETA2
+
+
 def test_eta_star_not_certifiable_when_coupling_dominates():
     plant, model = static_plant(np.array([[1.0, 10.0], [0.0, 1.0]]), np.zeros(2))
     obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
-    with pytest.raises(NotCertifiable):
-        an.eta_star(plant, obj, model)
+    with pytest.raises(CouplingTooStrong):
+        an.xi_matrix(plant, obj, model, eta=0.01)
 
 
 def test_monotonicity_gap_2x2(rng):
     _, model, obj, d = reference_instance()
     consts = an.monotonicity_constants(obj, model)
-    gap = an.monotonicity_gap_test(obj, model, d, consts, trials=1000, rng=rng)
+    gap = monotonicity_gap_test(obj, model, d, consts, trials=1000, rng=rng)
     assert gap >= -1e-10
 
 

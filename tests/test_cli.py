@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ofonet import cli, powergrid
+from ofonet.objective import QuadraticObjective
 from ofonet.plant import PLANT_KEYS
 
 REF_PLANT = {
@@ -261,6 +262,41 @@ def test_grid_simulate_defaults(tmp_path, capsys):
     metrics = json.loads(capsys.readouterr().out)
     validate(metrics, "metrics")
     assert metrics["mode"] == "decentralized"
+
+
+@pytest.mark.parametrize(
+    "objective, code, message",
+    [
+        ({"custom": "shifted"}, 0, ""),
+        (
+            {"custom": "shifted", "y_ref": [5.0] * 8},
+            2,
+            "'objective.custom' excludes 'objective.y_ref'",
+        ),
+        (
+            {"custom": "shifted", "y_ref": [5.0] * 8, "gamma1": 3},
+            2,
+            "'objective.custom' excludes 'objective.gamma1'",
+        ),
+        ({"custom": "unknown"}, 2, "'objective.custom': 'unknown' is not registered"),
+    ],
+)
+def test_custom_objective(tmp_path, capsys, monkeypatch, objective, code, message):
+    agents = []
+
+    def shifted(n):
+        agents.append(n)
+        return QuadraticObjective(2.0, 1.0, [1.0] * n)
+
+    monkeypatch.setitem(cli._CUSTOM_OBJECTIVES, "shifted", shifted)
+    config = {"grid": {}, "objective": objective, "controller": {"eta": 0.05}}
+    cfg = write_config(tmp_path, {**config, "simulation": {"steps": 200}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "out"), "grid", "simulate"]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    # the factory builds the objective only when the config is accepted
+    assert agents == ([8] if code == 0 else [])
 
 
 def test_grid_sweep_custom_values(tmp_path, capsys):

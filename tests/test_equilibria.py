@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_weakly_coupled, reference_instance, static_plant
+from oracles import best_response_check, nash_residual
 from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
@@ -30,25 +31,25 @@ def test_fixed_point_oracle():
 
 def test_nash_residual_at_fixed_point():
     _, model, obj, d = reference_instance()
-    assert eq.nash_residual(obj, model, d, U_INF) <= 1e-10
+    assert nash_residual(obj, model, d, U_INF) <= 1e-10
 
 
 def test_nash_residual_at_origin():
     _, model, obj, d = reference_instance()
     # H_diag = I here, so the pseudo-gradient at u=0 is H_diag d
-    assert eq.nash_residual(obj, model, d, np.zeros(2)) == pytest.approx(np.sqrt(2.0))
+    assert nash_residual(obj, model, d, np.zeros(2)) == pytest.approx(np.sqrt(2.0))
 
 
 def test_best_response_at_fixed_point():
     _, model, obj, d = reference_instance()
     for i in range(2):
-        assert eq.best_response_check(obj, model, d, U_INF, i, grid_radius=1.0)
+        assert best_response_check(obj, model, d, U_INF, i, grid_radius=1.0)
 
 
 def test_best_response_fails_at_optimum():
     _, model, obj, d = reference_instance()
     # u* is not a Nash point of the surrogate game: agent 2 can deviate
-    assert not eq.best_response_check(obj, model, d, U_STAR, 1, grid_radius=1.0)
+    assert not best_response_check(obj, model, d, U_STAR, 1, grid_radius=1.0)
 
 
 def test_general_path_matches_quadratic(rng):

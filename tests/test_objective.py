@@ -1,14 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import value
 
-from ofonet.objective import (
-    QuadraticObjective,
-    SeparableObjective,
-    grad_u,
-    grad_y,
-    value,
-)
+from ofonet.objective import QuadraticObjective, SeparableObjective, grad_u, grad_y
 
 
 def quadratic_as_generic(gamma1, gamma2, y_ref):

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_stable_instance
+from oracles import step
 
 from ofonet.errors import ConfigError, DimensionMismatch
 from ofonet.plant import (
@@ -11,7 +12,6 @@ from ofonet.plant import (
     compute_sensitivity,
     is_schur_stable,
     plant_from_dict,
-    step,
 )
 
 
