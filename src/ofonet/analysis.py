@@ -126,13 +126,7 @@ class LtiRateCertificate:
     branch: Optional[Branch] = None
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.shape != (2, 2):
-            raise ValueError(f"xi must be 2x2, got shape {xi.shape}")
-        if abs(xi[0, 1] - xi[1, 0]) > 0.0:
-            raise ValueError("xi must be symmetric")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
+        self.xi.setflags(write=False)
 
 
 def _sigma_min_sq(M) -> float:

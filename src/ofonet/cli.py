@@ -14,12 +14,14 @@ simulate
     metrics.json, truncating the CSV at the divergence step if the loop
     blows up (exit 1), and removing it if that step is 0.
 figures {fig3,fig4}
-    Preset bundles: fig3 produces the four G=1 trajectories
-    (centralized/decentralized x algebraic/dynamic, eta=0.05); fig4
-    produces the conductance sweep.  Each bundle carries a manifest.
+    Preset bundles on the default grid: fig3 produces the four G=1
+    trajectories (centralized/decentralized x algebraic/dynamic,
+    eta=0.05); fig4 produces the conductance sweep.  Each bundle carries
+    a manifest.  A 'plant' section or a 'grid' key exits 2.
 grid {build,simulate,sweep}
     DC-grid helpers working from the "grid" config section (the default
-    topology when absent).
+    topology when absent).  Only simulate reads 'objective'; build,
+    sweep and the presets exit 2 when it sets a key.
 
 Configuration is a JSON file selected with --config; sections are
 plant | grid (exactly one), objective, controller, simulation, output.
@@ -466,7 +468,9 @@ def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
 
 
 def cmd_figures(args) -> int:
-    config = _configure(args)
+    config = _fixed_objective(_grid_config(args))
+    if as_section("grid", config["grid"]):
+        raise ConfigError("'grid': figures runs the default grid and reads no grid key")
     out_dir = _resolve_out_dir(config, ".")
     bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
     manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
@@ -476,16 +480,23 @@ def cmd_figures(args) -> int:
 
 
 def _grid_config(args) -> dict:
-    """The configuration of a grid subcommand: a 'grid' section, never 'plant'."""
+    """The configuration of a grid subcommand or preset: a 'grid' section, never 'plant'."""
     config = _configure(args)
     if "plant" in config:
-        raise ConfigError("grid subcommands use the 'grid' section, not 'plant'")
+        raise ConfigError("'plant': grid subcommands and presets use the 'grid' section")
     config.setdefault("grid", {})
     return config
 
 
+def _fixed_objective(config: dict) -> dict:
+    """``config``, whose 'objective' section must set no key: the grid fixes the objective."""
+    if any(value is not None for value in config["objective"].values()):
+        raise ConfigError("'objective': grid build, grid sweep and figures use the grid's own")
+    return config
+
+
 def cmd_grid_build(args) -> int:
-    config = _grid_config(args)
+    config = _fixed_objective(_grid_config(args))
     spec = powergrid.spec_from_dict(config["grid"])
     plant, model, d_eff = powergrid.assemble_plant(spec)
     out_dir = _resolve_out_dir(config, ".")
@@ -510,7 +521,7 @@ def cmd_grid_simulate(args) -> int:
 
 
 def cmd_grid_sweep(args) -> int:
-    config = _grid_config(args)
+    config = _fixed_objective(_grid_config(args))
     spec = powergrid.spec_from_dict(config["grid"])
     g_values = convert("--g", lambda g: [float(v) for v in g.split(",") if v != ""], args.g)
     if not g_values:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import objective as obj_mod
 from .errors import DimensionMismatch, NoConvergence, SingularMatrix, as_vector
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import SensitivityModel
@@ -69,17 +68,8 @@ class EquilibriumSolution:
     uniqueness_certified: bool = True
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if u.shape != y.shape or u.ndim != 1:
-            raise DimensionMismatch(
-                f"u and y must be vectors of equal length, got {u.shape}, {y.shape}"
-            )
-        u.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "residual", float(self.residual))
+        self.u.setflags(write=False)
+        self.y.setflags(write=False)
 
 
 class Convention(enum.Enum):
@@ -103,14 +93,6 @@ class MonotonicityConstants:
     sigma_max_h: float
     sigma_min_h: float
     sigma_max_offdiag: float
-
-    def __post_init__(self):
-        if not (self.m > 0.0 and self.L > 0.0):
-            raise ValueError(f"m and L must be positive, got m={self.m}, L={self.L}")
-        if self.c < 0.0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
-        if self.sigma_min_h > self.sigma_max_h:
-            raise ValueError("sigma_min_h exceeds sigma_max_h")
 
 
 def _svals(M) -> NDArray[np.float64]:
@@ -177,7 +159,7 @@ def coupling_condition(
 def _gradient(obj, model, G, d, u):
     """F_G(u) = grad_u(u) + G^T grad_y(Hu + d)."""
     y = model.H @ u + d
-    return obj_mod.grad_u(obj, u) + G.T @ obj_mod.grad_y(obj, y)
+    return obj.input_gradient(u) + G.T @ obj.output_gradient(y)
 
 
 def _iterate(grad_fn, u0, tau):
@@ -201,6 +183,8 @@ def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSol
     runs the fixed-step iteration u <- u - tau F_G(u) from u = 0 to
     residual SOLVE_TOL, with tau = ``step_size()``.
     """
+    if obj.n != model.n:
+        raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
     d = as_vector(d, model.n, "d")
     H = model.H
     if isinstance(obj, QuadraticObjective):

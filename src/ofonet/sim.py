@@ -15,8 +15,10 @@ and early stop included, is written once.
 The loop applies one update map built by ``controller.update_map`` once
 per run.  Runs early-stop when successive iterates move less than
 EARLY_STOP_TOL and raise NonFinite, carrying the finite prefix, when an
-iterate diverges.  ``RunInfo`` holds only what the loop found out: the
-updates performed and whether the run stopped early.
+iterate diverges, the last output included: the loop tests every row
+before recording it, so a ``Trajectory``, which only the loop builds,
+is finite.  ``RunInfo`` holds only what the loop found out: the updates
+performed and whether the run stopped early.
 
 Sweep rows run as one batched loop, ``_run_algebraic_batch``: the
 decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
@@ -55,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .controller import ControllerConfig, update_map
-from .errors import DimensionMismatch, NonFinite, as_vector
+from .errors import NonFinite, as_vector
 from .plant import LtiPlant, SensitivityModel, compute_sensitivity
 
 __all__ = [
@@ -85,33 +87,12 @@ class RunInfo:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded closed-loop iterates; row k holds (u_k, y_k[, x_k])."""
+    """Recorded closed-loop iterates; row k holds (u_k, y_k[, x_k]), each finite."""
 
     u_series: NDArray[np.float64]
     y_series: NDArray[np.float64]
     x_series: Optional[NDArray[np.float64]]
     info: RunInfo
-
-    def __post_init__(self):
-        u = np.asarray(self.u_series, dtype=float)
-        y = np.asarray(self.y_series, dtype=float)
-        if u.shape != y.shape:
-            raise DimensionMismatch(
-                f"u_series and y_series shapes differ: {u.shape} vs {y.shape}"
-            )
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-            raise ValueError("trajectory contains non-finite entries")
-        object.__setattr__(self, "u_series", u)
-        object.__setattr__(self, "y_series", y)
-        if self.x_series is not None:
-            x = np.asarray(self.x_series, dtype=float)
-            if x.shape[0] != u.shape[0]:
-                raise DimensionMismatch(
-                    f"x_series has {x.shape[0]} rows, expected {u.shape[0]}"
-                )
-            if not np.all(np.isfinite(x)):
-                raise ValueError("state series contains non-finite entries")
-            object.__setattr__(self, "x_series", x)
 
     def __len__(self) -> int:
         return self.u_series.shape[0]
@@ -200,31 +181,24 @@ def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
     update = update_map(cfg, obj, model)
     rec = _Recorder(u.size, None if x is None else x.size)
     early = False
-    iterations = 0
-
-    def info(k):
-        return RunInfo(k, early)
-
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        # row k follows k updates; the last pass (k == steps, or early) only records
+        for k in range(steps + 1):
             x_next, y = advance(x, u)
             if not _finite(y):
-                raise NonFinite(k, rec.trajectory(info(iterations)))
+                raise NonFinite(k, rec.trajectory(RunInfo(k, early)))
             rec.append(u, y, x)
+            if k == steps or early:
+                return rec.trajectory(RunInfo(k, early))
             u_next = update(u, y)
-            iterations += 1
             delta_u = _step_norm(u_next, u)
             delta_x = 0.0 if x is None else _step_norm(x_next, x)
             # test each norm: either one alone may be the NaN of a divergence
             if math.isnan(delta_u) or math.isnan(delta_x):
-                raise NonFinite(k + 1, rec.trajectory(info(iterations)))
+                raise NonFinite(k + 1, rec.trajectory(RunInfo(k + 1, early)))
             u, x = u_next, x_next
-            if delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL:
-                early = True
-                break
-        rec.append(u, advance(x, u)[1], x)
-    return rec.trajectory(info(iterations))
+            early = delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL
 
 
 def run_algebraic(

@@ -170,6 +170,13 @@ def test_xi_matrix_scalar_oracle():
     assert cert.branch is an.Branch.ETA1
 
 
+def test_xi_matrix_is_read_only():
+    plant, model, obj = scalar_dynamic_instance()
+    cert = an.xi_matrix(plant, obj, model, eta=0.01)
+    with pytest.raises(ValueError):
+        cert.xi[0, 1] = 0.0
+
+
 def test_eta_star_scalar_boundary():
     plant, model, obj = scalar_dynamic_instance()
     cert = an.xi_matrix(plant, obj, model, eta=0.01)

@@ -443,6 +443,14 @@ def test_unknown_section_rejected(tmp_path):
         (["analyze"], {"plant": {**ONE_AGENT, "A": [[1.5]]}}, "'plant.A': A is not Schur stable"),
         (["analyze"], {"grid": {"eps": -0.1}}, "'grid.eps': eps must be positive"),
         (["grid", "build"], {"grid": {"edges": _edges_with((1, 1))}}, "'grid.edges': self-loop"),
+        # build, sweep and the presets take the grid's objective and read no other
+        (["grid", "sweep", "--g", "1"], {"objective": {"custom": "nope"}}, "'objective'"),
+        (["grid", "build"], {"objective": {"gamma1": 3.0}}, "'objective'"),
+        (["figures", "fig4"], {"objective": {"y_ref": [5.0] * 8}}, "'objective'"),
+        # the presets run the default grid only
+        (["figures", "fig4"], {"grid": {"g_node": [3.0] * 8}}, "'grid'"),
+        (["figures", "fig3"], {"grid": {"eps": None}}, "'grid'"),
+        (["figures", "fig3"], {"plant": REF_PLANT}, "'plant'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
@@ -555,6 +563,43 @@ def test_divergence_at_step_0_leaves_no_stale_csv(tmp_path, capsys):
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["divergence_step"] == 0
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "plant, loop",
+    [
+        ({**ONE_AGENT, "B": [[100.0]]}, "algebraic"),
+        ({**ONE_AGENT, "B": [[0.0]], "C": [[0.0]], "D": [[100.0]]}, "lti"),
+    ],
+)
+def test_last_output_overflow_exits_1_with_truncated_csv(tmp_path, capsys, plant, loop):
+    # u_100 is finite, y_100 = 100 u_100 overflows (see test_sim)
+    config = {
+        "plant": plant,
+        "objective": {"y_ref": [0.0]},
+        "controller": {"eta": 0.1},
+        "simulation": {"loop": loop, "steps": 100, "u0": [5.5e6]},
+    }
+    out = tmp_path / "out"
+    assert run(["--config", write_config(tmp_path, config), "--out", str(out), "simulate"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    metrics = json.loads((out / "metrics.json").read_text())
+    validate(metrics, "metrics")
+    assert metrics["diverged"] is True
+    assert metrics["divergence_step"] == 100
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 101
+
+
+def test_presets_accept_an_empty_grid_and_null_objective_keys(tmp_path, capsys):
+    config = {
+        "grid": {},
+        "objective": {"custom": None, "gamma1": None},
+        "simulation": {"steps": 50},
+    }
+    cfg = write_config(tmp_path, config)
+    sweep = ["grid", "sweep", "--g", "1", "--eta", "0.05"]
+    for argv in (["figures", "fig4"], ["grid", "build"], sweep):
+        assert run(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 0
 
 
 def test_env_field_is_matched_to_a_key(tmp_path, capsys, monkeypatch):

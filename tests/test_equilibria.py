@@ -8,7 +8,7 @@ from oracles import best_response_check, nash_residual
 from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
-from ofonet.errors import NoConvergence
+from ofonet.errors import DimensionMismatch, NoConvergence
 from ofonet.objective import QuadraticObjective
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
@@ -27,6 +27,24 @@ def test_fixed_point_oracle():
     sol = eq.decentralized_fixed_point(obj, model, d)
     npt.assert_allclose(sol.u, U_INF, atol=1e-10)
     assert sol.uniqueness_certified
+
+
+@pytest.mark.parametrize("solve", [eq.global_optimum, eq.decentralized_fixed_point])
+def test_solution_is_read_only(solve):
+    _, model, obj, d = reference_instance()
+    sol = solve(obj, model, d)
+    for arr in (sol.u, sol.y):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("solve", [eq.global_optimum, eq.decentralized_fixed_point])
+@pytest.mark.parametrize("n", [1, 3])
+def test_solvers_reject_an_objective_of_another_agent_count(solve, n):
+    # a one-agent quadratic would broadcast against the two-agent model
+    _, model, _, d = reference_instance()
+    with pytest.raises(DimensionMismatch, match=f"objective has {n} agents, model has 2"):
+        solve(QuadraticObjective(1.0, 1.0, np.zeros(n)), model, d)
 
 
 def test_nash_residual_at_fixed_point():

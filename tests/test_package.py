@@ -1,7 +1,9 @@
 """Package-level checks that span every module."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,21 @@ def test_every_export_resolves(name):
     # a deleted name must not linger in an export list
     module = importlib.import_module(name)
     assert [key for key in module.__all__ if not hasattr(module, key)] == []
+
+
+# Output records that check nothing but their immutability: each invariant
+# they hold is made by their one builder, so a second builder must bring
+# its own checks.
+RECORDS = ("Trajectory", "EquilibriumSolution", "MonotonicityConstants", "LtiRateCertificate")
+
+
+def test_each_output_record_has_one_builder():
+    sites = {name: [] for name in RECORDS}
+    for path in sorted(Path(ofonet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in sites:
+                    sites[name].append(f"{path.name}:{node.lineno}")
+    assert {name: len(found) for name, found in sites.items()} == dict.fromkeys(RECORDS, 1), sites

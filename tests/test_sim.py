@@ -130,6 +130,27 @@ def test_lti_state_only_divergence_on_last_step(steps):
     assert len(info.value.trajectory) == 1
 
 
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+def test_last_output_overflow_raises_with_the_finite_rows(loop):
+    # steady-state gain 100 (through B, or through D with no state path):
+    # each update multiplies u by 1 - 0.1 (1 + 100^2) = -999.1, so from
+    # u_0 = 5.5e6 every update stays finite and u_100 ~ 5e306, but the
+    # last output y_100 = 100 u_100 overflows
+    obj = QuadraticObjective(1.0, 1.0, [0.0])
+    with pytest.raises(NonFinite) as info:
+        if loop == "lti":
+            plant = LtiPlant(A=[[0.0]], B=[[0.0]], C=[[0.0]], D=[[100.0]], d=[0.0])
+            sim.run_lti(plant, obj, dec(0.1), u0=[5.5e6], steps=100)
+        else:
+            _, model = static_plant([[100.0]], [0.0])
+            sim.run_algebraic(model, obj, [0.0], dec(0.1), u0=[5.5e6], steps=100)
+    traj = info.value.trajectory
+    assert info.value.step == 100
+    assert len(traj) == 100
+    assert traj.info.iterations == 100
+    assert np.isfinite(traj.u_series).all() and np.isfinite(traj.y_series).all()
+
+
 def test_overflowing_step_norm_is_not_divergence():
     # finite iterates whose squared norms overflow keep running, unstopped
     _, model, obj, d = reference_instance()
