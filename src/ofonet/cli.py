@@ -17,7 +17,8 @@ figures {fig3,fig4}
     Preset bundles on the default grid: fig3 produces the four G=1
     trajectories (centralized/decentralized x algebraic/dynamic,
     eta=0.05); fig4 produces the conductance sweep.  Each bundle carries
-    a manifest.  A 'plant' section or a 'grid' key exits 2.
+    a manifest.  A 'plant' section, a 'grid' or 'controller' key, or a
+    'simulation' key other than steps and seed exits 2.
 grid {build,simulate,sweep}
     DC-grid helpers working from the "grid" config section (the default
     topology when absent).  Only simulate reads 'objective'; build,
@@ -221,8 +222,11 @@ def _configure(args) -> dict:
     config = _load_config(getattr(args, "config", None))
     config = _apply_env(config, os.environ)
     config = _apply_flags(config, args)
+    config["given"] = []  # each 'section.key' of the read sections set non-null
     for name, table in SECTIONS.items():
-        config[name] = read_section(name, config.get(name), table)
+        raw = as_section(name, config.get(name))
+        config[name] = read_section(name, raw, table)
+        config["given"] += [f"{name}.{key}" for key, value in raw.items() if value is not None]
     return config
 
 
@@ -472,6 +476,12 @@ def cmd_figures(args) -> int:
     if as_section("grid", config["grid"]):
         raise ConfigError("'grid': figures runs the default grid and reads no grid key")
     out_dir = _resolve_out_dir(config, ".")
+    # the presets fix their controller; an 'objective' key was rejected above
+    read = ("simulation.steps", "simulation.seed", "output.dir")
+    unread = [key for key in config["given"] if key not in read]
+    if unread:
+        key = "controller" if unread[0].startswith("controller.") else unread[0]
+        raise ConfigError(f"'{key}': figures fixes its controller and reads only steps and seed")
     bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
     manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")

@@ -114,9 +114,9 @@ def as_section(name: str, data) -> dict:
     return data
 
 
-def on_field(field: str, exc: Exception) -> Exception:
-    """``exc``, marked as the rejection of argument ``field`` by a constructor check."""
-    exc.field = field
+def on_field(field: str, exc: Exception, **marks) -> Exception:
+    """``exc``, marked as a constructor check's rejection of ``field``, with ``marks`` set."""
+    vars(exc).update(marks, field=field)
     return exc
 
 

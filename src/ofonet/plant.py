@@ -83,19 +83,6 @@ def is_schur_stable(A) -> tuple[bool, float]:
     return radius < 1.0 - SCHUR_TOL, radius
 
 
-def _unstable_radius(A: NDArray[np.float64]) -> list:
-    """Per matrix of the stack A (B, n, n): its radius if not Schur stable, else None.
-
-    Since max |eig(A)| <= ||A||_2, a spectral norm below ``1 - SCHUR_TOL``
-    proves stability from one values-only SVD call for the whole stack;
-    only a matrix with ||A||_2 >= 1 - SCHUR_TOL pays the nonsymmetric
-    eigenvalue solve.
-    """
-    norms = np.linalg.svd(A, compute_uv=False)[:, 0] if A.size else np.zeros(len(A))
-    checks = [(True, 0.0) if s < 1.0 - SCHUR_TOL else is_schur_stable(a) for a, s in zip(A, norms)]
-    return [None if stable else radius for stable, radius in checks]
-
-
 @dataclass(frozen=True)
 class LtiPlant:
     """Asymptotically stable discrete-time LTI plant with output disturbance.
@@ -106,7 +93,7 @@ class LtiPlant:
         State transition matrix; spectral radius below ``1 - SCHUR_TOL``.
         Validation checks the spectral norm first, which bounds the
         spectral radius, and solves for eigenvalues only when
-        ||A||_2 >= 1 - SCHUR_TOL.
+        ||A||_2 >= 1 - SCHUR_TOL; a rejection carries ``spectral_radius``.
     B : ndarray, shape (n_state, n)
         Input matrix.
     C : ndarray, shape (n, n_state)
@@ -141,13 +128,14 @@ class LtiPlant:
             d = as_vector(self.d, n, "d", finite=True)
         except (ValueError, DimensionMismatch) as exc:
             raise on_field("d", exc)
-        radius = _unstable_radius(A[None])[0]
-        if radius is not None:
+        norm = np.linalg.svd(A, compute_uv=False)[0] if A.size else 0.0
+        stable, radius = (True, 0.0) if norm < 1.0 - SCHUR_TOL else is_schur_stable(A)
+        if not stable:
             message = (
                 f"A is not Schur stable (spectral radius {radius:.6g}); "
                 "(I - A) would be singular or ill-conditioned"
             )
-            raise on_field("A", ValueError(message))
+            raise on_field("A", ValueError(message), spectral_radius=radius)
         for name, arr in (("A", A), ("B", B), ("C", C), ("D", D), ("d", d)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -22,11 +22,12 @@ matrices rather than any closed form, so the closed-loop layers see a
 self-consistent y = H u + d.
 
 Grids that differ only in G share one assembly: their A_d lie on one
-leading axis (B, n_state, n_state), screened by one SVD call and solved
-by one stacked solve; ``assemble_plant`` is B = 1, ``sweep_g`` stacks
-every positive G.  A G so small that 1 + eps g / c_cap rounds to 1 leaves
-the grid without a ground path (the incidence matrix has rank n - 1), so
-(I - A_d) is singular: the sweep notes that row, certificate cells empty.
+leading axis (B, n_state, n_state), solved by one stacked solve, and each
+slice is screened as an ``LtiPlant``; ``assemble_plant`` is B = 1,
+``sweep_g`` stacks every positive G.  A G so small that 1 + eps g / c_cap
+rounds to 1 leaves the grid without a ground path (the incidence matrix
+has rank n - 1), so (I - A_d) is singular: the sweep notes that row,
+certificate cells empty.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
     whole,
 )
 from .objective import QuadraticObjective
-from .plant import LtiPlant, SensitivityModel, _unstable_radius, sensitivity
+from .plant import LtiPlant, SensitivityModel, sensitivity
 
 __all__ = [
     "GridSpec",
@@ -229,10 +230,14 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> list:
         # one singular slice fails the stacked solve: solve each row alone
         return [exc] if len(g_node) == 1 else [o for g in g_node for o in _discretize(spec, g[None])]
     out = []
-    for a, radius, model in zip(a_d, _unstable_radius(a_d), models):
+    for a, model in zip(a_d, models):
         d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
-        plant = LtiPlant(A=a, B=b_d, C=c_d, D=d_d, d=d_eff) if radius is None else None
-        out.append((plant, model, d_eff, radius))
+        try:
+            out.append((LtiPlant(A=a, B=b_d, C=c_d, D=d_d, d=d_eff), model, d_eff, None))
+        except ValueError as exc:
+            if not hasattr(exc, "spectral_radius"):
+                raise
+            out.append((None, model, d_eff, exc.spectral_radius))
     return out
 
 
@@ -317,13 +322,13 @@ def sweep_g(
 ) -> list[dict]:
     """Evaluate the sub-optimality trade-off across node conductances.
 
-    The grids of all positive G are assembled, screened and solved on
-    one leading axis, then both reference points and the certificates
-    are recorded row by row.  The decentralized loops of all rows run as
-    one batched loop, which reproduces each row's ``sim.run_algebraic``
-    final iterate bit for bit.  Failures annotate their row, a singular
-    solve with empty certificate cells and a diverged loop with the step
-    at which it diverged; the sweep itself never aborts.
+    The grids of all positive G are assembled and solved on one leading
+    axis, then both reference points and the certificates are recorded
+    row by row.  The decentralized loops of all rows run as one batched
+    loop, which reproduces each row's ``sim.run_algebraic`` final
+    iterate bit for bit.  Failures annotate their row, a singular solve
+    with empty certificate cells and a diverged loop with the step at
+    which it diverged; the sweep itself never aborts.
     """
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()

@@ -326,9 +326,14 @@ def metrics(
     attached; the reference should then be the decentralized fixed point.
     """
     u_ref = as_vector(u_ref, trajectory.u_series.shape[1], "u_ref")
-    # norms of a diverging tail may overflow to inf; that is the metric
+    # a diverging row's squares may overflow although its norm fits: rescale it
+    # by its largest magnitude s (fmax keeps inf where s, the difference, is inf)
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
+        big = np.isinf(err)
+        diff = trajectory.u_series[big] - u_ref
+        scale = np.max(np.abs(diff), axis=1)
+        err[big] = np.fmax(scale, scale * np.linalg.norm(diff / scale[:, None], axis=1))
         ref_norm = float(np.linalg.norm(u_ref))
         absolute = ref_norm == 0.0
         rel = err if absolute else err / ref_norm

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -451,6 +452,19 @@ def test_unknown_section_rejected(tmp_path):
         (["figures", "fig4"], {"grid": {"g_node": [3.0] * 8}}, "'grid'"),
         (["figures", "fig3"], {"grid": {"eps": None}}, "'grid'"),
         (["figures", "fig3"], {"plant": REF_PLANT}, "'plant'"),
+        # the presets fix their controller and read only steps and seed
+        (["figures", "fig4"], {"controller": {"eta": 0.3}}, "'controller'"),
+        (["figures", "fig3"], {"controller": {"mode": "centralized"}}, "'controller'"),
+        (
+            ["figures", "fig4"],
+            {"controller": {}, "simulation": {"decimation": 7}},
+            "'simulation.decimation'",
+        ),
+        (
+            ["figures", "fig3"],
+            {"controller": {"eta": None}, "simulation": {"steps": 50, "loop": "lti"}},
+            "'simulation.loop'",
+        ),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
@@ -588,6 +602,10 @@ def test_last_output_overflow_exits_1_with_truncated_csv(tmp_path, capsys, plant
     assert metrics["diverged"] is True
     assert metrics["divergence_step"] == 100
     assert len((out / "trajectory.csv").read_text().splitlines()) == 101
+    # |u| reaches 5e303: its square overflows, its norm does not
+    rows = csv.DictReader((out / "trajectory.csv").open())
+    assert all(math.isfinite(float(row["rel_err_u"])) for row in rows)
+    assert isinstance(metrics["final_rel_err"], float)
 
 
 def test_presets_accept_an_empty_grid_and_null_objective_keys(tmp_path, capsys):

@@ -92,6 +92,8 @@ def test_plant_stability_boundary_matches_is_schur_stable(monkeypatch):
     with pytest.raises(ValueError) as info:
         _diag_plant(a)
     assert f"spectral radius {radius:.6g}" in str(info.value)
+    assert info.value.field == "A"
+    assert info.value.spectral_radius == radius
     _diag_plant(1.0 - 2 * SCHUR_TOL)
     # only the plant with ||A||_2 >= 1 - SCHUR_TOL solved for eigenvalues
     assert calls == [(1, 1)]

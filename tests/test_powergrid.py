@@ -132,6 +132,30 @@ def test_stock_grid_assembles_without_eigenvalue_solve(monkeypatch):
     assert plant.n_state == 17
 
 
+def test_discretize_screens_each_slice_once(monkeypatch):
+    # on the default grid, g = 0.3 is stable with ||A_d||_2 >= 1, g = 1
+    # stable with ||A_d||_2 < 1, and g = 25 unstable
+    spec = pg.default_topology()
+    g_node = np.outer([0.3, 1.0, 25.0], np.ones(spec.n_nodes))
+    a_d = pg._raw_matrices(spec, g_node)[0]
+    norms = [np.linalg.svd(a, compute_uv=False)[0] for a in a_d]
+    assert [norm >= 1.0 - 1e-9 for norm in norms] == [True, False, True]
+    unstable_radius = is_schur_stable(a_d[2])[1]
+    calls = {"svd": [], "eigvals": []}
+    for name, shapes in calls.items():
+        def counted(a, *args, _solve=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    radii = [outcome[3] for outcome in pg._discretize(spec, g_node)]
+    assert radii == [None, None, unstable_radius]
+    # one values-only SVD per slice and none on the stack; eigenvalues only
+    # where the norm proves nothing
+    assert calls["svd"] == [a_d.shape[1:]] * 3
+    assert calls["eigvals"] == [a_d.shape[1:]] * 2
+
+
 def _random_spec(seed: int, n: int, eps: float) -> pg.GridSpec:
     """A jittered grid on a random connected topology: a random spanning
     tree on relabelled nodes plus up to n extra edges."""

@@ -208,6 +208,24 @@ def test_metrics_absolute_fallback():
     assert not err_rel.absolute
 
 
+def test_metrics_norm_fits_where_its_squares_overflow():
+    # rows 1 and 2 square past the float range, yet their norms fit
+    _, model, obj, d = reference_instance()
+    plant = LtiPlant(A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d)
+    traj = sim.run_lti(plant, obj, dec(0.1), steps=3)
+    big = 2.0**600
+    u = np.array([[1.0, -2.0], [3 * big, -4 * big], [1e308, 1e308], [1e-200, 0.0]])
+    traj = dataclasses.replace(traj, u_series=u)
+    err = sim.metrics(traj, np.zeros(2)).rel_err_u
+    assert err[1] == 5 * big
+    assert err[2] == np.sqrt(2.0) * 1e308
+    for k in (0, 3):
+        assert err[k].tobytes() == np.linalg.norm(u[k]).tobytes()
+    # against this reference row 2's difference itself overflows: its norm
+    # stays inf, and so does its squared combined error, rather than NaN
+    assert sim.metrics(traj, [-1e308, 0.0], model).combined_sq[2] == np.inf
+
+
 def test_combined_sq_needs_states_and_model():
     _, model, obj, d = reference_instance()
     traj = sim.run_algebraic(model, obj, d, dec(0.1), steps=100)
