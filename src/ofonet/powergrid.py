@@ -354,7 +354,7 @@ def sweep_g(
             _annotate(row, f"closed loop diverged (non-finite iterate at step {step})")
             continue
         ref = float(np.linalg.norm(fixed_u))
-        err = float(np.linalg.norm(final - fixed_u))
+        err = sim._norm(final - fixed_u)
         row["loop_final_err"] = err / ref if ref > 0.0 else err
     return rows
 

@@ -14,16 +14,17 @@ and early stop included, is written once.
 
 The loop applies one update map built by ``controller.update_map`` once
 per run.  Runs early-stop when successive iterates move less than
-EARLY_STOP_TOL and raise NonFinite, carrying the finite prefix, when an
-iterate diverges, the last output included: the loop tests every row
-before recording it, so a ``Trajectory``, which only the loop builds,
-is finite.  ``RunInfo`` holds only what the loop found out: the updates
-performed and whether the run stopped early.
+EARLY_STOP_TOL.  The one divergence rule is the output test: a run
+raises NonFinite(k), carrying the k rows before, when y_k is not finite,
+the last output included.  It covers the input and the state, since a
+non-finite u_k or x_k makes y_k non-finite.  So a ``Trajectory``, which
+only the loop builds, is finite.  ``RunInfo`` holds only what the loop
+found out: the updates performed and whether the run stopped early.
 
 Sweep rows run as one batched loop, ``_run_algebraic_batch``: the
 decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
-which reproduces each scenario's ``run_algebraic`` final iterate bit
-for bit and records no trajectory.
+which reproduces each scenario's ``run_algebraic`` final iterate and
+divergence step bit for bit and records no trajectory.
 
 Rows are recorded into arrays that grow RECORD_BLOCK rows at a time, so
 memory follows the iterations actually run, not the step budget.
@@ -156,17 +157,28 @@ def _finite(v) -> bool:
     return math.isfinite(v @ v) or bool(np.isfinite(v).all())
 
 
-def _step_norm(v_next, v) -> float:
-    """||v_next - v|| as np.linalg.norm computes it, for a finite ``v``.
+def _norm(v, axis=None):
+    """np.linalg.norm(v, axis=axis) of a vector (axis None) or of each row (axis 1).
 
-    NaN when ``v_next`` holds a non-finite entry, which makes the sum of
-    squares inf or nan; an inf from finite entries is an overflow.
+    A norm whose squares overflow reads inf although it may fit: it is
+    recomputed as s ||v / s||, s the largest magnitude (fmax keeps inf
+    where s is inf, which the rescaling would turn into NaN).
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v, axis=axis)
+        big = np.isinf(norm)
+        if big.any():
+            norm, big = np.atleast_1d(norm, big)
+            rows = np.atleast_2d(v)[big]
+            scale = np.max(np.abs(rows), axis=1)
+            norm[big] = np.fmax(scale, scale * np.linalg.norm(rows / scale[:, None], axis=1))
+    return norm if axis is not None else norm.item()
+
+
+def _step_norm(v_next, v) -> float:
+    """||v_next - v|| as np.linalg.norm computes it; inf or nan never passes a tolerance."""
     dv = v_next - v
-    sq = dv @ dv
-    if math.isfinite(sq) or np.isfinite(v_next).all():
-        return math.sqrt(sq)
-    return math.nan
+    return math.sqrt(dv @ dv)
 
 
 def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
@@ -174,7 +186,8 @@ def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
 
     ``advance(x, u)`` returns the plant's next state (None when ``x`` is
     None: no state block) and its output y at (x, u).  ``u`` and ``x``
-    are validated start vectors.
+    are validated start vectors.  Only y is tested: a non-finite u_k or
+    x_k makes y_k non-finite, which raises at step k all the same.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -194,9 +207,6 @@ def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
             u_next = update(u, y)
             delta_u = _step_norm(u_next, u)
             delta_x = 0.0 if x is None else _step_norm(x_next, x)
-            # test each norm: either one alone may be the NaN of a divergence
-            if math.isnan(delta_u) or math.isnan(delta_x):
-                raise NonFinite(k + 1, rec.trajectory(RunInfo(k + 1, early)))
             u, x = u_next, x_next
             early = delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL
 
@@ -256,9 +266,10 @@ def _run_algebraic_batch(
     slice: y = H u + d is a stacked gemv, the update is
     ``update_map``'s decentralized formula in the same operation order,
     and the squared step norm is a stacked dot product.  So each final
-    iterate equals ``run_algebraic(...).u_series[-1]`` exactly.  A
-    scenario that early-stops freezes at that iterate and leaves the
-    stacked arrays.
+    iterate equals ``run_algebraic(...).u_series[-1]`` exactly.  As in
+    ``_run``, only y is tested (a non-finite u_k makes y_k non-finite),
+    and the last pass only tests: a scenario that early-stops leaves the
+    stacked arrays once its last output has passed.
 
     Returns the (B, n) final iterates and, per scenario, the step at
     which it diverged (as ``NonFinite.step``) or None; a diverged
@@ -276,41 +287,34 @@ def _run_algebraic_batch(
     diverged: list[Optional[int]] = [None] * B
     rows = np.arange(B)
     u = np.zeros_like(d)
+    stopped = np.zeros(B, dtype=bool)
 
     def retire(leaving, step=None):
         """Drop the scenarios ``leaving``, which diverged at ``step`` if given."""
-        nonlocal rows, H, d, y_ref, h_diag, u
+        nonlocal rows, H, d, y_ref, h_diag, u, y, stopped
         for b in rows[leaving].tolist():
             diverged[b] = step
         keep = ~leaving
-        rows, H, d, y_ref, h_diag, u = (
-            a[keep] for a in (rows, H, d, y_ref, h_diag, u)
+        rows, H, d, y_ref, h_diag, u, y, stopped = (
+            a[keep] for a in (rows, H, d, y_ref, h_diag, u, y, stopped)
         )
 
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        # as in _run, the last pass (k == steps, or after an early stop) only tests
+        for k in range(steps + 1):
             y = H @ u + d
             if not math.isfinite(y.sum()):
-                bad = ~np.isfinite(y).all(axis=(1, 2))
-                y = y[~bad]
-                retire(bad, k)
-            u_next = u - eta * (gamma1 * u + h_diag * (gamma2 * (y - y_ref)))
-            du = u_next - u
-            sq = (du.transpose(0, 2, 1) @ du)[:, 0, 0]
-            if not np.isfinite(sq).all():
-                bad = ~np.isfinite(u_next).all(axis=(1, 2))
-                if bad.any():
-                    u_next = u_next[~bad]
-                    sq = sq[~bad]
-                    retire(bad, k + 1)
-            u = u_next
-            stopped = np.sqrt(sq) < EARLY_STOP_TOL
+                retire(~np.isfinite(y).all(axis=(1, 2)), k)
             if stopped.any():
                 finals[rows[stopped]] = u[stopped, :, 0]
                 retire(stopped)
-            if rows.size == 0:
+            if k == steps or rows.size == 0:
                 break
+            u_next = u - eta * (gamma1 * u + h_diag * (gamma2 * (y - y_ref)))
+            du = u_next - u
+            stopped = np.sqrt((du.transpose(0, 2, 1) @ du)[:, 0, 0]) < EARLY_STOP_TOL
+            u = u_next
     finals[rows] = u[:, :, 0]
     return finals, diverged
 
@@ -326,15 +330,9 @@ def metrics(
     attached; the reference should then be the decentralized fixed point.
     """
     u_ref = as_vector(u_ref, trajectory.u_series.shape[1], "u_ref")
-    # a diverging row's squares may overflow although its norm fits: rescale it
-    # by its largest magnitude s (fmax keeps inf where s, the difference, is inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = np.linalg.norm(trajectory.u_series - u_ref, axis=1)
-        big = np.isinf(err)
-        diff = trajectory.u_series[big] - u_ref
-        scale = np.max(np.abs(diff), axis=1)
-        err[big] = np.fmax(scale, scale * np.linalg.norm(diff / scale[:, None], axis=1))
-        ref_norm = float(np.linalg.norm(u_ref))
+        err = _norm(trajectory.u_series - u_ref, axis=1)
+        ref_norm = _norm(u_ref)
         absolute = ref_norm == 0.0
         rel = err if absolute else err / ref_norm
         combined = None

@@ -1,6 +1,7 @@
 """DC-grid case study: topology, discretization, and the conductance sweep."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -285,6 +286,25 @@ def test_batched_sweep_loop_matches_run_algebraic():
         ("unstable", False),
     ]
     assert _batch_outcomes([1.0, 5.0, 20.0], 30.0, 3000) == ["diverged"] * 3
+    # g = 0.5 first reaches a non-finite output on the last pass, y_148
+    assert _batch_outcomes([0.5], 30.0, 148) == ["diverged"]
+
+
+def test_sweep_tests_the_last_output_and_rescues_the_final_error_norm():
+    # g = 0.5 diverges through y_148; g = 1 ends finite, but the squares of
+    # its final error (~1e257) overflow, so only the rescued norm fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = pg.sweep_g([0.5, 1.0], eta=30.0, steps=148)
+    assert rows[0]["loop_final_err"] is None
+    assert rows[0]["note"] == "closed loop diverged (non-finite iterate at step 148)"
+    _, model, obj, d_eff = _grid_row(1.0)
+    cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=30.0)
+    traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=148)
+    expected = sim.metrics(traj, decentralized_fixed_point(obj, model, d_eff).u).rel_err_u[-1]
+    assert 1e250 < expected < np.inf
+    npt.assert_allclose(rows[1]["loop_final_err"], expected, rtol=1e-15)
+    assert rows[1]["note"] == ""
 
 
 def test_sweep_annotates_diverged_rows_and_continues():

@@ -223,7 +223,12 @@ def test_metrics_norm_fits_where_its_squares_overflow():
         assert err[k].tobytes() == np.linalg.norm(u[k]).tobytes()
     # against this reference row 2's difference itself overflows: its norm
     # stays inf, and so does its squared combined error, rather than NaN
-    assert sim.metrics(traj, [-1e308, 0.0], model).combined_sq[2] == np.inf
+    against = sim.metrics(traj, [-1e308, 0.0], model)
+    assert against.combined_sq[2] == np.inf
+    # ||u_ref|| = 1e308 fits although its square overflows, as do the other
+    # rows' errors (each 1e308 to the last bit)
+    assert not against.absolute
+    npt.assert_array_equal(against.rel_err_u, [1.0, 1.0, np.inf, 1.0])
 
 
 def test_combined_sq_needs_states_and_model():
