@@ -7,10 +7,10 @@ singular values of the sensitivity and the declared objective moduli:
   diagonal-dominance condition m > c in its singular-value form
   (``Convention``, ``MonotonicityConstants``, ``monotonicity_constants``
   and ``coupling_condition``, owned by ``equilibria`` and re-exported);
-* the algebraic-loop contraction rate rho(eta) and the admissible step
-  interval (``ContractionRate``), plus the distance bound between the
-  decentralized fixed point and the global optimum
-  (``SuboptimalityBound``);
+* the algebraic-loop contraction rate rho(eta) and the step interval
+  (0, eta_upper) on which rho < 1 (``ContractionRate``), plus the
+  distance bound between the decentralized fixed point and the global
+  optimum (``SuboptimalityBound``);
 * the dynamic-loop certificate (``LtiRateCertificate``, from
   ``xi_matrix``): a 2x2 matrix Xi(eta) whose largest eigenvalue bounds
   the per-step decay of the combined squared error
@@ -84,17 +84,11 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class ContractionRate:
-    """rho(eta) for the algebraic loop and the admissible open interval.
-
-    ``eta_upper`` is the interval's upper end 2(m-c)/(L^2-m^2); it is
-    +inf with ``degenerate=True`` when L = m makes the formula divide by
-    zero, in which case admissibility rests on rho < 1 alone.
-    """
+    """rho(eta) of the algebraic loop; rho < 1 exactly on (0, eta_upper)."""
 
     rho: float
     admissible: bool
     eta_upper: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -142,22 +136,17 @@ def _sigma_min_sq(M) -> float:
 def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRate:
     """Linear rate rho = sqrt(1 - 2 m eta + L^2 eta^2) + c eta.
 
-    The step is admissible when it lies in the open interval
-    (0, 2(m-c)/(L^2-m^2)) and rho < 1; both are checked numerically
-    rather than trusting either to imply the other.  rho is NaN when
-    the radicand is negative.
+    rho < 1 exactly on (0, eta_upper), eta_upper = 2(m-c)/((L-c)(L+c)),
+    positive as L >= m > c; the radicand is at least (1 - m eta)^2, so
+    rho is defined for every eta.  Admissibility tests rho itself: a step
+    that rounds onto the end is judged by the rate it gets.
     """
     m, c, L = consts.m, consts.c, consts.L
     if m <= c:
         raise CouplingTooStrong(f"m={m:.6g} <= c={c:.6g}")
-    degenerate = L == m
-    eta_upper = math.inf if degenerate else 2.0 * (m - c) / (L**2 - m**2)
-    radicand = 1.0 - 2.0 * m * eta + (L * eta) ** 2
-    rho = math.sqrt(radicand) + c * eta if radicand >= 0.0 else math.nan
-    admissible = bool(0.0 < eta < eta_upper and not math.isnan(rho) and rho < 1.0)
-    return ContractionRate(
-        rho=rho, admissible=admissible, eta_upper=eta_upper, degenerate=degenerate
-    )
+    eta_upper = 2.0 * (m - c) / ((L - c) * (L + c))
+    rho = math.sqrt(1.0 - 2.0 * m * eta + (L * eta) ** 2) + c * eta
+    return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
 
 
 def suboptimality_bound(
@@ -294,13 +283,7 @@ def _rate_entry(consts, eta):
         rate = contraction_rate(consts, eta)
     except CouplingTooStrong as exc:
         return {"eta": eta, "error": str(exc)}
-    return {
-        "eta": eta,
-        "rho": None if math.isnan(rate.rho) else rate.rho,
-        "admissible": rate.admissible,
-        "eta_upper": None if math.isinf(rate.eta_upper) else rate.eta_upper,
-        "degenerate": rate.degenerate,
-    }
+    return {"eta": eta, **asdict(rate)}
 
 
 def build_report(

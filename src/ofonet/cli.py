@@ -8,7 +8,8 @@ analyze
     only when the diagonal-dominance condition holds and the configured
     step size is admissible under the tight constants, the checked ones.
     Singular fixed-point equations still give a report, without the
-    fields that need the fixed point, and exit 1.
+    fields that need the fixed point, and exit 1.  Every exit 1 prints
+    one 'error:' line with its reason.
 simulate
     Run the configured closed loop; writes trajectory.csv and
     metrics.json, truncating the CSV at the divergence step if the loop
@@ -330,12 +331,21 @@ def cmd_analyze(args) -> int:
     out_dir = _resolve_out_dir(config)
     path = os.path.join(out_dir, "analysis_report.json") if out_dir else None
     sys.stdout.write(_dump_json(report, path))
+    coupling, rate = report["coupling"], report["conventions"]["tight"]["rate_at_eta"]
     if "error" in report["equilibrium"]:  # a singular fixed point
-        print(f"error: {report['equilibrium']['error']}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    rate = report["conventions"]["tight"]["rate_at_eta"]
-    ok = report["coupling"]["satisfied"] and bool(rate.get("admissible"))
-    return EXIT_OK if ok else EXIT_NUMERICAL
+        reason = report["equilibrium"]["error"]
+    elif not coupling["satisfied"]:
+        lhs, rhs = coupling["lhs"], coupling["rhs"]
+        reason = f"the coupling condition fails: sigma_max(H - H_diag) = {lhs:.6g} exceeds {rhs:.6g}"
+    elif "error" in rate:  # m <= c after rounding, with the coupling sides equal
+        reason = rate["error"]
+    elif not rate["admissible"]:
+        window = f"the tight certified window is (0, {rate['eta_upper']:.6g})"
+        reason = f"step size {ctl.eta:.6g} is not admissible: {window}"
+    else:
+        return EXIT_OK
+    print(f"error: {reason}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def cmd_simulate(args) -> int:
@@ -405,6 +415,7 @@ def _simulate(config: dict) -> int:
             traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, u0=u0, steps=simc["steps"])
     except NonFinite as exc:
         sys.stdout.write(_dump_json(payload(exc.trajectory, True, exc.step), metrics_path))
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     sys.stdout.write(_dump_json(payload(traj, False), metrics_path))
     return EXIT_OK

@@ -186,20 +186,23 @@ class SensitivityModel:
         return self.H.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sensitivity(A, B, C, D):
     """The steady-state sensitivity model of the realization (A, B, C, D).
 
     Solves (I - A) X = B column-wise rather than forming an explicit
     inverse, then sets H = C X + D.  A need not be stable; a numerically
-    singular (I - A) raises SingularMatrix.  A stack A (B, n_state,
-    n_state) sharing B, C and D is solved in one call and gives a list of
-    models; one singular slice fails the whole stack.
+    singular (I - A), or an H_x or H that overflows, raises SingularMatrix.
+    A stack A (B, n_state, n_state) sharing B, C and D is solved in one
+    call and gives a list of models; one failing slice fails the whole stack.
     """
     try:
         H_x = np.linalg.solve(np.eye(A.shape[-1]) - A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"(I - A) is singular: {exc}") from exc
     H = C @ H_x + D
+    if not (np.isfinite(H_x).all() and np.isfinite(H).all()):
+        raise SingularMatrix("the steady-state sensitivity overflows: H or H_x is not finite")
     if A.ndim == 3:
         return [SensitivityModel(H=h, H_x=h_x) for h, h_x in zip(H, H_x)]
     return SensitivityModel(H=H, H_x=H_x)

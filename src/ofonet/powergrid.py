@@ -198,10 +198,12 @@ def incidence(spec: GridSpec) -> NDArray[np.float64]:
     return mat
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _raw_matrices(spec: GridSpec, g_node: NDArray[np.float64]):
     """A_d of ``spec`` stacked over the rows of ``g_node`` (B, n), and B_d and C_d.
 
-    Slices differ only on the G diagonal, 1 + eps (e_inv_i (-g_i)).
+    Slices differ only on the G diagonal, 1 + eps (e_inv_i (-g_i)).  An
+    entry that overflows is left to ``sensitivity``, which rejects it.
     """
     n, e = spec.n_nodes, spec.n_edges
     b_inc = incidence(spec)

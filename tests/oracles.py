@@ -3,8 +3,9 @@
 No command, report or benchmark runs these; the tests check the package
 against them.  Each oracle restates what it checks from the per-agent
 callables of a ``SeparableObjective`` and the matrices of a
-``SensitivityModel``: the pseudo-gradient, the contraction rate rho(eta)
-and the neglected-coupling bias.  They import only public ``ofonet``
+``SensitivityModel``: the pseudo-gradient, the contraction rate rho(eta),
+the neglected-coupling bias and, for quadratic objectives, the exact
+step limit of the algebraic loop.  They import only public ``ofonet``
 names, so none of them reuses the code it checks.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ofonet.errors import DimensionMismatch, as_vector
+from ofonet.objective import QuadraticObjective
 
 # Additive slack on per-step trajectory inequalities.
 TRACK_SLACK = 1e-9
@@ -103,6 +105,22 @@ def monotonicity_gap_test(obj, model, d, consts, trials: int, rng: np.random.Gen
         gain = _pseudo_gradient(obj, model, d, u1) - _pseudo_gradient(obj, model, d, u2)
         worst = min(worst, float(np.dot(gain, diff) - margin * np.dot(diff, diff)))
     return worst
+
+
+def exact_algebraic_eta_limit(obj, model) -> float:
+    """The step size above which the decentralized algebraic loop diverges.
+
+    For a quadratic objective the loop u+ = u - eta (gamma1 u + gamma2
+    H_diag (H u + d - y_ref)) is affine with iteration matrix I - eta M,
+    M = gamma1 I + gamma2 H_diag H.  It converges iff |1 - eta lam| < 1
+    for every eigenvalue lam of M, that is iff eta < 2 Re lam / |lam|^2
+    for each of them; the minimum over the spectrum is returned.
+    """
+    if not isinstance(obj, QuadraticObjective):
+        raise TypeError("the exact step limit needs a quadratic objective")
+    M = obj.gamma1 * np.eye(model.n) + obj.gamma2 * np.diag(np.diag(model.H)) @ model.H
+    lam = np.linalg.eigvals(M)
+    return float(np.min(2.0 * lam.real / np.abs(lam) ** 2))
 
 
 @dataclass(frozen=True)

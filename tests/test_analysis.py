@@ -6,9 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_weakly_coupled, reference_instance, static_plant
-from oracles import monotonicity_gap_test, tracking_inequality_check
+from oracles import exact_algebraic_eta_limit, monotonicity_gap_test, tracking_inequality_check
 
 import ofonet.analysis as an
+from ofonet import powergrid
+from ofonet.cli import FIG4_G_VALUES
 from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point, global_optimum
 from ofonet.errors import CouplingTooStrong
@@ -66,17 +68,79 @@ def test_coupling_condition_is_convention_free():
         assert (c.m > c.c) == ok
 
 
-def test_contraction_rate_formula():
-    _, model, obj, _ = reference_instance()
-    c = an.monotonicity_constants(obj, model)
-    eta = 0.05
-    rate = an.contraction_rate(c, eta)
-    expected = math.sqrt(1 - 2 * c.m * eta + (c.L * eta) ** 2) + c.c * eta
-    assert rate.rho == pytest.approx(expected, rel=1e-12)
-    assert rate.admissible
-    assert rate.eta_upper == pytest.approx(
-        2 * (c.m - c.c) / (c.L**2 - c.m**2), rel=1e-12
+def _identity_instance():
+    # H = I makes L = m and c = 0: rho = |1 - m eta|, the window (0, 2/m)
+    _, model = static_plant(np.eye(3), np.zeros(3))
+    return model, QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(3))
+
+
+def _grid_instance(g=1.0):
+    # the sensitivity exists for every g > 0, also where the Euler step
+    # leaves the grid unstable (g >= 50), as in the fig4 sweep
+    spec = powergrid.GridSpec(g_node=np.full(8, g))
+    _, model, _, _ = powergrid._discretize(spec, spec.g_node[None])[0]
+    return model, powergrid.grid_objective(spec, model)
+
+
+def _rate_instance(name):
+    if name == "identity":
+        return _identity_instance()
+    if name == "grid":
+        return _grid_instance()
+    if name == "reference":
+        _, model, obj, _ = reference_instance()
+    else:  # random-<seed>
+        _, model, obj, _ = random_weakly_coupled(np.random.default_rng(int(name[7:])))
+    return model, obj
+
+
+@pytest.mark.parametrize("convention", list(an.Convention), ids=lambda conv: conv.value)
+@pytest.mark.parametrize(
+    "name", ["reference", "grid", "identity", *(f"random-{seed}" for seed in range(5))]
+)
+def test_contraction_rate_window_ends_where_rho_crosses_one(name, convention):
+    model, obj = _rate_instance(name)
+    c = an.monotonicity_constants(obj, model, convention)
+    upper = an.contraction_rate(c, 0.05).eta_upper
+    assert upper == pytest.approx(2 * (c.m - c.c) / (c.L**2 - c.c**2), rel=1e-12)
+    below = an.contraction_rate(c, upper * (1 - 1e-9))
+    above = an.contraction_rate(c, upper * (1 + 1e-9))
+    assert below.rho < 1.0 < above.rho
+    assert below.admissible and not above.admissible
+    for eta in np.logspace(-12, 3, 76):
+        eta = float(eta)
+        rate = an.contraction_rate(c, eta)
+        expected = math.sqrt(1 - 2 * c.m * eta + (c.L * eta) ** 2) + c.c * eta
+        assert rate.rho == pytest.approx(expected, rel=1e-12)
+        assert math.isfinite(rate.rho)
+        assert rate.eta_upper == upper
+        assert rate.admissible == (eta < upper)
+    for eta in (0.0, -1e-12, -0.5 * upper, -upper):
+        assert not an.contraction_rate(c, eta).admissible
+
+
+def test_eta_upper_is_below_the_exact_algebraic_limit(rng):
+    # eta_upper is a certified window end: the decentralized algebraic loop
+    # converges at every step below it, so it never exceeds the exact limit
+    model, obj = _identity_instance()
+    assert exact_algebraic_eta_limit(obj, model) == pytest.approx(1.0, rel=1e-12)
+    assert an.contraction_rate(an.monotonicity_constants(obj, model), 0.5).eta_upper == (
+        pytest.approx(1.0, rel=1e-12)
     )
+    # on the default grid the window ends at 0.6175, the loop diverges above 1.075
+    model, obj = _grid_instance()
+    assert exact_algebraic_eta_limit(obj, model) == pytest.approx(1.075, abs=1e-3)
+    assert an.contraction_rate(an.monotonicity_constants(obj, model), 0.5).eta_upper == (
+        pytest.approx(0.6175, abs=1e-4)
+    )
+    cases = [_identity_instance(), reference_instance()[1:3]]
+    cases += [_grid_instance(g) for g in FIG4_G_VALUES]
+    cases += [random_weakly_coupled(rng)[1:3] for _ in range(50)]
+    for model, obj in cases:
+        limit = exact_algebraic_eta_limit(obj, model)
+        for convention in an.Convention:
+            consts = an.monotonicity_constants(obj, model, convention)
+            assert an.contraction_rate(consts, 1e-3).eta_upper <= limit * (1 + 1e-12)
 
 
 def test_contraction_rate_inadmissible_outside_interval():
@@ -86,18 +150,6 @@ def test_contraction_rate_inadmissible_outside_interval():
     rate = an.contraction_rate(c, upper * 1.01)
     assert not rate.admissible
     assert rate.rho is not None
-
-
-def test_contraction_rate_degenerate_interval():
-    # H = I makes L = m and c = 0: every positive step below 1/L contracts
-    _, model = static_plant(np.eye(3), np.zeros(3))
-    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(3))
-    c = an.monotonicity_constants(obj, model)
-    assert c.L == pytest.approx(c.m)
-    rate = an.contraction_rate(c, 0.1)
-    assert rate.degenerate
-    assert math.isinf(rate.eta_upper)
-    assert rate.admissible
 
 
 def test_contraction_raises_when_coupling_dominates():

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -70,6 +71,17 @@ def test_analyze_inadmissible_step_exits_1(tmp_path, capsys):
     assert run(["--config", cfg, "analyze"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["conventions"]["tight"]["rate_at_eta"]["admissible"]
+
+
+def test_analyze_coupling_failure_names_both_sides(tmp_path, capsys):
+    plant = {**REF_PLANT, "B": [[1.0, 10.0], [0.0, 1.0]]}
+    cfg = write_config(tmp_path, {"plant": plant, "controller": {"eta": 0.1}})
+    assert run(["--config", cfg, "analyze"]) == 1
+    captured = capsys.readouterr()
+    coupling = json.loads(captured.out)["coupling"]
+    assert not coupling["satisfied"]
+    sides = f"sigma_max(H - H_diag) = {coupling['lhs']:.6g} exceeds {coupling['rhs']:.6g}"
+    assert captured.err == f"error: the coupling condition fails: {sides}\n"
 
 
 def test_analyze_requires_plant_source(tmp_path, capsys):
@@ -143,11 +155,13 @@ def test_simulate_divergence_truncates(tmp_path, capsys):
         },
     )
     assert run(["--config", cfg, "simulate"]) == 1
-    metrics = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    metrics = json.loads(captured.out)
     validate(metrics, "metrics")
     assert metrics["diverged"]
     rows = list(csv.reader((out / "trajectory.csv").read_text().splitlines()))
     assert len(rows) - 1 == metrics["divergence_step"]
+    assert captured.err == f"error: non-finite iterate at step {metrics['divergence_step']}\n"
 
 
 def test_centralized_simulate_skips_the_fixed_point(tmp_path, capsys):
@@ -336,6 +350,52 @@ def test_grid_sweep_singular_row_exits_0(tmp_path, capsys):
     empty = "," * (len(powergrid.SWEEP_COLUMNS) - 2)
     assert lines[2] == f"1.0000000000000001e-18{empty},(I - A) is singular: Singular matrix"
     assert lines[:2] + lines[3:] == (tmp_path / "ref" / "grid_sweep.csv").read_text().splitlines()
+
+
+OVERFLOW_SOURCES = {
+    "c_cap": {"grid": {"c_cap": [1e-320] + [1.0] * 7}},
+    "l_ind": {"grid": {"l_ind": [1e-308] + [1.0] * 8}},
+    "plant": {"plant": {**ONE_AGENT, "A": [[0.5]], "B": [[1e308]]}},
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("c_cap", ["grid", "build"]),
+        ("c_cap", ["analyze"]),
+        ("l_ind", ["grid", "build"]),
+        ("l_ind", ["analyze"]),
+        ("plant", ["analyze"]),
+        ("plant", ["simulate"]),
+    ],
+)
+def test_overflowing_sensitivity_exits_1_with_one_error_line(tmp_path, capsys, name, argv):
+    # each value is finite and positive, yet H or H_x overflows
+    cfg = write_config(tmp_path, {**OVERFLOW_SOURCES[name], "controller": {"eta": 0.05}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "error: the steady-state sensitivity overflows: H or H_x is not finite\n"
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("name", ["c_cap", "l_ind"])
+def test_grid_sweep_annotates_overflowing_rows_and_exits_0(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, {**OVERFLOW_SOURCES[name], "controller": {"eta": 0.05}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "--out", str(out), "grid", "sweep", "--g", "1,5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["annotated_rows"] == [1.0, 5.0]
+    rows = list(csv.DictReader((out / "grid_sweep.csv").read_text().splitlines()))
+    for row in rows:
+        assert row["note"] == "the steady-state sensitivity overflows: H or H_x is not finite"
+        assert row["coupling_ok"] == row["loop_final_err"] == ""
 
 
 def test_grid_sweep_bad_g(tmp_path):
@@ -527,16 +587,23 @@ def test_flag_or_variable_error_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("eta, code", [(0.5, 0), (1.5, 1)])
+# 0.8 lies past the tight window's end 0.6175, where rho crosses 1, but
+# below 2(m - c)/(L^2 - m^2) = 1.215
+@pytest.mark.parametrize("eta, code", [(0.5, 0), (0.8, 1), (1.5, 1)])
 def test_analyze_gates_on_tight_rate(tmp_path, capsys, eta, code):
     cfg = write_config(tmp_path, {"grid": {}, "controller": {"eta": eta}})
     assert run(["--config", cfg, "analyze"]) == code
-    rates = {
-        name: entry["rate_at_eta"]["admissible"]
-        for name, entry in json.loads(capsys.readouterr().out)["conventions"].items()
-    }
+    captured = capsys.readouterr()
+    conventions = json.loads(captured.out)["conventions"]
+    rates = {name: entry["rate_at_eta"]["admissible"] for name, entry in conventions.items()}
     # the N-scaled gate is the tight one at N eta (4 and 12), so it fails at both
     assert rates == {"tight": code == 0, "paper": False}
+    tight = conventions["tight"]["rate_at_eta"]
+    assert tight["eta_upper"] == pytest.approx(0.6175, abs=1e-4)
+    assert (tight["rho"] < 1.0) == (code == 0)
+    window = "the tight certified window is (0, 0.617548)"
+    message = f"error: step size {eta} is not admissible: {window}\n"
+    assert captured.err == ("" if code == 0 else message)
 
 
 def test_analyze_reports_a_singular_fixed_point(tmp_path, capsys):

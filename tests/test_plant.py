@@ -4,7 +4,7 @@ import pytest
 from conftest import random_stable_instance
 from oracles import step
 
-from ofonet.errors import ConfigError, DimensionMismatch
+from ofonet.errors import ConfigError, DimensionMismatch, SingularMatrix
 from ofonet.plant import (
     SCHUR_TOL,
     LtiPlant,
@@ -12,6 +12,7 @@ from ofonet.plant import (
     compute_sensitivity,
     is_schur_stable,
     plant_from_dict,
+    sensitivity,
 )
 
 
@@ -113,6 +114,28 @@ def test_scalar_sensitivity():
     npt.assert_allclose(model.H, [[2.0]])
     npt.assert_allclose(model.H_x, [[2.0]])
     npt.assert_allclose(model.H_diag, [[2.0]])
+
+
+@pytest.mark.parametrize(
+    "B, C",
+    [
+        ([[1e308]], [[1.0]]),  # H_x = 2e308 overflows
+        ([[1.0]], [[1e308]]),  # H_x = 2 is finite, H = 2e308 is not
+    ],
+)
+def test_overflowing_sensitivity_is_singular(B, C):
+    plant = LtiPlant(A=[[0.5]], B=B, C=C, D=[[0.0]], d=[0.0])
+    with pytest.raises(SingularMatrix, match="steady-state sensitivity overflows"):
+        compute_sensitivity(plant)
+
+
+def test_one_overflowing_slice_fails_the_stack():
+    # H_x = 1e308 / (1 - a): 5e307 at a = -1, inf at a = 0.5
+    A = np.array([[[-1.0]], [[0.5]]])
+    B, C, D = np.array([[1e308]]), np.eye(1), np.zeros((1, 1))
+    with pytest.raises(SingularMatrix, match="overflows"):
+        sensitivity(A, B, C, D)
+    npt.assert_allclose(sensitivity(A[:1], B, C, D)[0].H, [[5e307]])
 
 
 def test_step_oracle():
