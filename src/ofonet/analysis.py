@@ -17,7 +17,10 @@ singular values of the sensitivity and the declared objective moduli:
   ||x - H_x u||^2 + ||u - u_inf||^2, with the critical step size
   eta_star below which lam_max(Xi) < 1 and the branch that gives it.
 
-``build_report`` gathers all of them into one JSON document.
+A failing coupling (m <= c) is a value, not an error: the rate window is
+empty (eta_upper = 0, rho >= 1 for every positive step) and Xi certifies
+no step (lam_max >= 1, eta_star None).  ``build_report`` gathers all of
+them into one JSON document.
 
 Every constant exists in two conventions.  The N-scaled convention
 multiplies the aggregate moduli by the agent count N; the blockwise
@@ -56,7 +59,7 @@ from .equilibria import (
     global_optimum,
     monotonicity_constants,
 )
-from .errors import CouplingTooStrong, SingularMatrix
+from .errors import SingularMatrix
 from .objective import SeparableObjective
 from .plant import LtiPlant, SensitivityModel
 
@@ -103,7 +106,7 @@ class LtiRateCertificate:
 
     lam_max bounds the one-step contraction factor of the combined
     squared error at the given eta.  eta_star is the critical step
-    (None when sigma_max(A) >= 1), capped at m'/L'.
+    (None when sigma_max(A) >= 1 or m' <= 0), capped at m'/L'.
     """
 
     xi: NDArray[np.float64]
@@ -136,15 +139,15 @@ def _sigma_min_sq(M) -> float:
 def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRate:
     """Linear rate rho = sqrt(1 - 2 m eta + L^2 eta^2) + c eta.
 
-    rho < 1 exactly on (0, eta_upper), eta_upper = 2(m-c)/((L-c)(L+c)),
-    positive as L >= m > c; the radicand is at least (1 - m eta)^2, so
-    rho is defined for every eta.  Admissibility tests rho itself: a step
-    that rounds onto the end is judged by the rate it gets.
+    The radicand is at least (1 - m eta)^2 as L >= m, so rho is defined
+    for every eta and rho >= 1 + (c - m) eta.  When m > c, rho < 1
+    exactly on (0, eta_upper), eta_upper = 2(m-c)/((L-c)(L+c)); when
+    m <= c, rho >= 1 for every positive step and eta_upper is 0.
+    Admissibility tests rho itself: a step that rounds onto the end is
+    judged by the rate it gets.
     """
     m, c, L = consts.m, consts.c, consts.L
-    if m <= c:
-        raise CouplingTooStrong(f"m={m:.6g} <= c={c:.6g}")
-    eta_upper = 2.0 * (m - c) / ((L - c) * (L + c))
+    eta_upper = 2.0 * (m - c) / ((L - c) * (L + c)) if m > c else 0.0
     rho = math.sqrt(1.0 - 2.0 * m * eta + (L * eta) ** 2) + c * eta
     return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
 
@@ -207,13 +210,13 @@ def _xi_constants(plant, obj, model, convention):
 
 
 def _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t):
-    """(eta_star, branch) for m' > 0; (None, None) when t <= 0, i.e. sigma_max(A) >= 1.
+    """(eta_star, branch); (None, None) when t <= 0 (sigma_max(A) >= 1) or m' <= 0.
 
     Two-branch closed form selected by the sign of a3 m' + 2 a1 a2 - a4 L',
     capped at m'/L' (the cap is what keeps the (2,2) block of Xi a
     contraction).
     """
-    if t <= 0.0:
+    if t <= 0.0 or m_prime <= 0.0:
         return None, None
     disc = a3 * m_prime + 2.0 * a1 * a2 - a4 * l_prime
     lin = a4 * m_prime + a2**2 + t * l_prime
@@ -245,11 +248,9 @@ def xi_matrix(
           [a1 eta^2 + a2 eta,                  1 - m' eta + L' eta^2]].
 
     The eigenvalue comes from the 2x2 closed form.  eta_star and its
-    branch are attached when sigma_max(A) < 1, else left None.
+    branch are attached when sigma_max(A) < 1 and m' > 0, else left None.
     """
     m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(plant, obj, model, convention)
-    if m_prime <= 0.0:
-        raise CouplingTooStrong(f"m' = {m_prime:.6g} <= 0")
     lam_a = 1.0 - t
     off = a1 * eta**2 + a2 * eta
     xi = np.array(
@@ -276,14 +277,6 @@ def xi_matrix(
         eta_star=star,
         branch=branch,
     )
-
-
-def _rate_entry(consts, eta):
-    try:
-        rate = contraction_rate(consts, eta)
-    except CouplingTooStrong as exc:
-        return {"eta": eta, "error": str(exc)}
-    return {"eta": eta, **asdict(rate)}
 
 
 def build_report(
@@ -328,10 +321,12 @@ def build_report(
     }
     for convention in (Convention.TIGHT, Convention.PAPER):
         consts = monotonicity_constants(obj, model, convention)
+        etas = [float(e) for e in (*eta_grid, eta)]
+        rates = [{"eta": e, **asdict(contraction_rate(consts, e))} for e in etas]
         entry = {
             "constants": asdict(consts),
-            "rate_table": [_rate_entry(consts, float(e)) for e in eta_grid],
-            "rate_at_eta": _rate_entry(consts, float(eta)),
+            "rate_table": rates[:-1],
+            "rate_at_eta": rates[-1],
             "suboptimality": None,
         }
         if inf_sol is not None:
@@ -346,14 +341,8 @@ def build_report(
                 ),
             }
         if plant is not None:
-            try:
-                cert = xi_matrix(plant, obj, model, eta, convention)
-                entry["lti"] = {
-                    **asdict(cert),
-                    "xi": cert.xi.tolist(),
-                    "branch": cert.branch.value if cert.branch else None,
-                }
-            except CouplingTooStrong as exc:
-                entry["lti"] = {"error": str(exc)}
+            cert = xi_matrix(plant, obj, model, eta, convention)
+            branch = cert.branch.value if cert.branch else None
+            entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch}
         report["conventions"][convention.value] = entry
     return report

@@ -7,9 +7,10 @@ analyze
     instance as JSON, with rate tables over ``DEFAULT_ETA_GRID``; exits 0
     only when the diagonal-dominance condition holds and the configured
     step size is admissible under the tight constants, the checked ones.
-    Singular fixed-point equations still give a report, without the
-    fields that need the fixed point, and exit 1.  Every exit 1 prints
-    one 'error:' line with its reason.
+    A failing coupling still gives every certificate: the window (0, 0),
+    no eta_star.  Singular fixed-point equations still give a report,
+    without the fields that need the fixed point, and exit 1.  Every
+    exit 1 prints one 'error:' line with its reason.
 simulate
     Run the configured closed loop; writes trajectory.csv and
     metrics.json, truncating the CSV at the divergence step if the loop
@@ -23,7 +24,9 @@ figures {fig3,fig4}
 grid {build,simulate,sweep}
     DC-grid helpers working from the "grid" config section (the default
     topology when absent).  Only simulate reads 'objective'; build,
-    sweep and the presets exit 2 when it sets a key.
+    sweep and the presets exit 2 when it sets a key.  sweep runs the
+    decentralized algebraic loop, so 'controller.mode' or a 'simulation'
+    key other than steps exits 2 as well.
 
 Configuration is a JSON file selected with --config; sections are
 plant | grid (exactly one), objective, controller, simulation, output.
@@ -337,8 +340,6 @@ def cmd_analyze(args) -> int:
     elif not coupling["satisfied"]:
         lhs, rhs = coupling["lhs"], coupling["rhs"]
         reason = f"the coupling condition fails: sigma_max(H - H_diag) = {lhs:.6g} exceeds {rhs:.6g}"
-    elif "error" in rate:  # m <= c after rounding, with the coupling sides equal
-        reason = rate["error"]
     elif not rate["admissible"]:
         window = f"the tight certified window is (0, {rate['eta_upper']:.6g})"
         reason = f"step size {ctl.eta:.6g} is not admissible: {window}"
@@ -489,10 +490,7 @@ def cmd_figures(args) -> int:
     out_dir = _resolve_out_dir(config, ".")
     # the presets fix their controller; an 'objective' key was rejected above
     read = ("simulation.steps", "simulation.seed", "output.dir")
-    unread = [key for key in config["given"] if key not in read]
-    if unread:
-        key = "controller" if unread[0].startswith("controller.") else unread[0]
-        raise ConfigError(f"'{key}': figures fixes its controller and reads only steps and seed")
+    _reads_only(config, read, "figures fixes its controller and reads only steps and seed")
     bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
     manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")
@@ -507,6 +505,15 @@ def _grid_config(args) -> dict:
         raise ConfigError("'plant': grid subcommands and presets use the 'grid' section")
     config.setdefault("grid", {})
     return config
+
+
+def _reads_only(config: dict, read: tuple, why: str) -> None:
+    """Reject a set key outside ``read``, naming it, or its section if none of that is read."""
+    for key in config["given"]:
+        if key not in read:
+            section = key.partition(".")[0]
+            named = any(r.startswith(f"{section}.") for r in read)
+            raise ConfigError(f"'{key if named else section}': {why}")
 
 
 def _fixed_objective(config: dict) -> dict:
@@ -543,6 +550,9 @@ def cmd_grid_simulate(args) -> int:
 
 def cmd_grid_sweep(args) -> int:
     config = _fixed_objective(_grid_config(args))
+    read = ("controller.eta", "simulation.steps", "output.dir")
+    why = "grid sweep runs the decentralized algebraic loop and reads only eta and steps"
+    _reads_only(config, read, why)
     spec = powergrid.spec_from_dict(config["grid"])
     g_values = convert("--g", lambda g: [float(v) for v in g.split(",") if v != ""], args.g)
     if not g_values:

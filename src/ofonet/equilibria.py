@@ -138,9 +138,9 @@ def monotonicity_constants(
 
 
 def _coupling(obj, k: MonotonicityConstants) -> tuple[bool, float, float]:
-    """(satisfied, lhs, rhs) of the coupling condition from the tight constants ``k``."""
-    rhs = k.m / (k.sigma_max_h * obj.L_y)
-    return k.sigma_max_offdiag <= rhs, k.sigma_max_offdiag, rhs
+    """(c < m, lhs, rhs) from the tight constants ``k``; rhs is inf if sigma_max(H) L_y is 0."""
+    scale = k.sigma_max_h * obj.L_y
+    return k.c < k.m, k.sigma_max_offdiag, k.m / scale if scale > 0.0 else np.inf
 
 
 def coupling_condition(
@@ -148,10 +148,10 @@ def coupling_condition(
 ) -> tuple[bool, float, float]:
     """Diagonal-dominance condition in its convention-free form.
 
-    Returns (satisfied, lhs, rhs) for
-    sigma_max(H - H_diag) <= (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y),
-    which is m > c with the agent-count factor cancelled; the tight
-    constants give both sides.
+    Returns (satisfied, lhs, rhs): ``satisfied`` is c < m on the tight
+    constants (the agent-count factor cancels), and lhs, rhs are its two
+    sides in singular-value form,
+    sigma_max(H - H_diag) < (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y).
     """
     return _coupling(obj, monotonicity_constants(obj, model))
 
@@ -234,7 +234,7 @@ def decentralized_fixed_point(
     def step_size():
         L = obj.L_u + _max_abs_diag(model) * k.sigma_max_h * obj.L_y
         # m - c > 0 makes tau provably contractive; otherwise best effort.
-        return (k.m - k.c) / L**2 if k.m > k.c else k.m / L**2
+        return (k.m - k.c) / L**2 if certified else k.m / L**2
 
     return _solve(
         obj, model, d, model.H_diag, "decentralized fixed point", step_size, certified

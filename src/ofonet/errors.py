@@ -2,6 +2,7 @@
 
 Numerical failures carry enough context (iteration counts, residuals,
 spectral radii, partial trajectories) for callers to report or recover.
+A failing coupling condition is no error: the certificates report it.
 ``as_vector`` is the single "must have length n" check every layer uses.
 ``read_section`` reads each config section through a key table, and
 ``convert`` is the one place where a rejected value becomes a ConfigError;
@@ -19,7 +20,6 @@ __all__ = [
     "OfonetError",
     "DimensionMismatch",
     "SingularMatrix",
-    "CouplingTooStrong",
     "NoConvergence",
     "NonFinite",
     "UnstableDiscretization",
@@ -58,10 +58,6 @@ def as_vector(value, n: int, name: str, finite: bool = False) -> np.ndarray:
 
 class SingularMatrix(OfonetError):
     """A linear solve hit a numerically singular matrix."""
-
-
-class CouplingTooStrong(OfonetError):
-    """Off-diagonal coupling violates the strong-monotonicity margin (m <= c)."""
 
 
 class NoConvergence(OfonetError):

@@ -27,7 +27,8 @@ slice is screened as an ``LtiPlant``; ``assemble_plant`` is B = 1,
 ``sweep_g`` stacks every positive G.  A G so small that 1 + eps g / c_cap
 rounds to 1 leaves the grid without a ground path (the incidence matrix
 has rank n - 1), so (I - A_d) is singular: the sweep notes that row,
-certificate cells empty.
+certificate cells empty.  A row whose coupling fails is no failure: no
+note, a ``lam_max_xi`` of at least 1 and an empty ``eta_star``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .analysis import Convention
 from .controller import ControllerConfig, Mode
 from .equilibria import decentralized_fixed_point, global_optimum
 from .errors import (
-    CouplingTooStrong,
     DimensionMismatch,
     SingularMatrix,
     UnstableDiscretization,
@@ -300,20 +300,11 @@ def _sweep_row(spec: GridSpec, g: float, outcome, eta: float) -> tuple[dict, tup
         scaled = sub.bound / norm_star if norm_star > 0.0 else sub.bound
         row[f"{key}_rel"] = scaled if np.isfinite(scaled) else None
         row[f"{key}_applicable"] = sub.applicable
-    row["lam_max_xi"] = None
-    row["eta_star"] = None
+    row["lam_max_xi"] = row["eta_star"] = None
     if plant is not None:
-        try:
-            cert = analysis.xi_matrix(plant, obj, model, eta, Convention.TIGHT)
-            row["lam_max_xi"] = cert.lam_max
-            row["eta_star"] = cert.eta_star
-        except CouplingTooStrong as exc:
-            _annotate(row, f"dynamic certificate unavailable ({exc})")
+        cert = analysis.xi_matrix(plant, obj, model, eta, Convention.TIGHT)
+        row["lam_max_xi"], row["eta_star"] = cert.lam_max, cert.eta_star
     return row, (model.H, d_eff, obj.y_ref, fixed.u)
-
-
-def _annotate(row: dict, note: str) -> None:
-    row["note"] = f"{row['note']}; {note}" if row["note"] else note
 
 
 def sweep_g(
@@ -353,7 +344,8 @@ def sweep_g(
     for (row, _), final, fixed_u, step in zip(pending, finals, fixed, diverged):
         if step is not None:
             row["loop_final_err"] = None
-            _annotate(row, f"closed loop diverged (non-finite iterate at step {step})")
+            note = f"closed loop diverged (non-finite iterate at step {step})"
+            row["note"] = f"{row['note']}; {note}" if row["note"] else note
             continue
         ref = float(np.linalg.norm(fixed_u))
         err = sim._norm(final - fixed_u)

@@ -8,6 +8,7 @@ through the same code path as dynamic ones.
 import numpy as np
 import pytest
 
+from ofonet import powergrid
 from ofonet.analysis import coupling_condition
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import LtiPlant, compute_sensitivity
@@ -35,6 +36,17 @@ def reference_instance():
     plant, model = static_plant(REF_H, REF_D)
     obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
     return plant, model, obj, REF_D.copy()
+
+
+def grid_instance(g=1.0):
+    """The default grid with every node conductance g, as (plant, model, obj, d).
+
+    The sensitivity exists for every g > 0, also where the Euler step
+    leaves the grid unstable (g >= 50, plant None), as in the fig4 sweep.
+    """
+    spec = powergrid.GridSpec(g_node=np.full(8, float(g)))
+    plant, model, d, _ = powergrid._discretize(spec, spec.g_node[None])[0]
+    return plant, model, powergrid.grid_objective(spec, model), d
 
 
 def random_weakly_coupled(rng, n=None, gamma2_max=2.0):

@@ -5,8 +5,9 @@ against them.  Each oracle restates what it checks from the per-agent
 callables of a ``SeparableObjective`` and the matrices of a
 ``SensitivityModel``: the pseudo-gradient, the contraction rate rho(eta),
 the neglected-coupling bias and, for quadratic objectives, the exact
-step limit of the algebraic loop.  They import only public ``ofonet``
-names, so none of them reuses the code it checks.
+step limit of the algebraic loop and the exact monotonicity modulus of
+the pseudo-gradient.  They import only public ``ofonet`` names, so none
+of them reuses the code it checks.
 """
 
 import itertools
@@ -107,6 +108,13 @@ def monotonicity_gap_test(obj, model, d, consts, trials: int, rng: np.random.Gen
     return worst
 
 
+def _pseudo_gradient_jacobian(obj, model) -> NDArray[np.float64]:
+    """M = gamma1 I + gamma2 H_diag H, the constant Jacobian of a quadratic's pseudo-gradient."""
+    if not isinstance(obj, QuadraticObjective):
+        raise TypeError("the exact oracles need a quadratic objective")
+    return obj.gamma1 * np.eye(model.n) + obj.gamma2 * np.diag(np.diag(model.H)) @ model.H
+
+
 def exact_algebraic_eta_limit(obj, model) -> float:
     """The step size above which the decentralized algebraic loop diverges.
 
@@ -116,11 +124,21 @@ def exact_algebraic_eta_limit(obj, model) -> float:
     for every eigenvalue lam of M, that is iff eta < 2 Re lam / |lam|^2
     for each of them; the minimum over the spectrum is returned.
     """
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("the exact step limit needs a quadratic objective")
-    M = obj.gamma1 * np.eye(model.n) + obj.gamma2 * np.diag(np.diag(model.H)) @ model.H
-    lam = np.linalg.eigvals(M)
+    lam = np.linalg.eigvals(_pseudo_gradient_jacobian(obj, model))
     return float(np.min(2.0 * lam.real / np.abs(lam) ** 2))
+
+
+def exact_pseudo_gradient_modulus(obj, model) -> float:
+    """The exact strong-monotonicity modulus of the decentralized pseudo-gradient.
+
+    For a quadratic objective F(u1) - F(u2) = M (u1 - u2) with
+    M = gamma1 I + gamma2 H_diag H, so <F(u1) - F(u2), u1 - u2> >=
+    lam ||u1 - u2||^2 holds for lam = lambda_min((M + M^T) / 2) and for
+    no larger lam.  The certified modulus m - c may not exceed it, and
+    the pseudo-gradient is strongly monotone, its zero unique, iff lam > 0.
+    """
+    M = _pseudo_gradient_jacobian(obj, model)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
 @dataclass(frozen=True)

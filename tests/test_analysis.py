@@ -1,19 +1,20 @@
 """Certificate computations against hand-derived and frozen reference values."""
 
+import json
 import math
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import random_weakly_coupled, reference_instance, static_plant
+from conftest import grid_instance, random_weakly_coupled, reference_instance, static_plant
 from oracles import exact_algebraic_eta_limit, monotonicity_gap_test, tracking_inequality_check
 
 import ofonet.analysis as an
-from ofonet import powergrid
-from ofonet.cli import FIG4_G_VALUES
+from ofonet import cli
 from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point, global_optimum
-from ofonet.errors import CouplingTooStrong
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import LtiPlant, compute_sensitivity
 from ofonet.sim import run_algebraic
@@ -74,19 +75,11 @@ def _identity_instance():
     return model, QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(3))
 
 
-def _grid_instance(g=1.0):
-    # the sensitivity exists for every g > 0, also where the Euler step
-    # leaves the grid unstable (g >= 50), as in the fig4 sweep
-    spec = powergrid.GridSpec(g_node=np.full(8, g))
-    _, model, _, _ = powergrid._discretize(spec, spec.g_node[None])[0]
-    return model, powergrid.grid_objective(spec, model)
-
-
 def _rate_instance(name):
     if name == "identity":
         return _identity_instance()
     if name == "grid":
-        return _grid_instance()
+        return grid_instance()[1:3]
     if name == "reference":
         _, model, obj, _ = reference_instance()
     else:  # random-<seed>
@@ -128,13 +121,13 @@ def test_eta_upper_is_below_the_exact_algebraic_limit(rng):
         pytest.approx(1.0, rel=1e-12)
     )
     # on the default grid the window ends at 0.6175, the loop diverges above 1.075
-    model, obj = _grid_instance()
+    _, model, obj, _ = grid_instance()
     assert exact_algebraic_eta_limit(obj, model) == pytest.approx(1.075, abs=1e-3)
     assert an.contraction_rate(an.monotonicity_constants(obj, model), 0.5).eta_upper == (
         pytest.approx(0.6175, abs=1e-4)
     )
     cases = [_identity_instance(), reference_instance()[1:3]]
-    cases += [_grid_instance(g) for g in FIG4_G_VALUES]
+    cases += [grid_instance(g)[1:3] for g in cli.FIG4_G_VALUES]
     cases += [random_weakly_coupled(rng)[1:3] for _ in range(50)]
     for model, obj in cases:
         limit = exact_algebraic_eta_limit(obj, model)
@@ -150,14 +143,6 @@ def test_contraction_rate_inadmissible_outside_interval():
     rate = an.contraction_rate(c, upper * 1.01)
     assert not rate.admissible
     assert rate.rho is not None
-
-
-def test_contraction_raises_when_coupling_dominates():
-    _, model = static_plant(np.array([[1.0, 10.0], [0.0, 1.0]]), np.zeros(2))
-    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
-    c = an.monotonicity_constants(obj, model)
-    with pytest.raises(CouplingTooStrong):
-        an.contraction_rate(c, 0.01)
 
 
 def test_tracking_inequality_2x2():
@@ -280,11 +265,51 @@ def test_eta_star_second_branch():
     assert branch is an.Branch.ETA2
 
 
-def test_eta_star_not_certifiable_when_coupling_dominates():
-    plant, model = static_plant(np.array([[1.0, 10.0], [0.0, 1.0]]), np.zeros(2))
-    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
-    with pytest.raises(CouplingTooStrong):
-        an.xi_matrix(plant, obj, model, eta=0.01)
+def _coupling_failing_instance(name):
+    """(plant, model, obj, d) of an instance whose coupling condition fails."""
+    if name.startswith("grid-"):  # the default grid at a low conductance
+        return grid_instance(float(name[5:]))
+    if name == "upper":  # an off-diagonal entry ten times the diagonal
+        plant, model = static_plant(np.array([[1.0, 10.0], [0.0, 1.0]]), np.ones(2))
+        return plant, model, QuadraticObjective(1.0, 1.0, np.zeros(2)), plant.d
+    rng = np.random.default_rng(int(name[7:]))  # random-<seed>: coupling 3x the diagonal
+    n = int(rng.integers(2, 7))
+    off = rng.standard_normal((n, n))
+    np.fill_diagonal(off, 0.0)
+    h = np.diag(rng.uniform(0.8, 1.5, n)) + 3.0 * off
+    plant, model = static_plant(h, rng.uniform(-1.0, 1.0, n))
+    obj = QuadraticObjective(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-1, 1, n))
+    return plant, model, obj, plant.d
+
+
+@pytest.mark.parametrize("convention", list(an.Convention), ids=lambda conv: conv.value)
+@pytest.mark.parametrize(
+    "name", ["upper", "grid-0.1", "grid-0.3", *(f"random-{seed}" for seed in range(5))]
+)
+def test_failing_coupling_certifies_no_step(name, convention):
+    # m <= c: rho >= 1 + (c - m) eta >= 1 and Xi_22 = 1 - m' eta + L' eta^2 >= 1
+    # for every positive step, so both windows are empty and nothing raises
+    plant, model, obj, d = _coupling_failing_instance(name)
+    assert not an.coupling_condition(obj, model)[0]
+    consts = an.monotonicity_constants(obj, model, convention)
+    assert consts.m <= consts.c
+    etas = np.logspace(-6, 2, 41)
+    for eta in map(float, etas):
+        rate = an.contraction_rate(consts, eta)
+        assert rate.rho >= 1.0
+        assert not rate.admissible
+        assert rate.eta_upper == 0.0
+        cert = an.xi_matrix(plant, obj, model, eta, convention)
+        assert cert.m_prime <= 0.0
+        assert cert.lam_max >= 1.0
+        assert cert.eta_star is None and cert.branch is None
+    report = an.build_report(obj, model, d, 0.01, etas, plant)
+    entry = report["conventions"][convention.value]
+    assert not report["coupling"]["satisfied"]
+    assert all(not rate["admissible"] for rate in (*entry["rate_table"], entry["rate_at_eta"]))
+    assert entry["lti"]["lam_max"] >= 1.0 and entry["lti"]["eta_star"] is None
+    schema = resources.files("ofonet") / "schemas" / "analysis_report.schema.json"
+    jsonschema.validate(json.loads(cli._dump_json(report)), json.loads(schema.read_text()))
 
 
 def test_monotonicity_gap_2x2(rng):

@@ -78,10 +78,35 @@ def test_analyze_coupling_failure_names_both_sides(tmp_path, capsys):
     cfg = write_config(tmp_path, {"plant": plant, "controller": {"eta": 0.1}})
     assert run(["--config", cfg, "analyze"]) == 1
     captured = capsys.readouterr()
-    coupling = json.loads(captured.out)["coupling"]
+    report = json.loads(captured.out)
+    validate(report, "analysis_report")
+    coupling = report["coupling"]
     assert not coupling["satisfied"]
     sides = f"sigma_max(H - H_diag) = {coupling['lhs']:.6g} exceeds {coupling['rhs']:.6g}"
     assert captured.err == f"error: the coupling condition fails: {sides}\n"
+    # every certificate is still reported: an empty window and no eta_star
+    for entry in report["conventions"].values():
+        for rate in (*entry["rate_table"], entry["rate_at_eta"]):
+            assert rate["eta_upper"] == 0.0 and rate["rho"] >= 1.0 and not rate["admissible"]
+        assert entry["lti"]["lam_max"] >= 1.0 and entry["lti"]["eta_star"] is None
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_zero_sensitivity_exits_0_without_traceback(tmp_path, capsys, command):
+    # H = 0: the coupling condition's right side m / (sigma_max(H) L_y) is inf
+    plant = {**ONE_AGENT, "B": [[0.0]]}
+    config = {"plant": plant, "controller": {"eta": 0.1}, "simulation": {"steps": 50}}
+    out = tmp_path / "out"
+    assert run(["--config", write_config(tmp_path, config), "--out", str(out), command]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "analyze":
+        report = json.loads(captured.out)
+        validate(report, "analysis_report")
+        assert report["coupling"] == {"satisfied": True, "lhs": 0.0, "rhs": None}
+        assert report["conventions"]["tight"]["rate_at_eta"]["admissible"]
+    else:
+        validate(json.loads((out / "metrics.json").read_text()), "metrics")
 
 
 def test_analyze_requires_plant_source(tmp_path, capsys):
@@ -525,6 +550,17 @@ def test_unknown_section_rejected(tmp_path):
             {"controller": {"eta": None}, "simulation": {"steps": 50, "loop": "lti"}},
             "'simulation.loop'",
         ),
+        # grid sweep runs the decentralized algebraic loop and reads only eta and steps
+        (
+            ["grid", "sweep"],
+            {"controller": {"eta": 0.05, "mode": "centralized"}},
+            "'controller.mode'",
+        ),
+        (["grid", "sweep"], {"simulation": {"loop": "lti", "steps": 50}}, "'simulation.loop'"),
+        (["grid", "sweep"], {"simulation": {"decimation": 7}}, "'simulation.decimation'"),
+        (["grid", "sweep"], {"simulation": {"u0": "random"}}, "'simulation.u0'"),
+        (["grid", "sweep"], {"simulation": {"x0": "zeros"}}, "'simulation.x0'"),
+        (["grid", "sweep", "--seed", "3"], {}, "'simulation.seed'"),
     ],
 )
 def test_malformed_setting_exits_2_naming_key(tmp_path, capsys, argv, extra, key):
@@ -625,7 +661,7 @@ def test_analyze_reports_a_singular_fixed_point(tmp_path, capsys):
     for entry in report["conventions"].values():
         assert entry["suboptimality"] is None
         assert len(entry["rate_table"]) == len(cli.DEFAULT_ETA_GRID)
-        assert "xi" in entry["lti"] or "error" in entry["lti"]
+        assert "xi" in entry["lti"]
 
 
 def test_divergence_at_step_0_leaves_no_stale_csv(tmp_path, capsys):

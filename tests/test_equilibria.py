@@ -1,13 +1,16 @@
 """Equilibrium solvers checked against the closed-form 2x2 instance."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import random_weakly_coupled, reference_instance, static_plant
-from oracles import best_response_check, nash_residual
+from conftest import grid_instance, random_weakly_coupled, reference_instance, static_plant
+from oracles import best_response_check, exact_pseudo_gradient_modulus, nash_residual
 from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
+from ofonet.cli import FIG4_G_VALUES
 from ofonet.errors import DimensionMismatch, NoConvergence
 from ofonet.objective import QuadraticObjective
 
@@ -88,6 +91,48 @@ def test_uncertified_fixed_point_flagged():
     obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
     sol = eq.decentralized_fixed_point(obj, model, np.array([1.0, 1.0]))
     assert not sol.uniqueness_certified
+
+
+def test_zero_sensitivity_coupling_has_an_infinite_right_side():
+    # H = 0: c = 0 < m = gamma1, and rhs = m / (sigma_max(H) L_y) does not divide by 0
+    _, model = static_plant(np.zeros((2, 2)), np.ones(2))
+    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(2))
+    assert eq.coupling_condition(obj, model) == (True, 0.0, math.inf)
+    sol = eq.decentralized_fixed_point(obj, model, np.ones(2))
+    assert sol.uniqueness_certified
+    npt.assert_array_equal(sol.u, np.zeros(2))
+
+
+def _random_coupled(rng, scale):
+    """(model, obj) with random-signed diagonal and off-diagonal coupling times ``scale``."""
+    n = int(rng.integers(2, 7))
+    off = rng.standard_normal((n, n))
+    np.fill_diagonal(off, 0.0)
+    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+    _, model = static_plant(np.diag(diag) + scale * off, np.zeros(n))
+    gamma1, gamma2 = rng.uniform(0.1, 2.0, 2)
+    return model, QuadraticObjective(gamma1=gamma1, gamma2=gamma2, y_ref=np.zeros(n))
+
+
+def test_coupling_decision_against_the_exact_modulus(rng):
+    # the tight m - c never exceeds the exact modulus lam of the pseudo-gradient,
+    # so a satisfied coupling condition (c < m) certifies lam > 0, a unique zero
+    cases = [grid_instance(g)[1:3] for g in (0.1, 0.3, *FIG4_G_VALUES)]
+    cases += [random_weakly_coupled(rng)[1:3] for _ in range(50)]
+    cases += [_random_coupled(rng, scale) for scale in np.logspace(-2, 1, 200)]
+    satisfied = 0
+    for model, obj in cases:
+        lam = exact_pseudo_gradient_modulus(obj, model)
+        k = eq.monotonicity_constants(obj, model)
+        assert k.m - k.c <= lam + 1e-10 * max(1.0, abs(lam))
+        ok = eq.coupling_condition(obj, model)[0]
+        assert ok == (k.c < k.m)
+        if ok:
+            assert lam > 0.0
+            satisfied += 1
+    # both outcomes occur: the grids at g = 0.1 and 0.3 fail, the weakly coupled pass
+    assert 0 < satisfied < len(cases)
+    assert not any(eq.coupling_condition(obj, model)[0] for model, obj in cases[:2])
 
 
 def test_no_convergence_carries_state(monkeypatch):
