@@ -59,7 +59,7 @@ from .equilibria import (
     global_optimum,
     monotonicity_constants,
 )
-from .errors import SingularMatrix
+from .errors import Overflow, SingularMatrix
 from .objective import SeparableObjective
 from .plant import LtiPlant, SensitivityModel
 
@@ -144,11 +144,17 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
     exactly on (0, eta_upper), eta_upper = 2(m-c)/((L-c)(L+c)); when
     m <= c, rho >= 1 for every positive step and eta_upper is 0.
     Admissibility tests rho itself: a step that rounds onto the end is
-    judged by the rate it gets.
+    judged by the rate it gets.  A step whose rate leaves the
+    floating-point range raises Overflow.
     """
     m, c, L = consts.m, consts.c, consts.L
     eta_upper = 2.0 * (m - c) / ((L - c) * (L + c)) if m > c else 0.0
-    rho = math.sqrt(1.0 - 2.0 * m * eta + (L * eta) ** 2) + c * eta
+    try:
+        rho = math.sqrt(1.0 - 2.0 * m * eta + (L * eta) ** 2) + c * eta
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise Overflow(f"the rate at step size {eta:.6g}")
     return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
 
 
@@ -249,19 +255,27 @@ def xi_matrix(
 
     The eigenvalue comes from the 2x2 closed form.  eta_star and its
     branch are attached when sigma_max(A) < 1 and m' > 0, else left None.
+    A constant or an entry past the floating-point range raises Overflow.
     """
-    m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(plant, obj, model, convention)
+    try:
+        m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(plant, obj, model, convention)
+        eta_sq = eta**2
+    except OverflowError as exc:
+        raise Overflow(f"Xi at step size {eta:.6g}") from exc
     lam_a = 1.0 - t
-    off = a1 * eta**2 + a2 * eta
+    off = a1 * eta_sq + a2 * eta
     xi = np.array(
         [
-            [lam_a + a3 * eta**2 + a4 * eta, off],
-            [off, 1.0 - m_prime * eta + l_prime * eta**2],
+            [lam_a + a3 * eta_sq + a4 * eta, off],
+            [off, 1.0 - m_prime * eta + l_prime * eta_sq],
         ]
     )
     half_sum = 0.5 * (xi[0, 0] + xi[1, 1])
     half_diff = 0.5 * (xi[0, 0] - xi[1, 1])
+    # lambda_max is finite only if every entry is
     lam_max = half_sum + math.hypot(half_diff, off)
+    if not math.isfinite(lam_max):
+        raise Overflow(f"Xi at step size {eta:.6g}")
     star, branch = _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t)
     return LtiRateCertificate(
         xi=xi,

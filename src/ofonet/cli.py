@@ -363,17 +363,19 @@ def _simulate(config: dict) -> int:
             raise ConfigError("'simulation.seed' is required when u0 is 'random'")
         rng = convert("simulation.seed", np.random.default_rng, seed)
         u0 = rng.standard_normal(inst.model.n)
+    # the fixed point first: its constants reject a sensitivity whose square
+    # overflows, which the optimum's equations would square unchecked
+    if ctl.mode is Mode.DECENTRALIZED:
+        fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
+        u_ref, u_ref_kind = fixed.u, "fixed_point"
     star = global_optimum(inst.obj, inst.model, inst.d)
     if ctl.mode is Mode.CENTRALIZED:
         u_ref, u_ref_kind = star.u, "optimum"
-    else:
-        fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
-        u_ref, u_ref_kind = fixed.u, "fixed_point"
     out_dir = _resolve_out_dir(config, ".")
     csv_path = os.path.join(out_dir, "trajectory.csv")
     metrics_path = os.path.join(out_dir, "metrics.json")
 
-    def payload(traj, diverged, step=None):
+    def payload(stream, traj, diverged, step=None):
         data = {
             "mode": ctl.mode.value,
             "loop": simc["loop"],
@@ -391,7 +393,7 @@ def _simulate(config: dict) -> int:
                 os.remove(csv_path)
         else:
             err = sim.metrics(traj, u_ref, inst.model)
-            sim.write_trajectory_csv(csv_path, traj, err, simc["decimation"])
+            sim.write_trajectory_csv(csv_path, traj, err, simc["decimation"], stream)
             data["iterations"] = traj.info.iterations
             data["early_stopped"] = traj.info.early_stopped
             data["final_rel_err"] = float(err.rel_err_u[-1])
@@ -409,16 +411,19 @@ def _simulate(config: dict) -> int:
             }
         return data
 
-    try:
-        if simc["loop"] == "lti":
-            traj = sim.run_lti(inst.plant, inst.obj, ctl, x0=x0, u0=u0, steps=simc["steps"])
-        else:
-            traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, u0=u0, steps=simc["steps"])
-    except NonFinite as exc:
-        sys.stdout.write(_dump_json(payload(exc.trajectory, True, exc.step), metrics_path))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    sys.stdout.write(_dump_json(payload(traj, False), metrics_path))
+    with sim.CsvStream(csv_path, simc["decimation"]) as stream:
+        run = {"u0": u0, "steps": simc["steps"], "stream": stream}
+        try:
+            if simc["loop"] == "lti":
+                traj = sim.run_lti(inst.plant, inst.obj, ctl, x0=x0, **run)
+            else:
+                traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, **run)
+        except NonFinite as exc:
+            data = payload(stream, exc.trajectory, True, exc.step)
+            sys.stdout.write(_dump_json(data, metrics_path))
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        sys.stdout.write(_dump_json(payload(stream, traj, False), metrics_path))
     return EXIT_OK
 
 
@@ -433,21 +438,23 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
     for mode in (Mode.CENTRALIZED, Mode.DECENTRALIZED):
         for loop in ("algebraic", "lti"):
             cfg = ControllerConfig(mode=mode, eta=eta)
-            if loop == "lti":
-                traj = sim.run_lti(plant, obj, cfg, steps=steps)
-            else:
-                traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps)
-            # rel_err_u is against u_star; combined_sq against the mode's own
-            # limit, which for the centralized loop is u_star as well
-            if mode is Mode.CENTRALIZED:
-                err = sim.metrics(traj, star.u, model)
-            else:
-                err = sim.metrics(traj, star.u)
-                if loop == "lti":
-                    own = sim.metrics(traj, fixed.u, model).combined_sq
-                    err = replace(err, combined_sq=own)
             name = f"fig3_{mode.value}_{loop}.csv"
-            sim.write_trajectory_csv(os.path.join(out_dir, name), traj, err)
+            path = os.path.join(out_dir, name)
+            with sim.CsvStream(path) as stream:
+                if loop == "lti":
+                    traj = sim.run_lti(plant, obj, cfg, steps=steps, stream=stream)
+                else:
+                    traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps, stream=stream)
+                # rel_err_u is against u_star; combined_sq against the mode's own
+                # limit, which for the centralized loop is u_star as well
+                if mode is Mode.CENTRALIZED:
+                    err = sim.metrics(traj, star.u, model)
+                else:
+                    err = sim.metrics(traj, star.u)
+                    if loop == "lti":
+                        own = sim.metrics(traj, fixed.u, model).combined_sq
+                        err = replace(err, combined_sq=own)
+                sim.write_trajectory_csv(path, traj, err, stream=stream)
             files[f"{mode.value}_{loop}"] = name
     return {
         "preset": "fig3",
@@ -487,10 +494,10 @@ def cmd_figures(args) -> int:
     config = _fixed_objective(_grid_config(args))
     if as_section("grid", config["grid"]):
         raise ConfigError("'grid': figures runs the default grid and reads no grid key")
-    out_dir = _resolve_out_dir(config, ".")
     # the presets fix their controller; an 'objective' key was rejected above
     read = ("simulation.steps", "simulation.seed", "output.dir")
     _reads_only(config, read, "figures fixes its controller and reads only steps and seed")
+    out_dir = _resolve_out_dir(config, ".")
     bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
     manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")

@@ -25,12 +25,13 @@ unique.  Both solvers take their step sizes from the same constants;
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, NoConvergence, SingularMatrix, as_vector
+from .errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix, as_vector
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import SensitivityModel
 
@@ -120,17 +121,26 @@ def monotonicity_constants(
 
     m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - H_diag) sigma_max(H) L_y,
     L = L_u + sigma_max(H)^2 L_y, each multiplied by N under the
-    N-scaled convention.
+    N-scaled convention.  A constant past the floating-point range (as
+    sigma_max(H) above ~1e154 gives) raises Overflow.
     """
     s = _svals(model.H)
     sigma_max_h = float(s[0])
     sigma_min_h = float(s[-1])
     sigma_off = float(_svals(model.H - model.H_diag)[0])
     k = _n_factor(model.n, convention)
+    try:
+        L = k * (obj.L_u + sigma_max_h**2 * obj.L_y)
+    except OverflowError:
+        L = math.inf
+    c = k * sigma_off * sigma_max_h * obj.L_y
+    # m <= L: it is finite when L is
+    if not (math.isfinite(L) and math.isfinite(c)):
+        raise Overflow(f"a monotonicity constant at sigma_max(H) = {sigma_max_h:.6g}")
     return MonotonicityConstants(
         m=k * (obj.m_u + sigma_min_h**2 * obj.m_y),
-        c=k * sigma_off * sigma_max_h * obj.L_y,
-        L=k * (obj.L_u + sigma_max_h**2 * obj.L_y),
+        c=c,
+        L=L,
         sigma_max_h=sigma_max_h,
         sigma_min_h=sigma_min_h,
         sigma_max_offdiag=sigma_off,

@@ -23,6 +23,7 @@ __all__ = [
     "NoConvergence",
     "NonFinite",
     "UnstableDiscretization",
+    "Overflow",
     "ConfigError",
     "as_vector",
     "as_section",
@@ -95,6 +96,17 @@ class UnstableDiscretization(OfonetError):
             f"discretized system is not Schur stable "
             f"(spectral radius {self.spectral_radius:.6g})"
         )
+
+
+class Overflow(OfonetError):
+    """A certificate's arithmetic left the floating-point range.
+
+    A float power past the range raises OverflowError in Python, while a
+    product gives inf; each certificate turns both into this error.
+    """
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} leaves the floating-point range")
 
 
 class ConfigError(OfonetError):

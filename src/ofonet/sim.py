@@ -31,25 +31,30 @@ memory follows the iterations actually run, not the step budget.
 ``metrics`` alone computes a run's per-step errors (rel_err_u and, for a
 dynamic run given a model, the combined squared error).
 
-CSV format contract: each data row is formatted by one template,
-"%d" for k then ",%.17g" per value, and written CSV_CHUNK_ROWS rows at a
-time.  17 significant digits round-trip every float64 exactly, and
+CSV format contract: each data row is "%d" for k then ",%.17g" per
+value.  17 significant digits round-trip every float64 exactly, and
 "%.17g" renders -0.0, subnormals, inf and nan as format(v, ".17g") does,
-so identical configurations reproduce byte-identical files.  The chunks
-are split into one contiguous share per usable CPU; forked workers
-format every share but the first into temporary files, which are
-appended in order, so the bytes do not depend on the CPU count.
+so identical configurations reproduce byte-identical files.  The CSV is
+formatted while the loop runs: a ``CsvStream`` opened before the run
+hands the full recorder blocks, RECORD_BLOCK kept rows at a time, to
+one forked worker, which formats the k, u, y[, x] cells of those rows.
+``write_trajectory_csv`` completes the file after the loop: it reaps
+the worker, ends each of its lines with the row's rel_err_u[,
+combined_sq] cells from the caller's metrics, and formats the rows
+recorded since the last handover itself.  A line is the same template
+applied to the same row whoever formats it, so the bytes do not depend
+on the CPU count or on where the rows were split.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
+import operator
 import os
 import secrets
-import shutil
 import signal
+import struct
 import tempfile
 from dataclasses import dataclass
 from typing import Optional
@@ -70,14 +75,17 @@ __all__ = [
     "run_algebraic",
     "run_lti",
     "metrics",
+    "CsvStream",
     "write_trajectory_csv",
 ]
 
 EARLY_STOP_TOL = 1e-12
 DEFAULT_STEPS = 10**5
-# rows per recorder block and per formatted CSV chunk
+# rows per recorder block and per formatted CSV chunk; bytes per read of
+# the CSV worker's lines
 RECORD_BLOCK = 1024
 CSV_CHUNK_ROWS = 1024
+JOIN_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,13 +124,16 @@ def _start(value, n: int, name: str) -> NDArray[np.float64]:
 class _Recorder:
     """Rows (u_k, y_k[, x_k]) of a run, in arrays grown RECORD_BLOCK rows at a time."""
 
-    def __init__(self, n: int, n_state: Optional[int] = None):
+    def __init__(self, n: int, n_state: Optional[int] = None, on_full=None):
         self._widths = (n, n) if n_state is None else (n, n, n_state)
         self._blocks: list = []
         self._row = RECORD_BLOCK
+        self._on_full = on_full  # called with the blocks each time the last one is full
 
     def append(self, u, y, x=None) -> None:
         if self._row == RECORD_BLOCK:
+            if self._blocks and self._on_full is not None:
+                self._on_full(self._blocks)
             block = [np.empty((RECORD_BLOCK, w)) for w in self._widths]
             self._blocks.append(block)
             self._u, self._y, *rest = block
@@ -181,7 +192,7 @@ def _step_norm(v_next, v) -> float:
     return math.sqrt(dv @ dv)
 
 
-def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
+def _run(advance, cfg, obj, model, u, x, steps, stream) -> Trajectory:
     """The recording closed loop of ``run_algebraic`` and ``run_lti``.
 
     ``advance(x, u)`` returns the plant's next state (None when ``x`` is
@@ -192,7 +203,8 @@ def _run(advance, cfg, obj, model, u, x, steps) -> Trajectory:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     update = update_map(cfg, obj, model)
-    rec = _Recorder(u.size, None if x is None else x.size)
+    on_full = None if stream is None else stream._take
+    rec = _Recorder(u.size, None if x is None else x.size, on_full)
     early = False
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,15 +230,16 @@ def run_algebraic(
     cfg: ControllerConfig,
     u0=None,
     steps: int = DEFAULT_STEPS,
+    stream: Optional[CsvStream] = None,
 ) -> Trajectory:
     """Run the steady-state (algebraic) closed loop for up to ``steps`` updates.
 
     The output is y = H u + d itself, with no state term, so a -0.0
-    output stays -0.0.
+    output stays -0.0.  Each full recorder block goes to ``stream``.
     """
     H, d = model.H, _start(d, model.n, "d")
     u = _start(u0, model.n, "u0")
-    return _run(lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps)
+    return _run(lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps, stream)
 
 
 def run_lti(
@@ -236,19 +249,21 @@ def run_lti(
     x0=None,
     u0=None,
     steps: int = DEFAULT_STEPS,
+    stream: Optional[CsvStream] = None,
 ) -> Trajectory:
     """Run the closed loop against the full plant dynamics.
 
     Early stop requires both the input and the state increments to fall
     below EARLY_STOP_TOL, so a still-settling plant keeps the run alive
-    even once the controller has effectively frozen.
+    even once the controller has effectively frozen.  Each full recorder
+    block goes to ``stream``.
     """
     A, B, C, D, dist = plant.A, plant.B, plant.C, plant.D, plant.d
     x = _start(x0, plant.n_state, "x0")
     u = _start(u0, plant.n, "u0")
     return _run(
         lambda x, u: (A @ x + B @ u, C @ x + D @ u + dist),
-        cfg, obj, compute_sensitivity(plant), u, x, steps,
+        cfg, obj, compute_sensitivity(plant), u, x, steps, stream,
     )
 
 
@@ -349,112 +364,228 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_chunks(fh, starts, ks, columns, row: str) -> None:
-    """Format the CSV_CHUNK_ROWS-row chunks of ``ks`` beginning at ``starts``."""
-    for start in starts:
-        sel = ks[start:start + CSV_CHUNK_ROWS]
-        block = np.column_stack([sel] + [c[sel] for c in columns])
-        fh.write("".join([row % tuple(r) for r in block.tolist()]).encode())
+def _rows(ks: range, start: int = 0) -> slice:
+    """The array rows of run rows ``ks``, for arrays whose row 0 is run row ``start``."""
+    return slice(ks.start - start, ks.stop - start, ks.step)
 
 
-def _fork_share(write, tmp, share) -> int:
-    """Fork a worker that runs ``write(tmp, share)``; it exits 0 on success, else 1.
+def _table(ks: range, columns, start: int = 0):
+    """Run rows ``ks`` as one float array: k, then the row of each column."""
+    rows = _rows(ks, start)
+    return np.column_stack([np.arange(ks.start, ks.stop, ks.step)] + [c[rows] for c in columns])
 
-    The worker leaves through os._exit, so it runs no atexit handler and
-    flushes no buffer it inherited.
+
+def _write_table(fh, table) -> None:
+    """Write each row of ``table`` as one line: "%d" for k, then ",%.17g" per cell."""
+    row = b"%d" + b",%.17g" * (table.shape[1] - 1) + b"\n"
+    fh.write(b"".join([row % tuple(r) for r in table.tolist()]))
+
+
+def _format_notices(notices, data, out) -> None:
+    """The CSV worker: write each table that ``notices`` announces in ``data`` to ``out``.
+
+    A notice is (rows, cols), the shape of the next float64 table of
+    ``data``.  The end notice (0, 0), sent at completion, or the end of
+    ``notices``, at the death of the stream's process, ends the worker.
     """
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            write(tmp, share)
-            tmp.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+    offset = 0
+    while head := notices.read(_NOTICE.size):
+        rows, cols = _NOTICE.unpack(head)
+        if rows == 0:
+            break
+        size = 8 * rows * cols
+        table = np.frombuffer(os.pread(data.fileno(), size, offset)).reshape(rows, cols)
+        offset += size
+        _write_table(out, table)
+    out.flush()
+
+
+_NOTICE = struct.Struct("qq")
+
+
+class CsvStream:
+    """The CSV of one run, formatted by a forked worker while the run records it.
+
+    Open it in a ``with`` block before the run, and pass it to
+    ``run_algebraic`` or ``run_lti`` and then to ``write_trajectory_csv``,
+    which completes the file.  The full recorder blocks go to one worker,
+    forked at the first handover, ``decimate`` blocks (so RECORD_BLOCK
+    kept rows) at a time; it formats the k, u, y[, x] cells of the kept
+    rows while the loop keeps stepping.  The rows reach it through an
+    anonymous temporary file beside ``path``, announced on a pipe, and
+    its lines go to a second one.  With one usable CPU, or where the OS
+    cannot fork, nothing is handed over.  Leaving the ``with`` block
+    kills a worker still running.  Completion stops the worker by an end
+    notice, so another stream's worker or any child forked meanwhile,
+    which inherits the pipe's write end, cannot keep it waiting.  A
+    worker whose process dies sees the pipe's end once every process
+    forked after it has let go of it, and exits.
+    """
+
+    def __init__(self, path, decimate: int = 1):
+        if decimate < 1:
+            raise ValueError(f"decimate must be >= 1, got {decimate}")
+        self.path, self.decimate = os.path.abspath(path), decimate
+        self._parallel = hasattr(os, "fork") and _usable_cpus() > 1
+        self._handed = 0  # rows 0.._handed - 1 of the run went to the worker
+        self._pid = self._notices = None
+        self._files: list = []  # the worker's rows and its lines
+
+    def __enter__(self) -> "CsvStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._end_notices()
+        # a worker still running here outlived a failure of this process
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        for f in self._files:
+            f.close()
+
+    def _end_notices(self) -> None:
+        if self._notices is not None:
+            os.close(self._notices)
+            self._notices = None
+
+    def _take(self, blocks) -> None:
+        """The recorder's hook: hand over its full ``blocks`` ``decimate`` at a time.
+
+        So each handover keeps RECORD_BLOCK rows: a decimated run forks
+        no worker for a few rows.  No block is kept here, so none
+        outlives the recorder.
+        """
+        if len(blocks) * RECORD_BLOCK == self._handed + self.decimate * RECORD_BLOCK:
+            for block in blocks[-self.decimate:]:
+                self._hand(block, self._handed + RECORD_BLOCK)
+
+    def _hand(self, columns, stop: int) -> None:
+        """Hand rows _handed..stop - 1 (row 0 of ``columns``) to the worker."""
+        if not self._parallel:
+            return
+        if self._pid is None:
+            self._start()
+        first = -(-self._handed // self.decimate) * self.decimate
+        ks = range(first, stop, self.decimate)
+        if ks:
+            table = _table(ks, columns, self._handed)
+            data = self._files[0]
+            data.write(table)
+            data.flush()
+            # a dead worker is reported by its exit status at completion
+            with contextlib.suppress(BrokenPipeError):
+                os.write(self._notices, _NOTICE.pack(*table.shape))
+        self._handed = stop
+
+    def _start(self) -> None:
+        directory = os.path.dirname(self.path)
+        self._files = [tempfile.TemporaryFile(dir=directory) for _ in range(2)]
+        read_end, self._notices = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            # the worker leaves through os._exit: no atexit handler, no inherited buffer
+            code = 1
+            try:
+                os.close(self._notices)
+                with open(read_end, "rb") as notices:
+                    _format_notices(notices, *self._files)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(read_end)
+
+    def _finish(self):
+        """Send the end notice and reap the worker; the file of its lines, or None."""
+        if self._pid is None:
+            return None
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self._notices, _NOTICE.pack(0, 0))
+        self._end_notices()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if status != 0:
+            raise OSError(f"CSV worker of {self.path} failed (wait status {status})")
+        return self._files[1]
+
+
+def _join(lines, fh, ks: range, columns) -> None:
+    """Write each line of the file ``lines`` to ``fh``, ended by its row's cells of ``columns``.
+
+    Line i belongs to run row ks[i].  The file is read JOIN_BYTES at a
+    time, so memory stays bounded by that, not by the number of lines.
+    """
+    cells = b",%.17g" * len(columns) + b"\n"
+    lines.seek(0)
+    rest, done = b"", 0
+    while chunk := lines.read(JOIN_BYTES):
+        heads = (rest + chunk).split(b"\n")
+        rest = heads.pop()
+        rows = _rows(ks[done:done + len(heads)])
+        done += len(heads)
+        tails = [cells % tuple(r) for r in np.column_stack([c[rows] for c in columns]).tolist()]
+        fh.write(b"".join(map(operator.add, heads, tails)))
+    if rest or done != len(ks):
+        raise OSError(f"CSV worker wrote {done} of {len(ks)} lines")
 
 
 def write_trajectory_csv(
-    path, trajectory: Trajectory, err: ErrorMetrics, decimate: int = 1
+    path,
+    trajectory: Trajectory,
+    err: ErrorMetrics,
+    decimate: int = 1,
+    stream: Optional[CsvStream] = None,
 ) -> None:
     """Write a trajectory with its metrics as locale-independent CSV.
 
     Columns: k, u_1..u_n, y_1..y_n, x_1..x_m (dynamic runs), rel_err_u,
     combined_sq (when present).  ``decimate`` keeps every k-th row;
     metrics must already be computed on the undecimated series.  Each
-    row is formatted by one template, "%d" then ",%.17g" per value, so
-    every float is written with 17 significant digits (as
-    ``format(v, ".17g")``: "-0", "inf", "nan" and subnormals included).
+    row is "%d" then ",%.17g" per value, so every float is written with
+    17 significant digits (as ``format(v, ".17g")``: "-0", "inf", "nan"
+    and subnormals included).
 
-    The CSV_CHUNK_ROWS-row chunks are split into W contiguous shares,
-    W = min(usable CPUs, chunks), or 1 where the OS cannot fork.  Before
-    the file is opened, W - 1 forked workers format shares 2..W into
-    anonymous temporary files in its directory; this process writes the
-    header and share 1 to the file, then appends the workers' files in
-    share order.  The bytes do not depend on W.  A failed worker raises
-    OSError; workers still running when this process fails are killed,
-    and every worker is reaped before return.
+    ``stream`` is the run's ``CsvStream`` for ``path`` and ``decimate``.
+    Its worker is reaped first, and its lines are written, each ended by
+    its row's cells of ``err``; this process then formats the rows that
+    were not handed over, CSV_CHUNK_ROWS at a time.  Without a stream it
+    formats every row.  Each line is one template applied to one row, so
+    the bytes do not depend on which rows were handed over.  A failed
+    worker raises OSError.
 
     The file is written under a hidden temporary name in the directory of
     ``path`` and renamed onto ``path`` only once complete, so a failure
     leaves ``path`` as it was, or absent, and no partial file behind.
     """
-    if decimate < 1:
-        raise ValueError(f"decimate must be >= 1, got {decimate}")
-    n = trajectory.u_series.shape[1]
-    header = ["k"]
-    header += [f"u_{i + 1}" for i in range(n)]
-    header += [f"y_{i + 1}" for i in range(n)]
+    if stream is None:
+        stream = CsvStream(path, decimate)  # hands nothing over, so forks nothing
+    elif (stream.path, stream.decimate) != (os.path.abspath(path), decimate):
+        raise ValueError(f"the stream is for {stream.path} at decimation {stream.decimate}")
     columns = [trajectory.u_series, trajectory.y_series]
+    n = trajectory.u_series.shape[1]
+    header = ["k"] + [f"u_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
     if trajectory.x_series is not None:
         header += [f"x_{i + 1}" for i in range(trajectory.x_series.shape[1])]
         columns.append(trajectory.x_series)
     header.append("rel_err_u")
-    columns.append(err.rel_err_u)
+    cells = [err.rel_err_u]
     if err.combined_sq is not None:
         header.append("combined_sq")
-        columns.append(err.combined_sq)
-    row = "%d" + ",%.17g" * (len(header) - 1) + "\n"
-    ks = np.arange(0, len(trajectory), decimate)
-    starts = range(0, ks.size, CSV_CHUNK_ROWS)
-    workers = max(1, min(_usable_cpus(), len(starts))) if hasattr(os, "fork") else 1
-    shares = [
-        starts[i * len(starts) // workers:(i + 1) * len(starts) // workers]
-        for i in range(workers)
-    ]
-    write = functools.partial(_write_chunks, ks=ks, columns=columns, row=row)
-    directory, name = os.path.split(os.path.abspath(path))
+        cells.append(err.combined_sq)
+    ks = range(0, len(trajectory), decimate)
+    split = -(-stream._handed // decimate)  # the worker's rows are ks[:split]
+    directory, name = os.path.split(stream.path)
     partial = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    with contextlib.ExitStack() as stack:
-        tmps = [
-            stack.enter_context(tempfile.TemporaryFile(dir=directory))
-            for _ in shares[1:]
-        ]
-        pending = {}  # share number -> pid of its worker, until reaped
-        try:
-            for number, (share, tmp) in enumerate(zip(shares[1:], tmps), start=2):
-                pending[number] = _fork_share(write, tmp, share)
-            with open(partial, "xb") as fh:
-                fh.write((",".join(header) + "\n").encode())
-                write(fh, shares[0])
-                for number, tmp in enumerate(tmps, start=2):
-                    _, status = os.waitpid(pending[number], 0)
-                    del pending[number]
-                    if status != 0:
-                        raise OSError(
-                            f"CSV worker for share {number} of {workers} of "
-                            f"{path} failed (wait status {status})"
-                        )
-                    tmp.seek(0)
-                    shutil.copyfileobj(tmp, fh)
-            os.replace(partial, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(partial)
-            raise
-        finally:
-            # workers left here outlived a failure of this process
-            for pid in pending.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    try:
+        with open(partial, "xb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            lines = stream._finish()
+            if split:
+                _join(lines, fh, ks[:split], cells)
+            for start in range(split, len(ks), CSV_CHUNK_ROWS):
+                _write_table(fh, _table(ks[start:start + CSV_CHUNK_ROWS], columns + cells))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+        raise

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
@@ -15,6 +16,7 @@ import ofonet.analysis as an
 from ofonet import cli
 from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import decentralized_fixed_point, global_optimum
+from ofonet.errors import Overflow
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import LtiPlant, compute_sensitivity
 from ofonet.sim import run_algebraic
@@ -143,6 +145,16 @@ def test_contraction_rate_inadmissible_outside_interval():
     rate = an.contraction_rate(c, upper * 1.01)
     assert not rate.admissible
     assert rate.rho is not None
+
+
+@pytest.mark.parametrize("eta", [1e155, 1e200, 1.7e308])
+def test_certificates_at_an_overflowing_step_raise(eta):
+    plant, model, obj, _ = reference_instance()
+    consts = an.monotonicity_constants(obj, model)
+    with pytest.raises(Overflow, match=re.escape(f"the rate at step size {eta:.6g} leaves")):
+        an.contraction_rate(consts, eta)
+    with pytest.raises(Overflow, match=re.escape(f"Xi at step size {eta:.6g} leaves")):
+        an.xi_matrix(plant, obj, model, eta)
 
 
 def test_tracking_inequality_2x2():

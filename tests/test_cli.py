@@ -407,6 +407,53 @@ def test_overflowing_sensitivity_exits_1_with_one_error_line(tmp_path, capsys, n
     assert captured.err == message
 
 
+# sigma_max(H) = 1e200: H is finite, its square is not
+HUGE_GAIN = {"plant": {**ONE_AGENT, "B": [[1e200]]}, "controller": {"eta": 0.1}}
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        # (L eta)^2 of the rate at the configured step
+        (
+            {"grid": {}, "controller": {"eta": 1e200}},
+            ["analyze"],
+            "the rate at step size 1e+200 leaves the floating-point range",
+        ),
+        (
+            HUGE_GAIN,
+            ["analyze"],
+            "a monotonicity constant at sigma_max(H) = 1e+200 leaves the floating-point range",
+        ),
+        (
+            HUGE_GAIN,
+            ["simulate"],
+            "a monotonicity constant at sigma_max(H) = 1e+200 leaves the floating-point range",
+        ),
+    ],
+)
+def test_overflowing_certificate_exits_1_with_one_error_line(
+    tmp_path, capsys, config, argv, message
+):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", write_config(tmp_path, config), "--out", str(out), *argv]) == 1
+    captured = capsys.readouterr()
+    # no report at all rather than one holding null numbers
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_rejected_figures_config_leaves_no_directory(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"controller": {"eta": 0.3}})
+    out = tmp_path / "newdir"
+    assert run(["--config", cfg, "--out", str(out), "figures", "fig4"]) == 2
+    assert "'controller'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["c_cap", "l_ind"])
 def test_grid_sweep_annotates_overflowing_rows_and_exits_0(tmp_path, capsys, name):
     cfg = write_config(tmp_path, {**OVERFLOW_SOURCES[name], "controller": {"eta": 0.05}})
@@ -471,8 +518,9 @@ def test_unknown_section_rejected(tmp_path):
         (["simulate"], {"simulation": {"u0": [float("nan")] * 8}}, "'simulation.u0'"),
         (["simulate"], {"simulation": {"x0": "random"}}, "'simulation.x0'"),
         (["simulate"], {"simulation": {"x0": [0.0] * 3}}, "'simulation.x0'"),
-        # an output directory below a file, which is not a directory
-        (["figures", "--out", "/dev/null/out", "fig4"], {}, "'output.dir'"),
+        # an output directory below a file, which is not a directory (in a
+        # config figures accepts: it sets no controller key)
+        (["figures", "--out", "/dev/null/out", "fig4"], {"controller": None}, "'output.dir'"),
         # misspelled keys, in a section the subcommand uses or not
         (["grid", "simulate"], {"controller": {"eta": 0.05, "mdoe": "x"}}, "'controller.mdoe'"),
         (["grid", "simulate"], {"simulation": {"lop": "lti"}}, "'simulation.lop'"),

@@ -11,7 +11,7 @@ from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
 from ofonet.cli import FIG4_G_VALUES
-from ofonet.errors import DimensionMismatch, NoConvergence
+from ofonet.errors import DimensionMismatch, NoConvergence, Overflow
 from ofonet.objective import QuadraticObjective
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
@@ -101,6 +101,18 @@ def test_zero_sensitivity_coupling_has_an_infinite_right_side():
     sol = eq.decentralized_fixed_point(obj, model, np.ones(2))
     assert sol.uniqueness_certified
     npt.assert_array_equal(sol.u, np.zeros(2))
+
+
+@pytest.mark.parametrize("gain", [1e155, 1e200, 1e308])
+def test_overflowing_constants_raise(gain):
+    # H is finite, but sigma_max(H)^2 is not
+    _, model = static_plant([[gain]], [0.0])
+    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=[0.0])
+    for convention in eq.Convention:
+        with pytest.raises(Overflow, match="a monotonicity constant at sigma_max"):
+            eq.monotonicity_constants(obj, model, convention)
+    with pytest.raises(Overflow, match="a monotonicity constant at sigma_max"):
+        eq.decentralized_fixed_point(obj, model, [0.0])
 
 
 def _random_coupled(rng, scale):

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import dataclasses
 import os
+import signal
 import time
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -337,6 +340,35 @@ def _assert_no_worker_left(directory, expected):
     assert sorted(os.listdir(directory)) == sorted(expected)
 
 
+def _count_forks(monkeypatch):
+    """The pids of the processes forked from here on (the CSV workers)."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _replay(trajectory, stream):
+    """Record ``trajectory`` row by row as a run would, handing its blocks to ``stream``."""
+    u, y, x = trajectory.u_series, trajectory.y_series, trajectory.x_series
+    rec = sim._Recorder(u.shape[1], None if x is None else x.shape[1], stream._take)
+    for k in range(len(trajectory)):
+        rec.append(u[k], y[k], None if x is None else x[k])
+
+
+def _streamed_csv(path, trajectory, err, decimate=1):
+    with sim.CsvStream(path, decimate) as stream:
+        _replay(trajectory, stream)
+        sim.write_trajectory_csv(path, trajectory, err, decimate, stream)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
 @pytest.mark.parametrize("decimate", [1, 7])
@@ -344,39 +376,52 @@ def test_csv_bytes_do_not_depend_on_worker_count(
     tmp_path, monkeypatch, workers, loop, decimate
 ):
     traj, err = _edge_case_run(loop)
-    # small chunks: >= 5 of them and a short last one, for both decimations
+    # small blocks and chunks: the worker gets many blocks, its lines are
+    # read back in pieces that split lines, and with one CPU this process
+    # formats many chunks and a short last one, for both decimations
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 64)
     monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", 32)
+    monkeypatch.setattr(sim, "JOIN_BYTES", 1000)
     rows = len(range(0, len(traj), decimate))
     assert rows // 32 >= 5 and rows % 32 != 0
+    assert (len(traj) - 1) // (64 * decimate) >= 2
     monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+    forks = _count_forks(monkeypatch)
     path = tmp_path / "traj.csv"
-    sim.write_trajectory_csv(path, traj, err, decimate=decimate)
+    _streamed_csv(path, traj, err, decimate)
     assert path.read_bytes() == _reference_csv(traj, err, decimate)
+    # one worker per file, and none with one CPU
+    assert len(forks) == (workers > 1)
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
-def _failing_chunks(fail_in_worker):
-    """A chunk writer that raises in the forked workers or in the caller."""
+def _worker_tables(fail):
+    """A table writer whose forked worker raises (``fail``) or hangs."""
     parent = os.getpid()
-    write_chunks = sim._write_chunks
+    write_table = sim._write_table
 
-    def write(fh, starts, **kwargs):
-        if (os.getpid() != parent) == fail_in_worker:
-            raise RuntimeError("chunk formatting failed")
-        if fail_in_worker:
-            return write_chunks(fh, starts, **kwargs)
-        time.sleep(60)  # a worker the failing caller must kill
+    def write(fh, table):
+        if os.getpid() == parent:
+            return write_table(fh, table)
+        if fail:
+            raise RuntimeError("table formatting failed")
+        # a worker the failing caller must kill; unkilled, it ends in 60 s
+        time.sleep(60)
+        os._exit(1)
 
     return write
 
 
 def test_csv_worker_failure_raises(tmp_path, monkeypatch):
     traj, err = _edge_case_run("algebraic")
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 64)
     monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", 32)
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=True))
-    with pytest.raises(OSError, match="share 2 of 3"):
-        sim.write_trajectory_csv(tmp_path / "traj.csv", traj, err)
+    monkeypatch.setattr(sim, "_write_table", _worker_tables(fail=True))
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(OSError, match="CSV worker of .*traj.csv failed"):
+        _streamed_csv(tmp_path / "traj.csv", traj, err)
+    assert len(forks) == 1
     # neither a truncated CSV nor its temporary file is left behind
     _assert_no_worker_left(tmp_path, [])
 
@@ -385,24 +430,301 @@ def test_csv_failure_keeps_previous_file(tmp_path, monkeypatch):
     traj, err = _edge_case_run("algebraic")
     path = tmp_path / "traj.csv"
     path.write_bytes(b"previous run\n")
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 64)
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=True))
-    with pytest.raises(OSError, match="share 2 of 2"):
-        sim.write_trajectory_csv(path, traj, err)
+    monkeypatch.setattr(sim, "_write_table", _worker_tables(fail=True))
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(OSError, match="CSV worker of .*traj.csv failed"):
+        _streamed_csv(path, traj, err)
+    assert len(forks) == 1
     assert path.read_bytes() == b"previous run\n"
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
 def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
     traj, err = _edge_case_run("algebraic")
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 64)
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(sim, "_write_chunks", _failing_chunks(fail_in_worker=False))
+    monkeypatch.setattr(sim, "_write_table", _worker_tables(fail=False))
+    forks = _count_forks(monkeypatch)
+    path = tmp_path / "traj.csv"
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match="chunk formatting failed"):
-        sim.write_trajectory_csv(tmp_path / "traj.csv", traj, err)
-    # the sleeping worker was killed, not waited for
+    # the caller fails while its worker still formats
+    with pytest.raises(ValueError, match="the stream is for .*traj.csv at decimation 1"):
+        with sim.CsvStream(path) as stream:
+            _replay(traj, stream)
+            sim.write_trajectory_csv(path, traj, err, decimate=2, stream=stream)
+    assert len(forks) == 1
+    # the hanging worker was killed, not waited for
     assert time.monotonic() - start < 30
     _assert_no_worker_left(tmp_path, [])
+
+
+# recorder block of the streaming tests, small enough for many blocks
+BLOCK = 16
+
+
+def _streaming(monkeypatch, workers=2):
+    monkeypatch.setattr(sim, "RECORD_BLOCK", BLOCK)
+    monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", 5)
+    # shorter than one line: some reads of the worker's lines hold no line end
+    monkeypatch.setattr(sim, "JOIN_BYTES", 50)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+    return _count_forks(monkeypatch)
+
+
+def _lti_plant(model, d):
+    return LtiPlant(A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d)
+
+
+def _stream_run(path, loop, decimate, steps, eta=0.01):
+    """Run the reference instance streaming its CSV; the trajectory, its metrics, the stream."""
+    _, model, obj, d = reference_instance()
+    with sim.CsvStream(path, decimate) as stream:
+        if loop == "algebraic":
+            traj = sim.run_algebraic(model, obj, d, cen(eta), steps=steps, stream=stream)
+            err = sim.metrics(traj, U_STAR)
+        else:
+            traj = sim.run_lti(_lti_plant(model, d), obj, dec(eta), steps=steps, stream=stream)
+            # fig3's composite: rel_err_u against u_star, combined_sq against
+            # the loop's own fixed point
+            err = sim.metrics(traj, U_STAR)
+            own = sim.metrics(traj, U_INF, model).combined_sq
+            err = dataclasses.replace(err, combined_sq=own)
+        handed = stream._handed
+        sim.write_trajectory_csv(path, traj, err, decimate, stream)
+    return traj, err, handed
+
+
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 2), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["2", "B-1", "B", "B+1", "2B+1"]
+)
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_streamed_csv_matches_reference(tmp_path, monkeypatch, blocks, extra, loop, decimate):
+    forks = _streaming(monkeypatch)
+    # B: the run rows of one handover, which keep BLOCK rows
+    unit = BLOCK * decimate
+    rows = blocks * unit + extra
+    path = tmp_path / "traj.csv"
+    traj, err, handed = _stream_run(path, loop, decimate, steps=rows - 1)
+    assert len(traj) == rows and not traj.info.early_stopped
+    assert path.read_bytes() == _reference_csv(traj, err, decimate)
+    # the blocks of a handover go over once the next row is recorded
+    assert handed == (rows - 1) // unit * unit
+    assert len(forks) == (handed > 0)
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+def test_streamed_csv_of_a_one_row_run(tmp_path, monkeypatch, loop):
+    # a run has two rows at least unless it diverges at step 1
+    forks = _streaming(monkeypatch)
+    path = tmp_path / "traj.csv"
+    obj = QuadraticObjective(1.0, 1.0, [0.0])
+    with sim.CsvStream(path) as stream:
+        with pytest.raises(NonFinite) as info:
+            if loop == "algebraic":
+                model = static_plant([[1.0]], [0.0])[1]
+                sim.run_algebraic(model, obj, [0.0], cen(1e10), u0=[1e300], stream=stream)
+            else:
+                # the state-only divergence of test_lti_state_only_divergence_on_last_step
+                plant = LtiPlant(A=[[0.5]], B=[[1.0]], C=[[1e-300]], D=[[0.0]], d=[0.0])
+                sim.run_lti(plant, obj, dec(0.01), x0=[1.5e308], u0=[1.5e308], stream=stream)
+        traj = info.value.trajectory
+        assert info.value.step == 1 and len(traj) == 1
+        err = sim.metrics(traj, [1.0])
+        sim.write_trajectory_csv(path, traj, err, stream=stream)
+    assert path.read_bytes() == _reference_csv(traj, err)
+    assert forks == []
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_stream_keeps_no_recorder_block(tmp_path, monkeypatch, decimate):
+    # a block held past the run would keep the trajectory twice in memory
+    _streaming(monkeypatch)
+    refs = []
+    trajectory = sim._Recorder.trajectory
+
+    def watched(self, info):
+        refs.extend(weakref.ref(a) for block in self._blocks for a in block)
+        return trajectory(self, info)
+
+    monkeypatch.setattr(sim._Recorder, "trajectory", watched)
+    _, model, obj, d = reference_instance()
+    with sim.CsvStream(tmp_path / "traj.csv", decimate) as stream:
+        # three full blocks: one handover at decimation 1, none at 7
+        sim.run_lti(_lti_plant(model, d), obj, dec(0.01), steps=3 * BLOCK + 1, stream=stream)
+        assert len(refs) == 3 * 4 and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("without", ["cpus", "fork"])
+def test_streamed_csv_with_one_cpu_hands_nothing_over(tmp_path, monkeypatch, without):
+    forks = _streaming(monkeypatch, workers=1 if without == "cpus" else 2)
+    if without == "fork":
+        monkeypatch.delattr(os, "fork")
+    path = tmp_path / "traj.csv"
+    traj, err, handed = _stream_run(path, "lti", 1, steps=3 * BLOCK)
+    assert path.read_bytes() == _reference_csv(traj, err)
+    assert handed == 0 and forks == []
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+def test_streamed_csv_of_a_diverged_run(tmp_path, monkeypatch, loop):
+    forks = _streaming(monkeypatch)
+    _, model, obj, d = reference_instance()
+    path = tmp_path / "traj.csv"
+    with sim.CsvStream(path) as stream:
+        with pytest.raises(NonFinite) as info:
+            if loop == "algebraic":
+                sim.run_algebraic(model, obj, d, cen(1e3), steps=10**4, stream=stream)
+            else:
+                sim.run_lti(_lti_plant(model, d), obj, cen(2.0), steps=10**4, stream=stream)
+        traj = info.value.trajectory
+        err = sim.metrics(traj, U_STAR, model)
+        # blocks were streamed before the divergence
+        assert stream._handed >= BLOCK and len(forks) == 1
+        sim.write_trajectory_csv(path, traj, err, stream=stream)
+    assert path.read_bytes() == _reference_csv(traj, err)
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+def _alarm(seconds):
+    """Fail the test, instead of hanging, once ``seconds`` have passed."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    return previous
+
+
+def _end_alarm(previous):
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_exception_in_the_loop_leaves_no_worker_or_file(tmp_path, monkeypatch):
+    forks = _streaming(monkeypatch)
+    update_map = sim.update_map
+
+    def failing_update_map(*args):
+        update = update_map(*args)
+        calls = []
+
+        def failing(u, y):
+            calls.append(1)
+            if len(calls) == 3 * BLOCK:
+                raise RuntimeError("update failed")
+            return update(u, y)
+
+        return failing
+
+    monkeypatch.setattr(sim, "update_map", failing_update_map)
+    previous = _alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="update failed"):
+            _stream_run(tmp_path / "traj.csv", "lti", 1, steps=10 * BLOCK)
+    finally:
+        _end_alarm(previous)
+    assert len(forks) == 1
+    _assert_no_worker_left(tmp_path, [])
+
+
+def test_interleaved_streams_complete_first_one_first(tmp_path, monkeypatch):
+    forks = _streaming(monkeypatch)
+    _, model, obj, d = reference_instance()
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    previous = _alarm(30)
+    try:
+        with sim.CsvStream(paths[0]) as first, sim.CsvStream(paths[1]) as second:
+            # the second worker is forked while the first stream's pipe is open
+            runs = [
+                sim.run_algebraic(model, obj, d, cen(0.01), steps=3 * BLOCK, stream=stream)
+                for stream in (first, second)
+            ]
+            assert len(forks) == 2
+            for path, traj, stream in zip(paths, runs, (first, second)):
+                sim.write_trajectory_csv(path, traj, sim.metrics(traj, U_STAR), stream=stream)
+    finally:
+        _end_alarm(previous)
+    for path, traj in zip(paths, runs):
+        assert path.read_bytes() == _reference_csv(traj, sim.metrics(traj, U_STAR))
+    _assert_no_worker_left(tmp_path, ["first.csv", "second.csv"])
+
+
+def test_a_process_holding_the_pipe_does_not_delay_completion(tmp_path, monkeypatch):
+    forks = _streaming(monkeypatch)
+    _, model, obj, d = reference_instance()
+    path = tmp_path / "traj.csv"
+    previous = _alarm(30)
+    try:
+        with sim.CsvStream(path) as stream:
+            traj = sim.run_algebraic(model, obj, d, cen(0.01), steps=3 * BLOCK, stream=stream)
+            # a child forked during the run, as a fork-started multiprocessing
+            # one would be, holds the write end of the worker's pipe
+            holder = os.fork()
+            if holder == 0:
+                time.sleep(60)
+                os._exit(0)
+            try:
+                sim.write_trajectory_csv(path, traj, sim.metrics(traj, U_STAR), stream=stream)
+            finally:
+                os.kill(holder, signal.SIGKILL)
+                os.waitpid(holder, 0)
+    finally:
+        _end_alarm(previous)
+    assert len(forks) == 2
+    assert path.read_bytes() == _reference_csv(traj, sim.metrics(traj, U_STAR))
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+def _exited(pid) -> bool:
+    """Whether ``pid``, not a child of this process, has exited (or awaits its reaper)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+def test_worker_exits_when_its_process_dies(tmp_path, monkeypatch):
+    _streaming(monkeypatch)
+    _, model, obj, d = reference_instance()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # a process that dies, without cleanup, while its two streams' workers
+        # wait for rows; the second worker was forked while the first
+        # stream's pipe was open
+        try:
+            os.close(read_end)
+            workers = []
+            for name in ("first.csv", "second.csv"):
+                stream = sim.CsvStream(tmp_path / name)
+                sim.run_algebraic(model, obj, d, cen(0.01), steps=2 * BLOCK, stream=stream)
+                workers.append(stream._pid)
+            os.write(write_end, " ".join(map(str, workers)).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    # one read, not one to the end: the workers inherited the write end too
+    workers = [int(w) for w in os.read(read_end, 100).split()]
+    os.close(read_end)
+    os.waitpid(pid, 0)
+    assert len(workers) == 2
+    # each orphaned worker sees its pipe end and exits
+    deadline = time.monotonic() + 30
+    while not all(map(_exited, workers)):
+        if time.monotonic() > deadline:
+            for worker in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker, signal.SIGKILL)
+            pytest.fail("a worker outlived its process")
+        time.sleep(0.01)
 
 
 def test_csv_decimation(tmp_path):
