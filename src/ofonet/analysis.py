@@ -133,7 +133,7 @@ def _sigma_min_sq(M) -> float:
     if M.shape[1] > M.shape[0]:
         return 0.0
     s = _svals(M)
-    return float(s[-1] ** 2)
+    return float(s[-1]) ** 2
 
 
 def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRate:
@@ -195,7 +195,7 @@ def _xi_constants(plant, obj, model, convention):
     sigma_c = float(_svals(plant.C)[0])
     sigma_c_min_sq = _sigma_min_sq(plant.C)
     sigma_off = consts.sigma_max_offdiag
-    lam_h = float(_svals(model.H_x)[0] ** 2 + 1.0)
+    lam_h = float(_svals(model.H_x)[0]) ** 2 + 1.0
     s_a = float(_svals(model.H_x.T @ plant.A)[0])
     alpha = k * obj.L_u + k * obj.L_y * sigma_hd * sigma_h
     beta = k * obj.L_y * sigma_hd * sigma_c
@@ -211,7 +211,7 @@ def _xi_constants(plant, obj, model, convention):
     a4 = 2.0 * (
         s_a * sigma_hd * sigma_c - (k * obj.m_y * sigma_c_min_sq - k * obj.L_y * sigma_c**2)
     )
-    t = 1.0 - float(_svals(plant.A)[0] ** 2)
+    t = 1.0 - float(_svals(plant.A)[0]) ** 2
     return m_prime, l_prime, a1, a2, a3, a4, t
 
 

@@ -9,12 +9,13 @@ analyze
     step size is admissible under the tight constants, the checked ones.
     A failing coupling still gives every certificate: the window (0, 0),
     no eta_star.  Singular fixed-point equations still give a report,
-    without the fields that need the fixed point, and exit 1.  Every
-    exit 1 prints one 'error:' line with its reason.
+    without the fields that need the fixed point, and exit 1.
 simulate
     Run the configured closed loop; writes trajectory.csv and
     metrics.json, truncating the CSV at the divergence step if the loop
-    blows up (exit 1), and removing it if that step is 0.
+    blows up (exit 1), and removing it if that step is 0.  A sensitivity
+    whose square leaves the float range exits 1 before any file, in
+    either mode.
 figures {fig3,fig4}
     Preset bundles on the default grid: fig3 produces the four G=1
     trajectories (centralized/decentralized x algebraic/dynamic,
@@ -38,6 +39,8 @@ file values; KEY is a key of the section, else the one key equal to it up
 to case (OFO_CONTROLLER_ETA=0.1, OFO_PLANT_A=[[0.5]]).  The flags --seed
 and --out, and --eta and --steps of grid sweep, override both.
 Exit codes: 0 success, 1 numerical or I/O failure, 2 usage or config error.
+Each command writes what it writes, then raises its failure; ``main``
+alone turns it into the exit code and prints its one 'error:' line.
 """
 
 from __future__ import annotations
@@ -324,7 +327,7 @@ def _dump_json(data, path: Optional[str] = None) -> str:
     return text
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     config = _configure(args)
     inst = _resolve_instance(config)
     ctl = _controller(config)
@@ -336,24 +339,21 @@ def cmd_analyze(args) -> int:
     sys.stdout.write(_dump_json(report, path))
     coupling, rate = report["coupling"], report["conventions"]["tight"]["rate_at_eta"]
     if "error" in report["equilibrium"]:  # a singular fixed point
-        reason = report["equilibrium"]["error"]
-    elif not coupling["satisfied"]:
+        raise OfonetError(report["equilibrium"]["error"])
+    if not coupling["satisfied"]:
         lhs, rhs = coupling["lhs"], coupling["rhs"]
-        reason = f"the coupling condition fails: sigma_max(H - H_diag) = {lhs:.6g} exceeds {rhs:.6g}"
-    elif not rate["admissible"]:
+        sides = f"sigma_max(H - H_diag) = {lhs:.6g} exceeds {rhs:.6g}"
+        raise OfonetError(f"the coupling condition fails: {sides}")
+    if not rate["admissible"]:
         window = f"the tight certified window is (0, {rate['eta_upper']:.6g})"
-        reason = f"step size {ctl.eta:.6g} is not admissible: {window}"
-    else:
-        return EXIT_OK
-    print(f"error: {reason}", file=sys.stderr)
-    return EXIT_NUMERICAL
+        raise OfonetError(f"step size {ctl.eta:.6g} is not admissible: {window}")
 
 
-def cmd_simulate(args) -> int:
-    return _simulate(_configure(args))
+def cmd_simulate(args) -> None:
+    _simulate(_configure(args))
 
 
-def _simulate(config: dict) -> int:
+def _simulate(config: dict) -> None:
     inst = _resolve_instance(config)
     ctl = _controller(config)
     simc = config["simulation"]
@@ -363,8 +363,9 @@ def _simulate(config: dict) -> int:
             raise ConfigError("'simulation.seed' is required when u0 is 'random'")
         rng = convert("simulation.seed", np.random.default_rng, seed)
         u0 = rng.standard_normal(inst.model.n)
-    # the fixed point first: its constants reject a sensitivity whose square
-    # overflows, which the optimum's equations would square unchecked
+    # the fixed point first, so that a sensitivity whose square overflows
+    # fails a decentralized run on its constants' message; a centralized
+    # run never solves it
     if ctl.mode is Mode.DECENTRALIZED:
         fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
         u_ref, u_ref_kind = fixed.u, "fixed_point"
@@ -373,9 +374,16 @@ def _simulate(config: dict) -> int:
         u_ref, u_ref_kind = star.u, "optimum"
     out_dir = _resolve_out_dir(config, ".")
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    metrics_path = os.path.join(out_dir, "metrics.json")
-
-    def payload(stream, traj, diverged, step=None):
+    with sim.CsvStream(csv_path, simc["decimation"]) as stream:
+        run = {"u0": u0, "steps": simc["steps"], "stream": stream}
+        failure = None
+        try:
+            if simc["loop"] == "lti":
+                traj = sim.run_lti(inst.plant, inst.obj, ctl, x0=x0, **run)
+            else:
+                traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, **run)
+        except NonFinite as exc:
+            traj, failure = exc.trajectory, exc
         data = {
             "mode": ctl.mode.value,
             "loop": simc["loop"],
@@ -383,10 +391,10 @@ def _simulate(config: dict) -> int:
             "steps_requested": simc["steps"],
             "seed": seed,
             "u_ref_kind": u_ref_kind,
-            "diverged": diverged,
+            "diverged": failure is not None,
         }
-        if step is not None:
-            data["divergence_step"] = step
+        if failure is not None:
+            data["divergence_step"] = failure.step
         if traj is None:
             # a run that diverged at step 0 records no rows: no CSV, not a stale one
             with contextlib.suppress(FileNotFoundError):
@@ -409,22 +417,9 @@ def _simulate(config: dict) -> int:
                 "applicable": sub.applicable,
                 "convention": "tight",
             }
-        return data
-
-    with sim.CsvStream(csv_path, simc["decimation"]) as stream:
-        run = {"u0": u0, "steps": simc["steps"], "stream": stream}
-        try:
-            if simc["loop"] == "lti":
-                traj = sim.run_lti(inst.plant, inst.obj, ctl, x0=x0, **run)
-            else:
-                traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, **run)
-        except NonFinite as exc:
-            data = payload(stream, exc.trajectory, True, exc.step)
-            sys.stdout.write(_dump_json(data, metrics_path))
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        sys.stdout.write(_dump_json(payload(stream, traj, False), metrics_path))
-    return EXIT_OK
+        sys.stdout.write(_dump_json(data, os.path.join(out_dir, "metrics.json")))
+    if failure is not None:
+        raise failure
 
 
 def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
@@ -490,7 +485,7 @@ def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
     }
 
 
-def cmd_figures(args) -> int:
+def cmd_figures(args) -> None:
     config = _fixed_objective(_grid_config(args))
     if as_section("grid", config["grid"]):
         raise ConfigError("'grid': figures runs the default grid and reads no grid key")
@@ -502,7 +497,6 @@ def cmd_figures(args) -> int:
     manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")
     sys.stdout.write(_dump_json(manifest, path))
-    return EXIT_OK
 
 
 def _grid_config(args) -> dict:
@@ -530,7 +524,7 @@ def _fixed_objective(config: dict) -> dict:
     return config
 
 
-def cmd_grid_build(args) -> int:
+def cmd_grid_build(args) -> None:
     config = _fixed_objective(_grid_config(args))
     spec = powergrid.spec_from_dict(config["grid"])
     plant, model, d_eff = powergrid.assemble_plant(spec)
@@ -548,14 +542,13 @@ def cmd_grid_build(args) -> int:
         "effective_disturbance": d_eff.tolist(),
     }
     sys.stdout.write(_dump_json(summary))
-    return EXIT_OK
 
 
-def cmd_grid_simulate(args) -> int:
-    return _simulate(_grid_config(args))
+def cmd_grid_simulate(args) -> None:
+    _simulate(_grid_config(args))
 
 
-def cmd_grid_sweep(args) -> int:
+def cmd_grid_sweep(args) -> None:
     config = _fixed_objective(_grid_config(args))
     read = ("controller.eta", "simulation.steps", "output.dir")
     why = "grid sweep runs the decentralized algebraic loop and reads only eta and steps"
@@ -577,7 +570,6 @@ def cmd_grid_sweep(args) -> int:
         "annotated_rows": [row["g"] for row in rows if row.get("note")],
     }
     sys.stdout.write(_dump_json(summary))
-    return EXIT_OK
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, set]:
@@ -630,13 +622,11 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args.func(args)
     except (OfonetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -186,20 +186,24 @@ def _iterate(grad_fn, u0, tau):
 
 
 def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSolution:
-    """The zero of F_G; ``label`` names the point in a singular-solve error.
+    """The zero of F_G; ``label`` names the point in its errors.
 
     Quadratic objectives are solved exactly through the linear equations
-    (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d); anything else
-    runs the fixed-step iteration u <- u - tau F_G(u) from u = 0 to
-    residual SOLVE_TOL, with tau = ``step_size()``.
+    (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d), and a coefficient
+    past the floating-point range raises Overflow; anything else runs the
+    fixed-step iteration u <- u - tau F_G(u) from u = 0 to residual
+    SOLVE_TOL, with tau = ``step_size()``.
     """
     if obj.n != model.n:
         raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
     d = as_vector(d, model.n, "d")
     H = model.H
     if isinstance(obj, QuadraticObjective):
-        lhs = obj.gamma1 * np.eye(model.n) + obj.gamma2 * G.T @ H
-        rhs = obj.gamma2 * G.T @ (obj.y_ref - d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = obj.gamma1 * np.eye(model.n) + obj.gamma2 * G.T @ H
+            rhs = obj.gamma2 * G.T @ (obj.y_ref - d)
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise Overflow(f"a coefficient of the {label} equations")
         try:
             u = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:

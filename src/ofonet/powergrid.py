@@ -119,10 +119,10 @@ class GridSpec:
         edges = _edge_pairs(self.edges)
         e = len(edges)
         # a connected graph on n nodes needs n - 1 edges; checked before
-        # anything n-sized is allocated.  Every other check names the field
-        # it rejects; this one relates two, so it names neither.
+        # anything n-sized is allocated
         if not 2 <= n <= e + 1:
-            raise ValueError(f"n_nodes must lie in [2, len(edges) + 1 = {e + 1}], got {n}")
+            message = f"n_nodes must lie in [2, len(edges) + 1 = {e + 1}], got {n}"
+            raise on_field("n_nodes", ValueError(message))
         adjacency = [set() for _ in range(n)]
         for i, j in edges:
             if not (1 <= i <= n and 1 <= j <= n):

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, emitted files, schema validity."""
 
+import ast
 import copy
 import csv
 import json
@@ -409,6 +410,23 @@ def test_overflowing_sensitivity_exits_1_with_one_error_line(tmp_path, capsys, n
 
 # sigma_max(H) = 1e200: H is finite, its square is not
 HUGE_GAIN = {"plant": {**ONE_AGENT, "B": [[1e200]]}, "controller": {"eta": 0.1}}
+HUGE_GAIN_CENTRALIZED = {**HUGE_GAIN, "controller": {"eta": 0.1, "mode": "centralized"}}
+# a stable plant with sigma_max(A) = 1e160
+NONNORMAL_HUGE = {
+    "plant": {
+        "A": [[0.5, 1e160], [0.0, 0.5]],
+        "B": [[1.0, 0.0], [0.0, 0.0]],
+        "C": [[1.0, 0.0], [0.0, 1.0]],
+        "D": [[1.0, 0.0], [0.0, 1.0]],
+        "d": [0.0, 0.0],
+    },
+    "controller": {"eta": 0.05},
+}
+# sigma_min(C) = 1e160 with a gain H = 2e-10
+LARGE_OUTPUT = {
+    "plant": {**ONE_AGENT, "A": [[0.5]], "B": [[1e-170]], "C": [[1e160]]},
+    "controller": {"eta": 0.05},
+}
 
 
 @pytest.mark.parametrize(
@@ -430,6 +448,15 @@ HUGE_GAIN = {"plant": {**ONE_AGENT, "B": [[1e200]]}, "controller": {"eta": 0.1}}
             ["simulate"],
             "a monotonicity constant at sigma_max(H) = 1e+200 leaves the floating-point range",
         ),
+        # the centralized loop solves only the optimum, whose G^T H is H^2
+        (
+            HUGE_GAIN_CENTRALIZED,
+            ["simulate"],
+            "a coefficient of the global optimum equations leaves the floating-point range",
+        ),
+        # sigma_max(A)^2 and sigma_min(C)^2 of the Xi constants
+        (NONNORMAL_HUGE, ["analyze"], "Xi at step size 0.05 leaves the floating-point range"),
+        (LARGE_OUTPUT, ["analyze"], "Xi at step size 0.05 leaves the floating-point range"),
     ],
 )
 def test_overflowing_certificate_exits_1_with_one_error_line(
@@ -452,6 +479,81 @@ def test_rejected_figures_config_leaves_no_directory(tmp_path, capsys):
     assert run(["--config", cfg, "--out", str(out), "figures", "fig4"]) == 2
     assert "'controller'" in capsys.readouterr().err
     assert not out.exists()
+
+
+LAST_OUTPUT_PLANTS = [
+    ({**ONE_AGENT, "B": [[100.0]]}, "algebraic"),
+    ({**ONE_AGENT, "B": [[0.0]], "C": [[0.0]], "D": [[100.0]]}, "lti"),
+]
+
+
+def _last_output_overflow(plant, loop):
+    # u_100 is finite, y_100 = 100 u_100 overflows (see test_sim)
+    return {
+        "plant": plant,
+        "objective": {"y_ref": [0.0]},
+        "controller": {"eta": 0.1},
+        "simulation": {"loop": loop, "steps": 100, "u0": [5.5e6]},
+    }
+
+
+# every failing run of the golden CI job, and the overflows that once
+# escaped as numpy warnings
+FAILURES = {
+    "grid-huge-eta": ({"grid": {}, "controller": {"eta": 1e200}}, ["analyze"]),
+    "grid-outside": ({"grid": {}, "controller": {"eta": 0.8}}, ["analyze"]),
+    "grid-overflow": ({**OVERFLOW_SOURCES["c_cap"], "controller": {"eta": 0.05}}, ["grid", "build"]),
+    "grid-diverge": (
+        {"grid": {}, "controller": {"eta": 30}, "simulation": {"steps": 200}},
+        ["grid", "simulate"],
+    ),
+    "grid-diverge-late": ({"grid": {}, "controller": {"eta": 1.3}}, ["grid", "simulate"]),
+    "grid-unstable": ({"grid": {"eps": 5}, "controller": {"eta": 0.05}}, ["grid", "simulate"]),
+    "plant-coupling": (
+        {"plant": {**REF_PLANT, "B": [[1.0, 10.0], [0.0, 1.0]]}, "controller": {"eta": 0.01}},
+        ["analyze"],
+    ),
+    "plant-huge-gain-analyze": (HUGE_GAIN, ["analyze"]),
+    "plant-huge-gain-simulate": (HUGE_GAIN, ["simulate"]),
+    "plant-huge-gain-centralized-simulate": (HUGE_GAIN_CENTRALIZED, ["simulate"]),
+    "plant-nonnormal-huge": (NONNORMAL_HUGE, ["analyze"]),
+    "plant-large-output": (LARGE_OUTPUT, ["analyze"]),
+    **{
+        f"plant-overflow-{loop}": (_last_output_overflow(plant, loop), ["simulate"])
+        for plant, loop in LAST_OUTPUT_PLANTS
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failure_exits_1_with_one_error_line_and_no_warning(tmp_path, capsys, name):
+    config, argv = FAILURES[name]
+    cfg = write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_main_is_the_one_exit():
+    # only main prints to stderr and maps a failure to an exit code; the
+    # commands raise their failure and return nothing
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    exits, valued = [], []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        command = func.name.startswith("cmd_") or func.name == "_simulate"
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr":
+                exits.append(f"{func.name}:{node.lineno}")
+            if isinstance(node, ast.Name) and node.id.startswith("EXIT_"):
+                exits.append(f"{func.name}:{node.lineno}")
+            if command and isinstance(node, ast.Return) and node.value is not None:
+                valued.append(f"{func.name}:{node.lineno}")
+    assert {site.partition(":")[0] for site in exits} == {"main"}, exits
+    assert valued == []
 
 
 @pytest.mark.parametrize("name", ["c_cap", "l_ind"])
@@ -536,8 +638,8 @@ def test_unknown_section_rejected(tmp_path):
             "'objective.y_ref'",
         ),
         (["analyze"], {"grid": {"n_nodes": "x"}}, "'grid.n_nodes'"),
-        (["analyze"], {"grid": {"n_nodes": -5}}, "'grid': n_nodes"),
-        (["grid", "build"], {"grid": {"n_nodes": 10**12}}, "'grid': n_nodes"),
+        (["analyze"], {"grid": {"n_nodes": -5}}, "'grid.n_nodes'"),
+        (["grid", "build"], {"grid": {"n_nodes": 10**12}}, "'grid.n_nodes'"),
         (["analyze"], {"grid": {"edges": [1, 2]}}, "'grid.edges'"),
         (["grid", "sweep"], {"grid": {"eps": "x"}}, "'grid.eps'"),
         (["analyze"], {"grid": {"gamma1": "x"}}, "'grid.gamma1'"),
@@ -730,21 +832,9 @@ def test_divergence_at_step_0_leaves_no_stale_csv(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "plant, loop",
-    [
-        ({**ONE_AGENT, "B": [[100.0]]}, "algebraic"),
-        ({**ONE_AGENT, "B": [[0.0]], "C": [[0.0]], "D": [[100.0]]}, "lti"),
-    ],
-)
+@pytest.mark.parametrize("plant, loop", LAST_OUTPUT_PLANTS)
 def test_last_output_overflow_exits_1_with_truncated_csv(tmp_path, capsys, plant, loop):
-    # u_100 is finite, y_100 = 100 u_100 overflows (see test_sim)
-    config = {
-        "plant": plant,
-        "objective": {"y_ref": [0.0]},
-        "controller": {"eta": 0.1},
-        "simulation": {"loop": loop, "steps": 100, "u0": [5.5e6]},
-    }
+    config = _last_output_overflow(plant, loop)
     out = tmp_path / "out"
     assert run(["--config", write_config(tmp_path, config), "--out", str(out), "simulate"]) == 1
     assert "Traceback" not in capsys.readouterr().err
