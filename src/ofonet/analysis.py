@@ -59,7 +59,7 @@ from .equilibria import (
     global_optimum,
     monotonicity_constants,
 )
-from .errors import Overflow, SingularMatrix
+from .errors import Overflow, SingularMatrix, _norm
 from .objective import SeparableObjective
 from .plant import LtiPlant, SensitivityModel
 
@@ -126,16 +126,6 @@ class LtiRateCertificate:
         self.xi.setflags(write=False)
 
 
-def _sigma_min_sq(M) -> float:
-    # Smallest eigenvalue of M^T M: zero whenever M has more columns
-    # than rows, regardless of its nonzero singular values.
-    M = np.asarray(M, dtype=float)
-    if M.shape[1] > M.shape[0]:
-        return 0.0
-    s = _svals(M)
-    return float(s[-1]) ** 2
-
-
 def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRate:
     """Linear rate rho = sqrt(1 - 2 m eta + L^2 eta^2) + c eta.
 
@@ -158,6 +148,20 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
     return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
 
 
+def _dropped_gradient(obj, model: SensitivityModel, d, u_inf) -> float:
+    """||(H^T - H_diag) grad_y(H u_inf + d)||, the gradient term the decentralized loop drops."""
+    grad_y_inf = obj_mod.grad_y(obj, model.H @ u_inf + d)
+    return float(np.linalg.norm((model.H.T - model.H_diag) @ grad_y_inf))
+
+
+def _bound(lead: float, consts: MonotonicityConstants, satisfied: bool) -> SuboptimalityBound:
+    """The bound lead / sqrt(2m - 1) of ``suboptimality_bound``; ``satisfied`` is the coupling."""
+    two_m = 2.0 * consts.m
+    if two_m > 1.0:
+        return SuboptimalityBound(bound=lead * math.sqrt(1.0 / (two_m - 1.0)), applicable=satisfied)
+    return SuboptimalityBound(bound=math.inf, applicable=False)
+
+
 def suboptimality_bound(
     obj: SeparableObjective,
     model: SensitivityModel,
@@ -171,32 +175,37 @@ def suboptimality_bound(
     condition; the number is returned either way since it stays
     informative outside the certified regime.
     """
-    u_inf = np.asarray(u_inf, dtype=float)
-    d = np.asarray(d, dtype=float)
-    # the gradient term the decentralized loop drops, at y_inf
-    grad_y_inf = obj_mod.grad_y(obj, model.H @ u_inf + d)
-    lead = float(np.linalg.norm((model.H.T - model.H_diag) @ grad_y_inf))
-    two_m = 2.0 * consts.m
+    lead = _dropped_gradient(obj, model, np.asarray(d, dtype=float), np.asarray(u_inf, dtype=float))
     satisfied, _, _ = coupling_condition(obj, model)
-    if two_m > 1.0:
-        bound = lead * math.sqrt(1.0 / (two_m - 1.0))
-        applicable = satisfied
-    else:
-        bound = math.inf
-        applicable = False
-    return SuboptimalityBound(bound=bound, applicable=applicable)
+    return _bound(lead, consts, satisfied)
 
 
-def _xi_constants(plant, obj, model, convention):
-    k = _n_factor(model.n, convention)
-    consts = monotonicity_constants(obj, model, convention)
+def _xi_spectra(C, H_x, A):
+    """The spectra behind the Xi constants: sigma_max(C), sigma_min(C), sigma_max(H_x),
+    sigma_max(H_x^T A) and sigma_max(A), per slice when H_x and A are stacks sharing C.
+
+    sigma_min(C) is the root of the smallest eigenvalue of C^T C: zero
+    whenever C has more columns than rows, whatever its singular values.
+    """
+    s_c = _svals(C)
+    wide = C.shape[-1] > C.shape[-2]
+    return (
+        s_c[..., 0],
+        0.0 if wide else s_c[..., -1],
+        _svals(H_x)[..., 0],
+        _svals(np.swapaxes(H_x, -1, -2) @ A)[..., 0],
+        _svals(A)[..., 0],
+    )
+
+
+def _xi_constants(obj, n: int, consts, sigma_hd: float, spectra, convention):
+    """(m', L', a1, a2, a3, a4, t) from the constants ``consts`` in ``convention``,
+    max_i |H_ii| and the ``_xi_spectra``; a square past the range raises OverflowError."""
+    sigma_c, sigma_c_min, sigma_hx, s_a, sigma_a = map(float, spectra)
+    k = _n_factor(n, convention)
     sigma_h = consts.sigma_max_h
-    sigma_hd = _max_abs_diag(model)
-    sigma_c = float(_svals(plant.C)[0])
-    sigma_c_min_sq = _sigma_min_sq(plant.C)
     sigma_off = consts.sigma_max_offdiag
-    lam_h = float(_svals(model.H_x)[0]) ** 2 + 1.0
-    s_a = float(_svals(model.H_x.T @ plant.A)[0])
+    lam_h = sigma_hx**2 + 1.0
     alpha = k * obj.L_u + k * obj.L_y * sigma_hd * sigma_h
     beta = k * obj.L_y * sigma_hd * sigma_c
     m_prime = 2.0 * (consts.m - consts.c)
@@ -209,9 +218,9 @@ def _xi_constants(plant, obj, model, convention):
     )
     a3 = lam_h * beta**2
     a4 = 2.0 * (
-        s_a * sigma_hd * sigma_c - (k * obj.m_y * sigma_c_min_sq - k * obj.L_y * sigma_c**2)
+        s_a * sigma_hd * sigma_c - (k * obj.m_y * sigma_c_min**2 - k * obj.L_y * sigma_c**2)
     )
-    t = 1.0 - float(_svals(plant.A)[0]) ** 2
+    t = 1.0 - sigma_a**2
     return m_prime, l_prime, a1, a2, a3, a4, t
 
 
@@ -257,8 +266,17 @@ def xi_matrix(
     branch are attached when sigma_max(A) < 1 and m' > 0, else left None.
     A constant or an entry past the floating-point range raises Overflow.
     """
+    consts = monotonicity_constants(obj, model, convention)
+    spectra = _xi_spectra(plant.C, model.H_x, plant.A)
+    return _xi_certificate(obj, model.n, consts, _max_abs_diag(model), spectra, eta, convention)
+
+
+def _xi_certificate(obj, n, consts, sigma_hd, spectra, eta, convention) -> LtiRateCertificate:
+    """Xi(eta) of ``xi_matrix`` from the arguments of ``_xi_constants``."""
     try:
-        m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(plant, obj, model, convention)
+        m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(
+            obj, n, consts, sigma_hd, spectra, convention
+        )
         eta_sq = eta**2
     except OverflowError as exc:
         raise Overflow(f"Xi at step size {eta:.6g}") from exc
@@ -313,14 +331,14 @@ def build_report(
     d = np.asarray(d, dtype=float)
     satisfied, lhs, rhs = coupling_condition(obj, model)
     star = global_optimum(obj, model, d)
-    norm_star = float(np.linalg.norm(star.u))
+    norm_star = _norm(star.u)
     equilibrium = dict.fromkeys(["u_inf", "distance", "relative_distance", "uniqueness_certified"])
     try:
         inf_sol = decentralized_fixed_point(obj, model, d)
     except SingularMatrix as exc:
         inf_sol, equilibrium["error"] = None, str(exc)
     else:
-        distance = float(np.linalg.norm(star.u - inf_sol.u))
+        distance = _norm(star.u - inf_sol.u)
         equilibrium.update(
             u_inf=inf_sol.u.tolist(),
             distance=distance,

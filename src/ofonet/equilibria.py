@@ -19,7 +19,10 @@ The module also owns the monotonicity constants (m, c, L) of an
 instance, in both conventions, and the diagonal-dominance coupling
 condition built from them, which certifies that the Nash equilibrium is
 unique.  Both solvers take their step sizes from the same constants;
-``analysis`` re-exports them among the certificates.
+``analysis`` re-exports them among the certificates.  The constants are
+computed in two steps, the spectra and then the formula, and the spectra
+and the quadratic solve also work on stacks of instances, which the
+conductance sweep uses to take each over all its rows at once.
 """
 
 from __future__ import annotations
@@ -97,10 +100,13 @@ class MonotonicityConstants:
 
 
 def _svals(M) -> NDArray[np.float64]:
+    """Singular values of M, or of each slice of a (B, ., .) stack, largest first.
+
+    Values below SVAL_TOL times their slice's largest one are exact zeros.
+    """
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s.size and s[0] > 0.0:
-        s = np.where(s < SVAL_TOL * s[0], 0.0, s)
-    return s
+    top = s[..., :1]
+    return np.where((top > 0.0) & (s < SVAL_TOL * top), 0.0, s)
 
 
 def _n_factor(n: int, convention: Convention) -> float:
@@ -112,23 +118,17 @@ def _max_abs_diag(model: SensitivityModel) -> float:
     return float(np.max(np.abs(np.diag(model.H_diag)))) if model.n else 0.0
 
 
-def monotonicity_constants(
-    obj: SeparableObjective,
-    model: SensitivityModel,
-    convention: Convention = Convention.TIGHT,
-) -> MonotonicityConstants:
-    """Compute (m, c, L) from the sensitivity spectrum and the moduli.
+def _h_spectra(H, H_diag):
+    """(sigma_max(H), sigma_min(H), sigma_max(H - H_diag)) of one model, or per slice of stacks."""
+    s = _svals(H)
+    return s[..., 0], s[..., -1], _svals(H - H_diag)[..., 0]
 
-    m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - H_diag) sigma_max(H) L_y,
-    L = L_u + sigma_max(H)^2 L_y, each multiplied by N under the
-    N-scaled convention.  A constant past the floating-point range (as
-    sigma_max(H) above ~1e154 gives) raises Overflow.
-    """
-    s = _svals(model.H)
-    sigma_max_h = float(s[0])
-    sigma_min_h = float(s[-1])
-    sigma_off = float(_svals(model.H - model.H_diag)[0])
-    k = _n_factor(model.n, convention)
+
+def _constants(obj, n: int, spectra, convention: Convention) -> MonotonicityConstants:
+    """(m, c, L) of an ``n``-agent instance from its ``_h_spectra``, as in
+    ``monotonicity_constants``."""
+    sigma_max_h, sigma_min_h, sigma_off = map(float, spectra)
+    k = _n_factor(n, convention)
     try:
         L = k * (obj.L_u + sigma_max_h**2 * obj.L_y)
     except OverflowError:
@@ -145,6 +145,21 @@ def monotonicity_constants(
         sigma_min_h=sigma_min_h,
         sigma_max_offdiag=sigma_off,
     )
+
+
+def monotonicity_constants(
+    obj: SeparableObjective,
+    model: SensitivityModel,
+    convention: Convention = Convention.TIGHT,
+) -> MonotonicityConstants:
+    """Compute (m, c, L) from the sensitivity spectrum and the moduli.
+
+    m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - H_diag) sigma_max(H) L_y,
+    L = L_u + sigma_max(H)^2 L_y, each multiplied by N under the
+    N-scaled convention.  A constant past the floating-point range (as
+    sigma_max(H) above ~1e154 gives) raises Overflow.
+    """
+    return _constants(obj, model.n, _h_spectra(model.H, model.H_diag), convention)
 
 
 def _coupling(obj, k: MonotonicityConstants) -> tuple[bool, float, float]:
@@ -185,29 +200,57 @@ def _iterate(grad_fn, u0, tau):
     raise NoConvergence(MAX_ITER, float(np.linalg.norm(grad_fn(u))))
 
 
+def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label) -> list:
+    """Per slice of the (B, ...) stacks, the zero of F_G for the quadratic
+    objective (gamma1, gamma2, y_ref): the solution of
+
+        (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d),
+
+    or the error its equations raise, named by ``label``: Overflow for a
+    coefficient past the floating-point range, SingularMatrix for singular
+    equations.  One stacked solve; when a slice is singular, each slice is
+    solved alone.
+    """
+    G_t = np.swapaxes(G, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = gamma1 * np.eye(H.shape[-1]) + gamma2 * G_t @ H
+        rhs = gamma2 * G_t @ (y_ref - d)[..., None]
+    finite = np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    rows = np.flatnonzero(finite)
+    try:
+        solved = list(np.linalg.solve(lhs[rows], rhs[rows])[..., 0])
+    except np.linalg.LinAlgError:
+        solved = []
+        for b in rows:
+            try:
+                solved.append(np.linalg.solve(lhs[b], rhs[b])[:, 0])
+            except np.linalg.LinAlgError as exc:
+                error = SingularMatrix(f"{label} equations are singular: {exc}")
+                error.__cause__ = exc
+                solved.append(error)
+    points = iter(solved)
+    return [
+        next(points) if ok else Overflow(f"a coefficient of the {label} equations")
+        for ok in finite
+    ]
+
+
 def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSolution:
     """The zero of F_G; ``label`` names the point in its errors.
 
-    Quadratic objectives are solved exactly through the linear equations
-    (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d), and a coefficient
-    past the floating-point range raises Overflow; anything else runs the
-    fixed-step iteration u <- u - tau F_G(u) from u = 0 to residual
-    SOLVE_TOL, with tau = ``step_size()``.
+    Quadratic objectives are solved exactly by ``_quadratic_points``,
+    whose errors this raises; anything else runs the fixed-step iteration
+    u <- u - tau F_G(u) from u = 0 to residual SOLVE_TOL, with
+    tau = ``step_size()``.
     """
     if obj.n != model.n:
         raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
     d = as_vector(d, model.n, "d")
     H = model.H
     if isinstance(obj, QuadraticObjective):
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = obj.gamma1 * np.eye(model.n) + obj.gamma2 * G.T @ H
-            rhs = obj.gamma2 * G.T @ (obj.y_ref - d)
-        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-            raise Overflow(f"a coefficient of the {label} equations")
-        try:
-            u = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"{label} equations are singular: {exc}") from exc
+        (u,) = _quadratic_points(obj.gamma1, obj.gamma2, obj.y_ref, d, H[None], G[None], label)
+        if isinstance(u, Exception):
+            raise u
     else:
         u, _ = _iterate(
             lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), step_size()

@@ -3,7 +3,10 @@
 Numerical failures carry enough context (iteration counts, residuals,
 spectral radii, partial trajectories) for callers to report or recover.
 A failing coupling condition is no error: the certificates report it.
-``as_vector`` is the single "must have length n" check every layer uses.
+``as_vector`` is the single "must have length n" check every layer uses,
+and ``_norm`` the one vector norm that survives squares past the
+floating-point range (the closed-loop metrics, the report's and the
+sweep's reference-point distances).
 ``read_section`` reads each config section through a key table, and
 ``convert`` is the one place where a rejected value becomes a ConfigError;
 a constructor check marks its error with ``on_field`` so that ``convert``
@@ -155,6 +158,24 @@ def read_section(name: str, data, table: dict) -> dict:
         key: default if data.get(key) is None else convert(f"{name}.{key}", parse, data[key])
         for key, (parse, default) in table.items()
     }
+
+
+def _norm(v, axis=None):
+    """np.linalg.norm(v, axis=axis) of a vector (axis None) or of each row (axis 1).
+
+    A norm whose squares overflow reads inf although it may fit: it is
+    recomputed as s ||v / s||, s the largest magnitude (fmax keeps inf
+    where s is inf, which the rescaling would turn into NaN).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v, axis=axis)
+        big = np.isinf(norm)
+        if big.any():
+            norm, big = np.atleast_1d(norm, big)
+            rows = np.atleast_2d(v)[big]
+            scale = np.max(np.abs(rows), axis=1)
+            norm[big] = np.fmax(scale, scale * np.linalg.norm(rows / scale[:, None], axis=1))
+    return norm if axis is not None else norm.item()
 
 
 def finite(value) -> np.ndarray:

@@ -29,6 +29,14 @@ rounds to 1 leaves the grid without a ground path (the incidence matrix
 has rank n - 1), so (I - A_d) is singular: the sweep notes that row,
 certificate cells empty.  A row whose coupling fails is no failure: no
 note, a ``lam_max_xi`` of at least 1 and an empty ``eta_star``.
+
+The sweep keeps that axis for the certificates and reference points:
+each spectrum behind them (H, H - H_diag, C, H_x, H_x^T A and A) is one
+SVD over all rows, C once, and the global optimum and the decentralized
+fixed point are one stacked solve each.  The formulas that the
+per-instance functions of ``equilibria`` and ``analysis`` apply to their
+own spectra then fill each row, so a row equals their results on its
+grid bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +50,12 @@ from numpy.typing import NDArray
 from . import analysis, sim
 from .analysis import Convention
 from .controller import ControllerConfig, Mode
-from .equilibria import decentralized_fixed_point, global_optimum
+from .equilibria import _constants, _coupling, _h_spectra, _max_abs_diag, _quadratic_points
 from .errors import (
     DimensionMismatch,
     SingularMatrix,
     UnstableDiscretization,
+    _norm,
     as_vector,
     convert,
     finite,
@@ -265,46 +274,92 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     return plant, model, d_eff
 
 
+def _y_ref(spec: GridSpec, H):
+    """The reference H i_star + d_meas, per slice when H is a stack."""
+    return H @ spec.i_star + spec.d_meas
+
+
 def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjective:
     """Voltage-tracking objective with reference H i_star + d_meas."""
-    y_ref = model.H @ spec.i_star + spec.d_meas
-    return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
+    return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=_y_ref(spec, model.H))
 
 
-def _sweep_row(spec: GridSpec, g: float, outcome, eta: float) -> tuple[dict, tuple | None]:
-    """One sweep row without its closed loop, and the loop's inputs.
+def _stacked(spec: GridSpec, outcomes: list) -> list[tuple]:
+    """Per row of ``outcomes`` that has a model: its reference y_ref, global
+    optimum, decentralized fixed point, ``_h_spectra`` and ``_xi_spectra``
+    (None without a plant), each from one call over all such rows.
 
-    ``outcome`` is the row's ``_discretize`` result or the error naming
-    why it has none.  The inputs are (H, d_eff, y_ref, decentralized
-    fixed point), or None for a row that cannot run a loop.
+    A reference point is the solution or the error its equations raise.
     """
-    if isinstance(outcome, Exception):
-        return {"g": g, "note": str(outcome)}, None
-    plant, model, d_eff, radius = outcome
-    row: dict = {"g": g, "note": ""}
-    if plant is None:
-        row["note"] = f"unstable discretization (spectral radius {radius:.6g})"
-    obj = grid_objective(spec, model)
-    satisfied, lhs, rhs = analysis.coupling_condition(obj, model)
-    row["coupling_ok"] = satisfied
-    row["coupling_lhs"] = lhs
-    row["coupling_rhs"] = rhs
-    star = global_optimum(obj, model, d_eff)
-    fixed = decentralized_fixed_point(obj, model, d_eff)
-    norm_star = float(np.linalg.norm(star.u))
-    rel_sub = float(np.linalg.norm(star.u - fixed.u))
-    row["rel_subopt"] = rel_sub / norm_star if norm_star > 0.0 else rel_sub
-    for convention, key in ((Convention.TIGHT, "bound_tight"), (Convention.PAPER, "bound_paper")):
-        consts = analysis.monotonicity_constants(obj, model, convention)
-        sub = analysis.suboptimality_bound(obj, model, d_eff, fixed.u, consts)
-        scaled = sub.bound / norm_star if norm_star > 0.0 else sub.bound
-        row[f"{key}_rel"] = scaled if np.isfinite(scaled) else None
-        row[f"{key}_applicable"] = sub.applicable
-    row["lam_max_xi"] = row["eta_star"] = None
-    if plant is not None:
-        cert = analysis.xi_matrix(plant, obj, model, eta, Convention.TIGHT)
-        row["lam_max_xi"], row["eta_star"] = cert.lam_max, cert.eta_star
-    return row, (model.H, d_eff, obj.y_ref, fixed.u)
+    plants, models, d_eff, _ = zip(*outcomes)
+    H = np.stack([model.H for model in models])
+    H_diag = np.stack([model.H_diag for model in models])
+    y_ref = _y_ref(spec, H)
+    gammas, d_eff = (float(spec.gamma1), float(spec.gamma2)), np.stack(d_eff)
+    stars = _quadratic_points(*gammas, y_ref, d_eff, H, H, "global optimum")
+    fixed = _quadratic_points(*gammas, y_ref, d_eff, H, H_diag, "decentralized fixed point")
+    xi: list = [None] * len(plants)
+    stable = [b for b, plant in enumerate(plants) if plant is not None]
+    if stable:
+        spectra = analysis._xi_spectra(
+            plants[stable[0]].C,
+            np.stack([models[b].H_x for b in stable]),
+            np.stack([plants[b].A for b in stable]),
+        )
+        for b, row in zip(stable, zip(*np.broadcast_arrays(*spectra))):
+            xi[b] = row
+    return list(zip(y_ref, stars, fixed, zip(*_h_spectra(H, H_diag)), xi))
+
+
+def _sweep_rows(spec: GridSpec, g_values: list, outcomes: list, eta: float) -> list[tuple]:
+    """Each sweep row without its closed loop, and the loop's inputs.
+
+    ``outcomes`` holds per g its ``_discretize`` result or the error
+    naming why the row has none.  The rows' spectra and reference points
+    come from ``_stacked``; the certificate formulas then fill the rows
+    in order, so the first row that fails raises what it raises alone.
+    The inputs are (H, d_eff, y_ref, decentralized fixed point), or None
+    for a row that cannot run a loop.
+    """
+    solved = [o for o in outcomes if not isinstance(o, Exception)]
+    per_row = iter(_stacked(spec, solved) if solved else [])
+    out = []
+    for g, outcome in zip(g_values, outcomes):
+        if isinstance(outcome, Exception):
+            out.append(({"g": g, "note": str(outcome)}, None))
+            continue
+        plant, model, d_eff, radius = outcome
+        y_ref, star, fixed, spectra, xi_spectra = next(per_row)
+        row: dict = {"g": g, "note": ""}
+        if plant is None:
+            row["note"] = f"unstable discretization (spectral radius {radius:.6g})"
+        obj = QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
+        tight = _constants(obj, model.n, spectra, Convention.TIGHT)
+        satisfied, lhs, rhs = _coupling(obj, tight)
+        row["coupling_ok"] = satisfied
+        row["coupling_lhs"] = lhs
+        row["coupling_rhs"] = rhs
+        for point in (star, fixed):
+            if isinstance(point, Exception):
+                raise point
+        norm_star = _norm(star)
+        rel_sub = _norm(star - fixed)
+        row["rel_subopt"] = rel_sub / norm_star if norm_star > 0.0 else rel_sub
+        paper = _constants(obj, model.n, spectra, Convention.PAPER)
+        lead = analysis._dropped_gradient(obj, model, d_eff, fixed)
+        for key, consts in (("bound_tight", tight), ("bound_paper", paper)):
+            sub = analysis._bound(lead, consts, satisfied)
+            scaled = sub.bound / norm_star if norm_star > 0.0 else sub.bound
+            row[f"{key}_rel"] = scaled if np.isfinite(scaled) else None
+            row[f"{key}_applicable"] = sub.applicable
+        row["lam_max_xi"] = row["eta_star"] = None
+        if plant is not None:
+            cert = analysis._xi_certificate(
+                obj, model.n, tight, _max_abs_diag(model), xi_spectra, eta, Convention.TIGHT
+            )
+            row["lam_max_xi"], row["eta_star"] = cert.lam_max, cert.eta_star
+        out.append((row, (model.H, d_eff, y_ref, fixed)))
+    return out
 
 
 def sweep_g(
@@ -315,23 +370,28 @@ def sweep_g(
 ) -> list[dict]:
     """Evaluate the sub-optimality trade-off across node conductances.
 
-    The grids of all positive G are assembled and solved on one leading
-    axis, then both reference points and the certificates are recorded
-    row by row.  The decentralized loops of all rows run as one batched
-    loop, which reproduces each row's ``sim.run_algebraic`` final
-    iterate bit for bit.  Failures annotate their row, a singular solve
-    with empty certificate cells and a diverged loop with the step at
-    which it diverged; the sweep itself never aborts.
+    The grids of all positive G are assembled on one leading axis, and
+    the spectra and both reference points of all their rows are computed
+    on it too (one SVD per spectrum, one solve per reference point); the
+    certificate formulas then fill the rows one by one.  The
+    decentralized loops of all rows run as one batched loop, which
+    reproduces each row's ``sim.run_algebraic`` final iterate bit for
+    bit.  Failures annotate their row, a singular sensitivity solve with
+    empty certificate cells and a diverged loop with the step at which it
+    diverged.  A certificate past the floating-point range or singular
+    reference-point equations raise the Overflow or SingularMatrix of the
+    first row that has one, as the per-instance functions would.
     """
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()
     g_values = [float(g) for g in g_values]
     ok = [g > 0.0 and np.isfinite(g) for g in g_values]
-    outcomes = iter(_discretize(base, np.outer(np.compress(ok, g_values), np.ones(base.n_nodes))))
+    assembled = iter(_discretize(base, np.outer(np.compress(ok, g_values), np.ones(base.n_nodes))))
+    outcomes = [
+        next(assembled) if valid else ValueError("conductance must be positive") for valid in ok
+    ]
     rows, pending = [], []
-    for g, valid in zip(g_values, ok):
-        outcome = next(outcomes) if valid else ValueError("conductance must be positive")
-        row, loop = _sweep_row(base, g, outcome, eta)
+    for row, loop in _sweep_rows(base, g_values, outcomes, eta):
         rows.append(row)
         if loop is not None:
             pending.append((row, loop))
@@ -347,8 +407,8 @@ def sweep_g(
             note = f"closed loop diverged (non-finite iterate at step {step})"
             row["note"] = f"{row['note']}; {note}" if row["note"] else note
             continue
-        ref = float(np.linalg.norm(fixed_u))
-        err = sim._norm(final - fixed_u)
+        ref = _norm(fixed_u)
+        err = _norm(final - fixed_u)
         row["loop_final_err"] = err / ref if ref > 0.0 else err
     return rows
 

@@ -63,7 +63,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .controller import ControllerConfig, update_map
-from .errors import NonFinite, as_vector
+from .errors import NonFinite, _norm, as_vector
 from .plant import LtiPlant, SensitivityModel, compute_sensitivity
 
 __all__ = [
@@ -166,24 +166,6 @@ def _finite(v) -> bool:
     that sum of squares is not: a non-finite entry, or an overflow.
     """
     return math.isfinite(v @ v) or bool(np.isfinite(v).all())
-
-
-def _norm(v, axis=None):
-    """np.linalg.norm(v, axis=axis) of a vector (axis None) or of each row (axis 1).
-
-    A norm whose squares overflow reads inf although it may fit: it is
-    recomputed as s ||v / s||, s the largest magnitude (fmax keeps inf
-    where s is inf, which the rescaling would turn into NaN).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(v, axis=axis)
-        big = np.isinf(norm)
-        if big.any():
-            norm, big = np.atleast_1d(norm, big)
-            rows = np.atleast_2d(v)[big]
-            scale = np.max(np.abs(rows), axis=1)
-            norm[big] = np.fmax(scale, scale * np.linalg.norm(rows / scale[:, None], axis=1))
-    return norm if axis is not None else norm.item()
 
 
 def _step_norm(v_next, v) -> float:

@@ -536,6 +536,20 @@ def test_failure_exits_1_with_one_error_line_and_no_warning(tmp_path, capsys, na
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def test_analyze_rescues_reference_point_norms_whose_squares_overflow(tmp_path, capsys):
+    # u_star = u_inf = -4e299: finite, but its square overflows
+    plant = {**ONE_AGENT, "A": [[0.5]], "d": [1e300]}
+    cfg = write_config(tmp_path, {"plant": plant, "controller": {"eta": 0.05}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "analyze"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    equilibrium = json.loads(captured.out)["equilibrium"]
+    assert equilibrium["u_star"] == [-4e299]
+    assert math.isfinite(equilibrium["relative_distance"])
+
+
 def test_main_is_the_one_exit():
     # only main prints to stderr and maps a failure to an exit code; the
     # commands raise their failure and return nothing

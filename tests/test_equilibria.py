@@ -11,11 +11,42 @@ from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
 from ofonet.cli import FIG4_G_VALUES
-from ofonet.errors import DimensionMismatch, NoConvergence, Overflow
+from ofonet.errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix
 from ofonet.objective import QuadraticObjective
+from ofonet.plant import SensitivityModel
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
 U_INF = np.array([-0.375, -0.5])
+
+
+def test_svals_cuts_each_slice_of_a_stack_at_its_own_largest_value():
+    # 1e-10 lies below SVAL_TOL times its slice's 1e3, 1e-11 above SVAL_TOL
+    # times its slice's 1; a cut at the stack's largest value would zero both
+    stack = np.array([np.diag([1e3, 1e-10]), np.diag([1.0, 1e-11]), np.zeros((2, 2))])
+    s = eq._svals(stack)
+    assert s.tolist() == [[1e3, 0.0], [1.0, 1e-11], [0.0, 0.0]]
+    for one, row in zip(stack, s):
+        assert eq._svals(one).tobytes() == row.tobytes()
+
+
+def test_quadratic_points_solve_a_stack_and_keep_each_slice_error():
+    # a regular slice, one whose fixed-point equations I + H_diag H = I + H
+    # are singular, and one whose H_diag H overflows: the stacked solve fails
+    # and each slice is solved alone
+    H = np.array(
+        [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]]]
+    )
+    y_ref, d = np.zeros((3, 2)), np.ones((3, 2))
+    label = "decentralized fixed point"
+    u, singular, overflow = eq._quadratic_points(1.0, 1.0, y_ref, d, H, H * np.eye(2), label)
+    alone = eq.decentralized_fixed_point(
+        QuadraticObjective(1.0, 1.0, y_ref[0]), SensitivityModel(H=H[0], H_x=np.eye(2)), d[0]
+    )
+    assert u.tobytes() == alone.u.tobytes()
+    assert isinstance(singular, SingularMatrix)
+    assert str(singular) == f"{label} equations are singular: Singular matrix"
+    assert isinstance(overflow, Overflow)
+    assert str(overflow) == f"a coefficient of the {label} equations leaves the floating-point range"
 
 
 def test_global_optimum_oracle():

@@ -9,11 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ofonet.analysis as an
 import ofonet.powergrid as pg
 import ofonet.sim as sim
+from ofonet.cli import FIG4_G_VALUES
 from ofonet.controller import ControllerConfig, Mode
-from ofonet.equilibria import decentralized_fixed_point
-from ofonet.errors import ConfigError, NonFinite, SingularMatrix, UnstableDiscretization
+from ofonet.equilibria import decentralized_fixed_point, global_optimum
+from ofonet.errors import (
+    ConfigError,
+    NonFinite,
+    OfonetError,
+    Overflow,
+    SingularMatrix,
+    UnstableDiscretization,
+)
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import compute_sensitivity, is_schur_stable, sensitivity
 from ofonet.sim import run_lti
@@ -142,13 +151,7 @@ def test_discretize_screens_each_slice_once(monkeypatch):
     norms = [np.linalg.svd(a, compute_uv=False)[0] for a in a_d]
     assert [norm >= 1.0 - 1e-9 for norm in norms] == [True, False, True]
     unstable_radius = is_schur_stable(a_d[2])[1]
-    calls = {"svd": [], "eigvals": []}
-    for name, shapes in calls.items():
-        def counted(a, *args, _solve=getattr(np.linalg, name), _shapes=shapes, **kwargs):
-            _shapes.append(np.shape(a))
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = _count_calls(monkeypatch, ["svd", "eigvals"])
     radii = [outcome[3] for outcome in pg._discretize(spec, g_node)]
     assert radii == [None, None, unstable_radius]
     # one values-only SVD per slice and none on the stack; eigenvalues only
@@ -228,6 +231,140 @@ def test_sweep_annotates_singular_row_and_keeps_the_rest():
     assert [rows[0], rows[2]] == pg.sweep_g([1.0, 5.0], eta=0.05, steps=2000)
     with pytest.raises(SingularMatrix, match="singular"):
         pg.assemble_plant(dataclasses.replace(pg.default_topology(), g_node=1e-18 * np.ones(8)))
+
+
+# the jittered grid of the golden CI job's conductance sweep
+JITTER = pg.spec_from_dict(
+    {
+        "c_cap": [1.2, 0.8, 1.1, 0.9, 1.3, 0.7, 1.05, 0.95],
+        "l_ind": [0.9, 1.1, 1.2, 0.8, 1.0, 1.15, 0.85, 1.25, 0.75],
+        "r_line": [9.0, 11.0, 10.5, 8.5, 12.0, 9.5, 10.0, 11.5, 8.0],
+        "i_star": [1.1, 0.9, 1.0, 1.2, 0.8, 1.05, 0.95, 1.15],
+        "d_meas": [0.0, 0.1, -0.1, 0.0, 0.05, 0.0, -0.05, 0.0],
+    }
+)
+JITTER_G = [0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 300.0]
+# (spec, g values, eta).  On the stock grid: two non-positive rows and a
+# singular slice (1e-18).  On a random grid and on the jittered one:
+# coupling-failing, stable and unstable rows; the jittered one also at
+# eta = 1.2, where loops diverge, and with non-unit objective weights.
+SWEEP_CASES = {
+    "fig4": (pg.default_topology(), [*FIG4_G_VALUES, 0.0, -1.0, 1e-18, 1000.0], 0.05),
+    "random": (_random_spec(5, 5, 0.1), list(np.geomspace(0.05, 20.0, 9)), 0.05),
+    "jitter": (JITTER, JITTER_G, 0.05),
+    "jitter-diverging": (JITTER, JITTER_G, 1.2),
+    "weights": (dataclasses.replace(JITTER, gamma1=0.5, gamma2=2.0, eps=0.05), JITTER_G, 0.05),
+}
+
+
+def _per_instance_cells(spec, outcome, eta):
+    """A sweep row's certificate cells from the public per-instance functions."""
+    plant, model, d_eff, _ = outcome
+    obj = pg.grid_objective(spec, model)
+    satisfied, lhs, rhs = an.coupling_condition(obj, model)
+    star = global_optimum(obj, model, d_eff).u
+    fixed = decentralized_fixed_point(obj, model, d_eff).u
+    norm_star = float(np.linalg.norm(star))
+    assert norm_star > 0.0
+    cells = {
+        "coupling_ok": satisfied,
+        "coupling_lhs": lhs,
+        "coupling_rhs": rhs,
+        "rel_subopt": float(np.linalg.norm(star - fixed)) / norm_star,
+        "lam_max_xi": None,
+        "eta_star": None,
+    }
+    for convention in an.Convention:
+        key = f"bound_{convention.value}"
+        consts = an.monotonicity_constants(obj, model, convention)
+        sub = an.suboptimality_bound(obj, model, d_eff, fixed, consts)
+        cells[f"{key}_rel"] = sub.bound / norm_star if np.isfinite(sub.bound) else None
+        cells[f"{key}_applicable"] = sub.applicable
+    if plant is not None:
+        cert = an.xi_matrix(plant, obj, model, eta)
+        cells["lam_max_xi"], cells["eta_star"] = cert.lam_max, cert.eta_star
+    return cells
+
+
+def _bits(value):
+    """``value`` with its float bits spelled out, so -0.0 differs from 0.0."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_equal_the_per_instance_functions_bit_for_bit(case):
+    spec, g_values, eta = SWEEP_CASES[case]
+    rows = pg.sweep_g(g_values, eta, steps=300, spec=spec)
+    positive = [g for g in g_values if g > 0.0]
+    outcomes = iter(pg._discretize(spec, np.outer(positive, np.ones(spec.n_nodes))))
+    kinds = set()
+    for g, row in zip(g_values, rows):
+        if g <= 0.0:
+            continue
+        outcome = next(outcomes)
+        if isinstance(outcome, SingularMatrix):
+            assert row == {"g": g, "note": str(outcome)}
+            kinds.add("singular")
+            continue
+        cells = _per_instance_cells(spec, outcome, eta)
+        assert {k: _bits(row[k]) for k in cells} == {k: _bits(v) for k, v in cells.items()}, g
+        kinds.add("unstable" if outcome[0] is None else "stable")
+        kinds.update({"diverged"} if row["loop_final_err"] is None else ())
+        kinds.update(set() if row["coupling_ok"] else {"coupling fails"})
+    expected = {"stable", "unstable"} | {
+        "fig4": {"singular"},
+        "random": {"coupling fails"},
+        "jitter": {"coupling fails"},
+        "jitter-diverging": {"coupling fails", "diverged"},
+        "weights": {"coupling fails"},
+    }[case]
+    assert kinds == expected
+
+
+# the jittered grid with capacitances 1e-160 times smaller: g = 1e-160 makes
+# sigma_max(H)^2 overflow, g = 1e-100 the global optimum equations singular
+TINY_CAP = dataclasses.replace(JITTER, c_cap=JITTER.c_cap * 1e-160)
+
+
+@pytest.mark.parametrize(
+    "g_values, error",
+    [([1.0, 1e-160, 1e-100], Overflow), ([1.0, 1e-100, 1e-160], SingularMatrix)],
+)
+def test_sweep_raises_what_the_first_failing_row_raises_alone(g_values, error):
+    with pytest.raises(error) as swept:
+        pg.sweep_g(g_values, 0.05, steps=10, spec=TINY_CAP)
+    with pytest.raises(OfonetError) as alone:
+        for outcome in pg._discretize(TINY_CAP, np.outer(g_values, np.ones(8))):
+            _per_instance_cells(TINY_CAP, outcome, 0.05)
+    assert type(alone.value) is error
+    assert str(swept.value) == str(alone.value)
+
+
+def _count_calls(monkeypatch, names):
+    """Record the shapes of the first argument of each np.linalg call in ``names``."""
+    calls = {name: [] for name in names}
+    for name, shapes in calls.items():
+        def counted(a, *args, _call=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("g_values", [JITTER_G[:3], JITTER_G, JITTER_G * 3])
+def test_sweep_certifies_and_solves_every_row_on_one_axis(monkeypatch, g_values):
+    calls = _count_calls(monkeypatch, ["svd", "solve"])
+    pg.sweep_g([-1.0, *g_values], 0.05, steps=10, spec=JITTER)
+    n_state = JITTER.n_nodes + JITTER.n_edges
+    # one Schur screen per positive-g slice, then one SVD per spectrum: H,
+    # H - H_diag and C, and over the stable rows H_x, H_x^T A and A
+    screens = [shape for shape in calls["svd"] if shape == (n_state, n_state)]
+    assert len(screens) == len(g_values)
+    assert len(calls["svd"]) - len(screens) == 6
+    # the sensitivity, then the global optimum and the fixed point
+    stack = len(g_values)
+    assert calls["solve"] == [(stack, n_state, n_state), (stack, 8, 8), (stack, 8, 8)]
 
 
 def test_sweep_columns_and_notes():
