@@ -52,7 +52,9 @@ from .equilibria import (
     Convention,
     MonotonicityConstants,
     _max_abs_diag,
+    _model_constants,
     _n_factor,
+    _square,
     _svals,
     coupling_condition,
     decentralized_fixed_point,
@@ -148,18 +150,22 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
     return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
 
 
-def _dropped_gradient(obj, model: SensitivityModel, d, u_inf) -> float:
-    """||(H^T - H_diag) grad_y(H u_inf + d)||, the gradient term the decentralized loop drops."""
-    grad_y_inf = obj_mod.grad_y(obj, model.H @ u_inf + d)
-    return float(np.linalg.norm((model.H.T - model.H_diag) @ grad_y_inf))
+def _dropped_gradient(H, H_diag, grad_y):
+    """||(H^T - H_diag) grad_y||, the gradient term the decentralized loop drops,
+    per slice of the stacks H, H_diag (B, n, n) and grad_y (B, n), with
+    grad_y the output gradient at the decentralized fixed point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = (np.swapaxes(H, -1, -2) - H_diag) @ grad_y[..., None]
+        return np.sqrt((np.swapaxes(v, -1, -2) @ v)[:, 0, 0])
 
 
-def _bound(lead: float, consts: MonotonicityConstants, satisfied: bool) -> SuboptimalityBound:
-    """The bound lead / sqrt(2m - 1) of ``suboptimality_bound``; ``satisfied`` is the coupling."""
-    two_m = 2.0 * consts.m
-    if two_m > 1.0:
-        return SuboptimalityBound(bound=lead * math.sqrt(1.0 / (two_m - 1.0)), applicable=satisfied)
-    return SuboptimalityBound(bound=math.inf, applicable=False)
+def _bound(lead, m, satisfied):
+    """The bound lead / sqrt(2m - 1) of ``suboptimality_bound`` per row, inf where
+    2m <= 1, and whether it applies: 2m > 1 and ``satisfied``, the coupling."""
+    two_m = 2.0 * np.asarray(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = np.where(two_m > 1.0, lead * np.sqrt(1.0 / (two_m - 1.0)), np.inf)
+    return bound, (two_m > 1.0) & satisfied
 
 
 def suboptimality_bound(
@@ -175,17 +181,20 @@ def suboptimality_bound(
     condition; the number is returned either way since it stays
     informative outside the certified regime.
     """
-    lead = _dropped_gradient(obj, model, np.asarray(d, dtype=float), np.asarray(u_inf, dtype=float))
+    y_inf = model.H @ np.asarray(u_inf, dtype=float) + np.asarray(d, dtype=float)
+    lead = _dropped_gradient(model.H[None], model.H_diag[None], obj_mod.grad_y(obj, y_inf)[None])
     satisfied, _, _ = coupling_condition(obj, model)
-    return _bound(lead, consts, satisfied)
+    bound, applicable = _bound(lead[0], consts.m, satisfied)
+    return SuboptimalityBound(bound=float(bound), applicable=bool(applicable))
 
 
-def _xi_spectra(C, H_x, A):
+def _xi_spectra(C, H_x, A, sigma_a=None):
     """The spectra behind the Xi constants: sigma_max(C), sigma_min(C), sigma_max(H_x),
     sigma_max(H_x^T A) and sigma_max(A), per slice when H_x and A are stacks sharing C.
 
     sigma_min(C) is the root of the smallest eigenvalue of C^T C: zero
     whenever C has more columns than rows, whatever its singular values.
+    ``sigma_a``, when given, is sigma_max(A) (the Schur screen takes it).
     """
     s_c = _svals(C)
     wide = C.shape[-1] > C.shape[-2]
@@ -194,34 +203,8 @@ def _xi_spectra(C, H_x, A):
         0.0 if wide else s_c[..., -1],
         _svals(H_x)[..., 0],
         _svals(np.swapaxes(H_x, -1, -2) @ A)[..., 0],
-        _svals(A)[..., 0],
+        _svals(A)[..., 0] if sigma_a is None else sigma_a,
     )
-
-
-def _xi_constants(obj, n: int, consts, sigma_hd: float, spectra, convention):
-    """(m', L', a1, a2, a3, a4, t) from the constants ``consts`` in ``convention``,
-    max_i |H_ii| and the ``_xi_spectra``; a square past the range raises OverflowError."""
-    sigma_c, sigma_c_min, sigma_hx, s_a, sigma_a = map(float, spectra)
-    k = _n_factor(n, convention)
-    sigma_h = consts.sigma_max_h
-    sigma_off = consts.sigma_max_offdiag
-    lam_h = sigma_hx**2 + 1.0
-    alpha = k * obj.L_u + k * obj.L_y * sigma_hd * sigma_h
-    beta = k * obj.L_y * sigma_hd * sigma_c
-    m_prime = 2.0 * (consts.m - consts.c)
-    l_prime = lam_h * alpha**2
-    a1 = lam_h * beta * alpha
-    a2 = (
-        s_a * alpha
-        + 2.0 * k * obj.m_y * sigma_c * sigma_h
-        + k * obj.L_y * sigma_c * (sigma_off + sigma_h)
-    )
-    a3 = lam_h * beta**2
-    a4 = 2.0 * (
-        s_a * sigma_hd * sigma_c - (k * obj.m_y * sigma_c_min**2 - k * obj.L_y * sigma_c**2)
-    )
-    t = 1.0 - sigma_a**2
-    return m_prime, l_prime, a1, a2, a3, a4, t
 
 
 def _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t):
@@ -266,49 +249,54 @@ def xi_matrix(
     branch are attached when sigma_max(A) < 1 and m' > 0, else left None.
     A constant or an entry past the floating-point range raises Overflow.
     """
-    consts = monotonicity_constants(obj, model, convention)
-    spectra = _xi_spectra(plant.C, model.H_x, plant.A)
-    return _xi_certificate(obj, model.n, consts, _max_abs_diag(model), spectra, eta, convention)
-
-
-def _xi_certificate(obj, n, consts, sigma_hd, spectra, eta, convention) -> LtiRateCertificate:
-    """Xi(eta) of ``xi_matrix`` from the arguments of ``_xi_constants``."""
-    try:
-        m_prime, l_prime, a1, a2, a3, a4, t = _xi_constants(
-            obj, n, consts, sigma_hd, spectra, convention
-        )
-        eta_sq = eta**2
-    except OverflowError as exc:
-        raise Overflow(f"Xi at step size {eta:.6g}") from exc
-    lam_a = 1.0 - t
-    off = a1 * eta_sq + a2 * eta
-    xi = np.array(
-        [
-            [lam_a + a3 * eta_sq + a4 * eta, off],
-            [off, 1.0 - m_prime * eta + l_prime * eta_sq],
-        ]
+    consts = _model_constants(obj, model, convention)
+    spectra = _xi_spectra(plant.C, model.H_x[None], plant.A[None])
+    xi, lam_max, constants = _xi_certificate(
+        obj, model.n, consts, _max_abs_diag(model.H_diag[None]), spectra, eta, convention
     )
-    half_sum = 0.5 * (xi[0, 0] + xi[1, 1])
-    half_diff = 0.5 * (xi[0, 0] - xi[1, 1])
-    # lambda_max is finite only if every entry is
-    lam_max = half_sum + math.hypot(half_diff, off)
-    if not math.isfinite(lam_max):
+    if not math.isfinite(lam_max[0]):
         raise Overflow(f"Xi at step size {eta:.6g}")
-    star, branch = _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t)
-    return LtiRateCertificate(
-        xi=xi,
-        lam_max=float(lam_max),
-        m_prime=m_prime,
-        l_prime=l_prime,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        t=t,
-        eta=float(eta),
-        eta_star=star,
-        branch=branch,
-    )
+    (x11, x12, x22), constants = ([float(c[0]) for c in cs] for cs in (xi, constants))
+    star, branch = _eta_star_from_constants(*constants)
+    xi = np.array([[x11, x12], [x12, x22]])
+    return LtiRateCertificate(xi, float(lam_max[0]), *constants, float(eta), star, branch)
+
+
+def _xi_certificate(obj, n, consts, sigma_hd, spectra, eta, convention):
+    """Xi(eta) of ``xi_matrix`` per row, from the constants ``consts`` in
+    ``convention``, max_i |H_ii| and the ``_xi_spectra``: its entries (Xi_11,
+    Xi_12, Xi_22), its largest eigenvalue (not finite where Xi leaves the
+    floating-point range) and the constants (m', L', a1, a2, a3, a4, t),
+    each an array over the rows; a square past the range is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_c, sigma_c_min, sigma_hx, s_a, sigma_a = spectra
+        k = _n_factor(n, convention)
+        sigma_h, sigma_off = consts.sigma_max_h, consts.sigma_max_offdiag
+        lam_h = _square(sigma_hx) + 1.0
+        alpha = k * obj.L_u + k * obj.L_y * sigma_hd * sigma_h
+        beta = k * obj.L_y * sigma_hd * sigma_c
+        m_prime = 2.0 * (consts.m - consts.c)
+        l_prime = lam_h * _square(alpha)
+        a1 = lam_h * beta * alpha
+        a2 = (
+            s_a * alpha
+            + 2.0 * k * obj.m_y * sigma_c * sigma_h
+            + k * obj.L_y * sigma_c * (sigma_off + sigma_h)
+        )
+        a3 = lam_h * _square(beta)
+        a4 = 2.0 * (
+            s_a * sigma_hd * sigma_c
+            - (k * obj.m_y * _square(sigma_c_min) - k * obj.L_y * _square(sigma_c))
+        )
+        t = 1.0 - _square(sigma_a)
+        eta_sq = _square(eta)
+        off = a1 * eta_sq + a2 * eta
+        xi = ((1.0 - t) + a3 * eta_sq + a4 * eta, off, 1.0 - m_prime * eta + l_prime * eta_sq)
+        half_sum, half_diff = 0.5 * (xi[0] + xi[2]), 0.5 * (xi[0] - xi[2])
+    # hypot one row at a time: math.hypot and numpy's hypot may round apart
+    rows = zip(half_sum.tolist(), half_diff.tolist(), off.tolist())
+    lam_max = np.array([s + math.hypot(d, o) for s, d, o in rows])
+    return xi, lam_max, (m_prime, l_prime, a1, a2, a3, a4, t)
 
 
 def build_report(

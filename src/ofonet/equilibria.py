@@ -20,15 +20,18 @@ instance, in both conventions, and the diagonal-dominance coupling
 condition built from them, which certifies that the Nash equilibrium is
 unique.  Both solvers take their step sizes from the same constants;
 ``analysis`` re-exports them among the certificates.  The constants are
-computed in two steps, the spectra and then the formula, and the spectra
-and the quadratic solve also work on stacks of instances, which the
-conductance sweep uses to take each over all its rows at once.
+computed in two steps, the spectra and then the formula.  The spectra,
+the formulas and the quadratic solve work on stacks of instances, one
+row per instance: the conductance sweep takes each over all its rows at
+once, and the per-instance functions are the one-row case.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,8 @@ SOLVE_TOL = 1e-10
 MAX_ITER = 10**6
 # Singular values below SVAL_TOL * sigma_max are treated as exact zeros.
 SVAL_TOL = 1e-12
+# The largest float whose square does not overflow.
+ROOT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -113,9 +118,9 @@ def _n_factor(n: int, convention: Convention) -> float:
     return float(n) if convention is Convention.PAPER else 1.0
 
 
-def _max_abs_diag(model: SensitivityModel) -> float:
-    """max_i |H_ii|, the spectral norm of H_diag; 0 for an empty model."""
-    return float(np.max(np.abs(np.diag(model.H_diag)))) if model.n else 0.0
+def _max_abs_diag(H_diag):
+    """max_i |H_ii|, the spectral norm of H_diag, per slice of a stack; 0 without agents."""
+    return np.max(np.abs(np.diagonal(H_diag, axis1=-2, axis2=-1)), axis=-1, initial=0.0)
 
 
 def _h_spectra(H, H_diag):
@@ -124,27 +129,45 @@ def _h_spectra(H, H_diag):
     return s[..., 0], s[..., -1], _svals(H - H_diag)[..., 0]
 
 
-def _constants(obj, n: int, spectra, convention: Convention) -> MonotonicityConstants:
-    """(m, c, L) of an ``n``-agent instance from its ``_h_spectra``, as in
-    ``monotonicity_constants``."""
-    sigma_max_h, sigma_min_h, sigma_off = map(float, spectra)
+def _square(x):
+    """x ** 2 of each entry of the array ``x`` through Python's float power, as
+    a scalar formula takes it (libm pow, which numpy's square does not round
+    alike in the last bit); inf where the power would overflow, past ROOT_MAX."""
+    squares = [math.inf if abs(v) > ROOT_MAX else v**2 for v in np.ravel(x).tolist()]
+    return np.array(squares).reshape(np.shape(x))
+
+
+def _constants(obj, n: int, spectra, convention: Convention):
+    """(m, c, L) of ``n``-agent instances from the rows of their ``_h_spectra``, as
+    in ``monotonicity_constants``, each field an array over the rows; and per
+    row the Overflow that a constant past the floating-point range raises, or None."""
+    sigma_max_h, sigma_min_h, sigma_off = (np.asarray(s, dtype=float) for s in spectra)
     k = _n_factor(n, convention)
-    try:
-        L = k * (obj.L_u + sigma_max_h**2 * obj.L_y)
-    except OverflowError:
-        L = math.inf
-    c = k * sigma_off * sigma_max_h * obj.L_y
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = k * (obj.L_u + _square(sigma_max_h) * obj.L_y)
+        c = k * sigma_off * sigma_max_h * obj.L_y
+        m = k * (obj.m_u + _square(sigma_min_h) * obj.m_y)
     # m <= L: it is finite when L is
-    if not (math.isfinite(L) and math.isfinite(c)):
-        raise Overflow(f"a monotonicity constant at sigma_max(H) = {sigma_max_h:.6g}")
-    return MonotonicityConstants(
-        m=k * (obj.m_u + sigma_min_h**2 * obj.m_y),
-        c=c,
-        L=L,
-        sigma_max_h=sigma_max_h,
-        sigma_min_h=sigma_min_h,
-        sigma_max_offdiag=sigma_off,
-    )
+    errors = [
+        None if ok else Overflow(f"a monotonicity constant at sigma_max(H) = {s:.6g}")
+        for ok, s in zip((np.isfinite(L) & np.isfinite(c)).tolist(), sigma_max_h.tolist())
+    ]
+    return MonotonicityConstants(m, c, L, sigma_max_h, sigma_min_h, sigma_off), errors
+
+
+def _model_constants(obj, model, convention: Convention) -> MonotonicityConstants:
+    """``_constants`` of one model as a one-row stack; past the range it raises Overflow."""
+    spectra = _h_spectra(model.H[None], model.H_diag[None])
+    consts, (error,) = _constants(obj, model.n, spectra, convention)
+    if error is not None:
+        raise error
+    return consts
+
+
+def _take(consts: MonotonicityConstants, rows) -> MonotonicityConstants:
+    """The ``rows`` of per-row constants; for an int index, that row's as floats."""
+    pick = float if isinstance(rows, int) else np.asarray
+    return dataclasses.replace(consts, **{k: pick(v[rows]) for k, v in vars(consts).items()})
 
 
 def monotonicity_constants(
@@ -159,13 +182,15 @@ def monotonicity_constants(
     N-scaled convention.  A constant past the floating-point range (as
     sigma_max(H) above ~1e154 gives) raises Overflow.
     """
-    return _constants(obj, model.n, _h_spectra(model.H, model.H_diag), convention)
+    return _take(_model_constants(obj, model, convention), 0)
 
 
-def _coupling(obj, k: MonotonicityConstants) -> tuple[bool, float, float]:
-    """(c < m, lhs, rhs) from the tight constants ``k``; rhs is inf if sigma_max(H) L_y is 0."""
+def _coupling(obj, k: MonotonicityConstants):
+    """(c < m, lhs, rhs) per row of the tight constants ``k``; rhs is inf where
+    sigma_max(H) L_y is 0."""
     scale = k.sigma_max_h * obj.L_y
-    return k.c < k.m, k.sigma_max_offdiag, k.m / scale if scale > 0.0 else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return k.c < k.m, k.sigma_max_offdiag, np.where(scale > 0.0, k.m / scale, np.inf)
 
 
 def coupling_condition(
@@ -178,7 +203,8 @@ def coupling_condition(
     sides in singular-value form,
     sigma_max(H - H_diag) < (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y).
     """
-    return _coupling(obj, monotonicity_constants(obj, model))
+    satisfied, lhs, rhs = _coupling(obj, _model_constants(obj, model, Convention.TIGHT))
+    return bool(satisfied[0]), float(lhs[0]), float(rhs[0])
 
 
 def _gradient(obj, model, G, d, u):
@@ -200,7 +226,7 @@ def _iterate(grad_fn, u0, tau):
     raise NoConvergence(MAX_ITER, float(np.linalg.norm(grad_fn(u))))
 
 
-def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label) -> list:
+def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label):
     """Per slice of the (B, ...) stacks, the zero of F_G for the quadratic
     objective (gamma1, gamma2, y_ref): the solution of
 
@@ -208,31 +234,30 @@ def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label) -> list:
 
     or the error its equations raise, named by ``label``: Overflow for a
     coefficient past the floating-point range, SingularMatrix for singular
-    equations.  One stacked solve; when a slice is singular, each slice is
-    solved alone.
+    equations.  Returns the (B, n) solutions, NaN on a failing slice, and
+    per slice its error or None.  One stacked solve; when a slice is
+    singular, each slice is solved alone.
     """
     G_t = np.swapaxes(G, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = gamma1 * np.eye(H.shape[-1]) + gamma2 * G_t @ H
         rhs = gamma2 * G_t @ (y_ref - d)[..., None]
     finite = np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    errors = [
+        None if ok else Overflow(f"a coefficient of the {label} equations") for ok in finite.tolist()
+    ]
+    u = np.full(rhs.shape[:-1], np.nan)
     rows = np.flatnonzero(finite)
     try:
-        solved = list(np.linalg.solve(lhs[rows], rhs[rows])[..., 0])
+        u[rows] = np.linalg.solve(lhs[rows], rhs[rows])[..., 0]
     except np.linalg.LinAlgError:
-        solved = []
-        for b in rows:
+        for b in rows.tolist():
             try:
-                solved.append(np.linalg.solve(lhs[b], rhs[b])[:, 0])
+                u[b] = np.linalg.solve(lhs[b], rhs[b])[:, 0]
             except np.linalg.LinAlgError as exc:
-                error = SingularMatrix(f"{label} equations are singular: {exc}")
-                error.__cause__ = exc
-                solved.append(error)
-    points = iter(solved)
-    return [
-        next(points) if ok else Overflow(f"a coefficient of the {label} equations")
-        for ok in finite
-    ]
+                errors[b] = SingularMatrix(f"{label} equations are singular: {exc}")
+                errors[b].__cause__ = exc
+    return u, errors
 
 
 def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSolution:
@@ -248,9 +273,12 @@ def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSol
     d = as_vector(d, model.n, "d")
     H = model.H
     if isinstance(obj, QuadraticObjective):
-        (u,) = _quadratic_points(obj.gamma1, obj.gamma2, obj.y_ref, d, H[None], G[None], label)
-        if isinstance(u, Exception):
-            raise u
+        u, (error,) = _quadratic_points(
+            obj.gamma1, obj.gamma2, obj.y_ref, d, H[None], G[None], label
+        )
+        if error is not None:
+            raise error
+        u = u[0]
     else:
         u, _ = _iterate(
             lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), step_size()
@@ -285,11 +313,11 @@ def decentralized_fixed_point(
     The iteration step is (m - c) / L_d^2 with the tight constants m, c
     and L_d = L_u + max_i |H_ii| sigma_max(H) L_y.
     """
-    k = monotonicity_constants(obj, model)
-    certified = _coupling(obj, k)[0]
+    rows = _model_constants(obj, model, Convention.TIGHT)
+    k, certified = _take(rows, 0), bool(_coupling(obj, rows)[0][0])
 
     def step_size():
-        L = obj.L_u + _max_abs_diag(model) * k.sigma_max_h * obj.L_y
+        L = obj.L_u + float(_max_abs_diag(model.H_diag)) * k.sigma_max_h * obj.L_y
         # m - c > 0 makes tau provably contractive; otherwise best effort.
         return (k.m - k.c) / L**2 if certified else k.m / L**2
 

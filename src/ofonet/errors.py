@@ -6,7 +6,7 @@ A failing coupling condition is no error: the certificates report it.
 ``as_vector`` is the single "must have length n" check every layer uses,
 and ``_norm`` the one vector norm that survives squares past the
 floating-point range (the closed-loop metrics, the report's and the
-sweep's reference-point distances).
+sweep's reference-point distances, the sweep's taken over all rows at once).
 ``read_section`` reads each config section through a key table, and
 ``convert`` is the one place where a rejected value becomes a ConfigError;
 a constructor check marks its error with ``on_field`` so that ``convert``
@@ -161,21 +161,25 @@ def read_section(name: str, data, table: dict) -> dict:
 
 
 def _norm(v, axis=None):
-    """np.linalg.norm(v, axis=axis) of a vector (axis None) or of each row (axis 1).
+    """The 2-norm of a vector or of each row of a matrix, or np.linalg.norm(v, axis=1).
 
-    A norm whose squares overflow reads inf although it may fit: it is
-    recomputed as s ||v / s||, s the largest magnitude (fmax keeps inf
-    where s is inf, which the rescaling would turn into NaN).
+    Without an axis each row's norm is sqrt(v . v), np.linalg.norm's of a
+    vector, so a stack of rows gets the norms the rows get one by one
+    (the pairwise sums of ``axis`` 1 may round otherwise).  A norm whose
+    squares overflow is recomputed as s ||v / s||, s the largest magnitude
+    (fmax keeps inf where s is inf, which the rescaling turns into NaN).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(v, axis=axis)
+        if axis is None:
+            rows = np.ascontiguousarray(np.atleast_2d(v), dtype=float)
+            norm = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        else:
+            rows, norm = v, np.linalg.norm(v, axis=axis)
         big = np.isinf(norm)
         if big.any():
-            norm, big = np.atleast_1d(norm, big)
-            rows = np.atleast_2d(v)[big]
-            scale = np.max(np.abs(rows), axis=1)
-            norm[big] = np.fmax(scale, scale * np.linalg.norm(rows / scale[:, None], axis=1))
-    return norm if axis is not None else norm.item()
+            scale = np.max(np.abs(rows[big]), axis=1)
+            norm[big] = np.fmax(scale, scale * np.linalg.norm(rows[big] / scale[:, None], axis=1))
+    return norm.item() if axis is None and np.ndim(v) == 1 else norm
 
 
 def finite(value) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
     "LtiPlant",
     "SensitivityModel",
     "is_schur_stable",
+    "schur_screen",
     "sensitivity",
     "compute_sensitivity",
     "plant_from_dict",
@@ -61,26 +62,36 @@ def _as_matrix(value, name: str) -> NDArray[np.float64]:
     return arr
 
 
+def _radii(A) -> list[float]:
+    """max |eig| of a square A, or of each slice of a (B, n, n) stack, from one eigvals call."""
+    return [float(np.max(np.abs(ev))) for ev in np.atleast_2d(np.linalg.eigvals(A))]
+
+
 def is_schur_stable(A) -> tuple[bool, float]:
-    """Check discrete-time asymptotic stability of a transition matrix.
-
-    Parameters
-    ----------
-    A : array_like
-        Square matrix.
-
-    Returns
-    -------
-    stable : bool
-        True iff the spectral radius is below ``1 - SCHUR_TOL``.
-    radius : float
-        The spectral radius max |eig(A)|.
-    """
+    """(stable, radius) of a square A: its spectral radius max |eig(A)|, and
+    whether that lies below ``1 - SCHUR_TOL`` (discrete-time asymptotic stability)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    radius = float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
+    radius = _radii(A)[0] if A.size else 0.0
     return radius < 1.0 - SCHUR_TOL, radius
+
+
+def schur_screen(A):
+    """(stable, radius, ||A||_2) of a square A, or arrays over the slices of a stack.
+
+    One values-only SVD gives ||A||_2, which bounds the spectral radius:
+    below 1 - SCHUR_TOL the slice is stable, its radius left 0, and one
+    eigvals call gives the radius max |eig| of all other slices.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = np.linalg.svd(A, compute_uv=False)[..., 0] if A.size else np.zeros(A.shape[:-2])
+    radius = np.zeros_like(norm)
+    unproven = norm >= 1.0 - SCHUR_TOL
+    if unproven.any():
+        radius[unproven] = _radii(A[unproven] if A.ndim == 3 else A)
+    stable = radius < 1.0 - SCHUR_TOL
+    return (stable, radius, norm) if A.ndim == 3 else (bool(stable), float(radius), float(norm))
 
 
 @dataclass(frozen=True)
@@ -90,10 +101,8 @@ class LtiPlant:
     Attributes
     ----------
     A : ndarray, shape (n_state, n_state)
-        State transition matrix; spectral radius below ``1 - SCHUR_TOL``.
-        Validation checks the spectral norm first, which bounds the
-        spectral radius, and solves for eigenvalues only when
-        ||A||_2 >= 1 - SCHUR_TOL; a rejection carries ``spectral_radius``.
+        State transition matrix; spectral radius below ``1 - SCHUR_TOL``,
+        checked by ``schur_screen``; a rejection carries ``spectral_radius``.
     B : ndarray, shape (n_state, n)
         Input matrix.
     C : ndarray, shape (n, n_state)
@@ -128,8 +137,7 @@ class LtiPlant:
             d = as_vector(self.d, n, "d", finite=True)
         except (ValueError, DimensionMismatch) as exc:
             raise on_field("d", exc)
-        norm = np.linalg.svd(A, compute_uv=False)[0] if A.size else 0.0
-        stable, radius = (True, 0.0) if norm < 1.0 - SCHUR_TOL else is_schur_stable(A)
+        stable, radius, _ = schur_screen(A)
         if not stable:
             message = (
                 f"A is not Schur stable (spectral radius {radius:.6g}); "
@@ -194,7 +202,7 @@ def sensitivity(A, B, C, D):
     inverse, then sets H = C X + D.  A need not be stable; a numerically
     singular (I - A), or an H_x or H that overflows, raises SingularMatrix.
     A stack A (B, n_state, n_state) sharing B, C and D is solved in one
-    call and gives a list of models; one failing slice fails the whole stack.
+    call and gives the stacks (H, H_x); one failing slice fails the whole stack.
     """
     try:
         H_x = np.linalg.solve(np.eye(A.shape[-1]) - A, B)
@@ -203,9 +211,7 @@ def sensitivity(A, B, C, D):
     H = C @ H_x + D
     if not (np.isfinite(H_x).all() and np.isfinite(H).all()):
         raise SingularMatrix("the steady-state sensitivity overflows: H or H_x is not finite")
-    if A.ndim == 3:
-        return [SensitivityModel(H=h, H_x=h_x) for h, h_x in zip(H, H_x)]
-    return SensitivityModel(H=H, H_x=H_x)
+    return (H, H_x) if A.ndim == 3 else SensitivityModel(H=H, H_x=H_x)
 
 
 def compute_sensitivity(plant: LtiPlant) -> SensitivityModel:

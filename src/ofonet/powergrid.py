@@ -21,28 +21,24 @@ The steady-state sensitivity is recomputed from the realized discrete
 matrices rather than any closed form, so the closed-loop layers see a
 self-consistent y = H u + d.
 
-Grids that differ only in G share one assembly: their A_d lie on one
-leading axis (B, n_state, n_state), solved by one stacked solve, and each
-slice is screened as an ``LtiPlant``; ``assemble_plant`` is B = 1,
-``sweep_g`` stacks every positive G.  A G so small that 1 + eps g / c_cap
-rounds to 1 leaves the grid without a ground path (the incidence matrix
-has rank n - 1), so (I - A_d) is singular: the sweep notes that row,
-certificate cells empty.  A row whose coupling fails is no failure: no
-note, a ``lam_max_xi`` of at least 1 and an empty ``eta_star``.
-
-The sweep keeps that axis for the certificates and reference points:
-each spectrum behind them (H, H - H_diag, C, H_x, H_x^T A and A) is one
-SVD over all rows, C once, and the global optimum and the decentralized
-fixed point are one stacked solve each.  The formulas that the
-per-instance functions of ``equilibria`` and ``analysis`` apply to their
-own spectra then fill each row, so a row equals their results on its
-grid bit for bit.
+``sweep_g`` puts the grids of all its positive G on one leading axis:
+one stacked sensitivity solve, one ``plant.schur_screen`` of the A_d, one
+SVD per certificate spectrum (C once, ||A_d||_2 from the screen), one
+solve per reference point, and each formula of ``equilibria`` and
+``analysis`` applied once over all rows, so a row equals the per-instance
+functions on its grid bit for bit.  A G so small that 1 + eps g / c_cap
+rounds to 1 leaves the grid without a ground path, so (I - A_d) is
+singular: the sweep notes that row, cells empty, as it notes a row whose
+reference-point equations are singular.  A row whose coupling fails is
+no failure: no note, a ``lam_max_xi`` of at least 1, no ``eta_star``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,9 +46,17 @@ from numpy.typing import NDArray
 from . import analysis, sim
 from .analysis import Convention
 from .controller import ControllerConfig, Mode
-from .equilibria import _constants, _coupling, _h_spectra, _max_abs_diag, _quadratic_points
+from .equilibria import (
+    _constants,
+    _coupling,
+    _h_spectra,
+    _max_abs_diag,
+    _quadratic_points,
+    _take,
+)
 from .errors import (
     DimensionMismatch,
+    Overflow,
     SingularMatrix,
     UnstableDiscretization,
     _norm,
@@ -65,7 +69,7 @@ from .errors import (
     whole,
 )
 from .objective import QuadraticObjective
-from .plant import LtiPlant, SensitivityModel, sensitivity
+from .plant import LtiPlant, SensitivityModel, schur_screen, sensitivity
 
 __all__ = [
     "GridSpec",
@@ -80,23 +84,6 @@ __all__ = [
 ]
 
 DEFAULT_EDGES = ((1, 4), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (1, 2), (6, 7))
-
-
-def _default_vectors(n: int, e: int) -> dict:
-    """The default vectors of an ``n``-node, ``e``-edge grid."""
-    return {
-        "c_cap": np.ones(n),
-        "l_ind": np.ones(e),
-        "r_line": 10.0 * np.ones(e),
-        "g_node": np.ones(n),
-        "i_star": np.ones(n),
-        "delta_i": np.ones(n),
-        "d_meas": np.zeros(n),
-    }
-
-
-def _edge_pairs(edges) -> tuple[tuple[int, int], ...]:
-    return tuple((int(i), int(j)) for i, j in edges)
 
 
 @dataclass(frozen=True)
@@ -125,7 +112,7 @@ class GridSpec:
 
     def __post_init__(self):
         n = self.n_nodes
-        edges = _edge_pairs(self.edges)
+        edges = tuple((int(i), int(j)) for i, j in self.edges)
         e = len(edges)
         # a connected graph on n nodes needs n - 1 edges; checked before
         # anything n-sized is allocated
@@ -142,31 +129,28 @@ class GridSpec:
             adjacency[i - 1].add(j - 1)
             adjacency[j - 1].add(i - 1)
         # connectivity via breadth-first search from node 1
-        seen = {0}
-        frontier = [0]
+        seen, frontier = {0}, [0]
         while frontier:
-            node = frontier.pop()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+            reached = adjacency[frontier.pop()] - seen
+            seen |= reached
+            frontier += reached
         if len(seen) != n:
             missing = sorted(k + 1 for k in range(n) if k not in seen)
             message = f"edge list does not connect nodes {missing} to node 1"
             raise on_field("edges", ValueError(message))
         object.__setattr__(self, "edges", edges)
-        defaults = _default_vectors(n, e)
-        for name, length, positive in (
-            ("c_cap", n, True),
-            ("l_ind", e, True),
-            ("r_line", e, True),
-            ("g_node", n, True),
-            ("i_star", n, False),
-            ("delta_i", n, False),
-            ("d_meas", n, False),
+        # (field, length, must be positive, the default entry)
+        for name, length, positive, default in (
+            ("c_cap", n, True, 1.0),
+            ("l_ind", e, True, 1.0),
+            ("r_line", e, True, 10.0),
+            ("g_node", n, True, 1.0),
+            ("i_star", n, False, 1.0),
+            ("delta_i", n, False, 1.0),
+            ("d_meas", n, False, 0.0),
         ):
             value = getattr(self, name)
-            value = defaults[name] if value is None else value
+            value = np.full(length, default) if value is None else value
             try:
                 vec = as_vector(value, length, name, finite=True)
                 if positive and not np.all(vec > 0.0):
@@ -201,9 +185,7 @@ def incidence(spec: GridSpec) -> NDArray[np.float64]:
     """Node-by-edge incidence matrix, +1 at the lower-index endpoint."""
     mat = np.zeros((spec.n_nodes, spec.n_edges))
     for col, (i, j) in enumerate(spec.edges):
-        low, high = min(i, j), max(i, j)
-        mat[low - 1, col] = 1.0
-        mat[high - 1, col] = -1.0
+        mat[min(i, j) - 1, col], mat[max(i, j) - 1, col] = 1.0, -1.0
     return mat
 
 
@@ -225,31 +207,39 @@ def _raw_matrices(spec: GridSpec, g_node: NDArray[np.float64]):
     return a_d, b_d, c_d
 
 
-def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> list:
-    """Per row of ``g_node`` (B, n), the plant (None when unstable), model,
-    d_eff and unstable radius of ``spec`` with that g_node, or the
-    SingularMatrix its steady-state solve raised.
+def _d_eff(spec: GridSpec, H):
+    """The effective disturbance H (i_star - delta_i) + d_meas, per slice when H is a stack."""
+    return H @ (spec.i_star - spec.delta_i) + spec.d_meas
 
-    (I - A_d) = -eps E^{-1} K is invertible for positive conductances,
-    so the steady-state map exists even when A_d is unstable.
+
+def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, SimpleNamespace]:
+    """The grids of ``spec`` with each row of ``g_node`` (B, n) as node conductances.
+
+    Returns per row the SingularMatrix its steady-state solve raised or
+    None, and the rows that solved, each field an array over them: A
+    (A_d), H, H_diag, H_x, d_eff, and stable, radius and sigma_a from one
+    ``schur_screen`` of their A_d; and C (C_d), which they share.  The
+    steady state exists even where A_d is unstable: (I - A_d) = -eps
+    E^{-1} K is invertible for positive conductances.
     """
     a_d, b_d, c_d = _raw_matrices(spec, g_node)
     d_d = np.zeros((spec.n_nodes, spec.n_nodes))
+    errors: list = [None] * len(a_d)
     try:
-        models = sensitivity(a_d, b_d, c_d, d_d)
-    except SingularMatrix as exc:
+        H, H_x = sensitivity(a_d, b_d, c_d, d_d)
+    except SingularMatrix:
         # one singular slice fails the stacked solve: solve each row alone
-        return [exc] if len(g_node) == 1 else [o for g in g_node for o in _discretize(spec, g[None])]
-    out = []
-    for a, model in zip(a_d, models):
-        d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
-        try:
-            out.append((LtiPlant(A=a, B=b_d, C=c_d, D=d_d, d=d_eff), model, d_eff, None))
-        except ValueError as exc:
-            if not hasattr(exc, "spectral_radius"):
-                raise
-            out.append((None, model, d_eff, exc.spectral_radius))
-    return out
+        for b, a in enumerate(a_d):
+            try:
+                sensitivity(a[None], b_d, c_d, d_d)
+            except SingularMatrix as exc:
+                errors[b] = exc
+        a_d = a_d[[error is None for error in errors]]
+        H, H_x = sensitivity(a_d, b_d, c_d, d_d)
+    H_diag = np.where(np.eye(spec.n_nodes, dtype=bool), H, 0.0)
+    stable, radius, sigma_a = schur_screen(a_d)
+    grids = dict(A=a_d, C=c_d, H=H, H_diag=H_diag, H_x=H_x, d_eff=_d_eff(spec, H))
+    return errors, SimpleNamespace(**grids, stable=stable, radius=radius, sigma_a=sigma_a)
 
 
 def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[np.float64]]:
@@ -257,20 +247,20 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
 
     Returns the plant (deviation-state realization), its sensitivity
     model, and the effective output disturbance H (i_star - delta_i) + d_meas.
-
-    Raises
-    ------
-    UnstableDiscretization
-        If the Euler step is too large for the chosen parameters.
-    SingularMatrix
-        If (I - A_d) is numerically singular (a vanishing conductance).
+    Raises UnstableDiscretization if the Euler step is too large for the
+    parameters, SingularMatrix if (I - A_d) is numerically singular (a
+    vanishing conductance).
     """
-    outcome = _discretize(spec, spec.g_node[None])[0]
-    if isinstance(outcome, SingularMatrix):
-        raise outcome
-    plant, model, d_eff, radius = outcome
-    if plant is None:
-        raise UnstableDiscretization(radius)
+    (a_d,), b_d, c_d = _raw_matrices(spec, spec.g_node[None])
+    d_d = np.zeros((spec.n_nodes, spec.n_nodes))
+    model = sensitivity(a_d, b_d, c_d, d_d)
+    d_eff = _d_eff(spec, model.H)
+    try:
+        plant = LtiPlant(A=a_d, B=b_d, C=c_d, D=d_d, d=d_eff)
+    except ValueError as exc:
+        if not hasattr(exc, "spectral_radius"):
+            raise
+        raise UnstableDiscretization(exc.spectral_radius) from None
     return plant, model, d_eff
 
 
@@ -284,82 +274,56 @@ def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjectiv
     return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=_y_ref(spec, model.H))
 
 
-def _stacked(spec: GridSpec, outcomes: list) -> list[tuple]:
-    """Per row of ``outcomes`` that has a model: its reference y_ref, global
-    optimum, decentralized fixed point, ``_h_spectra`` and ``_xi_spectra``
-    (None without a plant), each from one call over all such rows.
+def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, list, tuple]:
+    """The certificate cells of each row of ``grids``, each formula applied once
+    over all rows; per row the error that the per-instance functions raise
+    first on it, or None; and the rows' references and decentralized fixed
+    points, the inputs of their loops."""
+    g1, g2, n, B = float(spec.gamma1), float(spec.gamma2), spec.n_nodes, len(grids.H)
+    obj = SimpleNamespace(L_u=g1, m_u=g1, L_y=g2, m_y=g2)  # all that the formulas read
+    y_ref = _y_ref(spec, grids.H)
+    (star, star_errors), (fixed, fixed_errors) = (
+        _quadratic_points(g1, g2, y_ref, grids.d_eff, grids.H, G, label)
+        for G, label in ((grids.H, "global optimum"), (grids.H_diag, "decentralized fixed point"))
+    )
+    spectra = _h_spectra(grids.H, grids.H_diag)
+    tight, tight_errors = _constants(obj, n, spectra, Convention.TIGHT)
+    paper, paper_errors = _constants(obj, n, spectra, Convention.PAPER)
+    y_inf = (grids.H @ fixed[..., None])[..., 0] + grids.d_eff
+    lead = analysis._dropped_gradient(grids.H, grids.H_diag, g2 * (y_inf - y_ref))
+    satisfied, lhs, rhs = _coupling(obj, tight)
+    norm_star = _norm(star)
+    with np.errstate(divide="ignore", invalid="ignore"):
 
-    A reference point is the solution or the error its equations raise.
-    """
-    plants, models, d_eff, _ = zip(*outcomes)
-    H = np.stack([model.H for model in models])
-    H_diag = np.stack([model.H_diag for model in models])
-    y_ref = _y_ref(spec, H)
-    gammas, d_eff = (float(spec.gamma1), float(spec.gamma2)), np.stack(d_eff)
-    stars = _quadratic_points(*gammas, y_ref, d_eff, H, H, "global optimum")
-    fixed = _quadratic_points(*gammas, y_ref, d_eff, H, H_diag, "decentralized fixed point")
-    xi: list = [None] * len(plants)
-    stable = [b for b, plant in enumerate(plants) if plant is not None]
-    if stable:
-        spectra = analysis._xi_spectra(
-            plants[stable[0]].C,
-            np.stack([models[b].H_x for b in stable]),
-            np.stack([plants[b].A for b in stable]),
-        )
-        for b, row in zip(stable, zip(*np.broadcast_arrays(*spectra))):
-            xi[b] = row
-    return list(zip(y_ref, stars, fixed, zip(*_h_spectra(H, H_diag)), xi))
+        def relative(v):  # to ||u*||
+            return np.where(norm_star > 0.0, v / norm_star, v)
 
-
-def _sweep_rows(spec: GridSpec, g_values: list, outcomes: list, eta: float) -> list[tuple]:
-    """Each sweep row without its closed loop, and the loop's inputs.
-
-    ``outcomes`` holds per g its ``_discretize`` result or the error
-    naming why the row has none.  The rows' spectra and reference points
-    come from ``_stacked``; the certificate formulas then fill the rows
-    in order, so the first row that fails raises what it raises alone.
-    The inputs are (H, d_eff, y_ref, decentralized fixed point), or None
-    for a row that cannot run a loop.
-    """
-    solved = [o for o in outcomes if not isinstance(o, Exception)]
-    per_row = iter(_stacked(spec, solved) if solved else [])
-    out = []
-    for g, outcome in zip(g_values, outcomes):
-        if isinstance(outcome, Exception):
-            out.append(({"g": g, "note": str(outcome)}, None))
-            continue
-        plant, model, d_eff, radius = outcome
-        y_ref, star, fixed, spectra, xi_spectra = next(per_row)
-        row: dict = {"g": g, "note": ""}
-        if plant is None:
-            row["note"] = f"unstable discretization (spectral radius {radius:.6g})"
-        obj = QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
-        tight = _constants(obj, model.n, spectra, Convention.TIGHT)
-        satisfied, lhs, rhs = _coupling(obj, tight)
-        row["coupling_ok"] = satisfied
-        row["coupling_lhs"] = lhs
-        row["coupling_rhs"] = rhs
-        for point in (star, fixed):
-            if isinstance(point, Exception):
-                raise point
-        norm_star = _norm(star)
-        rel_sub = _norm(star - fixed)
-        row["rel_subopt"] = rel_sub / norm_star if norm_star > 0.0 else rel_sub
-        paper = _constants(obj, model.n, spectra, Convention.PAPER)
-        lead = analysis._dropped_gradient(obj, model, d_eff, fixed)
-        for key, consts in (("bound_tight", tight), ("bound_paper", paper)):
-            sub = analysis._bound(lead, consts, satisfied)
-            scaled = sub.bound / norm_star if norm_star > 0.0 else sub.bound
-            row[f"{key}_rel"] = scaled if np.isfinite(scaled) else None
-            row[f"{key}_applicable"] = sub.applicable
-        row["lam_max_xi"] = row["eta_star"] = None
-        if plant is not None:
-            cert = analysis._xi_certificate(
-                obj, model.n, tight, _max_abs_diag(model), xi_spectra, eta, Convention.TIGHT
-            )
-            row["lam_max_xi"], row["eta_star"] = cert.lam_max, cert.eta_star
-        out.append((row, (model.H, d_eff, y_ref, fixed)))
-    return out
+        cols = [satisfied, lhs, rhs, relative(_norm(star - fixed))]
+        for consts in (tight, paper):
+            bound, applicable = analysis._bound(lead, consts.m, satisfied)
+            bound = relative(bound)
+            cols += [np.where(np.isfinite(bound), bound, None), applicable]  # empty past the range
+    lam_max_xi, eta_star, xi_errors = [None] * B, [None] * B, [None] * B
+    stable = np.flatnonzero(grids.stable)
+    spectra = analysis._xi_spectra(
+        grids.C, grids.H_x[stable], grids.A[stable], grids.sigma_a[stable]
+    )
+    sigma_hd, consts = _max_abs_diag(grids.H_diag[stable]), _take(tight, stable)
+    _, lam_max, constants = analysis._xi_certificate(
+        obj, n, consts, sigma_hd, spectra, eta, Convention.TIGHT
+    )
+    for b, lam, *row in zip(stable.tolist(), lam_max.tolist(), *(c.tolist() for c in constants)):
+        if math.isfinite(lam):
+            lam_max_xi[b], eta_star[b] = lam, analysis._eta_star_from_constants(*row)[0]
+        else:
+            xi_errors[b] = Overflow(f"Xi at step size {eta:.6g}")
+    errors = [  # in the order in which the per-instance functions meet them
+        next((e for e in row if e is not None), None)
+        for row in zip(tight_errors, star_errors, fixed_errors, paper_errors, xi_errors)
+    ]
+    cols = [col.tolist() for col in cols] + [lam_max_xi, eta_star]
+    cells = [dict(zip(SWEEP_COLUMNS[1:11], row)) for row in zip(*cols)]
+    return cells, errors, (y_ref, fixed)
 
 
 def sweep_g(
@@ -370,46 +334,53 @@ def sweep_g(
 ) -> list[dict]:
     """Evaluate the sub-optimality trade-off across node conductances.
 
-    The grids of all positive G are assembled on one leading axis, and
-    the spectra and both reference points of all their rows are computed
-    on it too (one SVD per spectrum, one solve per reference point); the
-    certificate formulas then fill the rows one by one.  The
-    decentralized loops of all rows run as one batched loop, which
-    reproduces each row's ``sim.run_algebraic`` final iterate bit for
-    bit.  Failures annotate their row, a singular sensitivity solve with
-    empty certificate cells and a diverged loop with the step at which it
-    diverged.  A certificate past the floating-point range or singular
-    reference-point equations raise the Overflow or SingularMatrix of the
-    first row that has one, as the per-instance functions would.
+    All rows are assembled, screened and certified on one stacked axis
+    (see the module docstring), and their decentralized loops run as one
+    batched loop, which reproduces each row's ``sim.run_algebraic`` final
+    iterate bit for bit.  A non-positive G, a singular sensitivity solve
+    and singular equations of either reference point note their row,
+    cells empty, and run no loop; a diverged loop notes the step at which
+    it diverged.  A certificate past the floating-point range raises the
+    Overflow of the first row that has one, as the per-instance functions
+    would.
     """
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()
-    g_values = [float(g) for g in g_values]
-    ok = [g > 0.0 and np.isfinite(g) for g in g_values]
-    assembled = iter(_discretize(base, np.outer(np.compress(ok, g_values), np.ones(base.n_nodes))))
-    outcomes = [
-        next(assembled) if valid else ValueError("conductance must be positive") for valid in ok
-    ]
-    rows, pending = [], []
-    for row, loop in _sweep_rows(base, g_values, outcomes, eta):
-        rows.append(row)
-        if loop is not None:
-            pending.append((row, loop))
-    if not pending:
+    rows = [{"g": float(g), "note": "conductance must be positive"} for g in g_values]
+    live = [row for row in rows if row["g"] > 0.0 and math.isfinite(row["g"])]
+    errors, grids = _discretize(base, np.outer([row["g"] for row in live], np.ones(base.n_nodes)))
+    for row, error in zip(live, errors):
+        row["note"] = "" if error is None else str(error)
+    solved = [row for row in live if not row["note"]]
+    cells, errors, (y_ref, fixed) = _certify(base, grids, eta)
+    for error in errors:
+        if isinstance(error, Overflow):
+            raise error
+    run = []
+    for b, (row, cell, error) in enumerate(zip(solved, cells, errors)):
+        if error is not None:
+            row["note"] = str(error)
+            continue
+        if not grids.stable[b]:
+            row["note"] = f"unstable discretization (spectral radius {grids.radius[b]:.6g})"
+        row.update(cell, loop_final_err=None)
+        run.append(b)
+    if not run:
         return rows
-    H, d_eff, y_ref, fixed = (np.stack(a) for a in zip(*(loop for _, loop in pending)))
     finals, diverged = sim._run_algebraic_batch(
-        H, d_eff, y_ref, float(base.gamma1), float(base.gamma2), cfg.eta, steps
+        grids.H[run], grids.d_eff[run], y_ref[run], float(base.gamma1), float(base.gamma2),
+        cfg.eta, steps,
     )
-    for (row, _), final, fixed_u, step in zip(pending, finals, fixed, diverged):
-        if step is not None:
-            row["loop_final_err"] = None
+    ref, err = _norm(fixed[run]), _norm(finals - fixed[run])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        final_err = np.where(ref > 0.0, err / ref, err).tolist()
+    for b, value, step in zip(run, final_err, diverged):
+        row = solved[b]
+        if step is None:
+            row["loop_final_err"] = value
+        else:
             note = f"closed loop diverged (non-finite iterate at step {step})"
             row["note"] = f"{row['note']}; {note}" if row["note"] else note
-            continue
-        ref = _norm(fixed_u)
-        err = _norm(final - fixed_u)
-        row["loop_final_err"] = err / ref if ref > 0.0 else err
     return rows
 
 

@@ -11,7 +11,7 @@ import pytest
 from ofonet import powergrid
 from ofonet.analysis import coupling_condition
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import LtiPlant, compute_sensitivity
+from ofonet.plant import LtiPlant, compute_sensitivity, sensitivity
 
 REF_H = np.array([[1.0, 0.5], [0.0, 1.0]])
 REF_D = np.array([1.0, 1.0])
@@ -38,6 +38,24 @@ def reference_instance():
     return plant, model, obj, REF_D.copy()
 
 
+def grid_row(spec):
+    """``spec`` discretized one instance at a time, as (plant, model, d_eff, radius).
+
+    The row's ``_raw_matrices`` slice goes through ``sensitivity`` and
+    ``LtiPlant``, none of the sweep's stacked steps: plant is None and
+    radius the spectral radius where ``LtiPlant`` rejects A_d as unstable,
+    radius is None otherwise.  A singular (I - A_d) raises SingularMatrix.
+    """
+    (a_d,), b_d, c_d = powergrid._raw_matrices(spec, spec.g_node[None])
+    d_d = np.zeros((spec.n_nodes, spec.n_nodes))
+    model = sensitivity(a_d, b_d, c_d, d_d)
+    d_eff = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
+    try:
+        return LtiPlant(A=a_d, B=b_d, C=c_d, D=d_d, d=d_eff), model, d_eff, None
+    except ValueError as exc:
+        return None, model, d_eff, exc.spectral_radius
+
+
 def grid_instance(g=1.0):
     """The default grid with every node conductance g, as (plant, model, obj, d).
 
@@ -45,7 +63,7 @@ def grid_instance(g=1.0):
     leaves the grid unstable (g >= 50, plant None), as in the fig4 sweep.
     """
     spec = powergrid.GridSpec(g_node=np.full(8, float(g)))
-    plant, model, d, _ = powergrid._discretize(spec, spec.g_node[None])[0]
+    plant, model, d, _ = grid_row(spec)
     return plant, model, powergrid.grid_objective(spec, model), d
 
 

@@ -38,11 +38,13 @@ def test_quadratic_points_solve_a_stack_and_keep_each_slice_error():
     )
     y_ref, d = np.zeros((3, 2)), np.ones((3, 2))
     label = "decentralized fixed point"
-    u, singular, overflow = eq._quadratic_points(1.0, 1.0, y_ref, d, H, H * np.eye(2), label)
+    u, (none, singular, overflow) = eq._quadratic_points(1.0, 1.0, y_ref, d, H, H * np.eye(2), label)
     alone = eq.decentralized_fixed_point(
         QuadraticObjective(1.0, 1.0, y_ref[0]), SensitivityModel(H=H[0], H_x=np.eye(2)), d[0]
     )
-    assert u.tobytes() == alone.u.tobytes()
+    assert none is None
+    assert u[0].tobytes() == alone.u.tobytes()
+    assert np.isnan(u[1:]).all()
     assert isinstance(singular, SingularMatrix)
     assert str(singular) == f"{label} equations are singular: Singular matrix"
     assert isinstance(overflow, Overflow)

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_stable_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import step
 
 from ofonet.errors import ConfigError, DimensionMismatch, SingularMatrix
@@ -12,6 +14,7 @@ from ofonet.plant import (
     compute_sensitivity,
     is_schur_stable,
     plant_from_dict,
+    schur_screen,
     sensitivity,
 )
 
@@ -100,6 +103,44 @@ def test_plant_stability_boundary_matches_is_schur_stable(monkeypatch):
     assert calls == [(1, 1)]
 
 
+def _screen_slice(rng, kind: int, n: int):
+    """A random n x n slice of ``kind``: 0 with ||A||_2 < 1, 1 stable with
+    ||A||_2 >= 1 (a non-normal triangle), 2 unstable."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if kind == 0:
+        a = rng.standard_normal((n, n))
+        return rng.uniform(0.05, 0.99) * a / np.linalg.norm(a, 2)
+    t = np.diag(rng.uniform(-0.9, 0.9, n)) + np.triu(rng.uniform(2.0, 20.0, (n, n)), 1)
+    if kind == 2:
+        t[0, 0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 + 1e-6, 3.0)
+    return q @ t @ q.T
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    kinds=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+)
+def test_stacked_screen_agrees_with_lti_plant_slice_by_slice(seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_screen_slice(rng, kind, n) for kind in kinds])
+    stable, radius, norm = schur_screen(stack)
+    assert (norm < 1.0 - SCHUR_TOL).tolist() == [kind == 0 for kind in kinds]
+    assert stable.tolist() == [kind != 2 for kind in kinds]
+    for a, ok, r, s in zip(stack, stable.tolist(), radius.tolist(), norm.tolist()):
+        assert (ok, r, s) == schur_screen(a)
+        assert s == np.linalg.svd(a, compute_uv=False)[0]
+        assert r == (is_schur_stable(a)[1] if s >= 1.0 - SCHUR_TOL else 0.0)
+        try:
+            LtiPlant(A=a, B=np.eye(n), C=np.eye(n), D=np.zeros((n, n)), d=np.zeros(n))
+        except ValueError as exc:
+            assert not ok
+            assert exc.spectral_radius == r
+        else:
+            assert ok
+
+
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         LtiPlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), C=np.zeros((1, 2)),
@@ -135,7 +176,9 @@ def test_one_overflowing_slice_fails_the_stack():
     B, C, D = np.array([[1e308]]), np.eye(1), np.zeros((1, 1))
     with pytest.raises(SingularMatrix, match="overflows"):
         sensitivity(A, B, C, D)
-    npt.assert_allclose(sensitivity(A[:1], B, C, D)[0].H, [[5e307]])
+    H, H_x = sensitivity(A[:1], B, C, D)
+    npt.assert_allclose(H, [[[5e307]]])
+    npt.assert_allclose(H_x, [[[5e307]]])
 
 
 def test_step_oracle():

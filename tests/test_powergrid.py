@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_instance, grid_row
+
 import ofonet.analysis as an
 import ofonet.powergrid as pg
 import ofonet.sim as sim
@@ -22,9 +24,16 @@ from ofonet.errors import (
     Overflow,
     SingularMatrix,
     UnstableDiscretization,
+    _norm,
 )
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import compute_sensitivity, is_schur_stable, sensitivity
+from ofonet.plant import (
+    LtiPlant,
+    SensitivityModel,
+    compute_sensitivity,
+    is_schur_stable,
+    sensitivity,
+)
 from ofonet.sim import run_lti
 
 
@@ -86,11 +95,12 @@ def test_grid_model_equals_compute_sensitivity_of_its_plant(jitter):
             g_node=rng.uniform(0.5, 2.0, 8),
             eps=0.05,
         )
-    (plant, model, _, radius), = pg._discretize(spec, spec.g_node[None])
-    assert radius is None
-    again = compute_sensitivity(plant)
+    errors, grids = pg._discretize(spec, spec.g_node[None])
+    assert errors == [None]
+    assert grids.stable.tolist() == [True]
+    again = compute_sensitivity(pg.assemble_plant(spec)[0])
     for name in ("H", "H_diag", "H_x"):
-        assert getattr(model, name).tobytes() == getattr(again, name).tobytes(), name
+        assert getattr(grids, name)[0].tobytes() == getattr(again, name).tobytes(), name
 
 
 def test_grid_objective_reference():
@@ -142,7 +152,7 @@ def test_stock_grid_assembles_without_eigenvalue_solve(monkeypatch):
     assert plant.n_state == 17
 
 
-def test_discretize_screens_each_slice_once(monkeypatch):
+def test_discretize_screens_the_stack_once(monkeypatch):
     # on the default grid, g = 0.3 is stable with ||A_d||_2 >= 1, g = 1
     # stable with ||A_d||_2 < 1, and g = 25 unstable
     spec = pg.default_topology()
@@ -150,14 +160,17 @@ def test_discretize_screens_each_slice_once(monkeypatch):
     a_d = pg._raw_matrices(spec, g_node)[0]
     norms = [np.linalg.svd(a, compute_uv=False)[0] for a in a_d]
     assert [norm >= 1.0 - 1e-9 for norm in norms] == [True, False, True]
-    unstable_radius = is_schur_stable(a_d[2])[1]
+    radii = [is_schur_stable(a_d[0])[1], 0.0, is_schur_stable(a_d[2])[1]]
     calls = _count_calls(monkeypatch, ["svd", "eigvals"])
-    radii = [outcome[3] for outcome in pg._discretize(spec, g_node)]
-    assert radii == [None, None, unstable_radius]
-    # one values-only SVD per slice and none on the stack; eigenvalues only
-    # where the norm proves nothing
-    assert calls["svd"] == [a_d.shape[1:]] * 3
-    assert calls["eigvals"] == [a_d.shape[1:]] * 2
+    errors, grids = pg._discretize(spec, g_node)
+    assert errors == [None] * 3
+    assert grids.stable.tolist() == [True, True, False]
+    assert grids.radius.tolist() == radii
+    assert grids.sigma_a.tolist() == norms
+    # one values-only SVD of the stack, and one eigenvalue call on exactly
+    # the slices whose norm proves nothing
+    assert calls["svd"] == [a_d.shape]
+    assert calls["eigvals"] == [(2, *a_d.shape[1:])]
 
 
 def _random_spec(seed: int, n: int, eps: float) -> pg.GridSpec:
@@ -201,27 +214,27 @@ def test_stacked_slices_equal_assemble_plant(seed, n, batch, eps):
     e_inv = np.concatenate([1.0 / spec.c_cap, 1.0 / spec.l_ind])
     inc = pg.incidence(spec)
     d_d = np.zeros((n, n))
-    for g, a, outcome in zip(g_node, a_d, pg._discretize(spec, g_node)):
+    errors, grids = pg._discretize(spec, g_node)
+    assert errors == [None] * batch
+    for b, (g, a) in enumerate(zip(g_node, a_d)):
         # the slice is the full formula I + eps E^{-1} K, byte for byte
         k_mat = np.block([[-np.diag(g), -inc], [inc.T, -np.diag(spec.r_line)]])
         full = np.eye(len(e_inv)) + spec.eps * (e_inv[:, None] * k_mat)
-        assert a.tobytes() == full.tobytes()
-        plant, model, d_eff, radius = outcome
+        assert a.tobytes() == grids.A[b].tobytes() == full.tobytes()
         alone = sensitivity(full, b_d, c_d, d_d)
         for name in ("H", "H_diag", "H_x"):
-            assert getattr(model, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert getattr(grids, name)[b].tobytes() == getattr(alone, name).tobytes(), name
         spec_g = dataclasses.replace(spec, g_node=g)
-        if radius is not None:
-            assert plant is None
+        if not grids.stable[b]:
             with pytest.raises(UnstableDiscretization) as info:
                 pg.assemble_plant(spec_g)
-            assert info.value.spectral_radius == radius == is_schur_stable(full)[1]
+            assert info.value.spectral_radius == grids.radius[b] == is_schur_stable(full)[1]
             continue
         ref_plant, ref_model, ref_d = pg.assemble_plant(spec_g)
-        assert plant.A.tobytes() == ref_plant.A.tobytes()
-        assert d_eff.tobytes() == ref_d.tobytes() == plant.d.tobytes()
+        assert grids.A[b].tobytes() == ref_plant.A.tobytes()
+        assert grids.d_eff[b].tobytes() == ref_d.tobytes() == ref_plant.d.tobytes()
         for name in ("H", "H_diag", "H_x"):
-            assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes(), name
+            assert getattr(grids, name)[b].tobytes() == getattr(ref_model, name).tobytes(), name
 
 
 def test_sweep_annotates_singular_row_and_keeps_the_rest():
@@ -244,33 +257,38 @@ JITTER = pg.spec_from_dict(
     }
 )
 JITTER_G = [0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 300.0]
-# (spec, g values, eta).  On the stock grid: two non-positive rows and a
-# singular slice (1e-18).  On a random grid and on the jittered one:
-# coupling-failing, stable and unstable rows; the jittered one also at
-# eta = 1.2, where loops diverge, and with non-unit objective weights.
+# (spec, g values, eta).  On the stock grid: two non-positive rows, a
+# singular slice (1e-18) and a singular global optimum (1e-15).  On a
+# random grid and on the jittered one: coupling-failing, stable and
+# unstable rows; the jittered one also at eta = 1.2, where loops diverge,
+# with a singular global optimum (1e-18), and with non-unit objective weights.
 SWEEP_CASES = {
-    "fig4": (pg.default_topology(), [*FIG4_G_VALUES, 0.0, -1.0, 1e-18, 1000.0], 0.05),
+    "fig4": (pg.default_topology(), [*FIG4_G_VALUES, 0.0, -1.0, 1e-18, 1e-15, 1000.0], 0.05),
     "random": (_random_spec(5, 5, 0.1), list(np.geomspace(0.05, 20.0, 9)), 0.05),
     "jitter": (JITTER, JITTER_G, 0.05),
-    "jitter-diverging": (JITTER, JITTER_G, 1.2),
+    "jitter-diverging": (JITTER, [*JITTER_G, 1e-18], 1.2),
     "weights": (dataclasses.replace(JITTER, gamma1=0.5, gamma2=2.0, eps=0.05), JITTER_G, 0.05),
 }
 
 
-def _per_instance_cells(spec, outcome, eta):
-    """A sweep row's certificate cells from the public per-instance functions."""
-    plant, model, d_eff, _ = outcome
+def _per_instance_cells(spec, g, eta, steps):
+    """The sweep row of ``g`` from the per-instance path: the grid's own
+    discretization (``grid_row``), the public certificate functions and
+    ``sim.run_algebraic``, with each norm taken alone."""
+    spec = dataclasses.replace(spec, g_node=np.full(spec.n_nodes, g))
+    plant, model, d_eff, radius = grid_row(spec)
     obj = pg.grid_objective(spec, model)
     satisfied, lhs, rhs = an.coupling_condition(obj, model)
     star = global_optimum(obj, model, d_eff).u
     fixed = decentralized_fixed_point(obj, model, d_eff).u
-    norm_star = float(np.linalg.norm(star))
+    norm_star = _norm(star)
     assert norm_star > 0.0
+    notes = [] if plant is not None else [f"unstable discretization (spectral radius {radius:.6g})"]
     cells = {
         "coupling_ok": satisfied,
         "coupling_lhs": lhs,
         "coupling_rhs": rhs,
-        "rel_subopt": float(np.linalg.norm(star - fixed)) / norm_star,
+        "rel_subopt": _norm(star - fixed) / norm_star,
         "lam_max_xi": None,
         "eta_star": None,
     }
@@ -283,42 +301,49 @@ def _per_instance_cells(spec, outcome, eta):
     if plant is not None:
         cert = an.xi_matrix(plant, obj, model, eta)
         cells["lam_max_xi"], cells["eta_star"] = cert.lam_max, cert.eta_star
-    return cells
+    cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
+    try:
+        final = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps).u_series[-1]
+    except NonFinite as exc:
+        cells["loop_final_err"] = None
+        notes.append(f"closed loop diverged (non-finite iterate at step {exc.step})")
+    else:
+        cells["loop_final_err"] = _norm(final - fixed) / _norm(fixed)
+    return {"g": g, "note": "; ".join(notes), **cells}
 
 
-def _bits(value):
-    """``value`` with its float bits spelled out, so -0.0 differs from 0.0."""
-    return value.hex() if isinstance(value, float) else value
+def _bits(row):
+    """``row`` with its float bits spelled out, so -0.0 differs from 0.0."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_rows_equal_the_per_instance_functions_bit_for_bit(case):
     spec, g_values, eta = SWEEP_CASES[case]
     rows = pg.sweep_g(g_values, eta, steps=300, spec=spec)
-    positive = [g for g in g_values if g > 0.0]
-    outcomes = iter(pg._discretize(spec, np.outer(positive, np.ones(spec.n_nodes))))
     kinds = set()
     for g, row in zip(g_values, rows):
         if g <= 0.0:
+            assert row == {"g": g, "note": "conductance must be positive"}
             continue
-        outcome = next(outcomes)
-        if isinstance(outcome, SingularMatrix):
-            assert row == {"g": g, "note": str(outcome)}
-            kinds.add("singular")
+        try:
+            expected = _per_instance_cells(spec, g, eta, 300)
+        except SingularMatrix as exc:
+            assert row == {"g": g, "note": str(exc)}
+            kinds.add("singular " + ("sensitivity" if "(I - A)" in str(exc) else "optimum"))
             continue
-        cells = _per_instance_cells(spec, outcome, eta)
-        assert {k: _bits(row[k]) for k in cells} == {k: _bits(v) for k, v in cells.items()}, g
-        kinds.add("unstable" if outcome[0] is None else "stable")
+        assert _bits(row) == _bits(expected), g
+        kinds.add("unstable" if row["lam_max_xi"] is None else "stable")
         kinds.update({"diverged"} if row["loop_final_err"] is None else ())
         kinds.update(set() if row["coupling_ok"] else {"coupling fails"})
-    expected = {"stable", "unstable"} | {
-        "fig4": {"singular"},
+    expected_kinds = {"stable", "unstable"} | {
+        "fig4": {"singular sensitivity", "singular optimum"},
         "random": {"coupling fails"},
         "jitter": {"coupling fails"},
-        "jitter-diverging": {"coupling fails", "diverged"},
+        "jitter-diverging": {"coupling fails", "diverged", "singular optimum"},
         "weights": {"coupling fails"},
     }[case]
-    assert kinds == expected
+    assert kinds == expected_kinds
 
 
 # the jittered grid with capacitances 1e-160 times smaller: g = 1e-160 makes
@@ -327,17 +352,37 @@ TINY_CAP = dataclasses.replace(JITTER, c_cap=JITTER.c_cap * 1e-160)
 
 
 @pytest.mark.parametrize(
-    "g_values, error",
-    [([1.0, 1e-160, 1e-100], Overflow), ([1.0, 1e-100, 1e-160], SingularMatrix)],
+    "g_values, error", [([1.0, 1e-160, 1e-100], Overflow), ([1.0, 1e-100, 1e-160], Overflow)]
 )
 def test_sweep_raises_what_the_first_failing_row_raises_alone(g_values, error):
     with pytest.raises(error) as swept:
         pg.sweep_g(g_values, 0.05, steps=10, spec=TINY_CAP)
     with pytest.raises(OfonetError) as alone:
-        for outcome in pg._discretize(TINY_CAP, np.outer(g_values, np.ones(8))):
-            _per_instance_cells(TINY_CAP, outcome, 0.05)
+        for g in g_values:
+            try:
+                _per_instance_cells(TINY_CAP, g, 0.05, 10)
+            except SingularMatrix:
+                pass  # the sweep notes this row and goes on
     assert type(alone.value) is error
     assert str(swept.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "spec, g_values",
+    [(JITTER, [1.0, 1e-18, 5.0]), (TINY_CAP, [1.0, 1e-100, 5.0])],
+    ids=["jitter", "tiny-cap"],
+)
+def test_sweep_notes_a_singular_reference_point_and_keeps_the_rest(spec, g_values):
+    # the middle row's sensitivity solves, but its global optimum equations
+    # are singular: the row is noted, runs no loop and leaves the others
+    # as they are without it
+    rows = pg.sweep_g(g_values, 0.05, steps=300, spec=spec)
+    with pytest.raises(SingularMatrix) as alone:
+        _per_instance_cells(spec, g_values[1], 0.05, 300)
+    assert "global optimum equations are singular" in str(alone.value)
+    assert rows[1] == {"g": g_values[1], "note": str(alone.value)}
+    rest = pg.sweep_g(g_values[::2], 0.05, steps=300, spec=spec)
+    assert [_bits(row) for row in rows[::2]] == [_bits(row) for row in rest]
 
 
 def _count_calls(monkeypatch, names):
@@ -357,14 +402,38 @@ def test_sweep_certifies_and_solves_every_row_on_one_axis(monkeypatch, g_values)
     calls = _count_calls(monkeypatch, ["svd", "solve"])
     pg.sweep_g([-1.0, *g_values], 0.05, steps=10, spec=JITTER)
     n_state = JITTER.n_nodes + JITTER.n_edges
-    # one Schur screen per positive-g slice, then one SVD per spectrum: H,
-    # H - H_diag and C, and over the stable rows H_x, H_x^T A and A
-    screens = [shape for shape in calls["svd"] if shape == (n_state, n_state)]
-    assert len(screens) == len(g_values)
-    assert len(calls["svd"]) - len(screens) == 6
-    # the sensitivity, then the global optimum and the fixed point
     stack = len(g_values)
+    # one Schur screen of the stack, whose norms are sigma_max(A), then one
+    # SVD per spectrum: H, H - H_diag and C, and over the stable rows H_x
+    # and H_x^T A
+    assert calls["svd"][0] == (stack, n_state, n_state)
+    stable = calls["svd"][-1][0]
+    assert calls["svd"][1:] == [
+        (stack, 8, 8),
+        (stack, 8, 8),
+        (8, n_state),
+        (stable, n_state, 8),
+        (stable, 8, n_state),
+    ]
+    # the sensitivity, then the global optimum and the fixed point
     assert calls["solve"] == [(stack, n_state, n_state), (stack, 8, 8), (stack, 8, 8)]
+
+
+def test_sweep_builds_no_per_row_object(monkeypatch):
+    built = []
+    for cls, method in ((LtiPlant, "__post_init__"), (SensitivityModel, "__post_init__"),
+                        (QuadraticObjective, "__init__")):
+        def counted(self, *args, _call=getattr(cls, method), _name=cls.__name__, **kwargs):
+            built.append(_name)
+            return _call(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+    grid_instance(1.0)
+    assert built == ["SensitivityModel", "LtiPlant", "QuadraticObjective"]
+    built.clear()
+    rows = pg.sweep_g([-1.0, 1e-18, *JITTER_G], 0.05, steps=300, spec=JITTER)
+    assert {row["note"] for row in rows} >= {"", "conductance must be positive"}
+    assert built == []
 
 
 def test_sweep_columns_and_notes():
@@ -379,16 +448,9 @@ def test_sweep_columns_and_notes():
     assert rows[1]["rel_subopt"] > 0.0
 
 
-def _grid_row(g):
-    spec = pg.default_topology()
-    spec = dataclasses.replace(spec, g_node=g * np.ones(spec.n_nodes))
-    (plant, model, d_eff, _), = pg._discretize(spec, spec.g_node[None])
-    return plant, model, pg.grid_objective(spec, model), d_eff
-
-
 def _batch_outcomes(g_values, eta, steps):
     """Check the batched loop against run_algebraic per row; name each row's outcome."""
-    rows = [_grid_row(g) for g in g_values]
+    rows = [grid_instance(g) for g in g_values]
     finals, diverged = sim._run_algebraic_batch(
         np.stack([model.H for _, model, _, _ in rows]),
         np.stack([d_eff for _, _, _, d_eff in rows]),
@@ -435,7 +497,7 @@ def test_sweep_tests_the_last_output_and_rescues_the_final_error_norm():
         rows = pg.sweep_g([0.5, 1.0], eta=30.0, steps=148)
     assert rows[0]["loop_final_err"] is None
     assert rows[0]["note"] == "closed loop diverged (non-finite iterate at step 148)"
-    _, model, obj, d_eff = _grid_row(1.0)
+    _, model, obj, d_eff = grid_instance(1.0)
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=30.0)
     traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=148)
     expected = sim.metrics(traj, decentralized_fixed_point(obj, model, d_eff).u).rel_err_u[-1]
@@ -448,7 +510,7 @@ def test_sweep_annotates_diverged_rows_and_continues():
     rows = pg.sweep_g([1.0, -1.0, 5.0, 20.0], eta=30.0, steps=3000)
     assert rows[1] == {"g": -1.0, "note": "conductance must be positive"}
     for row in (rows[0], rows[2], rows[3]):
-        _, model, obj, d_eff = _grid_row(row["g"])
+        _, model, obj, d_eff = grid_instance(row["g"])
         cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=30.0)
         with pytest.raises(NonFinite) as info:
             sim.run_algebraic(model, obj, d_eff, cfg, steps=3000)
