@@ -137,10 +137,14 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
     m <= c, rho >= 1 for every positive step and eta_upper is 0.
     Admissibility tests rho itself: a step that rounds onto the end is
     judged by the rate it gets.  A step whose rate leaves the
-    floating-point range raises Overflow.
+    floating-point range raises Overflow, and so does an end whose
+    denominator underflows to zero.
     """
     m, c, L = consts.m, consts.c, consts.L
-    eta_upper = 2.0 * (m - c) / ((L - c) * (L + c)) if m > c else 0.0
+    try:
+        eta_upper = 2.0 * (m - c) / ((L - c) * (L + c)) if m > c else 0.0
+    except ZeroDivisionError:
+        raise Overflow("the window end eta_upper = 2(m - c)/((L - c)(L + c))") from None
     try:
         rho = math.sqrt(1.0 - 2.0 * m * eta + (L * eta) ** 2) + c * eta
     except OverflowError:
@@ -212,7 +216,7 @@ def _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t):
 
     Two-branch closed form selected by the sign of a3 m' + 2 a1 a2 - a4 L',
     capped at m'/L' (the cap is what keeps the (2,2) block of Xi a
-    contraction).
+    contraction).  A cap whose L' underflows to zero raises Overflow.
     """
     if t <= 0.0 or m_prime <= 0.0:
         return None, None
@@ -230,7 +234,11 @@ def _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t):
         # condition holds for every positive step below the cap.
         value = math.inf
         branch = Branch.ETA2
-    return min(value, m_prime / l_prime), branch
+    try:
+        cap = m_prime / l_prime
+    except ZeroDivisionError:
+        raise Overflow("the cap m'/L' of eta_star") from None
+    return min(value, cap), branch
 
 
 def xi_matrix(

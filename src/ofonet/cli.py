@@ -374,8 +374,8 @@ def _simulate(config: dict) -> None:
         u_ref, u_ref_kind = star.u, "optimum"
     out_dir = _resolve_out_dir(config, ".")
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    with sim.CsvStream(csv_path, simc["decimation"]) as stream:
-        run = {"u0": u0, "steps": simc["steps"], "stream": stream}
+    with sim.CsvStream(csv_path) as stream:
+        run = {"u0": u0, "steps": simc["steps"], "decimation": simc["decimation"], "stream": stream}
         failure = None
         try:
             if simc["loop"] == "lti":
@@ -401,7 +401,7 @@ def _simulate(config: dict) -> None:
                 os.remove(csv_path)
         else:
             err = sim.metrics(traj, u_ref, inst.model)
-            sim.write_trajectory_csv(csv_path, traj, err, simc["decimation"], stream)
+            sim.write_trajectory_csv(csv_path, traj, err, stream)
             data["iterations"] = traj.info.iterations
             data["early_stopped"] = traj.info.early_stopped
             data["final_rel_err"] = float(err.rel_err_u[-1])

@@ -313,10 +313,12 @@ def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, 
         obj, n, consts, sigma_hd, spectra, eta, Convention.TIGHT
     )
     for b, lam, *row in zip(stable.tolist(), lam_max.tolist(), *(c.tolist() for c in constants)):
-        if math.isfinite(lam):
+        try:
+            if not math.isfinite(lam):
+                raise Overflow(f"Xi at step size {eta:.6g}")
             lam_max_xi[b], eta_star[b] = lam, analysis._eta_star_from_constants(*row)[0]
-        else:
-            xi_errors[b] = Overflow(f"Xi at step size {eta:.6g}")
+        except Overflow as exc:
+            xi_errors[b] = exc
     errors = [  # in the order in which the per-instance functions meet them
         next((e for e in row if e is not None), None)
         for row in zip(tight_errors, star_errors, fixed_errors, paper_errors, xi_errors)

@@ -26,24 +26,30 @@ decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
 which reproduces each scenario's ``run_algebraic`` final iterate and
 divergence step bit for bit and records no trajectory.
 
-Rows are recorded into arrays that grow RECORD_BLOCK rows at a time, so
-memory follows the iterations actually run, not the step budget.
-``metrics`` alone computes a run's per-step errors (rel_err_u and, for a
-dynamic run given a model, the combined squared error).
+A run at decimation d records only the rows it keeps: row k for
+k = 0, d, 2d, ..., and the run's last row (its last iterate, or the last
+finite one when it raises NonFinite) when that falls between two kept
+ones.  So a ``Trajectory`` at d > 1 holds the kept rows plus that final
+row, and its memory, its metrics and its CSV all follow steps / d.  The
+kept rows go into arrays that grow RECORD_BLOCK rows at a time, so memory
+follows the iterations actually run, not the step budget.  ``metrics``
+alone computes a run's per-row errors (rel_err_u and, for a dynamic run
+given a model, the combined squared error); its last entry is the final
+row's.
 
 CSV format contract: each data row is "%d" for k then ",%.17g" per
 value.  17 significant digits round-trip every float64 exactly, and
 "%.17g" renders -0.0, subnormals, inf and nan as format(v, ".17g") does,
-so identical configurations reproduce byte-identical files.  The CSV is
-formatted while the loop runs: a ``CsvStream`` opened before the run
-hands the full recorder blocks, RECORD_BLOCK kept rows at a time, to
-one forked worker, which formats the k, u, y[, x] cells of those rows.
-``write_trajectory_csv`` completes the file after the loop: it reaps
-the worker, ends each of its lines with the row's rel_err_u[,
-combined_sq] cells from the caller's metrics, and formats the rows
-recorded since the last handover itself.  A line is the same template
-applied to the same row whoever formats it, so the bytes do not depend
-on the CPU count or on where the rows were split.
+so identical configurations reproduce byte-identical files.  The CSV
+holds the kept rows only.  It is formatted while the loop runs: a
+``CsvStream`` opened before the run hands each full recorder block, so
+RECORD_BLOCK kept rows, to one forked worker, which formats the k, u,
+y[, x] cells of those rows.  ``write_trajectory_csv`` completes the file
+after the loop: it reaps the worker, ends each of its lines with the
+row's rel_err_u[, combined_sq] cells from the caller's metrics, and
+formats the rows recorded since the last handover itself.  A line is the
+same template applied to the same row whoever formats it, so the bytes
+do not depend on the CPU count or on where the rows were split.
 """
 
 from __future__ import annotations
@@ -96,12 +102,19 @@ class RunInfo:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded closed-loop iterates; row k holds (u_k, y_k[, x_k]), each finite."""
+    """Recorded closed-loop iterates (u_k, y_k[, x_k]), each finite.
+
+    Row i < ``kept`` holds step k = i * ``decimation``.  When the run's
+    last row falls between two such steps, it follows as one more row, so
+    the last row is always the last iterate recorded.
+    """
 
     u_series: NDArray[np.float64]
     y_series: NDArray[np.float64]
     x_series: Optional[NDArray[np.float64]]
     info: RunInfo
+    decimation: int
+    kept: int
 
     def __len__(self) -> int:
         return self.u_series.shape[0]
@@ -122,18 +135,27 @@ def _start(value, n: int, name: str) -> NDArray[np.float64]:
 
 
 class _Recorder:
-    """Rows (u_k, y_k[, x_k]) of a run, in arrays grown RECORD_BLOCK rows at a time."""
+    """The rows a run keeps, k = 0, d, 2d, ..., in arrays grown RECORD_BLOCK rows
+    at a time, and its newest row when that falls between two kept ones."""
 
-    def __init__(self, n: int, n_state: Optional[int] = None, on_full=None):
+    def __init__(self, n: int, n_state: Optional[int] = None, decimation: int = 1, on_full=None):
         self._widths = (n, n) if n_state is None else (n, n, n_state)
+        self._decimation = decimation
         self._blocks: list = []
         self._row = RECORD_BLOCK
-        self._on_full = on_full  # called with the blocks each time the last one is full
+        self._skip = 0  # rows to pass over before the next kept one
+        self._between = None  # the newest row, when it was passed over
+        self._on_full = on_full  # called with each full block and the decimation
 
     def append(self, u, y, x=None) -> None:
+        if self._skip:
+            self._skip -= 1
+            self._between = (u, y, x)
+            return
+        self._skip, self._between = self._decimation - 1, None
         if self._row == RECORD_BLOCK:
             if self._blocks and self._on_full is not None:
-                self._on_full(self._blocks)
+                self._on_full(self._blocks[-1], self._decimation)
             block = [np.empty((RECORD_BLOCK, w)) for w in self._widths]
             self._blocks.append(block)
             self._u, self._y, *rest = block
@@ -151,12 +173,15 @@ class _Recorder:
         if not self._blocks:
             return None
         *full, last = self._blocks
-        series = [
-            np.concatenate([b[i] for b in full] + [last[i][: self._row]])
-            for i in range(len(self._widths))
-        ]
+        kept = len(full) * RECORD_BLOCK + self._row
+        series = []
+        for i in range(len(self._widths)):
+            parts = [b[i] for b in full] + [last[i][: self._row]]
+            if self._between is not None:
+                parts.append(self._between[i][None])
+            series.append(np.concatenate(parts))
         x = series[2] if len(series) == 3 else None
-        return Trajectory(u_series=series[0], y_series=series[1], x_series=x, info=info)
+        return Trajectory(series[0], series[1], x, info, self._decimation, kept)
 
 
 def _finite(v) -> bool:
@@ -174,7 +199,7 @@ def _step_norm(v_next, v) -> float:
     return math.sqrt(dv @ dv)
 
 
-def _run(advance, cfg, obj, model, u, x, steps, stream) -> Trajectory:
+def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajectory:
     """The recording closed loop of ``run_algebraic`` and ``run_lti``.
 
     ``advance(x, u)`` returns the plant's next state (None when ``x`` is
@@ -184,9 +209,11 @@ def _run(advance, cfg, obj, model, u, x, steps, stream) -> Trajectory:
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if decimation < 1:
+        raise ValueError(f"decimation must be >= 1, got {decimation}")
     update = update_map(cfg, obj, model)
     on_full = None if stream is None else stream._take
-    rec = _Recorder(u.size, None if x is None else x.size, on_full)
+    rec = _Recorder(u.size, None if x is None else x.size, decimation, on_full)
     early = False
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,15 +240,19 @@ def run_algebraic(
     u0=None,
     steps: int = DEFAULT_STEPS,
     stream: Optional[CsvStream] = None,
+    decimation: int = 1,
 ) -> Trajectory:
     """Run the steady-state (algebraic) closed loop for up to ``steps`` updates.
 
     The output is y = H u + d itself, with no state term, so a -0.0
-    output stays -0.0.  Each full recorder block goes to ``stream``.
+    output stays -0.0.  Only the rows at multiples of ``decimation`` are
+    recorded, and the last row.  Each full recorder block goes to ``stream``.
     """
     H, d = model.H, _start(d, model.n, "d")
     u = _start(u0, model.n, "u0")
-    return _run(lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps, stream)
+    return _run(
+        lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps, decimation, stream
+    )
 
 
 def run_lti(
@@ -232,20 +263,22 @@ def run_lti(
     u0=None,
     steps: int = DEFAULT_STEPS,
     stream: Optional[CsvStream] = None,
+    decimation: int = 1,
 ) -> Trajectory:
     """Run the closed loop against the full plant dynamics.
 
     Early stop requires both the input and the state increments to fall
     below EARLY_STOP_TOL, so a still-settling plant keeps the run alive
-    even once the controller has effectively frozen.  Each full recorder
-    block goes to ``stream``.
+    even once the controller has effectively frozen.  Only the rows at
+    multiples of ``decimation`` are recorded, and the last row.  Each
+    full recorder block goes to ``stream``.
     """
     A, B, C, D, dist = plant.A, plant.B, plant.C, plant.D, plant.d
     x = _start(x0, plant.n_state, "x0")
     u = _start(u0, plant.n, "u0")
     return _run(
         lambda x, u: (A @ x + B @ u, C @ x + D @ u + dist),
-        cfg, obj, compute_sensitivity(plant), u, x, steps, stream,
+        cfg, obj, compute_sensitivity(plant), u, x, steps, decimation, stream,
     )
 
 
@@ -346,15 +379,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _rows(ks: range, start: int = 0) -> slice:
-    """The array rows of run rows ``ks``, for arrays whose row 0 is run row ``start``."""
-    return slice(ks.start - start, ks.stop - start, ks.step)
-
-
-def _table(ks: range, columns, start: int = 0):
-    """Run rows ``ks`` as one float array: k, then the row of each column."""
-    rows = _rows(ks, start)
-    return np.column_stack([np.arange(ks.start, ks.stop, ks.step)] + [c[rows] for c in columns])
+def _table(first: int, decimation: int, columns):
+    """Trajectory rows first, first + 1, ..., which ``columns`` hold, as one float
+    array: k = row * ``decimation``, then the row of each column."""
+    ks = np.arange(first, first + len(columns[0])) * decimation
+    return np.column_stack([ks, *columns])
 
 
 def _write_table(fh, table) -> None:
@@ -390,26 +419,23 @@ class CsvStream:
 
     Open it in a ``with`` block before the run, and pass it to
     ``run_algebraic`` or ``run_lti`` and then to ``write_trajectory_csv``,
-    which completes the file.  The full recorder blocks go to one worker,
-    forked at the first handover, ``decimate`` blocks (so RECORD_BLOCK
-    kept rows) at a time; it formats the k, u, y[, x] cells of the kept
-    rows while the loop keeps stepping.  The rows reach it through an
-    anonymous temporary file beside ``path``, announced on a pipe, and
-    its lines go to a second one.  With one usable CPU, or where the OS
-    cannot fork, nothing is handed over.  Leaving the ``with`` block
-    kills a worker still running.  Completion stops the worker by an end
-    notice, so another stream's worker or any child forked meanwhile,
-    which inherits the pipe's write end, cannot keep it waiting.  A
-    worker whose process dies sees the pipe's end once every process
-    forked after it has let go of it, and exits.
+    which completes the file.  Each full recorder block, RECORD_BLOCK kept
+    rows, goes to one worker, forked at the first handover; it formats
+    their k, u, y[, x] cells while the loop keeps stepping.  The rows
+    reach it through an anonymous temporary file beside ``path``,
+    announced on a pipe, and its lines go to a second one.  With one
+    usable CPU, or where the OS cannot fork, nothing is handed over.
+    Leaving the ``with`` block kills a worker still running.  Completion
+    stops the worker by an end notice, so another stream's worker or any
+    child forked meanwhile, which inherits the pipe's write end, cannot
+    keep it waiting.  A worker whose process dies sees the pipe's end
+    once every process forked after it has let go of it, and exits.
     """
 
-    def __init__(self, path, decimate: int = 1):
-        if decimate < 1:
-            raise ValueError(f"decimate must be >= 1, got {decimate}")
-        self.path, self.decimate = os.path.abspath(path), decimate
+    def __init__(self, path):
+        self.path = os.path.abspath(path)
         self._parallel = hasattr(os, "fork") and _usable_cpus() > 1
-        self._handed = 0  # rows 0.._handed - 1 of the run went to the worker
+        self._handed = 0  # rows 0.._handed - 1 of the trajectory went to the worker
         self._pid = self._notices = None
         self._files: list = []  # the worker's rows and its lines
 
@@ -431,34 +457,21 @@ class CsvStream:
             os.close(self._notices)
             self._notices = None
 
-    def _take(self, blocks) -> None:
-        """The recorder's hook: hand over its full ``blocks`` ``decimate`` at a time.
-
-        So each handover keeps RECORD_BLOCK rows: a decimated run forks
-        no worker for a few rows.  No block is kept here, so none
-        outlives the recorder.
-        """
-        if len(blocks) * RECORD_BLOCK == self._handed + self.decimate * RECORD_BLOCK:
-            for block in blocks[-self.decimate:]:
-                self._hand(block, self._handed + RECORD_BLOCK)
-
-    def _hand(self, columns, stop: int) -> None:
-        """Hand rows _handed..stop - 1 (row 0 of ``columns``) to the worker."""
+    def _take(self, block, decimation: int) -> None:
+        """The recorder's hook: hand its full ``block`` of a run at ``decimation``
+        to the worker.  No block is kept here, so none outlives the recorder."""
         if not self._parallel:
             return
         if self._pid is None:
             self._start()
-        first = -(-self._handed // self.decimate) * self.decimate
-        ks = range(first, stop, self.decimate)
-        if ks:
-            table = _table(ks, columns, self._handed)
-            data = self._files[0]
-            data.write(table)
-            data.flush()
-            # a dead worker is reported by its exit status at completion
-            with contextlib.suppress(BrokenPipeError):
-                os.write(self._notices, _NOTICE.pack(*table.shape))
-        self._handed = stop
+        table = _table(self._handed, decimation, block)
+        data = self._files[0]
+        data.write(table)
+        data.flush()
+        # a dead worker is reported by its exit status at completion
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self._notices, _NOTICE.pack(*table.shape))
+        self._handed += len(table)
 
     def _start(self) -> None:
         directory = os.path.dirname(self.path)
@@ -491,11 +504,12 @@ class CsvStream:
         return self._files[1]
 
 
-def _join(lines, fh, ks: range, columns) -> None:
-    """Write each line of the file ``lines`` to ``fh``, ended by its row's cells of ``columns``.
+def _join(lines, fh, count: int, columns) -> None:
+    """Write the ``count`` lines of the file ``lines`` to ``fh``, line i ended by
+    row i's cells of ``columns``.
 
-    Line i belongs to run row ks[i].  The file is read JOIN_BYTES at a
-    time, so memory stays bounded by that, not by the number of lines.
+    The file is read JOIN_BYTES at a time, so memory stays bounded by
+    that, not by the number of lines.
     """
     cells = b",%.17g" * len(columns) + b"\n"
     lines.seek(0)
@@ -503,31 +517,31 @@ def _join(lines, fh, ks: range, columns) -> None:
     while chunk := lines.read(JOIN_BYTES):
         heads = (rest + chunk).split(b"\n")
         rest = heads.pop()
-        rows = _rows(ks[done:done + len(heads)])
+        rows = slice(done, done + len(heads))
         done += len(heads)
         tails = [cells % tuple(r) for r in np.column_stack([c[rows] for c in columns]).tolist()]
         fh.write(b"".join(map(operator.add, heads, tails)))
-    if rest or done != len(ks):
-        raise OSError(f"CSV worker wrote {done} of {len(ks)} lines")
+    if rest or done != count:
+        raise OSError(f"CSV worker wrote {done} of {count} lines")
 
 
 def write_trajectory_csv(
     path,
     trajectory: Trajectory,
     err: ErrorMetrics,
-    decimate: int = 1,
     stream: Optional[CsvStream] = None,
 ) -> None:
     """Write a trajectory with its metrics as locale-independent CSV.
 
     Columns: k, u_1..u_n, y_1..y_n, x_1..x_m (dynamic runs), rel_err_u,
-    combined_sq (when present).  ``decimate`` keeps every k-th row;
-    metrics must already be computed on the undecimated series.  Each
+    combined_sq (when present).  ``err`` is ``metrics`` of the
+    trajectory.  Only its kept rows are written, k = 0, d, 2d, ... at
+    its decimation d; a final row between two kept ones is not.  Each
     row is "%d" then ",%.17g" per value, so every float is written with
     17 significant digits (as ``format(v, ".17g")``: "-0", "inf", "nan"
     and subnormals included).
 
-    ``stream`` is the run's ``CsvStream`` for ``path`` and ``decimate``.
+    ``stream`` is the ``CsvStream`` for ``path`` that the run was given.
     Its worker is reaped first, and its lines are written, each ended by
     its row's cells of ``err``; this process then formats the rows that
     were not handed over, CSV_CHUNK_ROWS at a time.  Without a stream it
@@ -540,9 +554,9 @@ def write_trajectory_csv(
     leaves ``path`` as it was, or absent, and no partial file behind.
     """
     if stream is None:
-        stream = CsvStream(path, decimate)  # hands nothing over, so forks nothing
-    elif (stream.path, stream.decimate) != (os.path.abspath(path), decimate):
-        raise ValueError(f"the stream is for {stream.path} at decimation {stream.decimate}")
+        stream = CsvStream(path)  # hands nothing over, so forks nothing
+    elif stream.path != os.path.abspath(path):
+        raise ValueError(f"the stream is for {stream.path}")
     columns = [trajectory.u_series, trajectory.y_series]
     n = trajectory.u_series.shape[1]
     header = ["k"] + [f"u_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
@@ -554,8 +568,8 @@ def write_trajectory_csv(
     if err.combined_sq is not None:
         header.append("combined_sq")
         cells.append(err.combined_sq)
-    ks = range(0, len(trajectory), decimate)
-    split = -(-stream._handed // decimate)  # the worker's rows are ks[:split]
+    kept, split = trajectory.kept, stream._handed  # the worker's rows are 0..split - 1
+    columns += cells  # the rows this process formats get every cell
     directory, name = os.path.split(stream.path)
     partial = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -563,9 +577,10 @@ def write_trajectory_csv(
             fh.write((",".join(header) + "\n").encode())
             lines = stream._finish()
             if split:
-                _join(lines, fh, ks[:split], cells)
-            for start in range(split, len(ks), CSV_CHUNK_ROWS):
-                _write_table(fh, _table(ks[start:start + CSV_CHUNK_ROWS], columns + cells))
+                _join(lines, fh, split, cells)
+            for start in range(split, kept, CSV_CHUNK_ROWS):
+                rows = slice(start, min(start + CSV_CHUNK_ROWS, kept))
+                _write_table(fh, _table(start, trajectory.decimation, [c[rows] for c in columns]))
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -457,6 +457,19 @@ LARGE_OUTPUT = {
         # sigma_max(A)^2 and sigma_min(C)^2 of the Xi constants
         (NONNORMAL_HUGE, ["analyze"], "Xi at step size 0.05 leaves the floating-point range"),
         (LARGE_OUTPUT, ["analyze"], "Xi at step size 0.05 leaves the floating-point range"),
+        # objective weights of 1e-200: (L - c)(L + c) of the rate window and L'
+        # of the eta_star cap underflow to zero
+        (
+            {"grid": {}, "objective": {"gamma1": 1e-200, "gamma2": 1e-200},
+             "controller": {"eta": 0.05}},
+            ["analyze"],
+            "the window end eta_upper = 2(m - c)/((L - c)(L + c)) leaves the floating-point range",
+        ),
+        (
+            {"grid": {"gamma1": 1e-200, "gamma2": 1e-200}, "controller": {"eta": 0.05}},
+            ["grid", "sweep", "--g", "1,2"],
+            "the cap m'/L' of eta_star leaves the floating-point range",
+        ),
     ],
 )
 def test_overflowing_certificate_exits_1_with_one_error_line(

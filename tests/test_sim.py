@@ -325,12 +325,38 @@ def _edge_case_run(loop):
     return traj, dataclasses.replace(err, rel_err_u=rel)
 
 
+def _kept(length, decimate):
+    """The rows of a full run of ``length`` rows that the run at ``decimate`` records."""
+    rows = list(range(0, length, decimate))
+    return rows if rows[-1] == length - 1 else rows + [length - 1]
+
+
+def _replay(trajectory, stream=None, decimate=1):
+    """Record ``trajectory`` row by row as a run at ``decimate`` would, handing its
+    full blocks to ``stream``; the trajectory that run records."""
+    u, y, x = trajectory.u_series, trajectory.y_series, trajectory.x_series
+    on_full = None if stream is None else stream._take
+    rec = sim._Recorder(u.shape[1], None if x is None else x.shape[1], decimate, on_full)
+    for k in range(len(trajectory)):
+        rec.append(u[k], y[k], None if x is None else x[k])
+    return rec.trajectory(trajectory.info)
+
+
+def _decimated(trajectory, err, decimate, stream=None):
+    """A full ``trajectory`` and its ``err`` as the run at ``decimate`` records
+    them, its full blocks handed to ``stream``."""
+    rows = _kept(len(trajectory), decimate)
+    combined = None if err.combined_sq is None else err.combined_sq[rows]
+    err = dataclasses.replace(err, rel_err_u=err.rel_err_u[rows], combined_sq=combined)
+    return _replay(trajectory, stream, decimate), err
+
+
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
 @pytest.mark.parametrize("decimate", [1, 7])
 def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
     traj, err = _edge_case_run(loop)
     path = tmp_path / "traj.csv"
-    sim.write_trajectory_csv(path, traj, err, decimate=decimate)
+    sim.write_trajectory_csv(path, *_decimated(traj, err, decimate))
     assert path.read_bytes() == _reference_csv(traj, err, decimate)
 
 
@@ -355,18 +381,9 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _replay(trajectory, stream):
-    """Record ``trajectory`` row by row as a run would, handing its blocks to ``stream``."""
-    u, y, x = trajectory.u_series, trajectory.y_series, trajectory.x_series
-    rec = sim._Recorder(u.shape[1], None if x is None else x.shape[1], stream._take)
-    for k in range(len(trajectory)):
-        rec.append(u[k], y[k], None if x is None else x[k])
-
-
 def _streamed_csv(path, trajectory, err, decimate=1):
-    with sim.CsvStream(path, decimate) as stream:
-        _replay(trajectory, stream)
-        sim.write_trajectory_csv(path, trajectory, err, decimate, stream)
+    with sim.CsvStream(path) as stream:
+        sim.write_trajectory_csv(path, *_decimated(trajectory, err, decimate, stream), stream)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -450,10 +467,10 @@ def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
     path = tmp_path / "traj.csv"
     start = time.monotonic()
     # the caller fails while its worker still formats
-    with pytest.raises(ValueError, match="the stream is for .*traj.csv at decimation 1"):
+    with pytest.raises(ValueError, match="the stream is for .*traj.csv"):
         with sim.CsvStream(path) as stream:
             _replay(traj, stream)
-            sim.write_trajectory_csv(path, traj, err, decimate=2, stream=stream)
+            sim.write_trajectory_csv(tmp_path / "other.csv", traj, err, stream=stream)
     assert len(forks) == 1
     # the hanging worker was killed, not waited for
     assert time.monotonic() - start < 30
@@ -477,22 +494,27 @@ def _lti_plant(model, d):
     return LtiPlant(A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d)
 
 
-def _stream_run(path, loop, decimate, steps, eta=0.01):
-    """Run the reference instance streaming its CSV; the trajectory, its metrics, the stream."""
+def _reference_run(loop, steps, decimate=1, stream=None):
+    """Run the reference instance at step 0.01; the trajectory and its metrics."""
     _, model, obj, d = reference_instance()
-    with sim.CsvStream(path, decimate) as stream:
-        if loop == "algebraic":
-            traj = sim.run_algebraic(model, obj, d, cen(eta), steps=steps, stream=stream)
-            err = sim.metrics(traj, U_STAR)
-        else:
-            traj = sim.run_lti(_lti_plant(model, d), obj, dec(eta), steps=steps, stream=stream)
-            # fig3's composite: rel_err_u against u_star, combined_sq against
-            # the loop's own fixed point
-            err = sim.metrics(traj, U_STAR)
-            own = sim.metrics(traj, U_INF, model).combined_sq
-            err = dataclasses.replace(err, combined_sq=own)
+    run = {"steps": steps, "decimation": decimate, "stream": stream}
+    if loop == "algebraic":
+        traj = sim.run_algebraic(model, obj, d, cen(0.01), **run)
+        return traj, sim.metrics(traj, U_STAR)
+    traj = sim.run_lti(_lti_plant(model, d), obj, dec(0.01), **run)
+    # fig3's composite: rel_err_u against u_star, combined_sq against the
+    # loop's own fixed point
+    own = sim.metrics(traj, U_INF, model).combined_sq
+    return traj, dataclasses.replace(sim.metrics(traj, U_STAR), combined_sq=own)
+
+
+def _stream_run(path, loop, decimate, steps):
+    """Run the reference instance streaming its CSV; the trajectory, its metrics
+    and the rows handed to the worker."""
+    with sim.CsvStream(path) as stream:
+        traj, err = _reference_run(loop, steps, decimate, stream)
         handed = stream._handed
-        sim.write_trajectory_csv(path, traj, err, decimate, stream)
+        sim.write_trajectory_csv(path, traj, err, stream)
     return traj, err, handed
 
 
@@ -503,15 +525,17 @@ def _stream_run(path, loop, decimate, steps, eta=0.01):
 @pytest.mark.parametrize("decimate", [1, 7])
 def test_streamed_csv_matches_reference(tmp_path, monkeypatch, blocks, extra, loop, decimate):
     forks = _streaming(monkeypatch)
-    # B: the run rows of one handover, which keep BLOCK rows
+    # B: the run rows of one full block, which keeps BLOCK rows
     unit = BLOCK * decimate
     rows = blocks * unit + extra
     path = tmp_path / "traj.csv"
     traj, err, handed = _stream_run(path, loop, decimate, steps=rows - 1)
-    assert len(traj) == rows and not traj.info.early_stopped
-    assert path.read_bytes() == _reference_csv(traj, err, decimate)
-    # the blocks of a handover go over once the next row is recorded
-    assert handed == (rows - 1) // unit * unit
+    full, full_err = _reference_run(loop, steps=rows - 1)
+    assert len(full) == rows and not full.info.early_stopped
+    assert len(traj) == len(_kept(rows, decimate))
+    assert path.read_bytes() == _reference_csv(full, full_err, decimate)
+    # a full block goes over once the next kept row is recorded
+    assert handed == (rows - 1) // unit * BLOCK
     assert len(forks) == (handed > 0)
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
@@ -553,10 +577,86 @@ def test_stream_keeps_no_recorder_block(tmp_path, monkeypatch, decimate):
 
     monkeypatch.setattr(sim._Recorder, "trajectory", watched)
     _, model, obj, d = reference_instance()
-    with sim.CsvStream(tmp_path / "traj.csv", decimate) as stream:
-        # three full blocks: one handover at decimation 1, none at 7
-        sim.run_lti(_lti_plant(model, d), obj, dec(0.01), steps=3 * BLOCK + 1, stream=stream)
+    with sim.CsvStream(tmp_path / "traj.csv") as stream:
+        # 3 BLOCK + 1 kept rows and, at decimation 7, a final row between two
+        # kept ones: three full blocks, each handed over, and a fourth
+        steps = 3 * BLOCK * decimate + 1
+        sim.run_lti(
+            _lti_plant(model, d), obj, dec(0.01), steps=steps, decimation=decimate, stream=stream
+        )
+        assert stream._handed == 3 * BLOCK
         assert len(refs) == 3 * 4 and all(ref() is None for ref in refs)
+
+
+def _ending_run(loop, ending, decimate=1, stream=None):
+    """A run of the reference instance that ends as ``ending`` says, its trajectory
+    (the finite rows when it diverges) and metrics against u_star."""
+    _, model, obj, d = reference_instance()
+    cfg, steps = {
+        "early": (dec(0.1), 10**5),  # stops after 124 (algebraic) or 109 (lti) updates
+        "budget": (dec(0.01), 999),
+        "budget-kept": (dec(0.01), 1050),  # a multiple of every decimation tried
+        "nonfinite": (cen(1e3 if loop == "algebraic" else 2.0), 10**4),  # steps 91, 1195
+    }[ending]
+    run = {"steps": steps, "decimation": decimate, "stream": stream}
+    try:
+        if loop == "algebraic":
+            traj = sim.run_algebraic(model, obj, d, cfg, **run)
+        else:
+            traj = sim.run_lti(_lti_plant(model, d), obj, cfg, **run)
+        step = None
+    except NonFinite as exc:
+        traj, step = exc.trajectory, exc.step
+    return traj, step, sim.metrics(traj, U_STAR, model)
+
+
+@pytest.mark.parametrize("ending", ["early", "budget", "budget-kept", "nonfinite"])
+@pytest.mark.parametrize("loop", ["algebraic", "lti"])
+@pytest.mark.parametrize("decimate", [1, 7, 50])
+def test_decimated_run_equals_the_full_run(tmp_path, monkeypatch, ending, loop, decimate):
+    full, full_step, full_err = _ending_run(loop, ending)
+    assert (full_step is None) == (ending != "nonfinite")
+    assert full.info.early_stopped == (ending == "early")
+    _streaming(monkeypatch)
+    path = tmp_path / "traj.csv"
+    with sim.CsvStream(path) as stream:
+        traj, step, err = _ending_run(loop, ending, decimate, stream)
+        sim.write_trajectory_csv(path, traj, err, stream)
+    rows = _kept(len(full), decimate)
+    assert step == full_step and traj.info == full.info
+    assert traj.decimation == decimate and traj.kept == len(range(0, len(full), decimate))
+    for name in ("u_series", "y_series", "x_series"):
+        kept, whole = getattr(traj, name), getattr(full, name)
+        if whole is None:
+            assert kept is None
+            continue
+        assert kept.tobytes() == whole[rows].tobytes()
+        assert kept[: traj.kept].tobytes() == whole[::decimate].tobytes()
+    assert err.rel_err_u[-1].tobytes() == full_err.rel_err_u[-1].tobytes()
+    assert path.read_bytes() == _reference_csv(full, full_err, decimate)
+
+
+def test_run_rejects_decimation_below_one():
+    _, model, obj, d = reference_instance()
+    with pytest.raises(ValueError, match="decimation must be >= 1, got 0"):
+        sim.run_algebraic(model, obj, d, dec(0.1), steps=10, decimation=0)
+
+
+def test_decimated_run_records_one_block_in_a_long_run(monkeypatch):
+    blocks = []
+    trajectory = sim._Recorder.trajectory
+
+    def watched(self, info):
+        blocks.append(len(self._blocks))
+        return trajectory(self, info)
+
+    monkeypatch.setattr(sim._Recorder, "trajectory", watched)
+    _, model, obj, d = reference_instance()
+    traj = sim.run_lti(_lti_plant(model, d), obj, dec(1e-4), steps=20_000, decimation=100)
+    assert traj.info == sim.RunInfo(20_000, False)
+    # 201 kept rows, k = 0, 100, ..., 20,000: one block of RECORD_BLOCK rows
+    assert blocks == [1] and len(traj) == traj.kept == 201
+    assert traj.x_series.shape == (201, 2)
 
 
 @pytest.mark.parametrize("without", ["cpus", "fork"])
@@ -729,13 +829,14 @@ def test_worker_exits_when_its_process_dies(tmp_path, monkeypatch):
 
 def test_csv_decimation(tmp_path):
     _, model, obj, d = reference_instance()
-    traj = sim.run_algebraic(model, obj, d, dec(0.1), steps=20)
+    traj = sim.run_algebraic(model, obj, d, dec(0.1), steps=22, decimation=5)
     err = sim.metrics(traj, U_INF)
     path = tmp_path / "dec.csv"
-    sim.write_trajectory_csv(path, traj, err, decimate=5)
+    sim.write_trajectory_csv(path, traj, err)
     rows = list(csv.reader(path.read_text().splitlines()))
     ks = [int(r[0]) for r in rows[1:]]
-    assert ks == list(range(0, len(traj), 5))
+    # the final row, step 22, is recorded but not written
+    assert ks == list(range(0, 23, 5)) and len(traj) == len(ks) + 1
 
 
 def test_csv_includes_states_and_combined(tmp_path):
