@@ -160,7 +160,7 @@ def _dropped_gradient(H, H_diag, grad_y):
     grad_y the output gradient at the decentralized fixed point."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = (np.swapaxes(H, -1, -2) - H_diag) @ grad_y[..., None]
-        return np.sqrt((np.swapaxes(v, -1, -2) @ v)[:, 0, 0])
+    return _norm(v[..., 0])
 
 
 def _bound(lead, m, satisfied):
@@ -313,16 +313,16 @@ def build_report(
     d,
     eta: float,
     eta_grid,
-    plant: Optional[LtiPlant] = None,
+    plant: LtiPlant,
 ) -> dict:
     """Aggregate every certificate into one JSON-serializable report.
 
     Both conventions are evaluated: constants, the rate table over
     ``eta_grid``, the sub-optimality bound against the solved fixed
-    point, and (when a plant is supplied) the dynamic-loop certificate
-    at ``eta`` with its critical step size.  When the fixed-point
-    equations are singular, ``equilibrium.error`` holds the solver's
-    message and the fields that need the fixed point are None.
+    point, and the dynamic-loop certificate of ``plant`` at ``eta`` with
+    its critical step size.  When the fixed-point equations are singular,
+    ``equilibrium.error`` holds the solver's message and the fields that
+    need the fixed point are None.
     """
     d = np.asarray(d, dtype=float)
     satisfied, lhs, rhs = coupling_condition(obj, model)
@@ -368,9 +368,8 @@ def build_report(
                     else None
                 ),
             }
-        if plant is not None:
-            cert = xi_matrix(plant, obj, model, eta, convention)
-            branch = cert.branch.value if cert.branch else None
-            entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch}
+        cert = xi_matrix(plant, obj, model, eta, convention)
+        branch = cert.branch.value if cert.branch else None
+        entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch}
         report["conventions"][convention.value] = entry
     return report

@@ -64,6 +64,7 @@ from .errors import (
     ConfigError,
     NonFinite,
     OfonetError,
+    _norm,
     as_section,
     as_vector,
     convert,
@@ -373,83 +374,91 @@ def _simulate(config: dict) -> None:
     if ctl.mode is Mode.CENTRALIZED:
         u_ref, u_ref_kind = star.u, "optimum"
     out_dir = _resolve_out_dir(config, ".")
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    with sim.CsvStream(csv_path) as stream:
-        run = {"u0": u0, "steps": simc["steps"], "decimation": simc["decimation"], "stream": stream}
+    run = {"u0": u0, "steps": simc["steps"], "decimation": simc["decimation"]}
+    path = os.path.join(out_dir, "trajectory.csv")
+    traj, err, failure = _record(path, inst, ctl, simc["loop"], u_ref, u_ref, x0, **run)
+    data = {
+        "mode": ctl.mode.value,
+        "loop": simc["loop"],
+        "eta": ctl.eta,
+        "steps_requested": simc["steps"],
+        "seed": seed,
+        "u_ref_kind": u_ref_kind,
+        "diverged": failure is not None,
+    }
+    if failure is not None:
+        data["divergence_step"] = failure.step
+    if traj is not None:
+        data["iterations"] = traj.info.iterations
+        data["early_stopped"] = traj.info.early_stopped
+        data["final_rel_err"] = float(err.rel_err_u[-1])
+        data["absolute_errors"] = err.absolute
+    if ctl.mode is Mode.DECENTRALIZED:
+        consts = analysis.monotonicity_constants(inst.obj, inst.model)
+        sub = analysis.suboptimality_bound(inst.obj, inst.model, inst.d, fixed.u, consts)
+        data["suboptimality"] = {
+            "distance": _norm(star.u - fixed.u),
+            "bound": sub.bound,
+            "applicable": sub.applicable,
+            "convention": "tight",
+        }
+    sys.stdout.write(_dump_json(data, os.path.join(out_dir, "metrics.json")))
+    if failure is not None:
+        raise failure
+
+
+def _record(
+    path: str, inst: Instance, cfg: ControllerConfig, loop: str, u_ref, own_ref, x0=None, **run
+):
+    """Run the ``loop`` ("algebraic" or "lti") of ``inst`` and write its CSV to ``path``.
+
+    rel_err_u is against ``u_ref`` and combined_sq against ``own_ref``,
+    the loop's own limit; ``run`` goes to the loop.  A run that raises
+    NonFinite writes the rows before it, and removes a stale ``path``
+    when it has none.  Returns the trajectory and its metrics (both None
+    without rows) and the NonFinite, or None.
+    """
+    with sim.CsvStream(path) as stream:
         failure = None
         try:
-            if simc["loop"] == "lti":
-                traj = sim.run_lti(inst.plant, inst.obj, ctl, x0=x0, **run)
+            if loop == "lti":
+                traj = sim.run_lti(inst.plant, inst.obj, cfg, x0=x0, stream=stream, **run)
             else:
-                traj = sim.run_algebraic(inst.model, inst.obj, inst.d, ctl, **run)
+                traj = sim.run_algebraic(inst.model, inst.obj, inst.d, cfg, stream=stream, **run)
         except NonFinite as exc:
             traj, failure = exc.trajectory, exc
-        data = {
-            "mode": ctl.mode.value,
-            "loop": simc["loop"],
-            "eta": ctl.eta,
-            "steps_requested": simc["steps"],
-            "seed": seed,
-            "u_ref_kind": u_ref_kind,
-            "diverged": failure is not None,
-        }
-        if failure is not None:
-            data["divergence_step"] = failure.step
         if traj is None:
             # a run that diverged at step 0 records no rows: no CSV, not a stale one
             with contextlib.suppress(FileNotFoundError):
-                os.remove(csv_path)
-        else:
+                os.remove(path)
+            return None, None, failure
+        if own_ref is u_ref:
             err = sim.metrics(traj, u_ref, inst.model)
-            sim.write_trajectory_csv(csv_path, traj, err, stream)
-            data["iterations"] = traj.info.iterations
-            data["early_stopped"] = traj.info.early_stopped
-            data["final_rel_err"] = float(err.rel_err_u[-1])
-            data["absolute_errors"] = err.absolute
-        if ctl.mode is Mode.DECENTRALIZED:
-            consts = analysis.monotonicity_constants(inst.obj, inst.model)
-            sub = analysis.suboptimality_bound(
-                inst.obj, inst.model, inst.d, fixed.u, consts
-            )
-            data["suboptimality"] = {
-                "distance": float(np.linalg.norm(star.u - fixed.u)),
-                "bound": sub.bound,
-                "applicable": sub.applicable,
-                "convention": "tight",
-            }
-        sys.stdout.write(_dump_json(data, os.path.join(out_dir, "metrics.json")))
-    if failure is not None:
-        raise failure
+        else:
+            own = sim.metrics(traj, own_ref, inst.model).combined_sq
+            err = replace(sim.metrics(traj, u_ref), combined_sq=own)
+        sim.write_trajectory_csv(path, traj, err, stream)
+    return traj, err, failure
 
 
 def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
     spec = powergrid.default_topology()
     plant, model, d_eff = powergrid.assemble_plant(spec)
-    obj = powergrid.grid_objective(spec, model)
-    star = global_optimum(obj, model, d_eff)
-    fixed = decentralized_fixed_point(obj, model, d_eff)
+    inst = Instance(plant, model, d_eff, powergrid.grid_objective(spec, model))
+    star = global_optimum(inst.obj, model, d_eff)
+    fixed = decentralized_fixed_point(inst.obj, model, d_eff)
     eta = 0.05
     files = {}
     for mode in (Mode.CENTRALIZED, Mode.DECENTRALIZED):
+        cfg = ControllerConfig(mode=mode, eta=eta)
+        # rel_err_u is against u_star, combined_sq against the mode's own limit
+        own = star if mode is Mode.CENTRALIZED else fixed
         for loop in ("algebraic", "lti"):
-            cfg = ControllerConfig(mode=mode, eta=eta)
             name = f"fig3_{mode.value}_{loop}.csv"
             path = os.path.join(out_dir, name)
-            with sim.CsvStream(path) as stream:
-                if loop == "lti":
-                    traj = sim.run_lti(plant, obj, cfg, steps=steps, stream=stream)
-                else:
-                    traj = sim.run_algebraic(model, obj, d_eff, cfg, steps=steps, stream=stream)
-                # rel_err_u is against u_star; combined_sq against the mode's own
-                # limit, which for the centralized loop is u_star as well
-                if mode is Mode.CENTRALIZED:
-                    err = sim.metrics(traj, star.u, model)
-                else:
-                    err = sim.metrics(traj, star.u)
-                    if loop == "lti":
-                        own = sim.metrics(traj, fixed.u, model).combined_sq
-                        err = replace(err, combined_sq=own)
-                sim.write_trajectory_csv(path, traj, err, stream=stream)
+            _, _, failure = _record(path, inst, cfg, loop, star.u, own.u, steps=steps)
+            if failure is not None:
+                raise failure
             files[f"{mode.value}_{loop}"] = name
     return {
         "preset": "fig3",

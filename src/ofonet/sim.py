@@ -37,19 +37,8 @@ alone computes a run's per-row errors (rel_err_u and, for a dynamic run
 given a model, the combined squared error); its last entry is the final
 row's.
 
-CSV format contract: each data row is "%d" for k then ",%.17g" per
-value.  17 significant digits round-trip every float64 exactly, and
-"%.17g" renders -0.0, subnormals, inf and nan as format(v, ".17g") does,
-so identical configurations reproduce byte-identical files.  The CSV
-holds the kept rows only.  It is formatted while the loop runs: a
-``CsvStream`` opened before the run hands each full recorder block, so
-RECORD_BLOCK kept rows, to one forked worker, which formats the k, u,
-y[, x] cells of those rows.  ``write_trajectory_csv`` completes the file
-after the loop: it reaps the worker, ends each of its lines with the
-row's rel_err_u[, combined_sq] cells from the caller's metrics, and
-formats the rows recorded since the last handover itself.  A line is the
-same template applied to the same row whoever formats it, so the bytes
-do not depend on the CPU count or on where the rows were split.
+``write_trajectory_csv`` states the CSV format; a ``CsvStream`` formats
+full recorder blocks while the loop runs.
 """
 
 from __future__ import annotations
@@ -87,10 +76,9 @@ __all__ = [
 
 EARLY_STOP_TOL = 1e-12
 DEFAULT_STEPS = 10**5
-# rows per recorder block and per formatted CSV chunk; bytes per read of
-# the CSV worker's lines
+# rows per recorder block, and per CSV chunk this process formats; bytes
+# per read of the CSV worker's lines
 RECORD_BLOCK = 1024
-CSV_CHUNK_ROWS = 1024
 JOIN_BYTES = 1 << 18
 
 
@@ -372,13 +360,6 @@ def metrics(
     return ErrorMetrics(rel_err_u=rel, combined_sq=combined, absolute=absolute)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _table(first: int, decimation: int, columns):
     """Trajectory rows first, first + 1, ..., which ``columns`` hold, as one float
     array: k = row * ``decimation``, then the row of each column."""
@@ -423,8 +404,8 @@ class CsvStream:
     rows, goes to one worker, forked at the first handover; it formats
     their k, u, y[, x] cells while the loop keeps stepping.  The rows
     reach it through an anonymous temporary file beside ``path``,
-    announced on a pipe, and its lines go to a second one.  With one
-    usable CPU, or where the OS cannot fork, nothing is handed over.
+    announced on a pipe, and its lines go to a second one.  Where the OS
+    cannot fork, nothing is handed over.
     Leaving the ``with`` block kills a worker still running.  Completion
     stops the worker by an end notice, so another stream's worker or any
     child forked meanwhile, which inherits the pipe's write end, cannot
@@ -434,7 +415,7 @@ class CsvStream:
 
     def __init__(self, path):
         self.path = os.path.abspath(path)
-        self._parallel = hasattr(os, "fork") and _usable_cpus() > 1
+        self._parallel = hasattr(os, "fork")
         self._handed = 0  # rows 0.._handed - 1 of the trajectory went to the worker
         self._pid = self._notices = None
         self._files: list = []  # the worker's rows and its lines
@@ -538,13 +519,13 @@ def write_trajectory_csv(
     trajectory.  Only its kept rows are written, k = 0, d, 2d, ... at
     its decimation d; a final row between two kept ones is not.  Each
     row is "%d" then ",%.17g" per value, so every float is written with
-    17 significant digits (as ``format(v, ".17g")``: "-0", "inf", "nan"
-    and subnormals included).
+    17 significant digits, which round-trip every float64 (as
+    ``format(v, ".17g")``: "-0", "inf", "nan" and subnormals included).
 
     ``stream`` is the ``CsvStream`` for ``path`` that the run was given.
     Its worker is reaped first, and its lines are written, each ended by
     its row's cells of ``err``; this process then formats the rows that
-    were not handed over, CSV_CHUNK_ROWS at a time.  Without a stream it
+    were not handed over, RECORD_BLOCK at a time.  Without a stream it
     formats every row.  Each line is one template applied to one row, so
     the bytes do not depend on which rows were handed over.  A failed
     worker raises OSError.
@@ -578,8 +559,8 @@ def write_trajectory_csv(
             lines = stream._finish()
             if split:
                 _join(lines, fh, split, cells)
-            for start in range(split, kept, CSV_CHUNK_ROWS):
-                rows = slice(start, min(start + CSV_CHUNK_ROWS, kept))
+            for start in range(split, kept, RECORD_BLOCK):
+                rows = slice(start, min(start + RECORD_BLOCK, kept))
                 _write_table(fh, _table(start, trajectory.decimation, [c[rows] for c in columns]))
         os.replace(partial, path)
     except BaseException:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ofonet import cli, powergrid
+from ofonet import cli, powergrid, sim
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import PLANT_KEYS
 
@@ -274,6 +274,64 @@ def test_figures_fig3(tmp_path, capsys):
         assert header.startswith("k,u_1")
     saved = json.loads((out / "fig3_manifest.json").read_text())
     assert saved == manifest
+
+
+@pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+def test_fig3_files_are_grid_simulate_trajectories(tmp_path, capsys, monkeypatch, mode):
+    # 200 steps in 64-row blocks: three blocks go to the CSV worker, then a tail
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 64)
+    cfg = write_config(tmp_path, {"simulation": {"steps": 200}}, "fig3.json")
+    assert run(["--config", cfg, "--out", str(tmp_path / "f3"), "figures", "fig3"]) == 0
+    for loop in ("algebraic", "lti"):
+        config = {
+            "grid": {},
+            "controller": {"eta": 0.05, "mode": mode},
+            "simulation": {"loop": loop, "steps": 200},
+        }
+        cfg = write_config(tmp_path, config)
+        assert run(["--config", cfg, "--out", str(tmp_path / loop), "grid", "simulate"]) == 0
+        fig3 = (tmp_path / "f3" / f"fig3_{mode}_{loop}.csv").read_text()
+        simulated = (tmp_path / loop / "trajectory.csv").read_text()
+        assert len(fig3.splitlines()) == 202
+        if mode == "centralized":  # both take rel_err_u against u_star
+            assert fig3 == simulated
+            continue
+        # rel_err_u is against u_star in fig3 and against the fixed point in
+        # simulate; every other column agrees, combined_sq included
+        rows = [list(csv.DictReader(text.splitlines())) for text in (fig3, simulated)]
+        for row in (*rows[0], *rows[1]):
+            del row["rel_err_u"]
+        assert rows[0] == rows[1]
+    capsys.readouterr()
+
+
+# u_star - u_inf = 9.1e298 is finite, its square is not
+HUGE_DISTURBANCE = {
+    "plant": {**REF_PLANT, "d": [1e300, 1e300]},
+    "controller": {"eta": 0.1},
+    "simulation": {"steps": 2000},
+}
+
+
+def test_huge_disturbance_reports_its_distance_and_bound(tmp_path, capsys):
+    cfg = write_config(tmp_path, HUGE_DISTURBANCE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "--out", str(tmp_path / "s"), "simulate"]) == 0
+        sub = json.loads(capsys.readouterr().out)["suboptimality"]
+        assert run(["--config", cfg, "--out", str(tmp_path / "a"), "analyze"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    validate(report, "analysis_report")
+    distance = report["equilibrium"]["distance"]
+    assert math.isfinite(distance) and sub["distance"] == distance
+    for convention, entry in report["conventions"].items():
+        bound = entry["suboptimality"]
+        assert bound["applicable"] and math.isfinite(bound["bound"]), convention
+        assert math.isfinite(bound["relative_bound"]), convention
+    tight = report["conventions"]["tight"]["suboptimality"]["bound"]
+    assert sub["bound"] == tight and tight >= distance
 
 
 def test_figures_fig4(tmp_path, capsys):
