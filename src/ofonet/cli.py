@@ -51,7 +51,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -415,10 +415,11 @@ def _record(
     rel_err_u is against ``u_ref`` and combined_sq against ``own_ref``,
     the loop's own limit; ``run`` goes to the loop.  A run that raises
     NonFinite writes the rows before it, and removes a stale ``path``
-    when it has none.  Returns the trajectory and its metrics (both None
-    without rows) and the NonFinite, or None.
+    when it has none.  Returns the trajectory, which holds only the rows
+    the stream did not take, and their metrics (both None without rows)
+    and the NonFinite, or None.
     """
-    with sim.CsvStream(path) as stream:
+    with sim.CsvStream(path, u_ref, inst.model, own_ref) as stream:
         failure = None
         try:
             if loop == "lti":
@@ -432,11 +433,7 @@ def _record(
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
             return None, None, failure
-        if own_ref is u_ref:
-            err = sim.metrics(traj, u_ref, inst.model)
-        else:
-            own = sim.metrics(traj, own_ref, inst.model).combined_sq
-            err = replace(sim.metrics(traj, u_ref), combined_sq=own)
+        err = sim.metrics(traj, u_ref, inst.model, own_ref)
         sim.write_trajectory_csv(path, traj, err, stream)
     return traj, err, failure
 

@@ -37,19 +37,18 @@ alone computes a run's per-row errors (rel_err_u and, for a dynamic run
 given a model, the combined squared error); its last entry is the final
 row's.
 
-``write_trajectory_csv`` states the CSV format; a ``CsvStream`` formats
-full recorder blocks while the loop runs.
+``write_trajectory_csv`` states the CSV format.  A ``CsvStream`` takes
+each full recorder block, with its cells from ``metrics``' formula,
+while the loop runs; the recorder drops it, so a streamed run holds at
+most RECORD_BLOCK + 1 rows, whatever its length.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
-import secrets
 import signal
-import struct
 import tempfile
 from dataclasses import dataclass
 from typing import Optional
@@ -76,10 +75,8 @@ __all__ = [
 
 EARLY_STOP_TOL = 1e-12
 DEFAULT_STEPS = 10**5
-# rows per recorder block, and per CSV chunk this process formats; bytes
-# per read of the CSV worker's lines
+# rows per recorder block, per CSV block and per metrics slice
 RECORD_BLOCK = 1024
-JOIN_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -92,9 +89,11 @@ class RunInfo:
 class Trajectory:
     """Recorded closed-loop iterates (u_k, y_k[, x_k]), each finite.
 
-    Row i < ``kept`` holds step k = i * ``decimation``.  When the run's
-    last row falls between two such steps, it follows as one more row, so
-    the last row is always the last iterate recorded.
+    The run kept ``kept`` rows, kept row j being step k = j * ``decimation``,
+    and row i here is kept row ``first`` + i: the rows before went to a
+    ``CsvStream`` (``first`` is 0 when nothing was streamed).  When the
+    run's last row falls between two kept ones, it follows as one more
+    row, so the last row is always the last iterate recorded.
     """
 
     u_series: NDArray[np.float64]
@@ -103,6 +102,7 @@ class Trajectory:
     info: RunInfo
     decimation: int
     kept: int
+    first: int = 0
 
     def __len__(self) -> int:
         return self.u_series.shape[0]
@@ -124,7 +124,8 @@ def _start(value, n: int, name: str) -> NDArray[np.float64]:
 
 class _Recorder:
     """The rows a run keeps, k = 0, d, 2d, ..., in arrays grown RECORD_BLOCK rows
-    at a time, and its newest row when that falls between two kept ones."""
+    at a time, and its newest row when that falls between two kept ones.
+    A full block that ``on_full`` takes is dropped."""
 
     def __init__(self, n: int, n_state: Optional[int] = None, decimation: int = 1, on_full=None):
         self._widths = (n, n) if n_state is None else (n, n, n_state)
@@ -133,7 +134,8 @@ class _Recorder:
         self._row = RECORD_BLOCK
         self._skip = 0  # rows to pass over before the next kept one
         self._between = None  # the newest row, when it was passed over
-        self._on_full = on_full  # called with each full block and the decimation
+        self._on_full = on_full  # given a full block and the decimation; True if it took it
+        self._first = 0  # the kept rows taken by on_full
 
     def append(self, u, y, x=None) -> None:
         if self._skip:
@@ -142,8 +144,9 @@ class _Recorder:
             return
         self._skip, self._between = self._decimation - 1, None
         if self._row == RECORD_BLOCK:
-            if self._blocks and self._on_full is not None:
-                self._on_full(self._blocks[-1], self._decimation)
+            if self._blocks and self._on_full and self._on_full(self._blocks[-1], self._decimation):
+                self._blocks.pop()
+                self._first += RECORD_BLOCK
             block = [np.empty((RECORD_BLOCK, w)) for w in self._widths]
             self._blocks.append(block)
             self._u, self._y, *rest = block
@@ -161,7 +164,7 @@ class _Recorder:
         if not self._blocks:
             return None
         *full, last = self._blocks
-        kept = len(full) * RECORD_BLOCK + self._row
+        kept = self._first + len(full) * RECORD_BLOCK + self._row
         series = []
         for i in range(len(self._widths)):
             parts = [b[i] for b in full] + [last[i][: self._row]]
@@ -169,7 +172,7 @@ class _Recorder:
                 parts.append(self._between[i][None])
             series.append(np.concatenate(parts))
         x = series[2] if len(series) == 3 else None
-        return Trajectory(series[0], series[1], x, info, self._decimation, kept)
+        return Trajectory(series[0], series[1], x, info, self._decimation, kept, self._first)
 
 
 def _finite(v) -> bool:
@@ -338,26 +341,46 @@ def _run_algebraic_batch(
 
 
 def metrics(
-    trajectory: Trajectory, u_ref, model: Optional[SensitivityModel] = None
+    trajectory: Trajectory, u_ref, model: Optional[SensitivityModel] = None, own_ref=None
 ) -> ErrorMetrics:
     """Per-step error metrics against a reference input.
 
     rel_err_u is ||u_k - u_ref|| / ||u_ref|| (absolute when the
     reference is zero, flagged).  For dynamic runs with a model the
-    combined squared error ||x_k - H_x u_k||^2 + ||u_k - u_ref||^2 is
-    attached; the reference should then be the decentralized fixed point.
+    combined squared error ||x_k - H_x u_k||^2 + ||u_k - own_ref||^2 is
+    attached, own_ref (u_ref when None) being the loop's own limit.  The
+    rows are taken RECORD_BLOCK at a time, as a ``CsvStream`` takes them.
     """
-    u_ref = as_vector(u_ref, trajectory.u_series.shape[1], "u_ref")
+    u, x = trajectory.u_series, trajectory.x_series
+    rows = min(RECORD_BLOCK, trajectory.first + len(u))  # a stream block's, or the run's
+    blocks = [slice(s, s + RECORD_BLOCK) for s in range(0, len(u), RECORD_BLOCK)]
+    rel, combined, absolute = zip(
+        *[_cells(u[b], x if x is None else x[b], u_ref, model, own_ref, rows) for b in blocks]
+    )
+    combined = None if combined[0] is None else np.concatenate(combined)
+    return ErrorMetrics(np.concatenate(rel), combined, absolute[0])
+
+
+def _cells(u, x, u_ref, model, own_ref, rows: int):
+    """``metrics``' rel_err_u, combined_sq (or None) and ``absolute`` of rows
+    ``u``[, ``x``].  u H_x^T is one product of ``rows`` rows, zeros past u's:
+    BLAS may round a row differently in a product of fewer rows (one row is
+    a matrix-vector product)."""
+    n = u.shape[1]
+    u_ref = as_vector(u_ref, n, "u_ref")
     with np.errstate(over="ignore", invalid="ignore"):
-        err = _norm(trajectory.u_series - u_ref, axis=1)
+        err = _norm(u - u_ref, axis=1)
         ref_norm = _norm(u_ref)
         absolute = ref_norm == 0.0
         rel = err if absolute else err / ref_norm
-        combined = None
-        if trajectory.x_series is not None and model is not None:
-            resid = trajectory.x_series - trajectory.u_series @ model.H_x.T
-            combined = np.sum(resid**2, axis=1) + err**2
-    return ErrorMetrics(rel_err_u=rel, combined_sq=combined, absolute=absolute)
+        if x is None or model is None:
+            return rel, None, absolute
+        if own_ref is not None:
+            err = _norm(u - as_vector(own_ref, n, "own_ref"), axis=1)
+        if len(u) < rows:
+            u = np.concatenate([u, np.zeros((rows - len(u), n))])
+        resid = x - (u @ model.H_x.T)[: len(x)]
+        return rel, np.sum(resid**2, axis=1) + err**2, absolute
 
 
 def _table(first: int, decimation: int, columns):
@@ -373,137 +396,162 @@ def _write_table(fh, table) -> None:
     fh.write(b"".join([row % tuple(r) for r in table.tolist()]))
 
 
-def _format_notices(notices, data, out) -> None:
-    """The CSV worker: write each table that ``notices`` announces in ``data`` to ``out``.
-
-    A notice is (rows, cols), the shape of the next float64 table of
-    ``data``.  The end notice (0, 0), sent at completion, or the end of
-    ``notices``, at the death of the stream's process, ends the worker.
-    """
-    offset = 0
-    while head := notices.read(_NOTICE.size):
-        rows, cols = _NOTICE.unpack(head)
-        if rows == 0:
-            break
-        size = 8 * rows * cols
-        table = np.frombuffer(os.pread(data.fileno(), size, offset)).reshape(rows, cols)
-        offset += size
-        _write_table(out, table)
-    out.flush()
+def _header(widths, cells: int) -> bytes:
+    """The CSV header: k, then u, y[, x] of ``widths`` and ``cells`` metric cells."""
+    names = ["k"] + [f"{s}_{i + 1}" for s, w in zip("uyx", widths) for i in range(w)]
+    return (",".join(names + ["rel_err_u", "combined_sq"][:cells]) + "\n").encode()
 
 
-_NOTICE = struct.Struct("qq")
+def _block(data, shape, i: int):
+    """The i-th float64 table of ``shape`` in the file ``data``."""
+    size = 8 * math.prod(shape)
+    return np.frombuffer(os.pread(data.fileno(), size, i * size)).reshape(shape)
+
+
+_NEXT, _END = b"\x01", b"\x00"  # the notices on the worker's pipe
 
 
 class CsvStream:
     """The CSV of one run, formatted by a forked worker while the run records it.
 
-    Open it in a ``with`` block before the run, and pass it to
-    ``run_algebraic`` or ``run_lti`` and then to ``write_trajectory_csv``,
-    which completes the file.  Each full recorder block, RECORD_BLOCK kept
-    rows, goes to one worker, forked at the first handover; it formats
-    their k, u, y[, x] cells while the loop keeps stepping.  The rows
-    reach it through an anonymous temporary file beside ``path``,
-    announced on a pipe, and its lines go to a second one.  Where the OS
+    Open it in a ``with`` block before the run, with ``metrics``'
+    references, and pass it to ``run_algebraic`` or ``run_lti`` and then
+    to ``write_trajectory_csv``, which completes the file.  Each full
+    recorder block goes with its k and metric cells to an anonymous file
+    beside ``path``.  A worker, forked at the first handover, writes the
+    lines of the blocks announced to it into the output's hidden
+    temporary file; two at most await its acknowledgement, so at
+    completion this process formats the waiting blocks from the back while
+    the worker drains the front.  Without references, or where the OS
     cannot fork, nothing is handed over.
-    Leaving the ``with`` block kills a worker still running.  Completion
-    stops the worker by an end notice, so another stream's worker or any
-    child forked meanwhile, which inherits the pipe's write end, cannot
-    keep it waiting.  A worker whose process dies sees the pipe's end
-    once every process forked after it has let go of it, and exits.
+
+    Leaving the ``with`` block kills a worker still running and removes an
+    uncompleted output.  Completion stops the worker by an end notice, so
+    another stream's worker or any child forked meanwhile, which inherits
+    the pipe's write end, cannot keep it waiting.  A worker whose process
+    dies sees the pipe's end once every process forked after it has let
+    go of it, and exits.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, u_ref=None, model: Optional[SensitivityModel] = None, own_ref=None):
         self.path = os.path.abspath(path)
-        self._parallel = hasattr(os, "fork")
-        self._handed = 0  # rows 0.._handed - 1 of the trajectory went to the worker
-        self._pid = self._notices = None
-        self._files: list = []  # the worker's rows and its lines
+        self._refs = (u_ref, model, own_ref)
+        self._handed = 0  # kept rows 0.._handed - 1 went to the stream
+        self._blocks = self._announced = self._done = 0  # taken, announced, acknowledged
+        self._pid = self._partial = None  # the worker, the output's temporary file
+        self._files = contextlib.ExitStack()
 
     def __enter__(self) -> "CsvStream":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._end_notices()
+        """Kill a worker still running, close every file, remove an uncompleted output."""
         # a worker still running here outlived a failure of this process
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        for f in self._files:
-            f.close()
+        self._files.close()
+        if self._partial is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._partial)
+            self._partial = None
 
-    def _end_notices(self) -> None:
-        if self._notices is not None:
-            os.close(self._notices)
-            self._notices = None
-
-    def _take(self, block, decimation: int) -> None:
-        """The recorder's hook: hand its full ``block`` of a run at ``decimation``
-        to the worker.  No block is kept here, so none outlives the recorder."""
-        if not self._parallel:
-            return
+    def _take(self, block, decimation: int) -> bool:
+        """The recorder's hook: store its full ``block`` of a run at ``decimation``
+        with k and the metric cells; True when it took it (and keeps no reference)."""
+        if self._refs[0] is None or not hasattr(os, "fork"):
+            return False
+        u, _, *x = block
+        rel, combined, _ = _cells(u, x[0] if x else None, *self._refs, RECORD_BLOCK)
+        cells = [c for c in (rel, combined) if c is not None]
+        table = _table(self._handed, decimation, [*block, *cells])
         if self._pid is None:
-            self._start()
-        table = _table(self._handed, decimation, block)
-        data = self._files[0]
-        data.write(table)
-        data.flush()
-        # a dead worker is reported by its exit status at completion
-        with contextlib.suppress(BrokenPipeError):
-            os.write(self._notices, _NOTICE.pack(*table.shape))
+            self._start(_header([b.shape[1] for b in block], len(cells)), table.shape)
+        self._data.write(table)
+        self._data.flush()
         self._handed += len(table)
+        self._blocks += 1
+        self._announce(self._blocks)
+        return True
 
-    def _start(self) -> None:
+    def _open(self, header: bytes):
+        """The output's hidden temporary file beside ``path``, created exclusively,
+        holding ``header``."""
+        directory, name = os.path.split(self.path)
+        self._partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+        self._out = self._files.enter_context(open(self._partial, "xb"))
+        self._out.write(header)
+        self._out.flush()  # a forked worker inherits no buffered bytes
+        return self._out
+
+    def _start(self, header: bytes, shape) -> None:
+        out = self._open(header)
         directory = os.path.dirname(self.path)
-        self._files = [tempfile.TemporaryFile(dir=directory) for _ in range(2)]
-        read_end, self._notices = os.pipe()
+        self._data, self._part = (
+            self._files.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(2)
+        )
+        self._shape = shape
+        notices, notices_in = os.pipe()
+        acks_out, acks = os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
-            # the worker leaves through os._exit: no atexit handler, no inherited buffer
+            # the worker: the lines of each block announced, in order, each
+            # acknowledged; it leaves through os._exit, so no atexit handler runs
             code = 1
             try:
-                os.close(self._notices)
-                with open(read_end, "rb") as notices:
-                    _format_notices(notices, *self._files)
+                os.close(notices_in)
+                os.close(acks_out)
+                i = 0
+                while os.read(notices, 1) == _NEXT:
+                    _write_table(out, _block(self._data, shape, i))
+                    i += 1
+                    os.write(acks, _NEXT)
+                out.flush()
                 code = 0
             finally:
                 os._exit(code)
-        os.close(read_end)
+        os.close(notices)
+        os.close(acks)
+        os.set_blocking(acks_out, False)
+        self._notices = self._files.enter_context(open(notices_in, "wb", buffering=0))
+        self._acks = self._files.enter_context(open(acks_out, "rb", buffering=0))
 
-    def _finish(self):
-        """Send the end notice and reap the worker; the file of its lines, or None."""
+    def _announce(self, limit: int) -> bool:
+        """Announce blocks below ``limit`` while the worker has fewer than two
+        unacknowledged; True while some of them wait."""
+        self._done += len(self._acks.read(1 << 16) or b"")  # None: no ack yet
+        # a dead worker acknowledges nothing more, so this process takes the rest
+        while self._announced < min(limit, self._done + 2):
+            with contextlib.suppress(BrokenPipeError):
+                self._notices.write(_NEXT)
+            self._announced += 1
+        return self._announced < limit
+
+    def _finish(self, header: bytes):
+        """The output's temporary file, holding ``header`` and the lines of every
+        block handed over: this process formats waiting blocks from the back
+        while the worker drains the front.  A failed worker raises OSError."""
         if self._pid is None:
-            return None
+            return self._open(header)
+        back, spans = self._blocks, []
+        while self._announce(back):
+            back -= 1
+            start = self._part.tell()
+            _write_table(self._part, _block(self._data, self._shape, back))
+            spans.append((start, self._part.tell()))
         with contextlib.suppress(BrokenPipeError):
-            os.write(self._notices, _NOTICE.pack(0, 0))
-        self._end_notices()
+            self._notices.write(_END)
+        self._notices.close()
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if status != 0:
             raise OSError(f"CSV worker of {self.path} failed (wait status {status})")
-        return self._files[1]
-
-
-def _join(lines, fh, count: int, columns) -> None:
-    """Write the ``count`` lines of the file ``lines`` to ``fh``, line i ended by
-    row i's cells of ``columns``.
-
-    The file is read JOIN_BYTES at a time, so memory stays bounded by
-    that, not by the number of lines.
-    """
-    cells = b",%.17g" * len(columns) + b"\n"
-    lines.seek(0)
-    rest, done = b"", 0
-    while chunk := lines.read(JOIN_BYTES):
-        heads = (rest + chunk).split(b"\n")
-        rest = heads.pop()
-        rows = slice(done, done + len(heads))
-        done += len(heads)
-        tails = [cells % tuple(r) for r in np.column_stack([c[rows] for c in columns]).tolist()]
-        fh.write(b"".join(map(operator.add, heads, tails)))
-    if rest or done != count:
-        raise OSError(f"CSV worker wrote {done} of {count} lines")
+        self._part.flush()
+        self._out.seek(0, os.SEEK_END)
+        for start, end in reversed(spans):
+            self._out.write(os.pread(self._part.fileno(), end - start, start))
+        return self._out
 
 
 def write_trajectory_csv(
@@ -523,12 +571,11 @@ def write_trajectory_csv(
     ``format(v, ".17g")``: "-0", "inf", "nan" and subnormals included).
 
     ``stream`` is the ``CsvStream`` for ``path`` that the run was given.
-    Its worker is reaped first, and its lines are written, each ended by
-    its row's cells of ``err``; this process then formats the rows that
-    were not handed over, RECORD_BLOCK at a time.  Without a stream it
-    formats every row.  Each line is one template applied to one row, so
-    the bytes do not depend on which rows were handed over.  A failed
-    worker raises OSError.
+    The lines of the rows the trajectory holds, kept rows ``first``
+    onward, follow the stream's; without a stream this process formats
+    every row.  Each line is one template applied to one row, so the
+    bytes do not depend on which rows were handed over.  A failed worker
+    raises OSError.
 
     The file is written under a hidden temporary name in the directory of
     ``path`` and renamed onto ``path`` only once complete, so a failure
@@ -538,32 +585,17 @@ def write_trajectory_csv(
         stream = CsvStream(path)  # hands nothing over, so forks nothing
     elif stream.path != os.path.abspath(path):
         raise ValueError(f"the stream is for {stream.path}")
-    columns = [trajectory.u_series, trajectory.y_series]
-    n = trajectory.u_series.shape[1]
-    header = ["k"] + [f"u_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
-    if trajectory.x_series is not None:
-        header += [f"x_{i + 1}" for i in range(trajectory.x_series.shape[1])]
-        columns.append(trajectory.x_series)
-    header.append("rel_err_u")
-    cells = [err.rel_err_u]
-    if err.combined_sq is not None:
-        header.append("combined_sq")
-        cells.append(err.combined_sq)
-    kept, split = trajectory.kept, stream._handed  # the worker's rows are 0..split - 1
-    columns += cells  # the rows this process formats get every cell
-    directory, name = os.path.split(stream.path)
-    partial = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    try:
-        with open(partial, "xb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            lines = stream._finish()
-            if split:
-                _join(lines, fh, split, cells)
-            for start in range(split, kept, RECORD_BLOCK):
-                rows = slice(start, min(start + RECORD_BLOCK, kept))
-                _write_table(fh, _table(start, trajectory.decimation, [c[rows] for c in columns]))
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(partial)
-        raise
+    elif trajectory.first != stream._handed:
+        raise ValueError(f"the stream took {stream._handed} kept rows, not {trajectory.first}")
+    series = [trajectory.u_series, trajectory.y_series, trajectory.x_series]
+    series = [s for s in series if s is not None]
+    cells = [c for c in (err.rel_err_u, err.combined_sq) if c is not None]
+    first, kept, columns = trajectory.first, trajectory.kept, series + cells
+    with stream:  # leaving it closes the stream, and removes the output unless completed
+        out = stream._finish(_header([s.shape[1] for s in series], len(cells)))
+        for start in range(first, kept, RECORD_BLOCK):
+            rows = slice(start - first, min(start + RECORD_BLOCK, kept) - first)
+            _write_table(out, _table(start, trajectory.decimation, [c[rows] for c in columns]))
+        out.close()
+        os.replace(stream._partial, path)
+        stream._partial = None

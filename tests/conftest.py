@@ -5,6 +5,10 @@ prescribed sensitivity H exactly, so algebraic-level facts can be tested
 through the same code path as dynamic ones.
 """
 
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -119,3 +123,32 @@ def random_stable_instance(rng, n=None, gamma2_max=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left(monkeypatch):
+    """Fail a test that leaves a child process behind, running or unreaped.
+
+    Children forked through ``os.fork`` during the test, such as CSV
+    workers, are killed and reaped first.
+    """
+    forked = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    for pid in forked:
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pytest.fail("the test left a child process behind")

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,12 @@ def test_each_output_record_has_one_builder():
                 if name in sites:
                     sites[name].append(f"{path.name}:{node.lineno}")
     assert {name: len(found) for name, found in sites.items()} == dict.fromkeys(RECORDS, 1), sites
+
+
+def test_import_loads_no_hash_module():
+    # the CSV's temporary name comes from os.urandom: secrets would load
+    # hmac and hashlib on every start
+    names = "{'secrets', 'hmac', 'hashlib'}"
+    code = f"import sys, ofonet.cli; print(sorted({names} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -4,15 +4,17 @@ import dataclasses
 import os
 import signal
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import reference_instance, static_plant
+from conftest import grid_instance, random_stable_instance, reference_instance, static_plant
 
 import ofonet.sim as sim
 from ofonet.controller import ControllerConfig, Mode, decentralized_step
+from ofonet.equilibria import global_optimum
 from ofonet.errors import NonFinite
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import LtiPlant
@@ -345,10 +347,12 @@ def _replay(trajectory, stream=None, decimate=1):
 def _decimated(trajectory, err, decimate, stream=None):
     """A full ``trajectory`` and its ``err`` as the run at ``decimate`` records
     them, its full blocks handed to ``stream``."""
-    rows = _kept(len(trajectory), decimate)
+    traj = _replay(trajectory, stream, decimate)
+    # the rows the run holds: those the stream did not take
+    rows = _kept(len(trajectory), decimate)[traj.first :]
     combined = None if err.combined_sq is None else err.combined_sq[rows]
     err = dataclasses.replace(err, rel_err_u=err.rel_err_u[rows], combined_sq=combined)
-    return _replay(trajectory, stream, decimate), err
+    return traj, err
 
 
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
@@ -358,6 +362,60 @@ def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
     path = tmp_path / "traj.csv"
     sim.write_trajectory_csv(path, *_decimated(traj, err, decimate))
     assert path.read_bytes() == _reference_csv(traj, err, decimate)
+
+
+def _formula_case(case, rng):
+    """A run of 2 RECORD_BLOCK + 1 rows for ``case``, and the references of its cells.
+
+    own_ref is the last iterate unless rows overflow: the held row's
+    combined_sq is then its residual ||x - H_x u||^2 alone, which shows
+    any change in the rounding of its product.
+    """
+    steps = 2 * sim.RECORD_BLOCK
+    if case == "overflow":
+        # rows whose squares, or whose differences from own_ref, overflow, in
+        # both full blocks and in the held row
+        _, model, obj, d = reference_instance()
+        traj = sim.run_lti(_lti_plant(model, d), obj, dec(1e-4), steps=steps)
+        u = traj.u_series.copy()
+        big = 2.0**600
+        u[[3, 1500, steps]] = [[3 * big, -4 * big], [1e308, 1e308], [-1e308, 1e-300]]
+        return dataclasses.replace(traj, u_series=u), (U_STAR, model, [-1e308, 0.0])
+    if case.startswith("grid"):
+        plant, model, obj, d = grid_instance()
+        u_ref = global_optimum(obj, model, d).u
+        if case == "grid-algebraic":
+            traj = sim.run_algebraic(model, obj, d, dec(1e-3), steps=steps)
+        else:
+            traj = sim.run_lti(plant, obj, dec(1e-3), steps=steps)
+    else:
+        plant, model, obj, _ = random_stable_instance(rng, n=int(case.split("-")[1]))
+        u_ref = rng.standard_normal(model.n)
+        traj = sim.run_lti(plant, obj, dec(1e-3), steps=steps)
+    return traj, (u_ref, model, traj.u_series[-1])
+
+
+@pytest.mark.parametrize(
+    "case", ["grid-algebraic", "grid-lti", "random-64", "random-256", "overflow"]
+)
+def test_streamed_cells_are_metrics_bit_for_bit(tmp_path, rng, case):
+    # the stream's cells of its blocks and metrics' cells come from one
+    # formula: at the default RECORD_BLOCK two blocks go over and one row is
+    # held, and every row equals one product over the whole run
+    full, refs = _formula_case(case, rng)
+    assert len(full) == 2 * sim.RECORD_BLOCK + 1
+    path = tmp_path / "traj.csv"
+    with sim.CsvStream(path, *refs) as stream:
+        traj = _replay(full, stream)
+        assert (stream._handed, len(traj)) == (2 * sim.RECORD_BLOCK, 1)
+        sim.write_trajectory_csv(path, traj, sim.metrics(traj, *refs), stream)
+    err = sim.metrics(full, *refs)
+    cells = [c for c in (err.rel_err_u, err.combined_sq) if c is not None]
+    assert len(cells) == (1 if case == "grid-algebraic" else 2)
+    written = np.loadtxt(path, delimiter=",", skiprows=1)[:, -len(cells) :]
+    whole = sim._cells(full.u_series, full.x_series, *refs, len(full))
+    for i, column in enumerate(cells):
+        assert written[:, i].tobytes() == column.tobytes() == whole[i].tobytes()
 
 
 def _assert_no_worker_left(directory, expected):
@@ -381,8 +439,21 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _streamed_csv(path, trajectory, err, decimate=1):
-    with sim.CsvStream(path) as stream:
+def _streamed_csv(monkeypatch, path, trajectory, err, decimate=1):
+    """Stream ``trajectory``, recorded at ``decimate``, into ``path``, with
+    ``err``'s cells in every row: the stream computes its blocks' cells,
+    and each table, the worker's too, gets ``err``'s in their place."""
+    rows = _kept(len(trajectory), decimate)
+    cells = np.column_stack([c[rows] for c in (err.rel_err_u, err.combined_sq) if c is not None])
+    table = sim._table
+
+    def with_cells(first, decimation, columns):
+        t = table(first, decimation, columns)
+        t[:, -cells.shape[1] :] = cells[first : first + len(t)]
+        return t
+
+    monkeypatch.setattr(sim, "_table", with_cells)
+    with sim.CsvStream(path, U_INF, reference_instance()[1]) as stream:
         sim.write_trajectory_csv(path, *_decimated(trajectory, err, decimate, stream), stream)
 
 
@@ -393,11 +464,10 @@ def test_csv_bytes_do_not_depend_on_worker_count(
     tmp_path, monkeypatch, workers, loop, decimate
 ):
     traj, err = _edge_case_run(loop)
-    # small blocks: the worker gets many blocks, its lines are read back in
-    # pieces that split lines, and without a worker this process formats
-    # many chunks and a short last one, for both decimations
+    # small blocks: the stream takes many blocks, whose edge-case cells
+    # reach the worker, and without a worker this process formats many
+    # chunks and a short last one, for both decimations
     monkeypatch.setattr(sim, "RECORD_BLOCK", 32)
-    monkeypatch.setattr(sim, "JOIN_BYTES", 1000)
     rows = len(range(0, len(traj), decimate))
     assert rows // 32 >= 5 and rows % 32 != 0
     assert (len(traj) - 1) // (32 * decimate) >= 2
@@ -405,7 +475,7 @@ def test_csv_bytes_do_not_depend_on_worker_count(
     if workers == 1:  # where the OS cannot fork, this process formats alone
         monkeypatch.delattr(os, "fork")
     path = tmp_path / "traj.csv"
-    _streamed_csv(path, traj, err, decimate)
+    _streamed_csv(monkeypatch, path, traj, err, decimate)
     assert path.read_bytes() == _reference_csv(traj, err, decimate)
     # one worker per file, and none without fork
     assert len(forks) == workers - 1
@@ -432,11 +502,20 @@ def _worker_tables(fail):
 def test_csv_worker_failure_raises(tmp_path, monkeypatch):
     traj, err = _edge_case_run("algebraic")
     monkeypatch.setattr(sim, "RECORD_BLOCK", 64)
-    monkeypatch.setattr(sim, "_write_table", _worker_tables(fail=True))
+    write, mine = _worker_tables(fail=True), []
+
+    def counted(fh, table):
+        mine.append(len(table))
+        return write(fh, table)
+
+    monkeypatch.setattr(sim, "_write_table", counted)
     forks = _count_forks(monkeypatch)
     with pytest.raises(OSError, match="CSV worker of .*traj.csv failed"):
-        _streamed_csv(tmp_path / "traj.csv", traj, err)
+        _streamed_csv(monkeypatch, tmp_path / "traj.csv", traj, err)
     assert len(forks) == 1
+    # the dead worker got the first two blocks; this process took every
+    # other one, and the run did not wait for acknowledgements
+    assert len(mine) == (len(traj) - 1) // 64 - 2
     # neither a truncated CSV nor its temporary file is left behind
     _assert_no_worker_left(tmp_path, [])
 
@@ -449,7 +528,7 @@ def test_csv_failure_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "_write_table", _worker_tables(fail=True))
     forks = _count_forks(monkeypatch)
     with pytest.raises(OSError, match="CSV worker of .*traj.csv failed"):
-        _streamed_csv(path, traj, err)
+        _streamed_csv(monkeypatch, path, traj, err)
     assert len(forks) == 1
     assert path.read_bytes() == b"previous run\n"
     _assert_no_worker_left(tmp_path, ["traj.csv"])
@@ -464,7 +543,7 @@ def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
     start = time.monotonic()
     # the caller fails while its worker still formats
     with pytest.raises(ValueError, match="the stream is for .*traj.csv"):
-        with sim.CsvStream(path) as stream:
+        with sim.CsvStream(path, U_INF) as stream:
             _replay(traj, stream)
             sim.write_trajectory_csv(tmp_path / "other.csv", traj, err, stream=stream)
     assert len(forks) == 1
@@ -473,19 +552,47 @@ def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
     _assert_no_worker_left(tmp_path, [])
 
 
+def test_this_process_shares_the_backlog_of_a_slow_worker(tmp_path, monkeypatch):
+    forks = _streaming(monkeypatch)
+    parent, write_table = os.getpid(), sim._write_table
+    mine = []  # the first kept row of each table this process formats
+
+    def write(fh, table):
+        if os.getpid() == parent:
+            mine.append(int(table[0, 0]))
+        else:
+            time.sleep(0.05)
+        return write_table(fh, table)
+
+    monkeypatch.setattr(sim, "_write_table", write)
+    path = tmp_path / "traj.csv"
+    _, _, handed = _stream_run(path, "lti", 1, steps=20 * BLOCK)
+    assert path.read_bytes() == _reference_csv(*_reference_run("lti", 20 * BLOCK))
+    assert handed == 20 * BLOCK and len(forks) == 1
+    # the worker drained the front; this process took the blocks still
+    # waiting from the back, then formatted the held row
+    back = [k // BLOCK for k in mine[:-1]]
+    assert mine[-1] == 20 * BLOCK
+    assert back == list(range(19, 19 - len(back), -1)) and 10 <= len(back) < 20
+    _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
 # recorder block of the streaming tests, small enough for many blocks
 BLOCK = 16
 
 
 def _streaming(monkeypatch):
     monkeypatch.setattr(sim, "RECORD_BLOCK", BLOCK)
-    # shorter than one line: some reads of the worker's lines hold no line end
-    monkeypatch.setattr(sim, "JOIN_BYTES", 50)
     return _count_forks(monkeypatch)
 
 
 def _lti_plant(model, d):
     return LtiPlant(A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d)
+
+
+# fig3's composite: rel_err_u against u_star, combined_sq against the
+# loop's own fixed point
+COMPOSITE = (U_STAR, reference_instance()[1], U_INF)
 
 
 def _reference_run(loop, steps, decimate=1, stream=None):
@@ -494,18 +601,15 @@ def _reference_run(loop, steps, decimate=1, stream=None):
     run = {"steps": steps, "decimation": decimate, "stream": stream}
     if loop == "algebraic":
         traj = sim.run_algebraic(model, obj, d, cen(0.01), **run)
-        return traj, sim.metrics(traj, U_STAR)
-    traj = sim.run_lti(_lti_plant(model, d), obj, dec(0.01), **run)
-    # fig3's composite: rel_err_u against u_star, combined_sq against the
-    # loop's own fixed point
-    own = sim.metrics(traj, U_INF, model).combined_sq
-    return traj, dataclasses.replace(sim.metrics(traj, U_STAR), combined_sq=own)
+    else:
+        traj = sim.run_lti(_lti_plant(model, d), obj, dec(0.01), **run)
+    return traj, sim.metrics(traj, *COMPOSITE)
 
 
 def _stream_run(path, loop, decimate, steps):
     """Run the reference instance streaming its CSV; the trajectory, its metrics
     and the rows handed to the worker."""
-    with sim.CsvStream(path) as stream:
+    with sim.CsvStream(path, *COMPOSITE) as stream:
         traj, err = _reference_run(loop, steps, decimate, stream)
         handed = stream._handed
         sim.write_trajectory_csv(path, traj, err, stream)
@@ -526,12 +630,23 @@ def test_streamed_csv_matches_reference(tmp_path, monkeypatch, blocks, extra, lo
     traj, err, handed = _stream_run(path, loop, decimate, steps=rows - 1)
     full, full_err = _reference_run(loop, steps=rows - 1)
     assert len(full) == rows and not full.info.early_stopped
-    assert len(traj) == len(_kept(rows, decimate))
-    assert path.read_bytes() == _reference_csv(full, full_err, decimate)
-    # a full block goes over once the next kept row is recorded
+    # a full block goes over once the next kept row is recorded, and the
+    # run holds only the rows after it
     assert handed == (rows - 1) // unit * BLOCK
+    assert traj.first == handed and len(traj) == len(_kept(rows, decimate)) - handed
+    assert path.read_bytes() == _reference_csv(full, full_err, decimate)
     assert len(forks) == (handed > 0)
     _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+def test_streamed_csv_has_the_mode_of_a_new_file(tmp_path, monkeypatch):
+    # its temporary file is created as any new file is, not owner-only
+    umask = os.umask(0o022)
+    os.umask(umask)
+    _streaming(monkeypatch)
+    path = tmp_path / "traj.csv"
+    _, _, handed = _stream_run(path, "lti", 1, steps=3 * BLOCK)
+    assert handed == 3 * BLOCK and path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
@@ -540,7 +655,7 @@ def test_streamed_csv_of_a_one_row_run(tmp_path, monkeypatch, loop):
     forks = _streaming(monkeypatch)
     path = tmp_path / "traj.csv"
     obj = QuadraticObjective(1.0, 1.0, [0.0])
-    with sim.CsvStream(path) as stream:
+    with sim.CsvStream(path, [1.0]) as stream:
         with pytest.raises(NonFinite) as info:
             if loop == "algebraic":
                 model = static_plant([[1.0]], [0.0])[1]
@@ -560,26 +675,58 @@ def test_streamed_csv_of_a_one_row_run(tmp_path, monkeypatch, loop):
 
 @pytest.mark.parametrize("decimate", [1, 7])
 def test_stream_keeps_no_recorder_block(tmp_path, monkeypatch, decimate):
-    # a block held past the run would keep the trajectory twice in memory
+    # a streamed run holds only the rows it did not hand over, and no block
+    # outlives its handover: memory follows RECORD_BLOCK, not the run
     _streaming(monkeypatch)
-    refs = []
-    trajectory = sim._Recorder.trajectory
+    handed, held = [], []
+    take, trajectory = sim.CsvStream._take, sim._Recorder.trajectory
+
+    def taken(self, block, decimation):
+        handed.extend(weakref.ref(a) for a in block)
+        return take(self, block, decimation)
 
     def watched(self, info):
-        refs.extend(weakref.ref(a) for block in self._blocks for a in block)
+        held.extend(weakref.ref(a) for block in self._blocks for a in block)
         return trajectory(self, info)
 
+    monkeypatch.setattr(sim.CsvStream, "_take", taken)
     monkeypatch.setattr(sim._Recorder, "trajectory", watched)
     _, model, obj, d = reference_instance()
-    with sim.CsvStream(tmp_path / "traj.csv") as stream:
-        # 3 BLOCK + 1 kept rows and, at decimation 7, a final row between two
-        # kept ones: three full blocks, each handed over, and a fourth
-        steps = 3 * BLOCK * decimate + 1
-        sim.run_lti(
-            _lti_plant(model, d), obj, dec(0.01), steps=steps, decimation=decimate, stream=stream
+    with sim.CsvStream(tmp_path / "traj.csv", U_INF, model) as stream:
+        # 40 BLOCK + 1 kept rows and, at decimation 7, a final row between two
+        # kept ones: forty full blocks, each handed over, and a 41st
+        steps = 40 * BLOCK * decimate + (decimate > 1)
+        traj = sim.run_lti(
+            _lti_plant(model, d), obj, dec(1e-4), steps=steps, decimation=decimate, stream=stream
         )
-        assert stream._handed == 3 * BLOCK
-        assert len(refs) == 3 * 4 and all(ref() is None for ref in refs)
+        assert traj.info.iterations == steps
+        assert stream._handed == traj.first == 40 * BLOCK and traj.kept == 40 * BLOCK + 1
+    assert len(traj) == (1 if decimate == 1 else 2) <= BLOCK + 1
+    assert len(handed) == 40 * 3 and len(held) == 3
+    assert all(ref() is None for ref in handed + held)
+
+
+def test_streamed_run_memory_does_not_follow_its_length(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 256)
+    _, model, obj, d = reference_instance()
+
+    def peak(blocks):
+        """The traced peak of a streamed decimation-1 run of ``blocks`` full blocks."""
+        path = tmp_path / f"{blocks}.csv"
+        tracemalloc.start()
+        try:
+            with sim.CsvStream(path, U_INF, model) as stream:
+                traj = sim.run_lti(
+                    _lti_plant(model, d), obj, dec(1e-4), steps=blocks * 256, stream=stream
+                )
+                sim.write_trajectory_csv(path, traj, sim.metrics(traj, U_INF, model), stream)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short = peak(10)
+    # one block of (u, y, x) rows, n = n_state = 2
+    assert peak(40) <= short + 256 * 6 * 8
 
 
 def _ending_run(loop, ending, decimate=1, stream=None):
@@ -613,10 +760,13 @@ def test_decimated_run_equals_the_full_run(tmp_path, monkeypatch, ending, loop, 
     assert full.info.early_stopped == (ending == "early")
     _streaming(monkeypatch)
     path = tmp_path / "traj.csv"
-    with sim.CsvStream(path) as stream:
+    with sim.CsvStream(path, U_STAR, reference_instance()[1]) as stream:
         traj, step, err = _ending_run(loop, ending, decimate, stream)
         sim.write_trajectory_csv(path, traj, err, stream)
-    rows = _kept(len(full), decimate)
+    # the run holds the kept rows from ``first`` on, those not handed over
+    first = traj.first
+    rows = _kept(len(full), decimate)[first:]
+    assert first == stream._handed and first % BLOCK == 0
     assert step == full_step and traj.info == full.info
     assert traj.decimation == decimate and traj.kept == len(range(0, len(full), decimate))
     for name in ("u_series", "y_series", "x_series"):
@@ -625,7 +775,7 @@ def test_decimated_run_equals_the_full_run(tmp_path, monkeypatch, ending, loop, 
             assert kept is None
             continue
         assert kept.tobytes() == whole[rows].tobytes()
-        assert kept[: traj.kept].tobytes() == whole[::decimate].tobytes()
+        assert kept[: traj.kept - first].tobytes() == whole[::decimate][first:].tobytes()
     assert err.rel_err_u[-1].tobytes() == full_err.rel_err_u[-1].tobytes()
     assert path.read_bytes() == _reference_csv(full, full_err, decimate)
 
@@ -659,27 +809,34 @@ def test_streamed_csv_without_fork_hands_nothing_over(tmp_path, monkeypatch):
     path = tmp_path / "traj.csv"
     traj, err, handed = _stream_run(path, "lti", 1, steps=3 * BLOCK)
     assert path.read_bytes() == _reference_csv(traj, err)
-    assert handed == 0 and forks == []
+    # the run holds every row
+    assert handed == traj.first == 0 and len(traj) == 3 * BLOCK + 1 and forks == []
     _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+def _diverging_run(loop, stream=None):
+    """The finite rows of a reference-instance run that diverges (at step 91 or 1195)."""
+    _, model, obj, d = reference_instance()
+    with pytest.raises(NonFinite) as info:
+        if loop == "algebraic":
+            sim.run_algebraic(model, obj, d, cen(1e3), steps=10**4, stream=stream)
+        else:
+            sim.run_lti(_lti_plant(model, d), obj, cen(2.0), steps=10**4, stream=stream)
+    return info.value.trajectory
 
 
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
 def test_streamed_csv_of_a_diverged_run(tmp_path, monkeypatch, loop):
     forks = _streaming(monkeypatch)
-    _, model, obj, d = reference_instance()
+    model = reference_instance()[1]
+    full = _diverging_run(loop)
     path = tmp_path / "traj.csv"
-    with sim.CsvStream(path) as stream:
-        with pytest.raises(NonFinite) as info:
-            if loop == "algebraic":
-                sim.run_algebraic(model, obj, d, cen(1e3), steps=10**4, stream=stream)
-            else:
-                sim.run_lti(_lti_plant(model, d), obj, cen(2.0), steps=10**4, stream=stream)
-        traj = info.value.trajectory
-        err = sim.metrics(traj, U_STAR, model)
+    with sim.CsvStream(path, U_STAR, model) as stream:
+        traj = _diverging_run(loop, stream)
         # blocks were streamed before the divergence
-        assert stream._handed >= BLOCK and len(forks) == 1
-        sim.write_trajectory_csv(path, traj, err, stream=stream)
-    assert path.read_bytes() == _reference_csv(traj, err)
+        assert stream._handed == traj.first >= BLOCK and len(forks) == 1
+        sim.write_trajectory_csv(path, traj, sim.metrics(traj, U_STAR, model), stream=stream)
+    assert path.read_bytes() == _reference_csv(full, sim.metrics(full, U_STAR, model))
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
@@ -732,7 +889,7 @@ def test_interleaved_streams_complete_first_one_first(tmp_path, monkeypatch):
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
     previous = _alarm(30)
     try:
-        with sim.CsvStream(paths[0]) as first, sim.CsvStream(paths[1]) as second:
+        with sim.CsvStream(paths[0], U_STAR) as first, sim.CsvStream(paths[1], U_STAR) as second:
             # the second worker is forked while the first stream's pipe is open
             runs = [
                 sim.run_algebraic(model, obj, d, cen(0.01), steps=3 * BLOCK, stream=stream)
@@ -743,8 +900,8 @@ def test_interleaved_streams_complete_first_one_first(tmp_path, monkeypatch):
                 sim.write_trajectory_csv(path, traj, sim.metrics(traj, U_STAR), stream=stream)
     finally:
         _end_alarm(previous)
-    for path, traj in zip(paths, runs):
-        assert path.read_bytes() == _reference_csv(traj, sim.metrics(traj, U_STAR))
+    expected = _reference_csv(*_reference_run("algebraic", 3 * BLOCK))
+    assert [path.read_bytes() for path in paths] == [expected, expected]
     _assert_no_worker_left(tmp_path, ["first.csv", "second.csv"])
 
 
@@ -754,7 +911,7 @@ def test_a_process_holding_the_pipe_does_not_delay_completion(tmp_path, monkeypa
     path = tmp_path / "traj.csv"
     previous = _alarm(30)
     try:
-        with sim.CsvStream(path) as stream:
+        with sim.CsvStream(path, U_STAR) as stream:
             traj = sim.run_algebraic(model, obj, d, cen(0.01), steps=3 * BLOCK, stream=stream)
             # a child forked during the run, as a fork-started multiprocessing
             # one would be, holds the write end of the worker's pipe
@@ -770,7 +927,7 @@ def test_a_process_holding_the_pipe_does_not_delay_completion(tmp_path, monkeypa
     finally:
         _end_alarm(previous)
     assert len(forks) == 2
-    assert path.read_bytes() == _reference_csv(traj, sim.metrics(traj, U_STAR))
+    assert path.read_bytes() == _reference_csv(*_reference_run("algebraic", 3 * BLOCK))
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
@@ -796,7 +953,7 @@ def test_worker_exits_when_its_process_dies(tmp_path, monkeypatch):
             os.close(read_end)
             workers = []
             for name in ("first.csv", "second.csv"):
-                stream = sim.CsvStream(tmp_path / name)
+                stream = sim.CsvStream(tmp_path / name, U_STAR)
                 sim.run_algebraic(model, obj, d, cen(0.01), steps=2 * BLOCK, stream=stream)
                 workers.append(stream._pid)
             os.write(write_end, " ".join(map(str, workers)).encode())
