@@ -270,7 +270,8 @@ def _objective(objc: dict, default: QuadraticObjective) -> SeparableObjective:
 
 
 def _resolve_instance(config: dict) -> Instance:
-    """The configured plant, model, disturbance and objective; start vectors length-checked."""
+    """The configured plant, model, disturbance and objective; start vectors length-checked.
+    A 'plant' section leaves ``config``, so its JSON rows go once its arrays exist."""
     if ("plant" in config) == ("grid" in config):
         raise ConfigError("config must contain exactly one plant source: 'plant' or 'grid'")
     if "grid" in config:
@@ -278,7 +279,7 @@ def _resolve_instance(config: dict) -> Instance:
         plant, model, d = powergrid.assemble_plant(spec)
         default = powergrid.grid_objective(spec, model)
     else:
-        plant = plant_from_dict(config["plant"])
+        plant = plant_from_dict(config.pop("plant"))
         model, d = compute_sensitivity(plant), plant.d
         default = QuadraticObjective(1.0, 1.0, np.zeros(model.n))
     for key, size in (("u0", model.n), ("x0", plant.n_state)):

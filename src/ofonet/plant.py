@@ -224,9 +224,11 @@ def plant_from_dict(data: dict) -> LtiPlant:
 
     Matrices are row-major nested arrays of finite doubles, each
     converted once.  Any malformed entry is rejected with ConfigError
-    naming the offending key.
+    naming the offending key.  ``data`` is left intact, and let go of once
+    its arrays exist: rows nothing else holds go before the Schur screen.
     """
     parsed = read_section("plant", data, {key: (finite, None) for key in PLANT_KEYS})
+    del data
     missing = [key for key in PLANT_KEYS if parsed[key] is None]
     if missing:
         raise ConfigError(f"'plant.{missing[0]}' is required")

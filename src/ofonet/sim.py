@@ -420,10 +420,10 @@ class CsvStream:
     recorder block goes with its k and metric cells to an anonymous file
     beside ``path``.  A worker, forked at the first handover, writes the
     lines of the blocks announced to it into the output's hidden
-    temporary file; two at most await its acknowledgement, so at
-    completion this process formats the waiting blocks from the back while
-    the worker drains the front.  Without references, or where the OS
-    cannot fork, nothing is handed over.
+    temporary file; two at most await its acknowledgement, so at completion
+    this process formats the waiting blocks from the back while the worker
+    drains the front, then the rows the run held while the worker ends.
+    Without references, or where the OS cannot fork, nothing is handed over.
 
     Leaving the ``with`` block kills a worker still running and removes an
     uncompleted output.  Completion stops the worker by an end notice, so
@@ -528,28 +528,33 @@ class CsvStream:
             self._announced += 1
         return self._announced < limit
 
-    def _finish(self, header: bytes):
-        """The output's temporary file, holding ``header`` and the lines of every
-        block handed over: this process formats waiting blocks from the back
-        while the worker drains the front.  A failed worker raises OSError."""
+    def _finish(self, header: bytes, tail):
+        """The output's temporary file, holding ``header``, the lines of every block
+        handed over, then those of the ``tail`` tables: this process formats waiting
+        blocks from the back while the worker drains the front, and the tail while
+        the worker ends.  A failed worker raises OSError."""
         if self._pid is None:
-            return self._open(header)
-        back, spans = self._blocks, []
+            out = self._open(header)
+            for table in tail:
+                _write_table(out, table)
+            return out
+        back, bounds = self._blocks, [0]  # part-file offsets: blocks from the back, then the tail
         while self._announce(back):
             back -= 1
-            start = self._part.tell()
             _write_table(self._part, _block(self._data, self._shape, back))
-            spans.append((start, self._part.tell()))
+            bounds.append(self._part.tell())
         with contextlib.suppress(BrokenPipeError):
             self._notices.write(_END)
         self._notices.close()
+        for table in tail:
+            _write_table(self._part, table)
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if status != 0:
             raise OSError(f"CSV worker of {self.path} failed (wait status {status})")
         self._part.flush()
         self._out.seek(0, os.SEEK_END)
-        for start, end in reversed(spans):
+        for start, end in [*zip(bounds, bounds[1:])][::-1] + [(bounds[-1], self._part.tell())]:
             self._out.write(os.pread(self._part.fileno(), end - start, start))
         return self._out
 
@@ -590,12 +595,12 @@ def write_trajectory_csv(
     series = [trajectory.u_series, trajectory.y_series, trajectory.x_series]
     series = [s for s in series if s is not None]
     cells = [c for c in (err.rel_err_u, err.combined_sq) if c is not None]
-    first, kept, columns = trajectory.first, trajectory.kept, series + cells
+    first, kept = trajectory.first, trajectory.kept
+    columns = [c[: kept - first] for c in series + cells]  # a final unkept row is not written
     with stream:  # leaving it closes the stream, and removes the output unless completed
-        out = stream._finish(_header([s.shape[1] for s in series], len(cells)))
-        for start in range(first, kept, RECORD_BLOCK):
-            rows = slice(start - first, min(start + RECORD_BLOCK, kept) - first)
-            _write_table(out, _table(start, trajectory.decimation, [c[rows] for c in columns]))
+        blocks, d = range(0, kept - first, RECORD_BLOCK), trajectory.decimation
+        tail = (_table(first + i, d, [c[i : i + RECORD_BLOCK] for c in columns]) for i in blocks)
+        out = stream._finish(_header([s.shape[1] for s in series], len(cells)), tail)
         out.close()
         os.replace(stream._partial, path)
         stream._partial = None

@@ -3,9 +3,11 @@
 import ast
 import copy
 import csv
+import gc
 import json
 import math
 import re
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ofonet import cli, powergrid, sim
+from ofonet import plant as plant_module
 from ofonet.objective import QuadraticObjective
 from ofonet.plant import PLANT_KEYS
 
@@ -108,6 +111,44 @@ def test_zero_sensitivity_exits_0_without_traceback(tmp_path, capsys, command):
         assert report["conventions"]["tight"]["rate_at_eta"]["admissible"]
     else:
         validate(json.loads((out / "metrics.json").read_text()), "metrics")
+
+
+def _rows_of(length):
+    """How many lists of ``length`` floats are alive."""
+    return sum(
+        isinstance(o, list) and len(o) == length and all(type(v) is float for v in o)
+        for o in gc.get_objects()
+    )
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a call keeps its arguments on the caller's stack until it returns",
+)
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_plant_rows_are_released_before_the_plant_is_built(tmp_path, capsys, monkeypatch, command):
+    # n_state = 37: the rows of A and C are the config's only lists of 37 floats
+    m = 37
+    plant = {
+        "A": [[0.5 * (i == j) for j in range(m)] for i in range(m)],
+        "B": [[1.0 * (i == j) for j in range(2)] for i in range(m)],
+        "C": [[1.0 * (i == j) for j in range(m)] for i in range(2)],
+        "D": [[0.0, 0.0], [0.0, 0.0]],
+        "d": [1.0, 1.0],
+    }
+    config = {"plant": plant, "controller": {"eta": 0.1}, "simulation": {"steps": 50}}
+    cfg = write_config(tmp_path, config)
+    del plant, config
+    gc.collect()
+    screen, alive = plant_module.schur_screen, []
+
+    def spy(a):
+        alive.append(_rows_of(m))
+        return screen(a)
+
+    monkeypatch.setattr(plant_module, "schur_screen", spy)
+    assert run(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
+    assert alive == [0]
 
 
 def test_analyze_requires_plant_source(tmp_path, capsys):

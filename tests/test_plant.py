@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -245,6 +247,34 @@ def test_plant_from_dict_roundtrip():
     }
     plant = plant_from_dict(data)
     npt.assert_allclose(compute_sensitivity(plant).H, data["B"])
+
+
+@pytest.mark.parametrize(
+    "change, rejected",
+    [
+        ({}, False),
+        ({"B": [[True, 0.5], [0.0, 1.0]]}, True),  # rejected while the rows are read
+        ({"A": [[2.0, 0.0], [0.0, 0.0]]}, True),  # rejected by the Schur screen
+    ],
+)
+def test_plant_from_dict_leaves_its_argument_intact(change, rejected):
+    data = {
+        "A": [[0.0, 0.0], [0.0, 0.0]],
+        "B": [[1.0, 0.5], [0.0, 1.0]],
+        "C": [[1.0, 0.0], [0.0, 1.0]],
+        "D": [[0.0, 0.0], [0.0, 0.0]],
+        "d": [1.0, 1.0],
+        **change,
+    }
+    values, rows = copy.deepcopy(data), {key: (v, list(v)) for key, v in data.items()}
+    if rejected:
+        with pytest.raises(ConfigError):
+            plant_from_dict(data)
+    else:
+        plant_from_dict(data)
+    assert list(data) == list(values) and data == values
+    for key, (value, items) in rows.items():
+        assert data[key] is value and all(a is b for a, b in zip(value, items, strict=True))
 
 
 @pytest.mark.parametrize(
