@@ -65,7 +65,7 @@ def update_map(
     eta = cfg.eta
     grad_u, grad_y = obj.input_gradient, obj.output_gradient
     if cfg.mode is Mode.CENTRALIZED:
-        apply_gt = model.H.T.__matmul__
+        apply_gt = model.H.T.dot
     else:
         apply_gt = np.diag(model.H_diag).__mul__
     return lambda u, y: u - eta * (grad_u(u) + apply_gt(grad_y(y)))

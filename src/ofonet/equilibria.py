@@ -209,15 +209,15 @@ def coupling_condition(
 
 def _gradient(obj, model, G, d, u):
     """F_G(u) = grad_u(u) + G^T grad_y(Hu + d)."""
-    y = model.H @ u + d
-    return obj.input_gradient(u) + G.T @ obj.output_gradient(y)
+    y = model.H.dot(u) + d
+    return obj.input_gradient(u) + G.T.dot(obj.output_gradient(y))
 
 
 def _iterate(grad_fn, u0, tau):
     u = u0.copy()
     for k in range(MAX_ITER):
         g = grad_fn(u)
-        res = float(np.linalg.norm(g))
+        res = math.sqrt(g.dot(g))  # np.linalg.norm's value for a float vector
         if not np.isfinite(res):
             raise NoConvergence(k, res)
         if res <= SOLVE_TOL:

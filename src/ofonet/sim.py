@@ -14,7 +14,8 @@ and early stop included, is written once.
 
 The loop applies one update map built by ``controller.update_map`` once
 per run.  Runs early-stop when successive iterates move less than
-EARLY_STOP_TOL.  The one divergence rule is the output test: a run
+EARLY_STOP_TOL; the state increment is taken only once the input's
+is below it.  The one divergence rule is the output test: a run
 raises NonFinite(k), carrying the k rows before, when y_k is not finite,
 the last output included.  It covers the input and the state, since a
 non-finite u_k or x_k makes y_k non-finite.  So a ``Trajectory``, which
@@ -178,16 +179,17 @@ class _Recorder:
 def _finite(v) -> bool:
     """Whether every entry of the float vector ``v`` is finite.
 
-    v @ v is finite only then, so the elementwise test runs only when
+    v.dot(v) is finite only then, so the elementwise test runs only when
     that sum of squares is not: a non-finite entry, or an overflow.
     """
-    return math.isfinite(v @ v) or bool(np.isfinite(v).all())
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def _step_norm(v_next, v) -> float:
-    """||v_next - v|| as np.linalg.norm computes it; inf or nan never passes a tolerance."""
+    """||v_next - v|| = sqrt(dv.dot(dv)), as np.linalg.norm computes it; inf or nan
+    passes no tolerance."""
     dv = v_next - v
-    return math.sqrt(dv @ dv)
+    return math.sqrt(dv.dot(dv))
 
 
 def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajectory:
@@ -217,10 +219,10 @@ def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajector
             if k == steps or early:
                 return rec.trajectory(RunInfo(k, early))
             u_next = update(u, y)
-            delta_u = _step_norm(u_next, u)
-            delta_x = 0.0 if x is None else _step_norm(x_next, x)
+            early = _step_norm(u_next, u) < EARLY_STOP_TOL and (
+                x is None or _step_norm(x_next, x) < EARLY_STOP_TOL
+            )
             u, x = u_next, x_next
-            early = delta_u < EARLY_STOP_TOL and delta_x < EARLY_STOP_TOL
 
 
 def run_algebraic(
@@ -242,7 +244,7 @@ def run_algebraic(
     H, d = model.H, _start(d, model.n, "d")
     u = _start(u0, model.n, "u0")
     return _run(
-        lambda x, u: (None, H @ u + d), cfg, obj, model, u, None, steps, decimation, stream
+        lambda x, u: (None, H.dot(u) + d), cfg, obj, model, u, None, steps, decimation, stream
     )
 
 
@@ -268,7 +270,7 @@ def run_lti(
     x = _start(x0, plant.n_state, "x0")
     u = _start(u0, plant.n, "u0")
     return _run(
-        lambda x, u: (A @ x + B @ u, C @ x + D @ u + dist),
+        lambda x, u: (A.dot(x) + B.dot(u), C.dot(x) + D.dot(u) + dist),
         cfg, obj, compute_sensitivity(plant), u, x, steps, decimation, stream,
     )
 

@@ -13,11 +13,11 @@ import pytest
 from conftest import grid_instance, random_stable_instance, reference_instance, static_plant
 
 import ofonet.sim as sim
-from ofonet.controller import ControllerConfig, Mode, decentralized_step
+from ofonet.controller import ControllerConfig, Mode
 from ofonet.equilibria import global_optimum
 from ofonet.errors import NonFinite
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import LtiPlant
+from ofonet.plant import LtiPlant, compute_sensitivity
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
 U_INF = np.array([-0.375, -0.5])
@@ -188,20 +188,105 @@ def test_batched_loop_divergence_steps_match_run_algebraic():
     assert outcomes == [1, 1, True]
 
 
-def test_recorded_rows_replay_bit_for_bit():
-    # every recorded row, across recorder blocks, is one exact loop step
-    _, model, obj, d = reference_instance()
+def _generic_size_instance(seed):
+    """A seeded stable plant of generic-n64's size (n = 64, n_state = 128), where
+    a BLAS may split a matrix-vector product across threads."""
+    rng = np.random.default_rng(seed)
+    n, m = 64, 128
+    a = rng.standard_normal((m, m))
+    a *= 0.8 / np.linalg.svd(a, compute_uv=False)[0]
     plant = LtiPlant(
-        A=np.zeros((2, 2)), B=model.H, C=np.eye(2), D=np.zeros((2, 2)), d=d
+        A=a,
+        B=rng.standard_normal((m, n)) / np.sqrt(m),
+        C=rng.standard_normal((n, m)) / np.sqrt(m),
+        D=0.1 * rng.standard_normal((n, n)),
+        d=rng.uniform(-1.0, 1.0, n),
     )
-    cfg = dec(0.01)
-    traj = sim.run_lti(plant, obj, cfg, steps=2500)
-    assert len(traj) > sim.RECORD_BLOCK
-    u, y, x = traj.u_series, traj.y_series, traj.x_series
-    for k in range(len(traj) - 1):
-        assert (x[k + 1] == plant.A @ x[k] + plant.B @ u[k]).all()
-        assert (y[k] == plant.C @ x[k] + plant.D @ u[k] + plant.d).all()
-        assert (u[k + 1] == decentralized_step(cfg, obj, model, u[k], y[k])).all()
+    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=rng.uniform(-1.0, 1.0, n))
+    return plant, compute_sensitivity(plant), obj, plant.d
+
+
+def _matmul_loop(plant, model, obj, d, cfg, loop, steps):
+    """The recording closed loop written out with ``@`` for every product and both
+    increments taken on every step: its rows (u, y[, x]), then its RunInfo, or
+    None and the step at which y was first not finite."""
+    H, A, B, C, D = model.H, plant.A, plant.B, plant.C, plant.D
+    h = np.diag(model.H_diag)
+    if cfg.mode is Mode.CENTRALIZED:
+        apply_gt = lambda g: H.T @ g  # noqa: E731
+    else:
+        apply_gt = lambda g: h * g  # noqa: E731
+    u = np.zeros(model.n)
+    x = np.zeros(plant.n_state) if loop == "lti" else None
+    rows, early = [], False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            if x is None:
+                x_next, y = None, H @ u + d
+            else:
+                x_next, y = A @ x + B @ u, C @ x + D @ u + plant.d
+            if not np.isfinite(y).all():
+                return rows, None, k
+            rows.append((u, y) if x is None else (u, y, x))
+            if k == steps or early:
+                return rows, sim.RunInfo(k, early), None
+            u_next = u - cfg.eta * (obj.input_gradient(u) + apply_gt(obj.output_gradient(y)))
+            du, dx = u_next - u, None if x is None else x_next - x
+            delta_u = np.sqrt(du @ du)
+            delta_x = 0.0 if x is None else np.sqrt(dx @ dx)
+            u, x = u_next, x_next
+            early = delta_u < sim.EARLY_STOP_TOL and delta_x < sim.EARLY_STOP_TOL
+
+
+def test_recorded_rows_replay_bit_for_bit():
+    # every recorded row, across recorder blocks, is one loop step with ``@``
+    # products, in both modes and both loops, on the 2x2 instance and on one
+    # of generic-n64's size; a diverging step size checks the NonFinite step
+    instances = [
+        ("2x2", reference_instance(), 2500, (0.01, 2.0)),
+        ("n64", _generic_size_instance(7), 1100, (0.01, 5.0)),
+    ]
+    diverged = set()
+    for name, (plant, model, obj, d), steps, etas in instances:
+        for cfg in [make(eta) for make in (dec, cen) for eta in etas]:
+            for loop in ("algebraic", "lti"):
+                case = (name, cfg.mode.value, cfg.eta, loop)
+                rows, info, step = _matmul_loop(plant, model, obj, d, cfg, loop, steps)
+                try:
+                    if loop == "algebraic":
+                        traj = sim.run_algebraic(model, obj, d, cfg, steps=steps)
+                    else:
+                        traj = sim.run_lti(plant, obj, cfg, steps=steps)
+                    assert (step, traj.info) == (None, info), case
+                except NonFinite as exc:
+                    assert (exc.step, info) == (step, None), case
+                    diverged.add(case)
+                    traj = exc.trajectory
+                assert len(traj) == len(rows), case
+                series = [traj.u_series, traj.y_series]
+                if loop == "lti":
+                    series.append(traj.x_series)
+                for i, column in enumerate(series):
+                    expected = np.array([r[i] for r in rows])
+                    assert column.tobytes() == expected.tobytes(), (case, i)
+                if name == "2x2" and cfg.eta == 0.01:
+                    assert len(traj) > sim.RECORD_BLOCK
+    # the diverging step sizes diverge in every mode and loop
+    assert len(diverged) == 8
+
+
+def test_the_state_increment_can_decide_the_early_stop():
+    # the input increment falls below the tolerance at step 114, the state's
+    # only at step 26,936: the run stops where a loop that takes both
+    # increments on every step stops
+    plant = LtiPlant(A=[[0.999]], B=[[1.0]], C=[[1e-13]], D=[[1.0]], d=[1.0])
+    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(1))
+    model = compute_sensitivity(plant)
+    traj = sim.run_lti(plant, obj, dec(0.1))
+    _, info, _ = _matmul_loop(plant, model, obj, plant.d, dec(0.1), "lti", sim.DEFAULT_STEPS)
+    assert traj.info == info == sim.RunInfo(26936, True)
+    du = np.linalg.norm(np.diff(traj.u_series, axis=0), axis=1)
+    assert np.flatnonzero(du < sim.EARLY_STOP_TOL)[0] == 114
 
 
 def test_metrics_absolute_fallback():
