@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix, as_vector
+from .errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix, _norm, as_vector
 from .objective import QuadraticObjective, SeparableObjective
 from .plant import SensitivityModel
 
@@ -223,7 +223,7 @@ def _iterate(grad_fn, u0, tau):
         if res <= SOLVE_TOL:
             return u, res
         u = u - tau * g
-    raise NoConvergence(MAX_ITER, float(np.linalg.norm(grad_fn(u))))
+    raise NoConvergence(MAX_ITER, _norm(grad_fn(u)))
 
 
 def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label):
@@ -283,7 +283,7 @@ def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSol
         u, _ = _iterate(
             lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), step_size()
         )
-    residual = float(np.linalg.norm(_gradient(obj, model, G, d, u)))
+    residual = _norm(_gradient(obj, model, G, d, u))
     return EquilibriumSolution(
         u=u, y=H @ u + d, residual=residual, uniqueness_certified=certified
     )

@@ -207,9 +207,13 @@ def _raw_matrices(spec: GridSpec, g_node: NDArray[np.float64]):
     return a_d, b_d, c_d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _d_eff(spec: GridSpec, H):
-    """The effective disturbance H (i_star - delta_i) + d_meas, per slice when H is a stack."""
-    return H @ (spec.i_star - spec.delta_i) + spec.d_meas
+    """The effective disturbance H (i_star - delta_i) + d_meas (per slice), or Overflow."""
+    d_eff = H @ (spec.i_star - spec.delta_i) + spec.d_meas
+    if not np.isfinite(d_eff).all():
+        raise Overflow("the effective disturbance H (i_star - delta_i) + d_meas")
+    return d_eff
 
 
 def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, SimpleNamespace]:
@@ -264,9 +268,13 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     return plant, model, d_eff
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _y_ref(spec: GridSpec, H):
-    """The reference H i_star + d_meas, per slice when H is a stack."""
-    return H @ spec.i_star + spec.d_meas
+    """The reference H i_star + d_meas, per slice when H is a stack, or Overflow."""
+    y_ref = H @ spec.i_star + spec.d_meas
+    if not np.isfinite(y_ref).all():
+        raise Overflow("the voltage reference H i_star + d_meas")
+    return y_ref
 
 
 def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjective:
@@ -344,7 +352,7 @@ def sweep_g(
     cells empty, and run no loop; a diverged loop notes the step at which
     it diverged.  A certificate past the floating-point range raises the
     Overflow of the first row that has one, as the per-instance functions
-    would.
+    would; so does an effective disturbance or a reference past it.
     """
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()

@@ -49,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import shutil
 import signal
 import tempfile
 from dataclasses import dataclass
@@ -414,50 +415,45 @@ _NEXT, _END = b"\x01", b"\x00"  # the notices on the worker's pipe
 
 
 class CsvStream:
-    """The CSV of one run, formatted by a forked worker while the run records it.
+    """The CSV lines of one run, formatted by a forked worker while the run records it.
 
     Open it in a ``with`` block before the run, with ``metrics``'
     references, and pass it to ``run_algebraic`` or ``run_lti`` and then
-    to ``write_trajectory_csv``, which completes the file.  Each full
+    to ``write_trajectory_csv``, which writes the file.  Each full
     recorder block goes with its k and metric cells to an anonymous file
     beside ``path``.  A worker, forked at the first handover, writes the
-    lines of the blocks announced to it into the output's hidden
-    temporary file; two at most await its acknowledgement, so at completion
-    this process formats the waiting blocks from the back while the worker
-    drains the front, then the rows the run held while the worker ends.
-    Without references, or where the OS cannot fork, nothing is handed over.
+    lines of the blocks announced to it into a second anonymous file; two
+    at most await its acknowledgement, so at completion this process
+    formats the waiting blocks from the back, into a third, while the
+    worker drains the front, then the rows the run held while the worker
+    ends.  No file is named, so a killed run leaves none behind.  Without
+    references, or where the OS cannot fork, nothing is handed over.
 
-    Leaving the ``with`` block kills a worker still running and removes an
-    uncompleted output.  Completion stops the worker by an end notice, so
-    another stream's worker or any child forked meanwhile, which inherits
-    the pipe's write end, cannot keep it waiting.  A worker whose process
-    dies sees the pipe's end once every process forked after it has let
-    go of it, and exits.
+    Leaving the ``with`` block kills a worker still running and closes the
+    files.  Completion stops the worker by an end notice, so another stream's
+    worker or any child forked meanwhile, which inherits the pipe's write
+    end, cannot keep it waiting.  A worker whose process dies sees the pipe's
+    end once every process forked after it has let go of it, and exits.
     """
 
     def __init__(self, path, u_ref=None, model: Optional[SensitivityModel] = None, own_ref=None):
         self.path = os.path.abspath(path)
         self._refs = (u_ref, model, own_ref)
-        self._handed = 0  # kept rows 0.._handed - 1 went to the stream
         self._blocks = self._announced = self._done = 0  # taken, announced, acknowledged
-        self._pid = self._partial = None  # the worker, the output's temporary file
+        self._pid = None  # the worker
         self._files = contextlib.ExitStack()
 
     def __enter__(self) -> "CsvStream":
         return self
 
     def __exit__(self, *exc) -> None:
-        """Kill a worker still running, close every file, remove an uncompleted output."""
+        """Kill a worker still running and close every file."""
         # a worker still running here outlived a failure of this process
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
         self._files.close()
-        if self._partial is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self._partial)
-            self._partial = None
 
     def _take(self, block, decimation: int) -> bool:
         """The recorder's hook: store its full ``block`` of a run at ``decimation``
@@ -467,31 +463,19 @@ class CsvStream:
         u, _, *x = block
         rel, combined, _ = _cells(u, x[0] if x else None, *self._refs, RECORD_BLOCK)
         cells = [c for c in (rel, combined) if c is not None]
-        table = _table(self._handed, decimation, [*block, *cells])
+        table = _table(self._blocks * RECORD_BLOCK, decimation, [*block, *cells])
         if self._pid is None:
-            self._start(_header([b.shape[1] for b in block], len(cells)), table.shape)
+            self._start(table.shape)
         self._data.write(table)
         self._data.flush()
-        self._handed += len(table)
         self._blocks += 1
         self._announce(self._blocks)
         return True
 
-    def _open(self, header: bytes):
-        """The output's hidden temporary file beside ``path``, created exclusively,
-        holding ``header``."""
-        directory, name = os.path.split(self.path)
-        self._partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-        self._out = self._files.enter_context(open(self._partial, "xb"))
-        self._out.write(header)
-        self._out.flush()  # a forked worker inherits no buffered bytes
-        return self._out
-
-    def _start(self, header: bytes, shape) -> None:
-        out = self._open(header)
+    def _start(self, shape) -> None:
         directory = os.path.dirname(self.path)
-        self._data, self._part = (
-            self._files.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(2)
+        self._data, self._lines, self._part = (
+            self._files.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(3)
         )
         self._shape = shape
         notices, notices_in = os.pipe()
@@ -506,10 +490,10 @@ class CsvStream:
                 os.close(acks_out)
                 i = 0
                 while os.read(notices, 1) == _NEXT:
-                    _write_table(out, _block(self._data, shape, i))
+                    _write_table(self._lines, _block(self._data, shape, i))
                     i += 1
                     os.write(acks, _NEXT)
-                out.flush()
+                self._lines.flush()
                 code = 0
             finally:
                 os._exit(code)
@@ -530,16 +514,11 @@ class CsvStream:
             self._announced += 1
         return self._announced < limit
 
-    def _finish(self, header: bytes, tail):
-        """The output's temporary file, holding ``header``, the lines of every block
-        handed over, then those of the ``tail`` tables: this process formats waiting
-        blocks from the back while the worker drains the front, and the tail while
-        the worker ends.  A failed worker raises OSError."""
-        if self._pid is None:
-            out = self._open(header)
-            for table in tail:
-                _write_table(out, table)
-            return out
+    def _finish(self, tail) -> list:
+        """Format the waiting blocks from the back while the worker drains the front,
+        then the ``tail`` tables while the worker ends, into this process's part
+        file, and reap the worker.  Returns the part's byte ranges in CSV order,
+        which follow the worker's lines.  A failed worker raises OSError."""
         back, bounds = self._blocks, [0]  # part-file offsets: blocks from the back, then the tail
         while self._announce(back):
             back -= 1
@@ -555,10 +534,7 @@ class CsvStream:
         if status != 0:
             raise OSError(f"CSV worker of {self.path} failed (wait status {status})")
         self._part.flush()
-        self._out.seek(0, os.SEEK_END)
-        for start, end in [*zip(bounds, bounds[1:])][::-1] + [(bounds[-1], self._part.tell())]:
-            self._out.write(os.pread(self._part.fileno(), end - start, start))
-        return self._out
+        return [*zip(bounds, bounds[1:])][::-1] + [(bounds[-1], self._part.tell())]
 
 
 def write_trajectory_csv(
@@ -584,25 +560,40 @@ def write_trajectory_csv(
     bytes do not depend on which rows were handed over.  A failed worker
     raises OSError.
 
-    The file is written under a hidden temporary name in the directory of
-    ``path`` and renamed onto ``path`` only once complete, so a failure
-    leaves ``path`` as it was, or absent, and no partial file behind.
+    Only once the worker is reaped is a file named: a hidden temporary one
+    in the directory of ``path`` gets the header, the worker's lines, then
+    this process's, and is renamed onto ``path``.  A failure removes it,
+    so ``path`` is left as it was, or absent, and no partial file behind.
     """
     if stream is None:
         stream = CsvStream(path)  # hands nothing over, so forks nothing
     elif stream.path != os.path.abspath(path):
         raise ValueError(f"the stream is for {stream.path}")
-    elif trajectory.first != stream._handed:
-        raise ValueError(f"the stream took {stream._handed} kept rows, not {trajectory.first}")
+    elif trajectory.first != (took := stream._blocks * RECORD_BLOCK):
+        raise ValueError(f"the stream took {took} kept rows, not {trajectory.first}")
     series = [trajectory.u_series, trajectory.y_series, trajectory.x_series]
     series = [s for s in series if s is not None]
     cells = [c for c in (err.rel_err_u, err.combined_sq) if c is not None]
     first, kept = trajectory.first, trajectory.kept
     columns = [c[: kept - first] for c in series + cells]  # a final unkept row is not written
-    with stream:  # leaving it closes the stream, and removes the output unless completed
+    directory, name = os.path.split(stream.path)
+    partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    with stream:  # leaving it kills a worker still running and closes the stream's files
         blocks, d = range(0, kept - first, RECORD_BLOCK), trajectory.decimation
         tail = (_table(first + i, d, [c[i : i + RECORD_BLOCK] for c in columns]) for i in blocks)
-        out = stream._finish(_header([s.shape[1] for s in series], len(cells)), tail)
-        out.close()
-        os.replace(stream._partial, path)
-        stream._partial = None
+        ranges = [] if stream._pid is None else stream._finish(tail)
+        try:
+            with open(partial, "xb") as out:
+                out.write(_header([s.shape[1] for s in series], len(cells)))
+                if ranges:
+                    stream._lines.seek(0)
+                    shutil.copyfileobj(stream._lines, out)
+                for start, end in ranges:
+                    out.write(os.pread(stream._part.fileno(), end - start, start))
+                for table in tail:  # the held rows, unless _finish formatted them into its part
+                    _write_table(out, table)
+            os.replace(partial, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(partial)
+            raise

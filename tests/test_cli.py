@@ -428,7 +428,8 @@ def test_custom_objective(tmp_path, capsys, monkeypatch, objective, code, messag
         agents.append(n)
         return QuadraticObjective(2.0, 1.0, [1.0] * n)
 
-    monkeypatch.setitem(cli._CUSTOM_OBJECTIVES, "shifted", shifted)
+    monkeypatch.setattr(cli, "_CUSTOM_OBJECTIVES", {})
+    cli.register_objective("shifted", shifted)
     config = {"grid": {}, "objective": objective, "controller": {"eta": 0.05}}
     cfg = write_config(tmp_path, {**config, "simulation": {"steps": 200}})
     assert run(["--config", cfg, "--out", str(tmp_path / "out"), "grid", "simulate"]) == code
@@ -528,6 +529,21 @@ LARGE_OUTPUT = {
 }
 
 
+# vectors that the grid derives from finite inputs: i_star - delta_i overflows,
+# and H i_star where a conductance of 0.01 makes H large
+HUGE_INJECTION = {
+    "grid": {"i_star": [1e308] + [1.0] * 7, "delta_i": [-1e308] + [1.0] * 7},
+    "controller": {"eta": 0.05},
+}
+HUGE_REFERENCE = {
+    "grid": {"g_node": [0.01] * 8, "i_star": [1e308] * 8, "delta_i": [1e308] * 8},
+    "controller": {"eta": 0.05},
+}
+GRID_COMMANDS = [["grid", "build"], ["grid", "simulate"], ["analyze"], ["grid", "sweep"]]
+D_EFF = "the effective disturbance H (i_star - delta_i) + d_meas leaves the floating-point range"
+Y_REF = "the voltage reference H i_star + d_meas leaves the floating-point range"
+
+
 @pytest.mark.parametrize(
     "config, argv, message",
     [
@@ -569,6 +585,9 @@ LARGE_OUTPUT = {
             ["grid", "sweep", "--g", "1,2"],
             "the cap m'/L' of eta_star leaves the floating-point range",
         ),
+        *[(HUGE_INJECTION, argv, D_EFF) for argv in GRID_COMMANDS],
+        (HUGE_REFERENCE, ["grid", "simulate"], Y_REF),
+        (HUGE_REFERENCE, ["analyze"], Y_REF),
     ],
 )
 def test_overflowing_certificate_exits_1_with_one_error_line(
@@ -583,6 +602,18 @@ def test_overflowing_certificate_exits_1_with_one_error_line(
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["grid", "simulate"]])
+def test_equilibrium_residual_whose_square_overflows_gives_no_warning(tmp_path, capsys, argv):
+    # i_star = delta_i = 1e308: the reference point's gradient is finite, its
+    # square is not
+    grid = {"i_star": [1e308] * 8, "delta_i": [1e308] * 8}
+    cfg = write_config(tmp_path, {"grid": grid, "controller": {"eta": 0.05}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_rejected_figures_config_leaves_no_directory(tmp_path, capsys):
@@ -711,6 +742,60 @@ def test_bad_config_json(tmp_path):
 def test_unknown_section_rejected(tmp_path):
     cfg = write_config(tmp_path, {"grid": {}, "controler": {"eta": 0.05}})
     assert run(["--config", cfg, "analyze"]) == 2
+
+
+# nodes 3 and 4 are joined to each other only
+DISCONNECTED = [[1, 2], [2, 5], [5, 6], [5, 7], [5, 8], [6, 7], [1, 5], [2, 6], [3, 4]]
+# name -> (config, or None for a missing file; environment; argv; the error line's pattern)
+USAGE_ERRORS = {
+    "unreadable-config": (None, {}, ["analyze"], re.escape("cannot read config file: ") + ".*"),
+    "config-root": ([1, 2], {}, ["analyze"], re.escape("config root must be a JSON object")),
+    "empty-g": (
+        {"controller": {"eta": 0.05}},
+        {},
+        ["grid", "sweep", "--g", ","],
+        re.escape("--g must contain at least one value"),
+    ),
+    "edge-endpoint": (
+        {"grid": {"edges": _edges_with((1, 9))}},
+        {},
+        ["grid", "build"],
+        re.escape("invalid 'grid.edges': edge (1, 9) references a node outside 1..8"),
+    ),
+    "disconnected": (
+        {"grid": {"edges": DISCONNECTED}},
+        {},
+        ["grid", "build"],
+        re.escape("invalid 'grid.edges': edge list does not connect nodes [3, 4] to node 1"),
+    ),
+    "c_cap": (
+        {"grid": {"c_cap": [0.0] + [1.0] * 7}},
+        {},
+        ["grid", "build"],
+        re.escape("invalid 'grid.c_cap': c_cap must be strictly positive"),
+    ),
+    # a value that is not JSON is kept as the string: here a file's name
+    "raw-env": (
+        {"grid": {}},
+        {"OFO_OUTPUT_DIR": "rawdir"},
+        ["grid", "build"],
+        re.escape("'output.dir' cannot be created: ") + ".*'rawdir'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, name):
+    config, env, argv, pattern = USAGE_ERRORS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rawdir").write_text("a file\n", encoding="utf-8")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
+    assert run(["--config", path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {pattern}\n", captured.err), captured.err
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,36 @@ def test_effective_disturbance_composition():
     npt.assert_allclose(d_eff, expected, atol=1e-12)
 
 
+# finite inputs whose derived vector leaves the float range: i_star - delta_i
+# (the effective disturbance), and H i_star where g = 0.01 makes H large (the
+# reference; of the sweep's g values only 0.01 does)
+DERIVED_OVERFLOWS = {
+    "the effective disturbance H (i_star - delta_i) + d_meas": (
+        dict(i_star=[1e308] + [1.0] * 7, delta_i=[-1e308] + [1.0] * 7),
+        [1.0, 2.0],
+    ),
+    "the voltage reference H i_star + d_meas": (
+        dict(g_node=[0.01] * 8, i_star=[1e308] * 8, delta_i=[1e308] * 8),
+        [1.0, 0.01],
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(DERIVED_OVERFLOWS))
+def test_derived_vector_past_the_float_range_raises_overflow(what):
+    fields, g_values = DERIVED_OVERFLOWS[what]
+    spec = dataclasses.replace(pg.default_topology(), **fields)
+    message = f"{what} leaves the floating-point range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow) as alone:
+            _, model, _ = pg.assemble_plant(spec)
+            pg.grid_objective(spec, model)
+        with pytest.raises(Overflow) as swept:
+            pg.sweep_g(g_values, 0.05, steps=10, spec=spec)
+    assert str(alone.value) == str(swept.value) == message
+
+
 @pytest.mark.parametrize("jitter", [False, True])
 def test_grid_model_equals_compute_sensitivity_of_its_plant(jitter):
     spec = pg.default_topology()

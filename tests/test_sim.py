@@ -1,8 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -492,7 +495,7 @@ def test_streamed_cells_are_metrics_bit_for_bit(tmp_path, rng, case):
     path = tmp_path / "traj.csv"
     with sim.CsvStream(path, *refs) as stream:
         traj = _replay(full, stream)
-        assert (stream._handed, len(traj)) == (2 * sim.RECORD_BLOCK, 1)
+        assert (traj.first, len(traj)) == (2 * sim.RECORD_BLOCK, 1)
         sim.write_trajectory_csv(path, traj, sim.metrics(traj, *refs), stream)
     err = sim.metrics(full, *refs)
     cells = [c for c in (err.rel_err_u, err.combined_sq) if c is not None]
@@ -652,9 +655,9 @@ def test_this_process_shares_the_backlog_of_a_slow_worker(tmp_path, monkeypatch)
 
     monkeypatch.setattr(sim, "_write_table", write)
     path = tmp_path / "traj.csv"
-    _, _, handed = _stream_run(path, "lti", 1, steps=20 * BLOCK)
+    traj, _ = _stream_run(path, "lti", 1, steps=20 * BLOCK)
     assert path.read_bytes() == _reference_csv(*_reference_run("lti", 20 * BLOCK))
-    assert handed == 20 * BLOCK and len(forks) == 1
+    assert traj.first == 20 * BLOCK and len(forks) == 1
     # the worker drained the front; this process took the blocks still
     # waiting from the back, then formatted the held row
     back = [k // BLOCK for k in mine[:-1]]
@@ -693,13 +696,11 @@ def _reference_run(loop, steps, decimate=1, stream=None):
 
 
 def _stream_run(path, loop, decimate, steps):
-    """Run the reference instance streaming its CSV; the trajectory, its metrics
-    and the rows handed to the worker."""
+    """Run the reference instance streaming its CSV; the trajectory and its metrics."""
     with sim.CsvStream(path, *COMPOSITE) as stream:
         traj, err = _reference_run(loop, steps, decimate, stream)
-        handed = stream._handed
         sim.write_trajectory_csv(path, traj, err, stream)
-    return traj, err, handed
+    return traj, err
 
 
 @pytest.mark.parametrize(
@@ -713,13 +714,14 @@ def test_streamed_csv_matches_reference(tmp_path, monkeypatch, blocks, extra, lo
     unit = BLOCK * decimate
     rows = blocks * unit + extra
     path = tmp_path / "traj.csv"
-    traj, err, handed = _stream_run(path, loop, decimate, steps=rows - 1)
+    traj, err = _stream_run(path, loop, decimate, steps=rows - 1)
+    handed = traj.first
     full, full_err = _reference_run(loop, steps=rows - 1)
     assert len(full) == rows and not full.info.early_stopped
     # a full block goes over once the next kept row is recorded, and the
     # run holds only the rows after it
     assert handed == (rows - 1) // unit * BLOCK
-    assert traj.first == handed and len(traj) == len(_kept(rows, decimate)) - handed
+    assert len(traj) == len(_kept(rows, decimate)) - handed
     assert path.read_bytes() == _reference_csv(full, full_err, decimate)
     assert len(forks) == (handed > 0)
     _assert_no_worker_left(tmp_path, ["traj.csv"])
@@ -731,8 +733,8 @@ def test_streamed_csv_has_the_mode_of_a_new_file(tmp_path, monkeypatch):
     os.umask(umask)
     _streaming(monkeypatch)
     path = tmp_path / "traj.csv"
-    _, _, handed = _stream_run(path, "lti", 1, steps=3 * BLOCK)
-    assert handed == 3 * BLOCK and path.stat().st_mode & 0o777 == 0o666 & ~umask
+    traj, _ = _stream_run(path, "lti", 1, steps=3 * BLOCK)
+    assert traj.first == 3 * BLOCK and path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
@@ -786,7 +788,7 @@ def test_stream_keeps_no_recorder_block(tmp_path, monkeypatch, decimate):
             _lti_plant(model, d), obj, dec(1e-4), steps=steps, decimation=decimate, stream=stream
         )
         assert traj.info.iterations == steps
-        assert stream._handed == traj.first == 40 * BLOCK and traj.kept == 40 * BLOCK + 1
+        assert traj.first == 40 * BLOCK and traj.kept == 40 * BLOCK + 1
     assert len(traj) == (1 if decimate == 1 else 2) <= BLOCK + 1
     assert len(handed) == 40 * 3 and len(held) == 3
     assert all(ref() is None for ref in handed + held)
@@ -852,7 +854,7 @@ def test_decimated_run_equals_the_full_run(tmp_path, monkeypatch, ending, loop, 
     # the run holds the kept rows from ``first`` on, those not handed over
     first = traj.first
     rows = _kept(len(full), decimate)[first:]
-    assert first == stream._handed and first % BLOCK == 0
+    assert first % BLOCK == 0
     assert step == full_step and traj.info == full.info
     assert traj.decimation == decimate and traj.kept == len(range(0, len(full), decimate))
     for name in ("u_series", "y_series", "x_series"):
@@ -893,10 +895,10 @@ def test_streamed_csv_without_fork_hands_nothing_over(tmp_path, monkeypatch):
     forks = _streaming(monkeypatch)
     monkeypatch.delattr(os, "fork")
     path = tmp_path / "traj.csv"
-    traj, err, handed = _stream_run(path, "lti", 1, steps=3 * BLOCK)
+    traj, err = _stream_run(path, "lti", 1, steps=3 * BLOCK)
     assert path.read_bytes() == _reference_csv(traj, err)
     # the run holds every row
-    assert handed == traj.first == 0 and len(traj) == 3 * BLOCK + 1 and forks == []
+    assert traj.first == 0 and len(traj) == 3 * BLOCK + 1 and forks == []
     _assert_no_worker_left(tmp_path, ["traj.csv"])
 
 
@@ -920,7 +922,7 @@ def test_streamed_csv_of_a_diverged_run(tmp_path, monkeypatch, loop):
     with sim.CsvStream(path, U_STAR, model) as stream:
         traj = _diverging_run(loop, stream)
         # blocks were streamed before the divergence
-        assert stream._handed == traj.first >= BLOCK and len(forks) == 1
+        assert traj.first >= BLOCK and len(forks) == 1
         sim.write_trajectory_csv(path, traj, sim.metrics(traj, U_STAR, model), stream=stream)
     assert path.read_bytes() == _reference_csv(full, sim.metrics(full, U_STAR, model))
     _assert_no_worker_left(tmp_path, ["traj.csv"])
@@ -1060,6 +1062,51 @@ def test_worker_exits_when_its_process_dies(tmp_path, monkeypatch):
                     os.kill(worker, signal.SIGKILL)
             pytest.fail("a worker outlived its process")
         time.sleep(0.01)
+
+
+# runs ``ofo`` with argv; prints the CSV worker's pid once the first handover
+# has forked it, and waits there to be killed
+KILLED_RUN = """
+import sys, time
+from ofonet import cli, sim
+
+start = sim.CsvStream._start
+
+def started(self, *args):
+    start(self, *args)
+    print(self._pid, flush=True)
+    time.sleep(60)
+
+sim.CsvStream._start = started
+cli.main(sys.argv[1:])
+"""
+
+
+def test_a_killed_run_leaves_nothing_behind(tmp_path):
+    config = tmp_path / "config.json"
+    run = {"grid": {}, "controller": {"eta": 0.001}, "simulation": {"loop": "lti"}}
+    config.write_text(json.dumps(run), encoding="utf-8")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["--config", str(config), "--out", str(out), "grid", "simulate"]
+    driver = subprocess.Popen(
+        [sys.executable, "-c", KILLED_RUN, *argv], stdout=subprocess.PIPE, env=env
+    )
+    try:
+        worker = int(driver.stdout.readline())
+    finally:
+        driver.kill()
+        driver.wait()
+        driver.stdout.close()
+    # the orphaned worker sees its pipe end and exits
+    deadline = time.monotonic() + 30
+    while not _exited(worker):
+        if time.monotonic() > deadline:
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("the worker outlived its killed process")
+        time.sleep(0.01)
+    assert os.listdir(out) == []
 
 
 def test_csv_decimation(tmp_path):
