@@ -217,9 +217,11 @@ def _iterate(grad_fn, u0, tau):
     u = u0.copy()
     for k in range(MAX_ITER):
         g = grad_fn(u)
-        res = math.sqrt(g.dot(g))  # np.linalg.norm's value for a float vector
-        if not np.isfinite(res):
-            raise NoConvergence(k, res)
+        with np.errstate(over="ignore"):
+            res = math.sqrt(g.dot(g))  # np.linalg.norm's value for a float vector
+        if not math.isfinite(res):
+            # the square may overflow where the norm does not
+            raise NoConvergence(k, _norm(g))
         if res <= SOLVE_TOL:
             return u, res
         u = u - tau * g

@@ -41,7 +41,10 @@ row's.
 ``write_trajectory_csv`` states the CSV format.  A ``CsvStream`` takes
 each full recorder block, with its cells from ``metrics``' formula,
 while the loop runs; the recorder drops it, so a streamed run holds at
-most RECORD_BLOCK + 1 rows, whatever its length.
+most RECORD_BLOCK + 1 rows, whatever its length.  ``_write_table`` is
+the one formatter of CSV lines: an exact "%.17g" in numpy arithmetic,
+with Python's own formatting for the cells it cannot prove exact, so the
+bytes are Python's.
 """
 
 from __future__ import annotations
@@ -393,10 +396,148 @@ def _table(first: int, decimation: int, columns):
     return np.column_stack([ks, *columns])
 
 
+_POW10 = None  # 10^k for k = -280..300 as (hi, lo) arrays, built on first use
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant: splits a double into two 26-bit halves
+_CELLS = 4096  # cells formatted per pass
+_WIDTH = 29  # a cell's text field: sign, "0.000", 17 digits and a point, "e-123"
+_ROWS = np.arange(18, dtype=np.uint8)[:, None]  # the row numbers of a text's digit rows
+
+
+def _pow10():
+    """10^k for k = -280..300 as hi + lo: hi the nearest double, lo the nearest
+    to the rest, from exact integer arithmetic (1 / q rounds correctly)."""
+    global _POW10
+    if _POW10 is None:
+        pairs = []
+        for k in range(-280, 301):
+            if k >= 0:
+                hi = float(10**k)
+                pairs.append((hi, float(10**k - int(hi))))
+            else:
+                q = 10**-k
+                hi = 1 / q
+                num, den = hi.as_integer_ratio()
+                pairs.append((hi, (den - num * q) / (den * q)))
+        _POW10 = tuple(np.array(c) for c in zip(*pairs))
+    return _POW10
+
+
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(a, e):
+    """a * 10^(16 - e) as p + rest: p the rounded product, rest the remainder to
+    within 1e-14 (Dekker's exact product of a and hi, plus a * lo)."""
+    hi, lo = (table[296 - e] for table in _pow10())
+    p = a * hi
+    (ah, al), (hh, hl) = _split(a), _split(hi)
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _digits(v):
+    """The 17 significant digits of each ``v`` (finite, 1e-280 <= |v| <= 1e280) as
+    the rows of a (17, len(v)) uint8 array, the decimal exponents, and the cells
+    whose rounding lies within 1e-7 of a tie, which the scaled product cannot
+    decide."""
+    a = np.abs(v)
+    e = np.floor(np.log10(a)).astype(np.int64)  # the decimal exponent, or one off
+    p, rest = _scaled(a, e)
+    # 10^16 <= p + rest < 10^17 is tested on the unrounded sum, before any carry
+    off = ((p - 1e17) + rest >= 0).astype(np.int64) - ((p - 1e16) + rest < 0)
+    if (i := np.flatnonzero(off)).size:
+        e[i] += off[i]
+        p[i], rest[i] = _scaled(a[i], e[i])
+    whole = np.floor(rest)
+    frac = rest - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e += carry
+    limbs = np.empty((5, len(v)), np.int16)  # four digits each, one in the first
+    for j in range(4, 0, -1):
+        q = digits // 10**4
+        limbs[j] = digits - 10**4 * q
+        digits = q
+    limbs[0] = digits
+    chars = np.empty((5, 4, len(v)), np.uint8)
+    for j in range(3, -1, -1):
+        q = limbs // 10
+        chars[:, j] = limbs - 10 * q
+        limbs = q
+    return chars.reshape(20, -1)[3:], e, np.abs(frac - 0.5) <= 1e-7
+
+
+def _texts(v):
+    """The "%.17g" texts of ``v`` (as ``_digits`` takes it), one per column of a
+    (_WIDTH, len(v)) uint8 array, NUL where a text has no character, and the
+    cells ``_digits`` cannot decide."""
+    chars, e, tie = _digits(v)
+    fixed = (e >= -4) & (e < 17)
+    small = fixed & (e < 0)  # "0." and -e - 1 zeros come before the digits
+    # the digit the point follows: e when fixed, 0 in exponent form, 16 (none) when small
+    t = np.where(small, 16, e * (fixed & (e >= 0))).astype(np.uint8)
+    sig = ((chars != 0) * _ROWS[1:]).max(axis=0)  # the digits up to the last nonzero one
+    chars += ord("0")
+    chars *= _ROWS[:17] < np.where(small, sig, np.maximum(sig, t + 1))  # NUL trailing zeros
+    out = np.zeros((_WIDTH, len(v)), np.uint8)
+    out[0] = ord("-") * (v < 0)
+    out[1], out[2] = ord("0") * small, ord(".") * small
+    for i in range(3):
+        out[3 + i] = ord("0") * (small & (e < -1 - i))
+    body = out[6:24]  # the digits up to digit t, the point, then the rest
+    body[1:] = chars
+    body[:17] += (chars - body[:17]) * (_ROWS[:17] <= t)
+    body += (np.uint8(ord(".")) * (sig > t + 1) - body) * (_ROWS == t + 1)
+    if (x := np.flatnonzero(~fixed)).size:
+        ex = np.abs(e[x])
+        out[24, x], out[25, x] = ord("e"), np.where(e[x] < 0, ord("-"), ord("+"))
+        out[26, x] = (ord("0") + ex // 100) * (ex >= 100)
+        out[27, x], out[28, x] = ord("0") + ex // 10 % 10, ord("0") + ex % 10
+    return out, tie
+
+
+def _padded(texts):
+    """Byte strings as the rows of a NUL-padded (len(texts), _WIDTH) uint8 array."""
+    return np.array(texts, f"S{_WIDTH}").view(np.uint8).reshape(len(texts), _WIDTH)
+
+
+def _lines(table):
+    """The lines of ``table``'s rows as a (rows, columns, _WIDTH + 1) uint8 array,
+    one NUL-padded field per cell followed by "," or, after the last, "\\n"."""
+    rows, columns = table.shape
+    out = np.empty((rows, columns, _WIDTH + 1), np.uint8)
+    out[:, :, -1] = ord(",")
+    out[:, -1, -1] = ord("\n")
+    out[:, 0, :-1] = _padded([b"%d" % k for k in table[:, 0].tolist()])
+    v, cells = table[:, 1:], out[:, 1:, :-1]
+    fast = (np.abs(v) >= 1e-280) & (np.abs(v) <= 1e280)  # not 0, inf, nan or extreme
+    texts, tie = _texts(np.where(fast, v, 1.0).ravel())
+    np.moveaxis(cells, -1, 0)[...] = texts.reshape(_WIDTH, *fast.shape)
+    slow = ~fast | tie.reshape(fast.shape)
+    if slow.any():  # Python's own "%.17g", one cell at a time
+        cells[slow] = _padded([b"%.17g" % c for c in v[slow].tolist()])
+    return out
+
+
 def _write_table(fh, table) -> None:
-    """Write each row of ``table`` as one line: "%d" for k, then ",%.17g" per cell."""
-    row = b"%d" + b",%.17g" * (table.shape[1] - 1) + b"\n"
-    fh.write(b"".join([row % tuple(r) for r in table.tolist()]))
+    """Write each row of the float ``table`` as one line: "%d" for k, then ",%.17g"
+    per cell, with the bytes of Python's own formatting.
+
+    The cells are formatted _CELLS at a time by elementwise numpy alone (no
+    BLAS call: this runs in the forked worker too).  Each |v| in
+    [1e-280, 1e280] is scaled by 10^(16 - E) as a double-length product
+    and rounded to its 17-digit integer, then laid out in "%g"'s fixed or
+    exponent form with trailing zeros dropped; the NUL padding goes in one
+    ``bytes.translate``.  Python formats the rest, one cell at a time: 0,
+    -0, inf, nan, |v| outside that range, and a rounding within 1e-7 of a
+    tie, which the scaled product cannot decide.
+    """
+    rows = max(1, _CELLS // table.shape[1])
+    for i in range(0, len(table), rows):
+        fh.write(_lines(table[i : i + rows]).tobytes().translate(None, b"\0"))
 
 
 def _header(widths, cells: int) -> bytes:
@@ -552,6 +693,8 @@ def write_trajectory_csv(
     row is "%d" then ",%.17g" per value, so every float is written with
     17 significant digits, which round-trip every float64 (as
     ``format(v, ".17g")``: "-0", "inf", "nan" and subnormals included).
+    ``_write_table`` formats the lines, in numpy arithmetic with the bytes
+    of Python's formatting.
 
     ``stream`` is the ``CsvStream`` for ``path`` that the run was given.
     The lines of the rows the trajectory holds, kept rows ``first``

@@ -1,6 +1,7 @@
 """Equilibrium solvers checked against the closed-form 2x2 instance."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -11,9 +12,9 @@ from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
 from ofonet.cli import FIG4_G_VALUES
-from ofonet.errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix
+from ofonet.errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix, _norm
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import SensitivityModel
+from ofonet.plant import LtiPlant, SensitivityModel, compute_sensitivity
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
 U_INF = np.array([-0.375, -0.5])
@@ -188,6 +189,21 @@ def test_no_convergence_carries_state(monkeypatch):
         eq.global_optimum(generic, model, d)
     assert info.value.iterations == 3
     assert info.value.residual > 0.0
+
+
+def test_overflowing_residual_square_stops_with_the_norm_and_no_warning():
+    # H = 2 and d = 1e300: the gradient at u = 0 is 2e300, finite, but its
+    # square overflows; the solver stops at once with the representable norm
+    plant = LtiPlant(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], d=[1e300])
+    model = compute_sensitivity(plant)
+    generic = quadratic_as_generic(1.0, 1.0, np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence) as info:
+            eq.global_optimum(generic, model, plant.d)
+    assert info.value.iterations == 0
+    gradient = eq._gradient(generic, model, model.H, plant.d, np.zeros(1))
+    assert info.value.residual == _norm(gradient) == 2e300
 
 
 def test_solution_residual_reported():

@@ -46,3 +46,15 @@ def test_import_loads_no_hash_module():
     code = f"import sys, ofonet.cli; print(sorted({names} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_import_builds_no_power_table_and_loads_no_exact_arithmetic():
+    # the CSV formatter builds its table of powers of ten on first use, from
+    # integer arithmetic: fractions and decimal would cost every start
+    code = (
+        "import sys, ofonet.cli, ofonet.sim as sim; "
+        "print(sim._POW10, sorted({'fractions', 'decimal'} & set(sys.modules))); "
+        "sim._pow10(); print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "None []\n[]\n"

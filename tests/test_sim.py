@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import signal
@@ -13,6 +14,8 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import grid_instance, random_stable_instance, reference_instance, static_plant
 
 import ofonet.sim as sim
@@ -450,6 +453,77 @@ def test_csv_matches_per_value_reference(tmp_path, loop, decimate):
     path = tmp_path / "traj.csv"
     sim.write_trajectory_csv(path, *_decimated(traj, err, decimate))
     assert path.read_bytes() == _reference_csv(traj, err, decimate)
+
+
+def _python_table(table):
+    """The lines of ``table`` by Python's own formatting, one row template per row."""
+    row = b"%d" + b",%.17g" * (table.shape[1] - 1) + b"\n"
+    return b"".join(row % tuple(r) for r in table.tolist())
+
+
+def _assert_formats_as_python(values, width, first=0, decimation=1):
+    """``values`` as the cells of rows ``width`` wide (k first), padded with 1.0 to
+    whole rows: ``_write_table`` writes Python's bytes."""
+    values = np.asarray(values, dtype=float).ravel()
+    cells = np.ones(-(-values.size // (width - 1)) * (width - 1))
+    cells[: values.size] = values
+    table = sim._table(first, decimation, [cells.reshape(-1, width - 1)])
+    out = io.BytesIO()
+    sim._write_table(out, table)
+    assert out.getvalue() == _python_table(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+    st.sampled_from([2, 18, 36, 259]),
+)
+def test_write_table_formats_any_bit_pattern_as_python(bits, width):
+    _assert_formats_as_python(np.array(bits, dtype=np.uint64).view(np.float64), width)
+
+
+def test_write_table_formats_exact_ties_as_python():
+    # an odd m times 2^-p is m 5^p / 10^p: its decimal digits are those of m 5^p,
+    # the last a 5, so with 18 of them its 17-digit rounding is an exact tie
+    rng = np.random.default_rng(3)
+    odd = np.concatenate([np.arange(1, 400, 2), 2 * rng.integers(0, 2**40, 400) + 1])
+    multiples = [np.ldexp(odd.astype(float), -p) for p in range(25, 61)]
+    ties = []
+    for p in range(2, 26):
+        low, high = -(-10**17 // 5**p), min(10**18 // 5**p, 2**53)
+        ties.append(np.ldexp((rng.integers(low // 2, high // 2, 400) * 2 + 1).astype(float), -p))
+    values = np.concatenate([*multiples, *ties])
+    _assert_formats_as_python(np.concatenate([values, -values]), 36)
+
+
+def test_write_table_formats_powers_of_ten_and_form_edges_as_python():
+    powers = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-323, 309)])
+    near = [powers * (1 + j * 2.0**-52) for j in range(-4, 5)]
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280, 1e-28, 2.0**-25, 1e300, 2e17])
+    steps = [np.nextafter(edges, limit) for limit in (0.0, np.inf)]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072009e-308, 1e-310]
+    values = np.concatenate([*near, edges, *steps, special])
+    for width in (2, 18, 36):
+        _assert_formats_as_python(np.concatenate([values, -values]), width)
+
+
+@pytest.mark.parametrize("width", [2, 18, 36, 259])
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+def test_write_table_crosses_chunks_as_python(width, rows):
+    # log-uniform magnitudes over most of the float range, with zeros, at k up to 10^6
+    rng = np.random.default_rng(width * 10_000 + rows)
+    cells = np.exp(rng.uniform(-700, 700, (rows, width - 1))) * rng.choice([-1, 1], (rows, width - 1))
+    cells[rng.random(cells.shape) < 0.05] = 0.0
+    _assert_formats_as_python(cells, width, first=20_000 - rows, decimation=50)
+
+
+def test_power_table_holds_each_power_to_double_double_precision():
+    from fractions import Fraction
+
+    hi, lo = sim._pow10()
+    for k, h, l in zip(range(-280, 301), hi.tolist(), lo.tolist()):
+        exact = Fraction(10) ** k
+        assert (h, l) == (float(exact), float(exact - Fraction(h))), k
 
 
 def _formula_case(case, rng):
