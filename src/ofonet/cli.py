@@ -257,7 +257,7 @@ def _objective(objc: dict, default: QuadraticObjective) -> SeparableObjective:
         key, factory = "custom", _CUSTOM_OBJECTIVES.get(objc["custom"])
         if factory is None:
             raise ConfigError(f"'objective.custom': '{objc['custom']}' is not registered")
-        obj = factory(n)
+        obj = convert("objective.custom", factory, n)
     else:
         key = "y_ref"
         y_ref = default.y_ref if objc["y_ref"] is None else objc["y_ref"]

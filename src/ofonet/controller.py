@@ -59,16 +59,28 @@ def update_map(
     with diag(H) (decentralized), where component i reads only
     (u_i, y_i, H_ii).  The returned map does no validation; it expects
     float vectors of length ``model.n``.
+
+    Per step the map allocates one array, s = grad_u(u) + G^T grad_y(y), and
+    forms eta * s, then u - eta * s, in place in s: the formula's operands in
+    its order, so its bits.  It writes into no other array, since an
+    objective may return its argument or a cached one.
     """
     if obj.n != model.n:
         raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
-    eta = cfg.eta
+    eta = np.full(model.n, cfg.eta, dtype=float)
     grad_u, grad_y = obj.input_gradient, obj.output_gradient
     if cfg.mode is Mode.CENTRALIZED:
         apply_gt = model.H.T.dot
     else:
         apply_gt = np.diag(model.H_diag).__mul__
-    return lambda u, y: u - eta * (grad_u(u) + apply_gt(grad_y(y)))
+    multiply, subtract = np.multiply, np.subtract
+
+    def update(u, y):
+        s = grad_u(u) + apply_gt(grad_y(y))
+        multiply(eta, s, s)
+        return subtract(u, s, s)
+
+    return update
 
 
 def _step(cfg, expected: Mode, obj, model, u, y) -> NDArray[np.float64]:

@@ -6,10 +6,15 @@ phi_i2(y_i); the global objective is the sum over agents.  The moduli
 The library checks only 0 < m <= L for each pair and never infers them,
 since inference from point evaluations is ill-posed; the sampled check
 of the monotonicity they imply lives in ``tests/oracles.py``.
+
+The pairs are unpacked once, at construction: a gradient is one ``map``
+over the derivatives, each result taken as a float.  A quadratic holds its
+weights as length-n vectors, which round as the scalar weights do.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +33,20 @@ __all__ = [
 
 # A scalar cost is a (value, derivative) pair of callables float -> float.
 ScalarCost = tuple[Callable[[float], float], Callable[[float], float]]
+
+# operator.call is new in Python 3.11; the shim makes the same calls in the same order
+_call = getattr(operator, "call", lambda df, v: df(v))
+
+
+def _derivatives(costs, side: str) -> tuple:
+    """The derivatives of ``costs``, one per agent, checked to be callable."""
+    dfs = []
+    for i, pair in enumerate(costs):
+        df = pair[1] if isinstance(pair, (tuple, list)) and len(pair) == 2 else None
+        if not callable(df):
+            raise TypeError(f"{side} cost of agent {i} is not a (value, callable derivative) pair")
+        dfs.append(df)
+    return tuple(dfs)
 
 
 @dataclass(frozen=True)
@@ -65,6 +84,8 @@ class SeparableObjective:
             raise ValueError(f"need 0 < m_u <= L_u, got m_u={self.m_u}, L_u={self.L_u}")
         if not (0.0 < self.m_y <= self.L_y):
             raise ValueError(f"need 0 < m_y <= L_y, got m_y={self.m_y}, L_y={self.L_y}")
+        object.__setattr__(self, "_input_dfs", _derivatives(self.input_costs, "input"))
+        object.__setattr__(self, "_output_dfs", _derivatives(self.output_costs, "output"))
 
     @property
     def n(self) -> int:
@@ -75,11 +96,11 @@ class SeparableObjective:
     # check the length first, a closed loop checks once per run.
     def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
         """Unchecked grad_u: component i is dphi_i1(u_i)."""
-        return np.array([df(ui) for (_, df), ui in zip(self.input_costs, u.tolist())])
+        return np.fromiter(map(_call, self._input_dfs, u.tolist()), float, len(u))
 
     def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         """Unchecked grad_y: component i is dphi_i2(y_i)."""
-        return np.array([df(yi) for (_, df), yi in zip(self.output_costs, y.tolist())])
+        return np.fromiter(map(_call, self._output_dfs, y.tolist()), float, len(y))
 
 
 class QuadraticObjective(SeparableObjective):
@@ -96,7 +117,7 @@ class QuadraticObjective(SeparableObjective):
     def __init__(self, gamma1: float, gamma2: float, y_ref):
         gamma1 = float(gamma1)
         gamma2 = float(gamma2)
-        if gamma1 <= 0.0 or gamma2 <= 0.0:
+        if not (gamma1 > 0.0 and gamma2 > 0.0):
             raise ValueError(f"weights must be positive, got ({gamma1}, {gamma2})")
         y_ref = np.asarray(y_ref, dtype=float)
         if y_ref.ndim != 1 or y_ref.size == 0:
@@ -123,12 +144,18 @@ class QuadraticObjective(SeparableObjective):
         object.__setattr__(self, "gamma1", gamma1)
         object.__setattr__(self, "gamma2", gamma2)
         object.__setattr__(self, "y_ref", y_ref)
+        object.__setattr__(self, "_gamma1", np.full(y_ref.size, gamma1))
+        object.__setattr__(self, "_gamma2", np.full(y_ref.size, gamma2))
+
+    def __post_init__(self):
+        """Nothing to check or unpack: __init__ checks the weights, the gradients skip the pairs."""
 
     def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.gamma1 * u
+        return self._gamma1 * u
 
     def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.gamma2 * (y - self.y_ref)
+        e = y - self.y_ref
+        return np.multiply(self._gamma2, e, e)
 
 
 def grad_u(obj: SeparableObjective, u) -> NDArray[np.float64]:

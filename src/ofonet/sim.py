@@ -180,22 +180,6 @@ class _Recorder:
         return Trajectory(series[0], series[1], x, info, self._decimation, kept, self._first)
 
 
-def _finite(v) -> bool:
-    """Whether every entry of the float vector ``v`` is finite.
-
-    v.dot(v) is finite only then, so the elementwise test runs only when
-    that sum of squares is not: a non-finite entry, or an overflow.
-    """
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
-
-
-def _step_norm(v_next, v) -> float:
-    """||v_next - v|| = sqrt(dv.dot(dv)), as np.linalg.norm computes it; inf or nan
-    passes no tolerance."""
-    dv = v_next - v
-    return math.sqrt(dv.dot(dv))
-
-
 def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajectory:
     """The recording closed loop of ``run_algebraic`` and ``run_lti``.
 
@@ -211,21 +195,27 @@ def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajector
     update = update_map(cfg, obj, model)
     on_full = None if stream is None else stream._take
     rec = _Recorder(u.size, None if x is None else x.size, decimation, on_full)
+    append, isfinite, sqrt = rec.append, math.isfinite, math.sqrt
     early = False
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         # row k follows k updates; the last pass (k == steps, or early) only records
         for k in range(steps + 1):
             x_next, y = advance(x, u)
-            if not _finite(y):
+            # y.dot(y) is finite only when every y_i is, so the elementwise test
+            # runs only when it is not: a non-finite entry, or an overflow
+            if not (isfinite(y.dot(y)) or np.isfinite(y).all()):
                 raise NonFinite(k, rec.trajectory(RunInfo(k, early)))
-            rec.append(u, y, x)
+            append(u, y, x)
             if k == steps or early:
                 return rec.trajectory(RunInfo(k, early))
             u_next = update(u, y)
-            early = _step_norm(u_next, u) < EARLY_STOP_TOL and (
-                x is None or _step_norm(x_next, x) < EARLY_STOP_TOL
-            )
+            # ||dv|| as np.linalg.norm computes it; inf or nan passes no tolerance
+            du = u_next - u
+            early = sqrt(du.dot(du)) < EARLY_STOP_TOL
+            if early and x is not None:
+                dx = x_next - x
+                early = sqrt(dx.dot(dx)) < EARLY_STOP_TOL
             u, x = u_next, x_next
 
 

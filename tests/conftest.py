@@ -8,14 +8,19 @@ through the same code path as dynamic ones.
 import contextlib
 import os
 import signal
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ofonet import powergrid
 from ofonet.analysis import coupling_condition
-from ofonet.objective import QuadraticObjective
+from ofonet.objective import QuadraticObjective, SeparableObjective
 from ofonet.plant import LtiPlant, compute_sensitivity, sensitivity
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import bench_inputs  # noqa: E402
 
 REF_H = np.array([[1.0, 0.5], [0.0, 1.0]])
 REF_D = np.array([1.0, 1.0])
@@ -33,6 +38,38 @@ def static_plant(h, d):
         d=np.asarray(d, dtype=float),
     )
     return plant, compute_sensitivity(plant)
+
+
+def logcosh_objective(n, shared=True):
+    """perfbench's non-quadratic objective (generic-n64's): every agent holds
+    the same two pairs, or, unless ``shared``, agent i its own closures over
+    them, shifted by 0.1 i, which keeps the moduli."""
+    obj = bench_inputs.logcosh_objective(n)
+    if shared:
+        return obj
+
+    def shifted(costs):
+        return tuple(
+            (lambda v, f=f, c=0.1 * i: f(v - c), lambda v, df=df, c=0.1 * i: df(v - c))
+            for i, (f, df) in enumerate(costs)
+        )
+
+    return SeparableObjective(
+        shifted(obj.input_costs), shifted(obj.output_costs), obj.L_u, obj.m_u, obj.L_y, obj.m_y
+    )
+
+
+def scalar_gradients(obj):
+    """grad_u and grad_y written out: a quadratic's with its Python-float weights,
+    gamma1 * u and gamma2 * (y - y_ref), a callable objective's one agent at a
+    time into a list."""
+    if isinstance(obj, QuadraticObjective):
+        return (lambda u: obj.gamma1 * u), (lambda y: obj.gamma2 * (y - obj.y_ref))
+
+    def per_agent(costs):
+        return lambda v: np.array([df(vi) for (_, df), vi in zip(costs, v.tolist())])
+
+    return per_agent(obj.input_costs), per_agent(obj.output_costs)
 
 
 def reference_instance():

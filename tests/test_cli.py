@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ofonet import cli, powergrid, sim
 from ofonet import plant as plant_module
-from ofonet.objective import QuadraticObjective
+from ofonet.objective import QuadraticObjective, SeparableObjective
 from ofonet.plant import PLANT_KEYS
 
 REF_PLANT = {
@@ -438,6 +438,29 @@ def test_custom_objective(tmp_path, capsys, monkeypatch, objective, code, messag
     assert "Traceback" not in err
     # the factory builds the objective only when the config is accepted
     assert agents == ([8] if code == 0 else [])
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_malformed_custom_objective_exits_2(tmp_path, capsys, monkeypatch, side):
+    # a factory whose last agent's cost is a bare callable, not a (value,
+    # derivative) pair: the objective rejects it as it is built, and the CLI
+    # exits 2 naming the key
+    def malformed(n):
+        pair = (lambda v: 0.5 * v * v, lambda v: v)
+        costs = {"input": (pair,) * n, "output": (pair,) * n}
+        costs[side] = (pair,) * (n - 1) + (pair[1],)
+        return SeparableObjective(costs["input"], costs["output"], 1.0, 1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(cli, "_CUSTOM_OBJECTIVES", {})
+    cli.register_objective("malformed", malformed)
+    config = {"grid": {}, "objective": {"custom": "malformed"}, "controller": {"eta": 0.05}}
+    cfg = write_config(tmp_path, {**config, "simulation": {"steps": 20}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "out"), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid 'objective.custom'" in err
+    assert f"{side} cost of agent 7 is not a (value, callable derivative) pair" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_sweep_custom_values(tmp_path, capsys):

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import static_plant
+from conftest import logcosh_objective, scalar_gradients, static_plant
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofonet.controller import ControllerConfig, Mode, centralized_step, decentralized_step
+from ofonet.controller import (
+    ControllerConfig,
+    Mode,
+    centralized_step,
+    decentralized_step,
+    update_map,
+)
 from ofonet.objective import QuadraticObjective, SeparableObjective
 
 
@@ -144,3 +152,58 @@ def test_decentralized_step_matches_per_agent_bit_for_bit(rng, make_obj):
         y = rng.standard_normal(n)
         expected = per_agent_step(cfg, obj, model, u, y)
         assert decentralized_step(cfg, obj, model, u, y).tobytes() == expected.tobytes()
+
+
+# bit patterns weighted in beside the uniform ones: +-0, subnormals, the
+# smallest normal, values whose products overflow, inf and nan
+_SPECIAL = (0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -3e307)
+_SPECIAL_BITS = [
+    int(np.float64(v).view(np.uint64)) for v in _SPECIAL + (math.inf, -math.inf, math.nan)
+]
+
+
+def _vectors(n):
+    """Float64 vectors of length n drawn from raw bit patterns."""
+    bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS))
+    return st.lists(bits, min_size=n, max_size=n).map(
+        lambda b: np.array(b, dtype=np.uint64).view(np.float64)
+    )
+
+
+_H = np.array(
+    [
+        [2.5, -0.4, 0.0, 1e-3, 0.3],
+        [0.7, -1.5, 0.2, 0.0, -2.0],
+        [0.0, 0.1, 0.9, -0.6, 0.0],
+        [-3.0, 0.0, 0.5, 1.25, 0.4],
+        [0.2, 0.8, 0.0, -0.1, -0.75],
+    ]
+)
+_OBJECTIVES = {
+    "quadratic": lambda n: QuadraticObjective(1.3, 2.5, np.linspace(-1.0, 1.0, n)),
+    "shared": logcosh_objective,
+    "closures": lambda n: logcosh_objective(n, shared=False),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", list(_OBJECTIVES))
+@settings(max_examples=150, deadline=None)
+@given(u=_vectors(5), y=_vectors(5))
+def test_update_map_matches_the_scalar_form_bit_for_bit(mode, name, u, y):
+    # the in-place update and the one-pass gradients give the bits of
+    # u - eta (grad_u(u) + G^T grad_y(y)) with a Python-float step size and
+    # scalar-form gradients, nan payloads and signed zeros included
+    _, model = static_plant(_H, np.zeros(5))
+    obj = _OBJECTIVES[name](5)
+    cfg = ControllerConfig(mode=mode, eta=0.3)
+    grad_u, grad_y = scalar_gradients(obj)
+    h = np.diag(model.H_diag)
+    apply_gt = model.H.T.dot if mode is Mode.CENTRALIZED else h.__mul__
+    u_bits, y_bits = u.tobytes(), y.tobytes()
+    with np.errstate(all="ignore"):
+        assert obj.input_gradient(u).tobytes() == grad_u(u).tobytes()
+        assert obj.output_gradient(y).tobytes() == grad_y(y).tobytes()
+        expected = u - cfg.eta * (grad_u(u) + apply_gt(grad_y(y)))
+        assert update_map(cfg, obj, model)(u, y).tobytes() == expected.tobytes()
+    assert (u.tobytes(), y.tobytes()) == (u_bits, y_bits)

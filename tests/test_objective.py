@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import value
 
 from ofonet.objective import QuadraticObjective, SeparableObjective, grad_u, grad_y
@@ -106,3 +108,42 @@ def test_gradient_shape_check():
         grad_u(obj, np.zeros(3))
     with pytest.raises(DimensionMismatch):
         grad_y(obj, np.zeros(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-(2**62), 2**62), st.booleans(), st.floats()), min_size=1, max_size=6
+    ),
+    shared=st.booleans(),
+)
+def test_int_and_bool_derivatives_give_the_floats_of_a_list(values, shared):
+    # the gradient takes each derivative's value as a float: an int or a bool
+    # gives the float that the array of the list of values holds once promoted
+    n = len(values)
+    if shared:  # one derivative, read at v = i for agent i
+        costs = ((lambda v: 0.0, lambda v: values[int(v)]),) * n
+    else:
+        costs = tuple((lambda v: 0.0, lambda v, r=r: r) for r in values)
+    obj = SeparableObjective(costs, costs, 1.0, 1.0, 1.0, 1.0)
+    as_list = np.array(values).astype(float)
+    v = np.arange(n, dtype=float)
+    assert grad_u(obj, v).tobytes() == as_list.tobytes()
+    assert grad_y(obj, v).tobytes() == as_list.tobytes()
+
+
+def _half_square(v):
+    return 0.5 * v * v
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+@pytest.mark.parametrize(
+    "bad",
+    [_half_square, (_half_square,), (_half_square,) * 3, (_half_square, 1.0), None, "ab"],
+    ids=["bare", "single", "triple", "derivative-not-callable", "none", "string"],
+)
+def test_malformed_cost_raises_naming_side_and_agent(side, bad):
+    good = ((_half_square, lambda v: v),) * 3
+    costs = {"input": good, "output": good, side: good[:2] + (bad,)}
+    with pytest.raises(TypeError, match=f"^{side} cost of agent 2 is not a"):
+        SeparableObjective(costs["input"], costs["output"], 1.0, 1.0, 1.0, 1.0)

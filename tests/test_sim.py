@@ -16,7 +16,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import grid_instance, random_stable_instance, reference_instance, static_plant
+from conftest import (
+    grid_instance,
+    logcosh_objective,
+    random_stable_instance,
+    reference_instance,
+    scalar_gradients,
+    static_plant,
+)
 
 import ofonet.sim as sim
 from ofonet.controller import ControllerConfig, Mode
@@ -213,10 +220,12 @@ def _generic_size_instance(seed):
 
 
 def _matmul_loop(plant, model, obj, d, cfg, loop, steps):
-    """The recording closed loop written out with ``@`` for every product and both
-    increments taken on every step: its rows (u, y[, x]), then its RunInfo, or
-    None and the step at which y was first not finite."""
+    """The recording closed loop written out with ``@`` for every product, the
+    scalar-form gradients and both increments taken on every step: its rows
+    (u, y[, x]), then its RunInfo, or None and the step at which y was first not
+    finite."""
     H, A, B, C, D = model.H, plant.A, plant.B, plant.C, plant.D
+    grad_u, grad_y = scalar_gradients(obj)
     h = np.diag(model.H_diag)
     if cfg.mode is Mode.CENTRALIZED:
         apply_gt = lambda g: H.T @ g  # noqa: E731
@@ -236,7 +245,7 @@ def _matmul_loop(plant, model, obj, d, cfg, loop, steps):
             rows.append((u, y) if x is None else (u, y, x))
             if k == steps or early:
                 return rows, sim.RunInfo(k, early), None
-            u_next = u - cfg.eta * (obj.input_gradient(u) + apply_gt(obj.output_gradient(y)))
+            u_next = u - cfg.eta * (grad_u(u) + apply_gt(grad_y(y)))
             du, dx = u_next - u, None if x is None else x_next - x
             delta_u = np.sqrt(du @ du)
             delta_x = 0.0 if x is None else np.sqrt(dx @ dx)
@@ -246,11 +255,17 @@ def _matmul_loop(plant, model, obj, d, cfg, loop, steps):
 
 def test_recorded_rows_replay_bit_for_bit():
     # every recorded row, across recorder blocks, is one loop step with ``@``
-    # products, in both modes and both loops, on the 2x2 instance and on one
-    # of generic-n64's size; a diverging step size checks the NonFinite step
+    # products and scalar-form gradients, in both modes and both loops, on the
+    # 2x2 instance and on one of generic-n64's size, the latter with its
+    # quadratic and with a callable objective whose agents share their
+    # derivatives or hold their own; a diverging step size checks the
+    # NonFinite step
+    plant, model, obj, d = _generic_size_instance(7)
     instances = [
         ("2x2", reference_instance(), 2500, (0.01, 2.0)),
-        ("n64", _generic_size_instance(7), 1100, (0.01, 5.0)),
+        ("n64", (plant, model, obj, d), 1100, (0.01, 5.0)),
+        ("n64-shared", (plant, model, logcosh_objective(64), d), 1100, (0.01, 5.0)),
+        ("n64-closures", (plant, model, logcosh_objective(64, False), d), 1100, (0.01, 5.0)),
     ]
     diverged = set()
     for name, (plant, model, obj, d), steps, etas in instances:
@@ -278,7 +293,48 @@ def test_recorded_rows_replay_bit_for_bit():
                 if name == "2x2" and cfg.eta == 0.01:
                     assert len(traj) > sim.RECORD_BLOCK
     # the diverging step sizes diverge in every mode and loop
-    assert len(diverged) == 8
+    assert len(diverged) == 4 * len(instances)
+
+
+class _AliasingObjective(QuadraticObjective):
+    """gamma1 = gamma2 = 1 with gradients that alias: grad_u returns u itself,
+    grad_y one buffer that every call overwrites."""
+
+    def __init__(self, y_ref):
+        super().__init__(1.0, 1.0, y_ref)
+        object.__setattr__(self, "_buffer", np.empty(len(y_ref)))
+
+    def input_gradient(self, u):
+        return u
+
+    def output_gradient(self, y):
+        return np.subtract(y, self.y_ref, out=self._buffer)
+
+
+@pytest.mark.parametrize("decimation", [1, 3])
+def test_aliasing_gradients_leave_the_run_unchanged(decimation):
+    # an objective may return its argument or a cached array: the update map
+    # writes into no array it did not allocate, so the run equals a copying
+    # twin's, rows held between two kept ones included, and u0 comes back as given
+    plant, model, _, d = reference_instance()
+    y_ref = np.array([0.25, -0.5])
+    start = np.array([0.5, -1.5])
+    for cfg in (dec(0.1), cen(0.1)):
+        runs = []
+        for obj in (_AliasingObjective(y_ref), QuadraticObjective(1.0, 1.0, y_ref)):
+            u0 = start.copy()
+            runs.append(
+                [
+                    sim.run_algebraic(model, obj, d, cfg, u0=u0, steps=50, decimation=decimation),
+                    sim.run_lti(plant, obj, cfg, u0=u0, steps=50, decimation=decimation),
+                ]
+            )
+            assert u0.tobytes() == start.tobytes()
+        for aliased, copied in zip(*runs):
+            assert (aliased.info, aliased.kept) == (copied.info, copied.kept)
+            for name in ("u_series", "y_series", "x_series"):
+                a, b = getattr(aliased, name), getattr(copied, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), (cfg, name)
 
 
 def test_the_state_increment_can_decide_the_early_stop():
