@@ -18,6 +18,7 @@ serves the algebraic and the dynamic closed loop.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, as_vector
-from .objective import SeparableObjective
+from .objective import QuadraticObjective, SeparableObjective
 from .plant import SensitivityModel
 
 __all__ = ["Mode", "ControllerConfig", "centralized_step", "decentralized_step"]
@@ -50,7 +51,7 @@ class ControllerConfig:
 
 def update_map(
     cfg: ControllerConfig, obj: SeparableObjective, model: SensitivityModel
-) -> Callable[[NDArray[np.float64], NDArray[np.float64]], NDArray[np.float64]]:
+) -> Callable[..., NDArray[np.float64]]:
     """The update u, y -> u - eta (grad_u(u) + G^T grad_y(y)) of ``cfg.mode``.
 
     Package-internal: the step functions and the closed loops in ``sim``
@@ -60,27 +61,41 @@ def update_map(
     (u_i, y_i, H_ii).  The returned map does no validation; it expects
     float vectors of length ``model.n``.
 
-    Per step the map allocates one array, s = grad_u(u) + G^T grad_y(y), and
-    forms eta * s, then u - eta * s, in place in s: the formula's operands in
-    its order, so its bits.  It writes into no other array, since an
-    objective may return its argument or a cached one.
+    ``update(u, y, out=None)`` writes u+ into ``out`` and returns it;
+    without ``out`` it returns a fresh array.  Its temporaries live in three
+    length-n buffers allocated here, once per map: a quadratic objective's
+    two gradients (a subclass's gradients are not given them), and s, which
+    takes G^T grad_y(y), then s = grad_u(u) + G^T grad_y(y), then eta * s.
+    u - eta * s goes into ``out``: the formula's operands in its order, so
+    its bits.  No buffer leaves the map, and it writes into no array but
+    its buffers and ``out``, since an objective may return its argument or
+    a cached array.
     """
     if obj.n != model.n:
         raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
-    eta = np.full(model.n, cfg.eta, dtype=float)
+    n = model.n
+    eta = np.full(n, cfg.eta, dtype=float)
     grad_u, grad_y = obj.input_gradient, obj.output_gradient
+    if type(obj) not in (SeparableObjective, QuadraticObjective):
+        # a subclass may override a gradient with one that takes no ``out``
+        grad_u, grad_y = _ignoring_out(grad_u), _ignoring_out(grad_y)
     if cfg.mode is Mode.CENTRALIZED:
         apply_gt = model.H.T.dot
     else:
-        apply_gt = np.diag(model.H_diag).__mul__
-    multiply, subtract = np.multiply, np.subtract
+        apply_gt = functools.partial(np.multiply, np.diag(model.H_diag))
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    gu, gy, s = np.empty(n), np.empty(n), np.empty(n)
 
-    def update(u, y):
-        s = grad_u(u) + apply_gt(grad_y(y))
+    def update(u, y, out=None):
+        add(grad_u(u, gu), apply_gt(grad_y(y, gy), s), s)
         multiply(eta, s, s)
-        return subtract(u, s, s)
+        return subtract(u, s, out)
 
     return update
+
+
+def _ignoring_out(gradient):
+    return lambda v, out: gradient(v)
 
 
 def _step(cfg, expected: Mode, obj, model, u, y) -> NDArray[np.float64]:

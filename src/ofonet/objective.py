@@ -10,6 +10,12 @@ of the monotonicity they imply lives in ``tests/oracles.py``.
 The pairs are unpacked once, at construction: a gradient is one ``map``
 over the derivatives, each result taken as a float.  A quadratic holds its
 weights as length-n vectors, which round as the scalar weights do.
+
+The gradient methods take an optional ``out``: a quadratic writes its
+gradient into it, which spares a closed loop one array per gradient and
+step; a callable objective ignores it.  Whoever passes ``out`` uses the
+returned array.  Without ``out`` each call returns a fresh array, as
+``grad_u`` and ``grad_y`` do.
 """
 
 from __future__ import annotations
@@ -94,11 +100,12 @@ class SeparableObjective:
 
     # The unchecked methods take float vectors of length n; grad_u and grad_y
     # check the length first, a closed loop checks once per run.
-    def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
+    # ``out`` is ignored here: np.fromiter makes the array
+    def input_gradient(self, u: NDArray[np.float64], out=None) -> NDArray[np.float64]:
         """Unchecked grad_u: component i is dphi_i1(u_i)."""
         return np.fromiter(map(_call, self._input_dfs, u.tolist()), float, len(u))
 
-    def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
+    def output_gradient(self, y: NDArray[np.float64], out=None) -> NDArray[np.float64]:
         """Unchecked grad_y: component i is dphi_i2(y_i)."""
         return np.fromiter(map(_call, self._output_dfs, y.tolist()), float, len(y))
 
@@ -108,6 +115,8 @@ class QuadraticObjective(SeparableObjective):
 
     The per-agent moduli collapse to L_u = m_u = gamma1 and
     L_y = m_y = gamma2, so every certificate is tight for this family.
+    Its gradients write into ``out`` when given one (a closed loop passes
+    buffers it owns) and return it; without one they return a fresh array.
     """
 
     gamma1: float
@@ -150,11 +159,11 @@ class QuadraticObjective(SeparableObjective):
     def __post_init__(self):
         """Nothing to check or unpack: __init__ checks the weights, the gradients skip the pairs."""
 
-    def input_gradient(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self._gamma1 * u
+    def input_gradient(self, u: NDArray[np.float64], out=None) -> NDArray[np.float64]:
+        return np.multiply(self._gamma1, u, out)
 
-    def output_gradient(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
-        e = y - self.y_ref
+    def output_gradient(self, y: NDArray[np.float64], out=None) -> NDArray[np.float64]:
+        e = np.subtract(y, self.y_ref, out)
         return np.multiply(self._gamma2, e, e)
 
 

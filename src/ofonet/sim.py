@@ -22,6 +22,17 @@ non-finite u_k or x_k makes y_k non-finite.  So a ``Trajectory``, which
 only the loop builds, is finite.  ``RunInfo`` holds only what the loop
 found out: the updates performed and whether the run stopped early.
 
+Each iterate is computed where it is kept: y_k goes into its recorder
+row, and u_{k+1} and x_{k+1} into the next row, through
+``ndarray.dot(..., out)`` and ``np.add(..., out)``.  The step's
+temporaries live in buffers allocated once per run: B u and D u, the
+increments du and dx, and the update map's s and a quadratic's
+gradients.  So a step on a quadratic objective allocates no array.  The
+steps of a row passed over at decimation d > 1 allocate its arrays.  The
+objective is given a row's u and y once they are final, and no array is
+written after it was given them.  The public step and gradient functions
+still return fresh arrays.
+
 Sweep rows run as one batched loop, ``_run_algebraic_batch``: the
 decentralized algebraic loop of B scenarios on stacked (B, n) arrays,
 which reproduces each scenario's ``run_algebraic`` final iterate and
@@ -127,42 +138,66 @@ def _start(value, n: int, name: str) -> NDArray[np.float64]:
     return np.zeros(n) if value is None else as_vector(value, n, name, finite=True)
 
 
+_FRESH = (None, None, None)  # a row passed over: the steps allocate its arrays
+
+
 class _Recorder:
     """The rows a run keeps, k = 0, d, 2d, ..., in arrays grown RECORD_BLOCK rows
     at a time, and its newest row when that falls between two kept ones.
-    A full block that ``on_full`` takes is dropped."""
+    A full block that ``on_full`` takes is dropped.
+
+    The loop writes each row in place, into the arrays (u, y[, x]) that the
+    recorder gives it: ``spare`` for row 0, then those ``record`` returns.
+    A kept row is given as views of its block row, except the first row
+    of a block, which is given as ``spare`` and copied in when recorded,
+    once the full block is handed over, so the new block can take its
+    memory.  A row passed over is given as None: its steps allocate it.
+    """
 
     def __init__(self, n: int, n_state: Optional[int] = None, decimation: int = 1, on_full=None):
         self._widths = (n, n) if n_state is None else (n, n, n_state)
         self._decimation = decimation
         self._blocks: list = []
         self._row = RECORD_BLOCK
+        self._rows = None  # the last block's rows not yet given, as (u, y[, x]) views
+        self.spare = [np.empty(w) for w in self._widths]
         self._skip = 0  # rows to pass over before the next kept one
         self._between = None  # the newest row, when it was passed over
         self._on_full = on_full  # given a full block and the decimation; True if it took it
         self._first = 0  # the kept rows taken by on_full
 
-    def append(self, u, y, x=None) -> None:
+    def record(self, u, y, x=None) -> tuple:
+        """Record the row (u, y[, x]), written into the arrays given for it (its
+        own, when it was given None).  Returns the row as the recorder holds it,
+        then the arrays of the next row."""
         if self._skip:
             self._skip -= 1
             self._between = (u, y, x)
-            return
-        self._skip, self._between = self._decimation - 1, None
-        if self._row == RECORD_BLOCK:
-            if self._blocks and self._on_full and self._on_full(self._blocks[-1], self._decimation):
-                self._blocks.pop()
-                self._first += RECORD_BLOCK
-            block = [np.empty((RECORD_BLOCK, w)) for w in self._widths]
-            self._blocks.append(block)
-            self._u, self._y, *rest = block
-            self._x = rest[0] if rest else None
-            self._row = 0
-        r = self._row
-        self._u[r] = u
-        self._y[r] = y
-        if x is not None:
-            self._x[r] = x
-        self._row = r + 1
+        else:
+            self._skip, self._between = self._decimation - 1, None
+            if self._row == RECORD_BLOCK:
+                u, y, x = self._open_block(u, y, x)
+            self._row += 1
+        if self._skip:
+            return u, y, x, _FRESH
+        return u, y, x, self.spare if self._row == RECORD_BLOCK else next(self._rows)
+
+    def _open_block(self, u, y, x) -> tuple:
+        """Hand the full block over, if any, then start a block with the row (u, y[, x]);
+        its row 0 as views."""
+        self._rows = None  # it refers to the full block
+        if self._blocks and self._on_full and self._on_full(self._blocks[-1], self._decimation):
+            self._blocks.pop()
+            self._first += RECORD_BLOCK
+        block = [np.empty((RECORD_BLOCK, w)) for w in self._widths]
+        self._blocks.append(block)
+        self._rows = zip(*block)
+        first = next(self._rows)
+        for a, v in zip(first, (u, y, x)):
+            a[...] = v
+        self._row = 0
+        u, y, *x = first
+        return u, y, x[0] if x else None
 
     def trajectory(self, info: RunInfo) -> Optional[Trajectory]:
         """The recorded rows as a Trajectory; None when nothing was recorded."""
@@ -180,13 +215,17 @@ class _Recorder:
         return Trajectory(series[0], series[1], x, info, self._decimation, kept, self._first)
 
 
-def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajectory:
+def _run(output, state, cfg, obj, model, u, x, steps, decimation, stream) -> Trajectory:
     """The recording closed loop of ``run_algebraic`` and ``run_lti``.
 
-    ``advance(x, u)`` returns the plant's next state (None when ``x`` is
-    None: no state block) and its output y at (x, u).  ``u`` and ``x``
-    are validated start vectors.  Only y is tested: a non-finite u_k or
-    x_k makes y_k non-finite, which raises at step k all the same.
+    ``output(x, u, out)`` returns the plant's output y at (x, u), written
+    into ``out`` unless it is None; ``state(x, u, out)`` likewise its next
+    state (None, as ``x``, without a state block).  ``u`` and ``x`` are
+    validated start vectors.  Only y is tested: a non-finite u_k or x_k
+    makes y_k non-finite, which raises at step k all the same.  Row k's u
+    and y are final when the update reads them, and the loop only writes
+    rows after k, its own buffers and the spare rows, which the update
+    never reads.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -195,28 +234,33 @@ def _run(advance, cfg, obj, model, u, x, steps, decimation, stream) -> Trajector
     update = update_map(cfg, obj, model)
     on_full = None if stream is None else stream._take
     rec = _Recorder(u.size, None if x is None else x.size, decimation, on_full)
-    append, isfinite, sqrt = rec.append, math.isfinite, math.sqrt
+    record, row = rec.record, rec.spare
+    isfinite, sqrt, subtract = math.isfinite, math.sqrt, np.subtract
+    du, dx = np.empty(u.size), None if x is None else np.empty(x.size)
     early = False
     # overflow past float range is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         # row k follows k updates; the last pass (k == steps, or early) only records
         for k in range(steps + 1):
-            x_next, y = advance(x, u)
+            y = output(x, u, row[1])
             # y.dot(y) is finite only when every y_i is, so the elementwise test
             # runs only when it is not: a non-finite entry, or an overflow
             if not (isfinite(y.dot(y)) or np.isfinite(y).all()):
                 raise NonFinite(k, rec.trajectory(RunInfo(k, early)))
-            append(u, y, x)
+            u, y, x, row = record(u, y, x)
             if k == steps or early:
                 return rec.trajectory(RunInfo(k, early))
-            u_next = update(u, y)
+            u_next = update(u, y, row[0])
             # ||dv|| as np.linalg.norm computes it; inf or nan passes no tolerance
-            du = u_next - u
+            subtract(u_next, u, du)
             early = sqrt(du.dot(du)) < EARLY_STOP_TOL
-            if early and x is not None:
-                dx = x_next - x
-                early = sqrt(dx.dot(dx)) < EARLY_STOP_TOL
-            u, x = u_next, x_next
+            if x is not None:
+                x_next = state(x, u, row[2])
+                if early:
+                    subtract(x_next, x, dx)
+                    early = sqrt(dx.dot(dx)) < EARLY_STOP_TOL
+                x = x_next
+            u = u_next
 
 
 def run_algebraic(
@@ -237,9 +281,13 @@ def run_algebraic(
     """
     H, d = model.H, _start(d, model.n, "d")
     u = _start(u0, model.n, "u0")
-    return _run(
-        lambda x, u: (None, H.dot(u) + d), cfg, obj, model, u, None, steps, decimation, stream
-    )
+    add = np.add
+
+    def output(x, u, out):
+        y = H.dot(u, out)
+        return add(y, d, y)
+
+    return _run(output, None, cfg, obj, model, u, None, steps, decimation, stream)
 
 
 def run_lti(
@@ -263,10 +311,20 @@ def run_lti(
     A, B, C, D, dist = plant.A, plant.B, plant.C, plant.D, plant.d
     x = _start(x0, plant.n_state, "x0")
     u = _start(u0, plant.n, "u0")
-    return _run(
-        lambda x, u: (A.dot(x) + B.dot(u), C.dot(x) + D.dot(u) + dist),
-        cfg, obj, compute_sensitivity(plant), u, x, steps, decimation, stream,
-    )
+    add = np.add
+    b_u, d_u = np.empty(plant.n_state), np.empty(plant.n)  # B u and D u, each step
+
+    def output(x, u, out):
+        # (C x + D u) + d, as the formula associates
+        y = C.dot(x, out)
+        add(y, D.dot(u, d_u), y)
+        return add(y, dist, y)
+
+    def state(x, u, out):
+        x_next = A.dot(x, out)
+        return add(x_next, B.dot(u, b_u), x_next)
+
+    return _run(output, state, cfg, obj, compute_sensitivity(plant), u, x, steps, decimation, stream)
 
 
 def _run_algebraic_batch(

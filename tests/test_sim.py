@@ -26,10 +26,10 @@ from conftest import (
 )
 
 import ofonet.sim as sim
-from ofonet.controller import ControllerConfig, Mode
+from ofonet.controller import ControllerConfig, Mode, centralized_step, decentralized_step
 from ofonet.equilibria import global_optimum
 from ofonet.errors import NonFinite
-from ofonet.objective import QuadraticObjective
+from ofonet.objective import QuadraticObjective, grad_u, grad_y
 from ofonet.plant import LtiPlant, compute_sensitivity
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
@@ -312,10 +312,11 @@ class _AliasingObjective(QuadraticObjective):
 
 
 @pytest.mark.parametrize("decimation", [1, 3])
-def test_aliasing_gradients_leave_the_run_unchanged(decimation):
+def test_aliasing_gradients_leave_the_run_unchanged(monkeypatch, decimation):
     # an objective may return its argument or a cached array: the update map
-    # writes into no array it did not allocate, so the run equals a copying
-    # twin's, rows held between two kept ones included, and u0 comes back as given
+    # writes into no array but its buffers and the row it is given, so the run
+    # equals a copying twin's, rows held between two kept ones included, and u0
+    # comes back as given
     plant, model, _, d = reference_instance()
     y_ref = np.array([0.25, -0.5])
     start = np.array([0.5, -1.5])
@@ -335,6 +336,38 @@ def test_aliasing_gradients_leave_the_run_unchanged(decimation):
             for name in ("u_series", "y_series", "x_series"):
                 a, b = getattr(aliased, name), getattr(copied, name)
                 assert (a is None and b is None) or a.tobytes() == b.tobytes(), (cfg, name)
+
+    # the public step and gradient functions return fresh arrays, never a buffer
+    # of the update map or of the objective
+    obj = QuadraticObjective(1.0, 1.0, y_ref)
+    for call in (
+        lambda: grad_u(obj, start),
+        lambda: grad_y(obj, start),
+        lambda: centralized_step(cen(0.1), obj, model, start, y_ref),
+        lambda: decentralized_step(dec(0.1), obj, model, start, y_ref),
+    ):
+        first, second = call(), call()
+        assert first.tobytes() == second.tobytes()
+        assert not any(np.shares_memory(first, a) for a in (second, start, y_ref))
+
+    # the loop writes no array once it has given it to the objective: a quadratic
+    # that keeps each u and y it is given, and takes the run's buffers, finds each
+    # as it was after the run, across many blocks of 4 rows
+    received = []
+    for name in ("input_gradient", "output_gradient"):
+
+        def keeping(self, v, out=None, gradient=getattr(QuadraticObjective, name)):
+            received.append((v, v.copy()))
+            return gradient(self, v, out)
+
+        monkeypatch.setattr(QuadraticObjective, name, keeping)
+    monkeypatch.setattr(sim, "RECORD_BLOCK", 4)
+    obj = QuadraticObjective(1.0, 1.0, y_ref)
+    for cfg in (dec(0.1), cen(0.1)):
+        sim.run_algebraic(model, obj, d, cfg, u0=start, steps=50, decimation=decimation)
+        sim.run_lti(plant, obj, cfg, u0=start, steps=50, decimation=decimation)
+    assert len(received) == 4 * 2 * 50
+    assert all(v.tobytes() == copy.tobytes() for v, copy in received)
 
 
 def test_the_state_increment_can_decide_the_early_stop():
@@ -486,8 +519,17 @@ def _replay(trajectory, stream=None, decimate=1):
     u, y, x = trajectory.u_series, trajectory.y_series, trajectory.x_series
     on_full = None if stream is None else stream._take
     rec = sim._Recorder(u.shape[1], None if x is None else x.shape[1], decimate, on_full)
+    row = rec.spare
     for k in range(len(trajectory)):
-        rec.append(u[k], y[k], None if x is None else x[k])
+        # the run fills the row the recorder gives, or new arrays for a row
+        # passed over, then records it
+        values = (u[k], y[k], None if x is None else x[k])
+        if row[0] is None:
+            row = [None if v is None else v.copy() for v in values]
+        else:
+            for a, v in zip(row, values):
+                a[...] = v
+        *_, row = rec.record(*row)
     return rec.trajectory(trajectory.info)
 
 
@@ -814,39 +856,74 @@ def _lti_plant(model, d):
 COMPOSITE = (U_STAR, reference_instance()[1], U_INF)
 
 
-def _reference_run(loop, steps, decimate=1, stream=None):
-    """Run the reference instance at step 0.01; the trajectory and its metrics."""
+class _DivergingObjective(QuadraticObjective):
+    """The reference objective, except that its output gradient is inf at its
+    ``at``-th call: that update makes u_at non-finite, and so y_at, and the run
+    raises NonFinite(at) with its first ``at`` rows."""
+
+    def __init__(self, at):
+        super().__init__(1.0, 1.0, np.zeros(2))
+        object.__setattr__(self, "_left", at)
+
+    def output_gradient(self, y):
+        object.__setattr__(self, "_left", self._left - 1)
+        gradient = super().output_gradient(y)
+        return np.full_like(gradient, np.inf) if self._left == 0 else gradient
+
+
+def _reference_run(loop, steps, decimate=1, stream=None, diverge=None):
+    """Run the reference instance at step 0.01, diverging at step ``diverge`` if
+    given; the trajectory (its finite rows) and its metrics."""
     _, model, obj, d = reference_instance()
+    if diverge is not None:
+        obj = _DivergingObjective(diverge)
     run = {"steps": steps, "decimation": decimate, "stream": stream}
-    if loop == "algebraic":
-        traj = sim.run_algebraic(model, obj, d, cen(0.01), **run)
-    else:
-        traj = sim.run_lti(_lti_plant(model, d), obj, dec(0.01), **run)
+    try:
+        if loop == "algebraic":
+            traj = sim.run_algebraic(model, obj, d, cen(0.01), **run)
+        else:
+            traj = sim.run_lti(_lti_plant(model, d), obj, dec(0.01), **run)
+    except NonFinite as exc:
+        if exc.step != diverge:
+            raise
+        traj = exc.trajectory
     return traj, sim.metrics(traj, *COMPOSITE)
 
 
-def _stream_run(path, loop, decimate, steps):
+def _stream_run(path, loop, decimate, steps, diverge=None):
     """Run the reference instance streaming its CSV; the trajectory and its metrics."""
     with sim.CsvStream(path, *COMPOSITE) as stream:
-        traj, err = _reference_run(loop, steps, decimate, stream)
+        traj, err = _reference_run(loop, steps, decimate, stream, diverge)
         sim.write_trajectory_csv(path, traj, err, stream)
     return traj, err
 
 
 @pytest.mark.parametrize(
-    "blocks, extra", [(0, 2), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["2", "B-1", "B", "B+1", "2B+1"]
+    "blocks, extra, diverges",
+    [(0, 2, 0), (1, -1, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 0, 1), (2, -1, 1)],
+    ids=["2", "B-1", "B", "B+1", "2B+1", "diverge-2B", "diverge-2B-1"],
 )
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
 @pytest.mark.parametrize("decimate", [1, 7])
-def test_streamed_csv_matches_reference(tmp_path, monkeypatch, blocks, extra, loop, decimate):
+def test_streamed_csv_matches_reference(
+    tmp_path, monkeypatch, blocks, extra, diverges, loop, decimate
+):
     forks = _streaming(monkeypatch)
     # B: the run rows of one full block, which keeps BLOCK rows
     unit = BLOCK * decimate
-    rows = blocks * unit + extra
+    if diverges:
+        # the run diverges at kept row 2 BLOCK, the first of a block not yet
+        # allocated, or at kept row 2 BLOCK - 1, the last of a full block: the
+        # loop writes each row before its output test
+        rows = (blocks * BLOCK + extra) * decimate
+        run = {"steps": 10**4, "diverge": rows}
+    else:
+        rows = blocks * unit + extra
+        run = {"steps": rows - 1}
     path = tmp_path / "traj.csv"
-    traj, err = _stream_run(path, loop, decimate, steps=rows - 1)
+    traj, err = _stream_run(path, loop, decimate, **run)
     handed = traj.first
-    full, full_err = _reference_run(loop, steps=rows - 1)
+    full, full_err = _reference_run(loop, **run)
     assert len(full) == rows and not full.info.early_stopped
     # a full block goes over once the next kept row is recorded, and the
     # run holds only the rows after it
@@ -907,8 +984,16 @@ def test_stream_keeps_no_recorder_block(tmp_path, monkeypatch, decimate):
         held.extend(weakref.ref(a) for block in self._blocks for a in block)
         return trajectory(self, info)
 
+    def allocating(shape, *args, empty=np.empty, **kwargs):
+        # a block handed over is gone before the next is allocated, which can
+        # take its memory
+        if isinstance(shape, tuple) and shape[:1] == (BLOCK,):
+            assert all(ref() is None for ref in handed)
+        return empty(shape, *args, **kwargs)
+
     monkeypatch.setattr(sim.CsvStream, "_take", taken)
     monkeypatch.setattr(sim._Recorder, "trajectory", watched)
+    monkeypatch.setattr(np, "empty", allocating)
     _, model, obj, d = reference_instance()
     with sim.CsvStream(tmp_path / "traj.csv", U_INF, model) as stream:
         # 40 BLOCK + 1 kept rows and, at decimation 7, a final row between two
@@ -947,15 +1032,26 @@ def test_streamed_run_memory_does_not_follow_its_length(tmp_path, monkeypatch):
     assert peak(40) <= short + 256 * 6 * 8
 
 
-def _ending_run(loop, ending, decimate=1, stream=None):
+# the kept rows at which an "edge" run diverges: the first of the third block of
+# BLOCK rows, which is not yet allocated, and the last of the second, a full block
+EDGES = {"nonfinite-first": 2 * BLOCK, "nonfinite-last": 2 * BLOCK - 1}
+
+
+def _ending_run(loop, ending, decimate=1, stream=None, spacing=None):
     """A run of the reference instance that ends as ``ending`` says, its trajectory
-    (the finite rows when it diverges) and metrics against u_star."""
+    (the finite rows when it diverges) and metrics against u_star.  An edge run
+    diverges at its kept row EDGES[ending] at decimation ``spacing`` (``decimate``
+    when None), whatever decimation it records at."""
     _, model, obj, d = reference_instance()
+    if ending in EDGES:
+        obj = _DivergingObjective(EDGES[ending] * (spacing or decimate))
     cfg, steps = {
         "early": (dec(0.1), 10**5),  # stops after 124 (algebraic) or 109 (lti) updates
         "budget": (dec(0.01), 999),
         "budget-kept": (dec(0.01), 1050),  # a multiple of every decimation tried
         "nonfinite": (cen(1e3 if loop == "algebraic" else 2.0), 10**4),  # steps 91, 1195
+        "nonfinite-first": (dec(0.001), 10**4),  # stops after 11,124 or 11,114 updates
+        "nonfinite-last": (dec(0.001), 10**4),
     }[ending]
     run = {"steps": steps, "decimation": decimate, "stream": stream}
     try:
@@ -969,31 +1065,39 @@ def _ending_run(loop, ending, decimate=1, stream=None):
     return traj, step, sim.metrics(traj, U_STAR, model)
 
 
-@pytest.mark.parametrize("ending", ["early", "budget", "budget-kept", "nonfinite"])
+@pytest.mark.parametrize(
+    "ending", ["early", "budget", "budget-kept", "nonfinite", "nonfinite-first", "nonfinite-last"]
+)
 @pytest.mark.parametrize("loop", ["algebraic", "lti"])
 @pytest.mark.parametrize("decimate", [1, 7, 50])
 def test_decimated_run_equals_the_full_run(tmp_path, monkeypatch, ending, loop, decimate):
-    full, full_step, full_err = _ending_run(loop, ending)
-    assert (full_step is None) == (ending != "nonfinite")
+    full, full_step, full_err = _ending_run(loop, ending, spacing=decimate)
+    assert (full_step is None) == (not ending.startswith("nonfinite"))
     assert full.info.early_stopped == (ending == "early")
     _streaming(monkeypatch)
     path = tmp_path / "traj.csv"
     with sim.CsvStream(path, U_STAR, reference_instance()[1]) as stream:
         traj, step, err = _ending_run(loop, ending, decimate, stream)
         sim.write_trajectory_csv(path, traj, err, stream)
+    # the same run without a stream holds every row it keeps
+    plain, plain_step, _ = _ending_run(loop, ending, decimate)
     # the run holds the kept rows from ``first`` on, those not handed over
     first = traj.first
     rows = _kept(len(full), decimate)[first:]
-    assert first % BLOCK == 0
-    assert step == full_step and traj.info == full.info
+    assert first % BLOCK == 0 and plain.first == 0
+    assert step == plain_step == full_step and traj.info == plain.info == full.info
     assert traj.decimation == decimate and traj.kept == len(range(0, len(full), decimate))
+    if ending in EDGES:
+        # the second block goes over only once kept row 2 BLOCK is recorded
+        assert step == EDGES[ending] * decimate and first == BLOCK
     for name in ("u_series", "y_series", "x_series"):
         kept, whole = getattr(traj, name), getattr(full, name)
         if whole is None:
-            assert kept is None
+            assert kept is None and getattr(plain, name) is None
             continue
         assert kept.tobytes() == whole[rows].tobytes()
         assert kept[: traj.kept - first].tobytes() == whole[::decimate][first:].tobytes()
+        assert getattr(plain, name).tobytes() == whole[_kept(len(full), decimate)].tobytes()
     assert err.rel_err_u[-1].tobytes() == full_err.rel_err_u[-1].tobytes()
     assert path.read_bytes() == _reference_csv(full, full_err, decimate)
 
@@ -1082,11 +1186,11 @@ def test_exception_in_the_loop_leaves_no_worker_or_file(tmp_path, monkeypatch):
         update = update_map(*args)
         calls = []
 
-        def failing(u, y):
+        def failing(u, y, out=None):
             calls.append(1)
             if len(calls) == 3 * BLOCK:
                 raise RuntimeError("update failed")
-            return update(u, y)
+            return update(u, y, out)
 
         return failing
 
