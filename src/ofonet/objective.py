@@ -69,6 +69,12 @@ class SeparableObjective:
         Smoothness and strong-convexity moduli bounding every input cost.
     L_y, m_y : float
         Same for the output costs.
+
+    A subclass, of this class or of ``QuadraticObjective``, may override
+    ``input_gradient`` and ``output_gradient`` with methods that take no
+    ``out``: the closed loop passes ``out`` only to these two classes' own
+    methods, calls a subclass's gradients with the vector alone
+    (``controller.update_map`` wraps them) and uses the array they return.
     """
 
     input_costs: tuple[ScalarCost, ...]

@@ -207,13 +207,21 @@ def _raw_matrices(spec: GridSpec, g_node: NDArray[np.float64]):
     return a_d, b_d, c_d
 
 
+_DERIVED = {
+    "d_eff": "the effective disturbance H (i_star - delta_i) + d_meas",
+    "y_ref": "the voltage reference H i_star + d_meas",
+}
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _d_eff(spec: GridSpec, H):
-    """The effective disturbance H (i_star - delta_i) + d_meas (per slice), or Overflow."""
-    d_eff = H @ (spec.i_star - spec.delta_i) + spec.d_meas
-    if not np.isfinite(d_eff).all():
-        raise Overflow("the effective disturbance H (i_star - delta_i) + d_meas")
-    return d_eff
+def _derived(spec: GridSpec, H, name: str):
+    """The vector ``name`` of ``spec``, H v + d_meas per slice when H is a stack:
+    d_eff (v = i_star - delta_i) or y_ref (v = i_star); or Overflow naming it."""
+    v = spec.i_star - spec.delta_i if name == "d_eff" else spec.i_star
+    out = H @ v + spec.d_meas
+    if not np.isfinite(out).all():
+        raise Overflow(_DERIVED[name])
+    return out
 
 
 def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, SimpleNamespace]:
@@ -242,7 +250,7 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
         H, H_x = sensitivity(a_d, b_d, c_d, d_d)
     H_diag = np.where(np.eye(spec.n_nodes, dtype=bool), H, 0.0)
     stable, radius, sigma_a = schur_screen(a_d)
-    grids = dict(A=a_d, C=c_d, H=H, H_diag=H_diag, H_x=H_x, d_eff=_d_eff(spec, H))
+    grids = dict(A=a_d, C=c_d, H=H, H_diag=H_diag, H_x=H_x, d_eff=_derived(spec, H, "d_eff"))
     return errors, SimpleNamespace(**grids, stable=stable, radius=radius, sigma_a=sigma_a)
 
 
@@ -258,7 +266,7 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     (a_d,), b_d, c_d = _raw_matrices(spec, spec.g_node[None])
     d_d = np.zeros((spec.n_nodes, spec.n_nodes))
     model = sensitivity(a_d, b_d, c_d, d_d)
-    d_eff = _d_eff(spec, model.H)
+    d_eff = _derived(spec, model.H, "d_eff")
     try:
         plant = LtiPlant(A=a_d, B=b_d, C=c_d, D=d_d, d=d_eff)
     except ValueError as exc:
@@ -268,18 +276,10 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     return plant, model, d_eff
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _y_ref(spec: GridSpec, H):
-    """The reference H i_star + d_meas, per slice when H is a stack, or Overflow."""
-    y_ref = H @ spec.i_star + spec.d_meas
-    if not np.isfinite(y_ref).all():
-        raise Overflow("the voltage reference H i_star + d_meas")
-    return y_ref
-
-
 def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjective:
     """Voltage-tracking objective with reference H i_star + d_meas."""
-    return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=_y_ref(spec, model.H))
+    y_ref = _derived(spec, model.H, "y_ref")
+    return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
 
 
 def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, list, tuple]:
@@ -289,7 +289,7 @@ def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, 
     points, the inputs of their loops."""
     g1, g2, n, B = float(spec.gamma1), float(spec.gamma2), spec.n_nodes, len(grids.H)
     obj = SimpleNamespace(L_u=g1, m_u=g1, L_y=g2, m_y=g2)  # all that the formulas read
-    y_ref = _y_ref(spec, grids.H)
+    y_ref = _derived(spec, grids.H, "y_ref")
     (star, star_errors), (fixed, fixed_errors) = (
         _quadratic_points(g1, g2, y_ref, grids.d_eff, grids.H, G, label)
         for G, label in ((grids.H, "global optimum"), (grids.H_diag, "decentralized fixed point"))

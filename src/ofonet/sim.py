@@ -52,10 +52,13 @@ row's.
 ``write_trajectory_csv`` states the CSV format.  A ``CsvStream`` takes
 each full recorder block, with its cells from ``metrics``' formula,
 while the loop runs; the recorder drops it, so a streamed run holds at
-most RECORD_BLOCK + 1 rows, whatever its length.  ``_write_table`` is
-the one formatter of CSV lines: an exact "%.17g" in numpy arithmetic,
-with Python's own formatting for the cells it cannot prove exact, so the
-bytes are Python's.
+most RECORD_BLOCK + 1 rows, whatever its length.  The stream tells its
+forked worker of each block over a one-way pipe and never waits for an
+answer: the worker formats every block handed to it, and the caller
+only the rows the run held.  ``_write_table`` is the one formatter of
+CSV lines: an exact "%.17g" in numpy arithmetic, with Python's own
+formatting for the cells it cannot prove exact, so the bytes are
+Python's.
 """
 
 from __future__ import annotations
@@ -610,13 +613,15 @@ class CsvStream:
     references, and pass it to ``run_algebraic`` or ``run_lti`` and then
     to ``write_trajectory_csv``, which writes the file.  Each full
     recorder block goes with its k and metric cells to an anonymous file
-    beside ``path``.  A worker, forked at the first handover, writes the
-    lines of the blocks announced to it into a second anonymous file; two
-    at most await its acknowledgement, so at completion this process
-    formats the waiting blocks from the back, into a third, while the
-    worker drains the front, then the rows the run held while the worker
-    ends.  No file is named, so a killed run leaves none behind.  Without
-    references, or where the OS cannot fork, nothing is handed over.
+    beside ``path``, and one notice byte on a pipe announces it.  A worker,
+    forked at the first handover, writes the lines of each block announced
+    into a second anonymous file.  The pipe is one-way: the run waits for
+    the worker only when the pipe is full (64 Ki pending blocks on Linux).
+    At completion this process formats the rows the run held, into a
+    third, while the worker drains: a handed block is formatted by the
+    worker, a held row by this process.  No file is named, so a killed run
+    leaves none behind.  Without references, or where the OS cannot fork,
+    nothing is handed over.
 
     Leaving the ``with`` block kills a worker still running and closes the
     files.  Completion stops the worker by an end notice, so another stream's
@@ -628,7 +633,7 @@ class CsvStream:
     def __init__(self, path, u_ref=None, model: Optional[SensitivityModel] = None, own_ref=None):
         self.path = os.path.abspath(path)
         self._refs = (u_ref, model, own_ref)
-        self._blocks = self._announced = self._done = 0  # taken, announced, acknowledged
+        self._blocks = 0  # taken
         self._pid = None  # the worker
         self._files = contextlib.ExitStack()
 
@@ -646,7 +651,8 @@ class CsvStream:
 
     def _take(self, block, decimation: int) -> bool:
         """The recorder's hook: store its full ``block`` of a run at ``decimation``
-        with k and the metric cells; True when it took it (and keeps no reference)."""
+        with k and the metric cells, and announce it to the worker; True when it
+        took it (and keeps no reference)."""
         if self._refs[0] is None or not hasattr(os, "fork"):
             return False
         u, _, *x = block
@@ -658,7 +664,9 @@ class CsvStream:
         self._data.write(table)
         self._data.flush()
         self._blocks += 1
-        self._announce(self._blocks)
+        # a dead worker is reported by completion's waitpid
+        with contextlib.suppress(BrokenPipeError):
+            self._notices.write(_NEXT)
         return True
 
     def _start(self, shape) -> None:
@@ -666,53 +674,34 @@ class CsvStream:
         self._data, self._lines, self._part = (
             self._files.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(3)
         )
-        self._shape = shape
         notices, notices_in = os.pipe()
-        acks_out, acks = os.pipe()
-        self._pid = os.fork()
+        try:
+            self._pid = os.fork()
+        except BaseException:
+            os.close(notices)
+            os.close(notices_in)
+            raise
         if self._pid == 0:
-            # the worker: the lines of each block announced, in order, each
-            # acknowledged; it leaves through os._exit, so no atexit handler runs
+            # the worker: the lines of each block announced, in order; it
+            # leaves through os._exit, so no atexit handler runs
             code = 1
             try:
                 os.close(notices_in)
-                os.close(acks_out)
                 i = 0
                 while os.read(notices, 1) == _NEXT:
                     _write_table(self._lines, _block(self._data, shape, i))
                     i += 1
-                    os.write(acks, _NEXT)
                 self._lines.flush()
                 code = 0
             finally:
                 os._exit(code)
         os.close(notices)
-        os.close(acks)
-        os.set_blocking(acks_out, False)
         self._notices = self._files.enter_context(open(notices_in, "wb", buffering=0))
-        self._acks = self._files.enter_context(open(acks_out, "rb", buffering=0))
 
-    def _announce(self, limit: int) -> bool:
-        """Announce blocks below ``limit`` while the worker has fewer than two
-        unacknowledged; True while some of them wait."""
-        self._done += len(self._acks.read(1 << 16) or b"")  # None: no ack yet
-        # a dead worker acknowledges nothing more, so this process takes the rest
-        while self._announced < min(limit, self._done + 2):
-            with contextlib.suppress(BrokenPipeError):
-                self._notices.write(_NEXT)
-            self._announced += 1
-        return self._announced < limit
-
-    def _finish(self, tail) -> list:
-        """Format the waiting blocks from the back while the worker drains the front,
-        then the ``tail`` tables while the worker ends, into this process's part
-        file, and reap the worker.  Returns the part's byte ranges in CSV order,
-        which follow the worker's lines.  A failed worker raises OSError."""
-        back, bounds = self._blocks, [0]  # part-file offsets: blocks from the back, then the tail
-        while self._announce(back):
-            back -= 1
-            _write_table(self._part, _block(self._data, self._shape, back))
-            bounds.append(self._part.tell())
+    def _finish(self, tail) -> None:
+        """End the worker's notices, format the ``tail`` tables into this process's
+        part file while the worker drains, and reap the worker.  A failed worker
+        raises OSError."""
         with contextlib.suppress(BrokenPipeError):
             self._notices.write(_END)
         self._notices.close()
@@ -722,8 +711,6 @@ class CsvStream:
         self._pid = None
         if status != 0:
             raise OSError(f"CSV worker of {self.path} failed (wait status {status})")
-        self._part.flush()
-        return [*zip(bounds, bounds[1:])][::-1] + [(bounds[-1], self._part.tell())]
 
 
 def write_trajectory_csv(
@@ -772,15 +759,16 @@ def write_trajectory_csv(
     with stream:  # leaving it kills a worker still running and closes the stream's files
         blocks, d = range(0, kept - first, RECORD_BLOCK), trajectory.decimation
         tail = (_table(first + i, d, [c[i : i + RECORD_BLOCK] for c in columns]) for i in blocks)
-        ranges = [] if stream._pid is None else stream._finish(tail)
+        handed = stream._pid is not None
+        if handed:
+            stream._finish(tail)
         try:
             with open(partial, "xb") as out:
                 out.write(_header([s.shape[1] for s in series], len(cells)))
-                if ranges:
-                    stream._lines.seek(0)
-                    shutil.copyfileobj(stream._lines, out)
-                for start, end in ranges:
-                    out.write(os.pread(stream._part.fileno(), end - start, start))
+                if handed:  # the worker's lines, then this process's
+                    for part in (stream._lines, stream._part):
+                        part.seek(0)
+                        shutil.copyfileobj(part, out)
                 for table in tail:  # the held rows, unless _finish formatted them into its part
                     _write_table(out, table)
             os.replace(partial, path)

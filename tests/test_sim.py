@@ -773,10 +773,9 @@ def test_csv_worker_failure_raises(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="CSV worker of .*traj.csv failed"):
         _streamed_csv(monkeypatch, tmp_path / "traj.csv", traj, err)
     assert len(forks) == 1
-    # the dead worker got the first two blocks; this process took every
-    # other one, and the run did not wait for acknowledgements; it formatted
-    # the rows it held before it waited for the worker
-    assert mine == [64] * (len(traj) // 64 - 2) + [len(traj) % 64]
+    # every block went to the dead worker, and this process formatted only
+    # the rows it held, before it waited for the worker
+    assert mine == [len(traj) % 64]
     # neither a truncated CSV nor its temporary file is left behind
     _assert_no_worker_left(tmp_path, [])
 
@@ -813,29 +812,43 @@ def test_csv_caller_failure_kills_workers(tmp_path, monkeypatch):
     _assert_no_worker_left(tmp_path, [])
 
 
-def test_this_process_shares_the_backlog_of_a_slow_worker(tmp_path, monkeypatch):
+def test_this_process_formats_only_the_held_rows_of_a_slow_worker(tmp_path, monkeypatch):
     forks = _streaming(monkeypatch)
     parent, write_table = os.getpid(), sim._write_table
-    mine = []  # the first kept row of each table this process formats
+    mine = []  # the k of each row this process formats
 
     def write(fh, table):
         if os.getpid() == parent:
-            mine.append(int(table[0, 0]))
+            mine.extend(table[:, 0].tolist())
         else:
-            time.sleep(0.05)
+            time.sleep(0.05)  # per block: the worker falls behind the run
         return write_table(fh, table)
 
     monkeypatch.setattr(sim, "_write_table", write)
     path = tmp_path / "traj.csv"
-    traj, _ = _stream_run(path, "lti", 1, steps=20 * BLOCK)
-    assert path.read_bytes() == _reference_csv(*_reference_run("lti", 20 * BLOCK))
+    steps = 20 * BLOCK + 7
+    traj, _ = _stream_run(path, "lti", 1, steps=steps)
+    assert path.read_bytes() == _reference_csv(*_reference_run("lti", steps))
     assert traj.first == 20 * BLOCK and len(forks) == 1
-    # the worker drained the front; this process took the blocks still
-    # waiting from the back, then formatted the held row
-    back = [k // BLOCK for k in mine[:-1]]
-    assert mine[-1] == 20 * BLOCK
-    assert back == list(range(19, 19 - len(back), -1)) and 10 <= len(back) < 20
+    # the worker formatted every block handed to it, however far behind it
+    # was; this process formatted the rows the run held, and only those
+    assert mine == list(range(20 * BLOCK, steps + 1))
     _assert_no_worker_left(tmp_path, ["traj.csv"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_fork_leaks_no_descriptor(tmp_path, monkeypatch):
+    _streaming(monkeypatch)
+
+    def failing_fork():
+        raise BlockingIOError("no process can be forked")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        _stream_run(tmp_path / "traj.csv", "lti", 1, steps=3 * BLOCK)
+    assert len(os.listdir("/proc/self/fd")) == before
+    _assert_no_worker_left(tmp_path, [])
 
 
 # recorder block of the streaming tests, small enough for many blocks
