@@ -20,14 +20,17 @@ figures {fig3,fig4}
     Preset bundles on the default grid: fig3 produces the four G=1
     trajectories (centralized/decentralized x algebraic/dynamic,
     eta=0.05); fig4 produces the conductance sweep.  Each bundle carries
-    a manifest.  A 'plant' section, a 'grid' or 'controller' key, or a
-    'simulation' key other than steps and seed exits 2.
+    a manifest.
 grid {build,simulate,sweep}
     DC-grid helpers working from the "grid" config section (the default
-    topology when absent).  Only simulate reads 'objective'; build,
-    sweep and the presets exit 2 when it sets a key.  sweep runs the
-    decentralized algebraic loop, so 'controller.mode' or a 'simulation'
-    key other than steps exits 2 as well.
+    topology when absent).
+
+The grid commands and presets reject a 'plant' section, and a set key
+that they do not read exits 2 naming it (``_grid_config``).  grid
+simulate reads every section; grid build every section but 'objective';
+grid sweep, which runs the decentralized algebraic loop, reads 'grid',
+controller.eta, simulation.steps and output.dir; figures reads
+simulation.steps, simulation.seed and output.dir, and no grid key.
 
 Configuration is a JSON file selected with --config; sections are
 plant | grid (exactly one), objective, controller, simulation, output.
@@ -493,12 +496,8 @@ def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
 
 
 def cmd_figures(args) -> None:
-    config = _fixed_objective(_grid_config(args))
-    if as_section("grid", config["grid"]):
-        raise ConfigError("'grid': figures runs the default grid and reads no grid key")
-    # the presets fix their controller; an 'objective' key was rejected above
-    read = ("simulation.steps", "simulation.seed", "output.dir")
-    _reads_only(config, read, "figures fixes its controller and reads only steps and seed")
+    why = "figures runs the default grid, fixes its controller and reads only steps and seed"
+    config = _grid_config(args, ("simulation.steps", "simulation.seed", "output.dir"), why)
     out_dir = _resolve_out_dir(config, ".")
     bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
     manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
@@ -506,33 +505,32 @@ def cmd_figures(args) -> None:
     sys.stdout.write(_dump_json(manifest, path))
 
 
-def _grid_config(args) -> dict:
-    """The configuration of a grid subcommand or preset: a 'grid' section, never 'plant'."""
+def _grid_config(args, read=None, why: str = "") -> dict:
+    """The configuration of a grid subcommand or preset: a 'grid' section, never 'plant'.
+
+    ``read`` lists the keys ('section.key') and whole sections the command
+    reads, None meaning all.  A set key outside it exits 2 naming the key,
+    or its section when none of that section is read; a non-empty 'grid'
+    section outside it exits 2 first.  ``why`` ends the message.
+    """
     config = _configure(args)
     if "plant" in config:
         raise ConfigError("'plant': grid subcommands and presets use the 'grid' section")
     config.setdefault("grid", {})
-    return config
-
-
-def _reads_only(config: dict, read: tuple, why: str) -> None:
-    """Reject a set key outside ``read``, naming it, or its section if none of that is read."""
-    for key in config["given"]:
-        if key not in read:
-            section = key.partition(".")[0]
+    if read is None:
+        return config
+    grid = ["grid"] if "grid" not in read and as_section("grid", config["grid"]) else []
+    for key in grid + config["given"]:
+        section = key.partition(".")[0]
+        if key not in read and section not in read:
             named = any(r.startswith(f"{section}.") for r in read)
             raise ConfigError(f"'{key if named else section}': {why}")
-
-
-def _fixed_objective(config: dict) -> dict:
-    """``config``, whose 'objective' section must set no key: the grid fixes the objective."""
-    if any(value is not None for value in config["objective"].values()):
-        raise ConfigError("'objective': grid build, grid sweep and figures use the grid's own")
     return config
 
 
 def cmd_grid_build(args) -> None:
-    config = _fixed_objective(_grid_config(args))
+    why = "grid build assembles the grid with its own objective"
+    config = _grid_config(args, ("grid", "controller", "simulation", "output"), why)
     spec = powergrid.spec_from_dict(config["grid"])
     plant, model, d_eff = powergrid.assemble_plant(spec)
     out_dir = _resolve_out_dir(config, ".")
@@ -556,10 +554,8 @@ def cmd_grid_simulate(args) -> None:
 
 
 def cmd_grid_sweep(args) -> None:
-    config = _fixed_objective(_grid_config(args))
-    read = ("controller.eta", "simulation.steps", "output.dir")
-    why = "grid sweep runs the decentralized algebraic loop and reads only eta and steps"
-    _reads_only(config, read, why)
+    why = "grid sweep runs the grid's decentralized algebraic loop and reads only eta and steps"
+    config = _grid_config(args, ("grid", "controller.eta", "simulation.steps", "output.dir"), why)
     spec = powergrid.spec_from_dict(config["grid"])
     g_values = convert("--g", lambda g: [float(v) for v in g.split(",") if v != ""], args.g)
     if not g_values:

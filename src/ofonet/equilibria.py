@@ -187,9 +187,9 @@ def monotonicity_constants(
 
 def _coupling(obj, k: MonotonicityConstants):
     """(c < m, lhs, rhs) per row of the tight constants ``k``; rhs is inf where
-    sigma_max(H) L_y is 0."""
+    sigma_max(H) L_y is 0 or m / (sigma_max(H) L_y) overflows."""
     scale = k.sigma_max_h * obj.L_y
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return k.c < k.m, k.sigma_max_offdiag, np.where(scale > 0.0, k.m / scale, np.inf)
 
 
@@ -235,10 +235,10 @@ def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label):
         (gamma1 I + gamma2 G^T H) u = gamma2 G^T (y_ref - d),
 
     or the error its equations raise, named by ``label``: Overflow for a
-    coefficient past the floating-point range, SingularMatrix for singular
-    equations.  Returns the (B, n) solutions, NaN on a failing slice, and
-    per slice its error or None.  One stacked solve; when a slice is
-    singular, each slice is solved alone.
+    coefficient or a solution past the floating-point range, SingularMatrix
+    for singular equations.  Returns the (B, n) solutions, NaN on a slice
+    whose equations fail, and per slice its error or None.  One stacked
+    solve; when a slice is singular, each slice is solved alone.
     """
     G_t = np.swapaxes(G, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,6 +259,8 @@ def _quadratic_points(gamma1, gamma2, y_ref, d, H, G, label):
             except np.linalg.LinAlgError as exc:
                 errors[b] = SingularMatrix(f"{label} equations are singular: {exc}")
                 errors[b].__cause__ = exc
+    for b in np.flatnonzero(~np.isfinite(u).all(axis=-1)).tolist():
+        errors[b] = errors[b] or Overflow(f"the {label}")
     return u, errors
 
 

@@ -82,12 +82,16 @@ def schur_screen(A):
 
     One values-only SVD gives ||A||_2, which bounds the spectral radius:
     below 1 - SCHUR_TOL the slice is stable, its radius left 0, and one
-    eigvals call gives the radius max |eig| of all other slices.
+    eigvals call gives the radius max |eig| of all other slices.  A slice
+    with a non-finite entry is unstable, its norm and radius inf: the SVD
+    takes it as zeros and the eigvals call skips it.
     """
     A = np.asarray(A, dtype=float)
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    A = A if finite.all() else np.where(finite[..., None, None], A, 0.0)
     norm = np.linalg.svd(A, compute_uv=False)[..., 0] if A.size else np.zeros(A.shape[:-2])
-    radius = np.zeros_like(norm)
-    unproven = norm >= 1.0 - SCHUR_TOL
+    norm, radius = np.where(finite, norm, np.inf), np.where(finite, 0.0, np.inf)
+    unproven = finite & (norm >= 1.0 - SCHUR_TOL)
     if unproven.any():
         radius[unproven] = _radii(A[unproven] if A.ndim == 3 else A)
     stable = radius < 1.0 - SCHUR_TOL

@@ -26,9 +26,10 @@ one stacked sensitivity solve, one ``plant.schur_screen`` of the A_d, one
 SVD per certificate spectrum (C once, ||A_d||_2 from the screen), one
 solve per reference point, and each formula of ``equilibria`` and
 ``analysis`` applied once over all rows, so a row equals the per-instance
-functions on its grid bit for bit.  A G so small that 1 + eps g / c_cap
-rounds to 1 leaves the grid without a ground path, so (I - A_d) is
-singular: the sweep notes that row, cells empty, as it notes a row whose
+functions on its grid bit for bit.  ``assemble_plant`` is the stacked
+assembly's one-row case.  A G so small that 1 + eps g / c_cap rounds to
+1 leaves the grid without a ground path, so (I - A_d) is singular: the
+sweep notes that row, cells empty, as it notes a row whose
 reference-point equations are singular.  A row whose coupling fails is
 no failure: no note, a ``lam_max_xi`` of at least 1, no ``eta_star``.
 """
@@ -230,9 +231,9 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
     Returns per row the SingularMatrix its steady-state solve raised or
     None, and the rows that solved, each field an array over them: A
     (A_d), H, H_diag, H_x, d_eff, and stable, radius and sigma_a from one
-    ``schur_screen`` of their A_d; and C (C_d), which they share.  The
-    steady state exists even where A_d is unstable: (I - A_d) = -eps
-    E^{-1} K is invertible for positive conductances.
+    ``schur_screen`` of their A_d; and B, C and D (B_d, C_d, 0), which
+    they share.  The steady state exists even where A_d is unstable:
+    (I - A_d) = -eps E^{-1} K is invertible for positive conductances.
     """
     a_d, b_d, c_d = _raw_matrices(spec, g_node)
     d_d = np.zeros((spec.n_nodes, spec.n_nodes))
@@ -250,12 +251,13 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
         H, H_x = sensitivity(a_d, b_d, c_d, d_d)
     H_diag = np.where(np.eye(spec.n_nodes, dtype=bool), H, 0.0)
     stable, radius, sigma_a = schur_screen(a_d)
-    grids = dict(A=a_d, C=c_d, H=H, H_diag=H_diag, H_x=H_x, d_eff=_derived(spec, H, "d_eff"))
+    d_eff = _derived(spec, H, "d_eff")
+    grids = dict(A=a_d, B=b_d, C=c_d, D=d_d, H=H, H_diag=H_diag, H_x=H_x, d_eff=d_eff)
     return errors, SimpleNamespace(**grids, stable=stable, radius=radius, sigma_a=sigma_a)
 
 
 def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[np.float64]]:
-    """Discretize the grid and wrap it as a stable LTI plant.
+    """The grid discretized as a stable LTI plant: the one-row case of ``_discretize``.
 
     Returns the plant (deviation-state realization), its sensitivity
     model, and the effective output disturbance H (i_star - delta_i) + d_meas.
@@ -263,17 +265,13 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
     parameters, SingularMatrix if (I - A_d) is numerically singular (a
     vanishing conductance).
     """
-    (a_d,), b_d, c_d = _raw_matrices(spec, spec.g_node[None])
-    d_d = np.zeros((spec.n_nodes, spec.n_nodes))
-    model = sensitivity(a_d, b_d, c_d, d_d)
-    d_eff = _derived(spec, model.H, "d_eff")
-    try:
-        plant = LtiPlant(A=a_d, B=b_d, C=c_d, D=d_d, d=d_eff)
-    except ValueError as exc:
-        if not hasattr(exc, "spectral_radius"):
-            raise
-        raise UnstableDiscretization(exc.spectral_radius) from None
-    return plant, model, d_eff
+    (error,), grids = _discretize(spec, spec.g_node[None])
+    if error is not None:
+        raise error
+    if not grids.stable[0]:
+        raise UnstableDiscretization(grids.radius[0])
+    plant = LtiPlant(A=grids.A[0], B=grids.B, C=grids.C, D=grids.D, d=grids.d_eff[0])
+    return plant, SensitivityModel(H=grids.H[0], H_x=grids.H_x[0]), plant.d
 
 
 def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjective:

@@ -443,7 +443,7 @@ def _cells(u, x, u_ref, model, own_ref, rows: int):
 def _table(first: int, decimation: int, columns):
     """Trajectory rows first, first + 1, ..., which ``columns`` hold, as one float
     array: k = row * ``decimation``, then the row of each column."""
-    ks = np.arange(first, first + len(columns[0])) * decimation
+    ks = np.arange(first, first + len(columns[0]), dtype=float) * decimation
     return np.column_stack([ks, *columns])
 
 

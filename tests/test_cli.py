@@ -565,6 +565,15 @@ HUGE_REFERENCE = {
 GRID_COMMANDS = [["grid", "build"], ["grid", "simulate"], ["analyze"], ["grid", "sweep"]]
 D_EFF = "the effective disturbance H (i_star - delta_i) + d_meas leaves the floating-point range"
 Y_REF = "the voltage reference H i_star + d_meas leaves the floating-point range"
+EXTREME_WEIGHTS = {"grid": {"gamma1": 1e300, "gamma2": 1e-300}, "controller": {"eta": 0.05}}
+# finite equations whose reference points are not: d_1 = 1e308 against the
+# coupling 4 of H = C drives u_1 to -inf
+OVERFLOWING_POINT = {
+    "plant": {**REF_PLANT, "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [4.0, 1.0]],
+              "d": [1e308, 0.0]},
+    "controller": {"eta": 0.05},
+    "simulation": {"steps": 1},
+}
 
 
 @pytest.mark.parametrize(
@@ -611,6 +620,13 @@ Y_REF = "the voltage reference H i_star + d_meas leaves the floating-point range
         *[(HUGE_INJECTION, argv, D_EFF) for argv in GRID_COMMANDS],
         (HUGE_REFERENCE, ["grid", "simulate"], Y_REF),
         (HUGE_REFERENCE, ["analyze"], Y_REF),
+        # the report solves the optimum first, a decentralized run its fixed point
+        (OVERFLOWING_POINT, ["analyze"], "the global optimum leaves the floating-point range"),
+        (
+            OVERFLOWING_POINT,
+            ["simulate"],
+            "the decentralized fixed point leaves the floating-point range",
+        ),
     ],
 )
 def test_overflowing_certificate_exits_1_with_one_error_line(
@@ -637,6 +653,47 @@ def test_equilibrium_residual_whose_square_overflows_gives_no_warning(tmp_path, 
         warnings.simplefilter("error")
         assert run(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", GRID_COMMANDS, ids=" ".join)
+def test_euler_step_that_overflows_a_d_is_an_unstable_discretization(tmp_path, capsys, argv):
+    # eps = 1e308 leaves inf in A_d = I + eps E^{-1} K: its radius counts as inf
+    cfg = write_config(tmp_path, {"grid": {"eps": 1e308}, "controller": {"eta": 0.05}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["--config", cfg, "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    radius = "(spectral radius inf)"
+    if argv[-1] != "sweep":
+        assert code == 1
+        assert captured.err == f"error: discretized system is not Schur stable {radius}\n"
+        return
+    assert code == 0 and captured.err == ""
+    rows = list(csv.DictReader((out / "grid_sweep.csv").read_text().splitlines()))
+    assert [row["note"] for row in rows] == [f"unstable discretization {radius}"] * 7
+
+
+def test_extreme_objective_weights_simulate_without_warning(tmp_path, capsys):
+    # m / (sigma_max(H) L_y) of the coupling condition overflows to an rhs of inf
+    cfg = write_config(tmp_path, {**EXTREME_WEIGHTS, "simulation": {"steps": 50}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "--out", str(tmp_path / "out"), "grid", "simulate"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_decimation_past_the_int64_range_keeps_only_the_first_row(tmp_path, capsys, monkeypatch):
+    config = {"grid": {}, "controller": {"eta": 0.05}, "simulation": {"steps": 50}}
+    cfg = write_config(tmp_path, config)
+    csvs = []
+    for decimation in ("1e30", "51"):
+        monkeypatch.setenv("OFO_SIMULATION_DECIMATION", decimation)
+        out = tmp_path / decimation
+        assert run(["--config", cfg, "--out", str(out), "grid", "simulate"]) == 0
+        csvs.append((out / "trajectory.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert csvs[0] == csvs[1] and len(csvs[0].splitlines()) == 2
 
 
 def test_rejected_figures_config_leaves_no_directory(tmp_path, capsys):
@@ -684,6 +741,10 @@ FAILURES = {
     "plant-huge-gain-centralized-simulate": (HUGE_GAIN_CENTRALIZED, ["simulate"]),
     "plant-nonnormal-huge": (NONNORMAL_HUGE, ["analyze"]),
     "plant-large-output": (LARGE_OUTPUT, ["analyze"]),
+    "grid-analyze-extreme-weights": (EXTREME_WEIGHTS, ["analyze"]),
+    "grid-sweep-extreme-weights": (EXTREME_WEIGHTS, ["grid", "sweep"]),
+    "plant-analyze-overflowing-point": (OVERFLOWING_POINT, ["analyze"]),
+    "plant-simulate-overflowing-point": (OVERFLOWING_POINT, ["simulate"]),
     **{
         f"plant-overflow-{loop}": (_last_output_overflow(plant, loop), ["simulate"])
         for plant, loop in LAST_OUTPUT_PLANTS

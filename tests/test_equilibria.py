@@ -52,6 +52,26 @@ def test_quadratic_points_solve_a_stack_and_keep_each_slice_error():
     assert str(overflow) == f"a coefficient of the {label} equations leaves the floating-point range"
 
 
+def test_reference_point_past_the_float_range_raises_overflow():
+    # finite equations whose solution is not: d_1 = 1e308 against the
+    # coupling 4 of H drives u_1 to -inf at both reference points
+    H = np.array([[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [4.0, 1.0]]])
+    d = np.array([[1.0, 1.0], [1e308, 0.0]])
+    obj = QuadraticObjective(1.0, 1.0, np.zeros(2))
+    model = SensitivityModel(H=H[1], H_x=np.eye(2))
+    for solve, G, label in (
+        (eq.global_optimum, H, "global optimum"),
+        (eq.decentralized_fixed_point, H * np.eye(2), "decentralized fixed point"),
+    ):
+        u, (none, overflow) = eq._quadratic_points(1.0, 1.0, np.zeros((2, 2)), d, H, G, label)
+        assert none is None and np.isfinite(u[0]).all()
+        assert str(overflow) == f"the {label} leaves the floating-point range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match=f"^the {label} leaves"):
+                solve(obj, model, d[1])
+
+
 def test_global_optimum_oracle():
     _, model, obj, d = reference_instance()
     sol = eq.global_optimum(obj, model, d)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,18 @@ def test_import_builds_no_power_table_and_loads_no_exact_arithmetic():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "None []\n[]\n"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    # the documented calls, run as written: the second block streams the
+    # first one's loop into traj.csv
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    rows = (tmp_path / "traj.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0].startswith("k,u_1,u_2,y_1,y_2,x_1,x_2,rel_err_u")
+    assert len(rows) == namespace["traj"].kept + 1

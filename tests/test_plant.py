@@ -143,6 +143,24 @@ def test_stacked_screen_agrees_with_lti_plant_slice_by_slice(seed, n, kinds):
             assert ok
 
 
+def test_screen_marks_non_finite_slices_unstable_without_solving_them(rng, monkeypatch):
+    # an Euler step past the float range leaves inf (or, from inf - inf, nan)
+    # in A_d; the finite slices keep the bits of a stack without them
+    finite = np.stack([_screen_slice(rng, kind, 3) for kind in (0, 1, 2)])
+    stack = np.concatenate([finite[:1], np.full((2, 3, 3), 0.5), finite[1:]])
+    stack[1, 0, 0], stack[2, 1, 2] = np.inf, np.nan
+    expected = schur_screen(finite)
+    calls = _count_eigvals(monkeypatch)
+    stable, radius, norm = schur_screen(stack)
+    assert stable.tolist() == [True, False, False, True, False]
+    for got, want in zip((radius, norm), expected[1:]):
+        assert got[[0, 3, 4]].tobytes() == want.tobytes()
+        assert got[1:3].tolist() == [np.inf, np.inf]
+    # the eigenvalue call sees only the finite slices whose norm proves nothing
+    assert calls == [(2, 3, 3)]
+    assert schur_screen(stack[1]) == schur_screen(stack[2]) == (False, np.inf, np.inf)
+
+
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         LtiPlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), C=np.zeros((1, 2)),

@@ -255,11 +255,16 @@ def test_stacked_slices_equal_assemble_plant(seed, n, batch, eps):
         for name in ("H", "H_diag", "H_x"):
             assert getattr(grids, name)[b].tobytes() == getattr(alone, name).tobytes(), name
         spec_g = dataclasses.replace(spec, g_node=g)
+        # assemble_plant is the one-row stack; grid_row builds the row alone
+        row_plant, _, row_d, row_radius = grid_row(spec_g)
+        assert grids.d_eff[b].tobytes() == row_d.tobytes()
         if not grids.stable[b]:
             with pytest.raises(UnstableDiscretization) as info:
                 pg.assemble_plant(spec_g)
             assert info.value.spectral_radius == grids.radius[b] == is_schur_stable(full)[1]
+            assert row_plant is None and row_radius == grids.radius[b]
             continue
+        assert row_radius is None
         ref_plant, ref_model, ref_d = pg.assemble_plant(spec_g)
         assert grids.A[b].tobytes() == ref_plant.A.tobytes()
         assert grids.d_eff[b].tobytes() == ref_d.tobytes() == ref_plant.d.tobytes()
