@@ -51,6 +51,7 @@ from .equilibria import (
     SVAL_TOL,
     Convention,
     MonotonicityConstants,
+    _diagonal,
     _max_abs_diag,
     _model_constants,
     _n_factor,
@@ -154,12 +155,12 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
     return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
 
 
-def _dropped_gradient(H, H_diag, grad_y):
-    """||(H^T - H_diag) grad_y||, the gradient term the decentralized loop drops,
-    per slice of the stacks H, H_diag (B, n, n) and grad_y (B, n), with
-    grad_y the output gradient at the decentralized fixed point."""
+def _dropped_gradient(H, grad_y):
+    """||(H^T - diag(H)) grad_y||, the gradient term the decentralized loop drops,
+    per slice of the stacks H (B, n, n) and grad_y (B, n), with grad_y the
+    output gradient at the decentralized fixed point."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = (np.swapaxes(H, -1, -2) - H_diag) @ grad_y[..., None]
+        v = (np.swapaxes(H, -1, -2) - _diagonal(H)) @ grad_y[..., None]
     return _norm(v[..., 0])
 
 
@@ -179,14 +180,14 @@ def suboptimality_bound(
     u_inf,
     consts: MonotonicityConstants,
 ) -> SuboptimalityBound:
-    """Distance bound ||u* - u_inf|| <= ||(H^T - H_diag) grad_y(y_inf)|| / sqrt(2m - 1).
+    """Distance bound ||u* - u_inf|| <= ||(H^T - diag(H)) grad_y(y_inf)|| / sqrt(2m - 1).
 
     ``applicable`` requires 2m > 1 together with the diagonal-dominance
     condition; the number is returned either way since it stays
     informative outside the certified regime.
     """
     y_inf = model.H @ np.asarray(u_inf, dtype=float) + np.asarray(d, dtype=float)
-    lead = _dropped_gradient(model.H[None], model.H_diag[None], obj_mod.grad_y(obj, y_inf)[None])
+    lead = _dropped_gradient(model.H[None], obj_mod.grad_y(obj, y_inf)[None])
     satisfied, _, _ = coupling_condition(obj, model)
     bound, applicable = _bound(lead[0], consts.m, satisfied)
     return SuboptimalityBound(bound=float(bound), applicable=bool(applicable))
@@ -260,7 +261,7 @@ def xi_matrix(
     consts = _model_constants(obj, model, convention)
     spectra = _xi_spectra(plant.C, model.H_x[None], plant.A[None])
     xi, lam_max, constants = _xi_certificate(
-        obj, model.n, consts, _max_abs_diag(model.H_diag[None]), spectra, eta, convention
+        obj, model.n, consts, _max_abs_diag(model.H[None]), spectra, eta, convention
     )
     if not math.isfinite(lam_max[0]):
         raise Overflow(f"Xi at step size {eta:.6g}")

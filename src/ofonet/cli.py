@@ -81,8 +81,8 @@ from .plant import (
     PLANT_KEYS,
     LtiPlant,
     SensitivityModel,
+    _radii,
     compute_sensitivity,
-    is_schur_stable,
     plant_from_dict,
 )
 
@@ -261,6 +261,9 @@ def _objective(objc: dict, default: QuadraticObjective) -> SeparableObjective:
         if factory is None:
             raise ConfigError(f"'objective.custom': '{objc['custom']}' is not registered")
         obj = convert("objective.custom", factory, n)
+        if not isinstance(obj, SeparableObjective):
+            kind = type(obj).__name__
+            raise ConfigError(f"invalid 'objective.custom': gives {kind}, not SeparableObjective")
     else:
         key = "y_ref"
         y_ref = default.y_ref if objc["y_ref"] is None else objc["y_ref"]
@@ -537,13 +540,12 @@ def cmd_grid_build(args) -> None:
     _dump_json(powergrid.spec_to_dict(spec), os.path.join(out_dir, "grid_spec.json"))
     plant_dict = {key: getattr(plant, key).tolist() for key in PLANT_KEYS}
     _dump_json(plant_dict, os.path.join(out_dir, "grid_plant.json"))
-    _, radius = is_schur_stable(plant.A)
     summary = {
         "files": {"spec": "grid_spec.json", "plant": "grid_plant.json"},
         "n_nodes": spec.n_nodes,
         "n_edges": spec.n_edges,
         "n_state": plant.n_state,
-        "spectral_radius": radius,
+        "spectral_radius": _radii(plant.A)[0],
         "effective_disturbance": d_eff.tolist(),
     }
     sys.stdout.write(_dump_json(summary))
@@ -557,7 +559,8 @@ def cmd_grid_sweep(args) -> None:
     why = "grid sweep runs the grid's decentralized algebraic loop and reads only eta and steps"
     config = _grid_config(args, ("grid", "controller.eta", "simulation.steps", "output.dir"), why)
     spec = powergrid.spec_from_dict(config["grid"])
-    g_values = convert("--g", lambda g: [float(v) for v in g.split(",") if v != ""], args.g)
+    values = convert("--g", lambda g: [float(v) for v in g.split(",") if v != ""], args.g)
+    g_values = convert("--g", finite, values).tolist()
     if not g_values:
         raise ConfigError("--g must contain at least one value")
     eta, steps = _controller(config).eta, config["simulation"]["steps"]

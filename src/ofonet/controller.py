@@ -82,7 +82,7 @@ def update_map(
     if cfg.mode is Mode.CENTRALIZED:
         apply_gt = model.H.T.dot
     else:
-        apply_gt = functools.partial(np.multiply, np.diag(model.H_diag))
+        apply_gt = functools.partial(np.multiply, model.H.diagonal())
     add, multiply, subtract = np.add, np.multiply, np.subtract
     gu, gy, s = np.empty(n), np.empty(n), np.empty(n)
 

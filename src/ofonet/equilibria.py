@@ -6,7 +6,8 @@ points are zeros of one gradient,
     F_G(u) = grad_u(u) + G^T grad_y(Hu + d).
 
 With G = H it is the full gradient, whose unique zero u_star is the
-minimizer.  With G = H_diag it is the pseudo-gradient of the
+minimizer.  With G = diag(H), the matrix of H's diagonal that
+``_diagonal`` builds from H, it is the pseudo-gradient of the
 decentralized controller; its zeros u_inf are exactly the Nash
 equilibria of the game in which player i minimizes
 phi_i1(u_i) + phi_i2([Hu + d]_i) over its own input.  One solver,
@@ -118,15 +119,20 @@ def _n_factor(n: int, convention: Convention) -> float:
     return float(n) if convention is Convention.PAPER else 1.0
 
 
-def _max_abs_diag(H_diag):
-    """max_i |H_ii|, the spectral norm of H_diag, per slice of a stack; 0 without agents."""
-    return np.max(np.abs(np.diagonal(H_diag, axis1=-2, axis2=-1)), axis=-1, initial=0.0)
+def _diagonal(H):
+    """diag(H): the matrix holding H's diagonal and zeros elsewhere, per slice of a stack."""
+    return np.where(np.eye(H.shape[-1], dtype=bool), H, 0.0)
 
 
-def _h_spectra(H, H_diag):
-    """(sigma_max(H), sigma_min(H), sigma_max(H - H_diag)) of one model, or per slice of stacks."""
+def _max_abs_diag(H):
+    """max_i |H_ii|, the spectral norm of diag(H), per slice of a stack; 0 without agents."""
+    return np.max(np.abs(np.diagonal(H, axis1=-2, axis2=-1)), axis=-1, initial=0.0)
+
+
+def _h_spectra(H):
+    """(sigma_max(H), sigma_min(H), sigma_max(H - diag(H))) of one H, or per slice of a stack."""
     s = _svals(H)
-    return s[..., 0], s[..., -1], _svals(H - H_diag)[..., 0]
+    return s[..., 0], s[..., -1], _svals(H - _diagonal(H))[..., 0]
 
 
 def _square(x):
@@ -157,7 +163,7 @@ def _constants(obj, n: int, spectra, convention: Convention):
 
 def _model_constants(obj, model, convention: Convention) -> MonotonicityConstants:
     """``_constants`` of one model as a one-row stack; past the range it raises Overflow."""
-    spectra = _h_spectra(model.H[None], model.H_diag[None])
+    spectra = _h_spectra(model.H[None])
     consts, (error,) = _constants(obj, model.n, spectra, convention)
     if error is not None:
         raise error
@@ -177,7 +183,7 @@ def monotonicity_constants(
 ) -> MonotonicityConstants:
     """Compute (m, c, L) from the sensitivity spectrum and the moduli.
 
-    m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - H_diag) sigma_max(H) L_y,
+    m = m_u + sigma_min(H)^2 m_y, c = sigma_max(H - diag(H)) sigma_max(H) L_y,
     L = L_u + sigma_max(H)^2 L_y, each multiplied by N under the
     N-scaled convention.  A constant past the floating-point range (as
     sigma_max(H) above ~1e154 gives) raises Overflow.
@@ -201,7 +207,7 @@ def coupling_condition(
     Returns (satisfied, lhs, rhs): ``satisfied`` is c < m on the tight
     constants (the agent-count factor cancels), and lhs, rhs are its two
     sides in singular-value form,
-    sigma_max(H - H_diag) < (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y).
+    sigma_max(H - diag(H)) < (m_u + sigma_min(H)^2 m_y) / (sigma_max(H) L_y).
     """
     satisfied, lhs, rhs = _coupling(obj, _model_constants(obj, model, Convention.TIGHT))
     return bool(satisfied[0]), float(lhs[0]), float(rhs[0])
@@ -309,7 +315,7 @@ def global_optimum(obj: SeparableObjective, model: SensitivityModel, d) -> Equil
 def decentralized_fixed_point(
     obj: SeparableObjective, model: SensitivityModel, d
 ) -> EquilibriumSolution:
-    """Solve for the zero of the pseudo-gradient, the Nash equilibrium (G = H_diag).
+    """Solve for the zero of the pseudo-gradient, the Nash equilibrium (G = diag(H)).
 
     When the diagonal-dominance margin fails, the solver still runs but
     the result carries ``uniqueness_certified=False`` instead of raising:
@@ -321,10 +327,9 @@ def decentralized_fixed_point(
     k, certified = _take(rows, 0), bool(_coupling(obj, rows)[0][0])
 
     def step_size():
-        L = obj.L_u + float(_max_abs_diag(model.H_diag)) * k.sigma_max_h * obj.L_y
+        L = obj.L_u + float(_max_abs_diag(model.H)) * k.sigma_max_h * obj.L_y
         # m - c > 0 makes tau provably contractive; otherwise best effort.
         return (k.m - k.c) / L**2 if certified else k.m / L**2
 
-    return _solve(
-        obj, model, d, model.H_diag, "decentralized fixed point", step_size, certified
-    )
+    G = _diagonal(model.H)
+    return _solve(obj, model, d, G, "decentralized fixed point", step_size, certified)

@@ -10,14 +10,14 @@ have a higher dimension than the number of agents (rectangular B and C),
 which is what networked physical models such as the DC grid produce.
 
 The steady-state sensitivity H = C (I - A)^{-1} B + D maps constant
-inputs to steady-state outputs, y = H u + d.  ``SensitivityModel`` takes H
-and the state sensitivity H_x and derives the diagonal part H_diag from
-H; H_diag is all the decentralized controller gets to use.
+inputs to steady-state outputs, y = H u + d.  ``SensitivityModel`` holds H
+and the state sensitivity H_x, and nothing else: the diagonal of H, all
+the decentralized controller gets to use, is read from H where it is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,7 +37,6 @@ __all__ = [
     "SCHUR_TOL",
     "LtiPlant",
     "SensitivityModel",
-    "is_schur_stable",
     "schur_screen",
     "sensitivity",
     "compute_sensitivity",
@@ -65,16 +64,6 @@ def _as_matrix(value, name: str) -> NDArray[np.float64]:
 def _radii(A) -> list[float]:
     """max |eig| of a square A, or of each slice of a (B, n, n) stack, from one eigvals call."""
     return [float(np.max(np.abs(ev))) for ev in np.atleast_2d(np.linalg.eigvals(A))]
-
-
-def is_schur_stable(A) -> tuple[bool, float]:
-    """(stable, radius) of a square A: its spectral radius max |eig(A)|, and
-    whether that lies below ``1 - SCHUR_TOL`` (discrete-time asymptotic stability)."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    radius = _radii(A)[0] if A.size else 0.0
-    return radius < 1.0 - SCHUR_TOL, radius
 
 
 def schur_screen(A):
@@ -169,16 +158,13 @@ class SensitivityModel:
     Attributes
     ----------
     H : ndarray, shape (n, n)
-        Steady-state gain C (I - A)^{-1} B + D.
-    H_diag : ndarray, shape (n, n)
-        Diagonal matrix holding the diagonal of H; derived from H, not
-        a constructor argument.
+        Steady-state gain C (I - A)^{-1} B + D; its diagonal is all the
+        decentralized controller uses.
     H_x : ndarray, shape (n_state, n)
         State sensitivity (I - A)^{-1} B.
     """
 
     H: NDArray[np.float64]
-    H_diag: NDArray[np.float64] = field(init=False)
     H_x: NDArray[np.float64]
 
     def __post_init__(self):
@@ -189,7 +175,7 @@ class SensitivityModel:
             raise DimensionMismatch(f"H must be square, got shape {H.shape}")
         if H_x.shape[1] != n:
             raise DimensionMismatch(f"H_x must have {n} columns, got shape {H_x.shape}")
-        for name, arr in (("H", H), ("H_diag", np.diag(np.diag(H))), ("H_x", H_x)):
+        for name, arr in (("H", H), ("H_x", H_x)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -50,6 +50,7 @@ from .controller import ControllerConfig, Mode
 from .equilibria import (
     _constants,
     _coupling,
+    _diagonal,
     _h_spectra,
     _max_abs_diag,
     _quadratic_points,
@@ -230,7 +231,7 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
 
     Returns per row the SingularMatrix its steady-state solve raised or
     None, and the rows that solved, each field an array over them: A
-    (A_d), H, H_diag, H_x, d_eff, and stable, radius and sigma_a from one
+    (A_d), H, H_x, d_eff, and stable, radius and sigma_a from one
     ``schur_screen`` of their A_d; and B, C and D (B_d, C_d, 0), which
     they share.  The steady state exists even where A_d is unstable:
     (I - A_d) = -eps E^{-1} K is invertible for positive conductances.
@@ -249,10 +250,9 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
                 errors[b] = exc
         a_d = a_d[[error is None for error in errors]]
         H, H_x = sensitivity(a_d, b_d, c_d, d_d)
-    H_diag = np.where(np.eye(spec.n_nodes, dtype=bool), H, 0.0)
     stable, radius, sigma_a = schur_screen(a_d)
     d_eff = _derived(spec, H, "d_eff")
-    grids = dict(A=a_d, B=b_d, C=c_d, D=d_d, H=H, H_diag=H_diag, H_x=H_x, d_eff=d_eff)
+    grids = dict(A=a_d, B=b_d, C=c_d, D=d_d, H=H, H_x=H_x, d_eff=d_eff)
     return errors, SimpleNamespace(**grids, stable=stable, radius=radius, sigma_a=sigma_a)
 
 
@@ -285,18 +285,19 @@ def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, 
     over all rows; per row the error that the per-instance functions raise
     first on it, or None; and the rows' references and decentralized fixed
     points, the inputs of their loops."""
-    g1, g2, n, B = float(spec.gamma1), float(spec.gamma2), spec.n_nodes, len(grids.H)
+    H = grids.H
+    g1, g2, n, B = float(spec.gamma1), float(spec.gamma2), spec.n_nodes, len(H)
     obj = SimpleNamespace(L_u=g1, m_u=g1, L_y=g2, m_y=g2)  # all that the formulas read
-    y_ref = _derived(spec, grids.H, "y_ref")
+    y_ref = _derived(spec, H, "y_ref")
     (star, star_errors), (fixed, fixed_errors) = (
-        _quadratic_points(g1, g2, y_ref, grids.d_eff, grids.H, G, label)
-        for G, label in ((grids.H, "global optimum"), (grids.H_diag, "decentralized fixed point"))
+        _quadratic_points(g1, g2, y_ref, grids.d_eff, H, G, label)
+        for G, label in ((H, "global optimum"), (_diagonal(H), "decentralized fixed point"))
     )
-    spectra = _h_spectra(grids.H, grids.H_diag)
+    spectra = _h_spectra(H)
     tight, tight_errors = _constants(obj, n, spectra, Convention.TIGHT)
     paper, paper_errors = _constants(obj, n, spectra, Convention.PAPER)
-    y_inf = (grids.H @ fixed[..., None])[..., 0] + grids.d_eff
-    lead = analysis._dropped_gradient(grids.H, grids.H_diag, g2 * (y_inf - y_ref))
+    y_inf = (H @ fixed[..., None])[..., 0] + grids.d_eff
+    lead = analysis._dropped_gradient(H, g2 * (y_inf - y_ref))
     satisfied, lhs, rhs = _coupling(obj, tight)
     norm_star = _norm(star)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -314,7 +315,7 @@ def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, 
     spectra = analysis._xi_spectra(
         grids.C, grids.H_x[stable], grids.A[stable], grids.sigma_a[stable]
     )
-    sigma_hd, consts = _max_abs_diag(grids.H_diag[stable]), _take(tight, stable)
+    sigma_hd, consts = _max_abs_diag(H[stable]), _take(tight, stable)
     _, lam_max, constants = analysis._xi_certificate(
         obj, n, consts, sigma_hd, spectra, eta, Convention.TIGHT
     )

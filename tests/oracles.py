@@ -33,6 +33,11 @@ def step(plant, x, u) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return x_next, y
 
 
+def spectral_radius(a) -> float:
+    """max |eig(a)|, from numpy alone: the radius the Schur screen must report."""
+    return float(np.abs(np.linalg.eigvals(a)).max())
+
+
 def value(obj, u, y) -> float:
     """Total cost sum_i phi_i1(u_i) + phi_i2(y_i), summed over the per-agent callables."""
     pairs = itertools.chain(

@@ -13,12 +13,13 @@ from conftest import grid_instance, random_weakly_coupled, reference_instance, s
 from oracles import exact_algebraic_eta_limit, monotonicity_gap_test, tracking_inequality_check
 
 import ofonet.analysis as an
+import ofonet.equilibria as eq
 from ofonet import cli
-from ofonet.controller import ControllerConfig, Mode
+from ofonet.controller import ControllerConfig, Mode, update_map
 from ofonet.equilibria import decentralized_fixed_point, global_optimum
-from ofonet.errors import Overflow
+from ofonet.errors import Overflow, _norm
 from ofonet.objective import QuadraticObjective
-from ofonet.plant import LtiPlant, compute_sensitivity
+from ofonet.plant import LtiPlant, SensitivityModel, compute_sensitivity
 from ofonet.sim import run_algebraic
 
 
@@ -47,10 +48,58 @@ def test_constants_match_singular_values(rng):
         _, model, obj, _ = random_weakly_coupled(rng)
         c = an.monotonicity_constants(obj, model)
         s = np.linalg.svd(model.H, compute_uv=False)
-        off = np.linalg.svd(model.H - model.H_diag, compute_uv=False)
+        off = np.linalg.svd(model.H - np.diag(np.diag(model.H)), compute_uv=False)
         assert c.m == pytest.approx(obj.m_u + s[-1] ** 2 * obj.m_y, rel=1e-12)
         assert c.c == pytest.approx(off[0] * s[0] * obj.L_y, rel=1e-12, abs=1e-15)
         assert c.L == pytest.approx(obj.L_u + s[0] ** 2 * obj.L_y, rel=1e-12)
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def test_diagonal_read_from_h_gives_the_bits_of_a_diagonal_matrix():
+    # H holds -0.0 on and off its diagonal: each certificate, the fixed point
+    # and the decentralized map equal their formulas on H_d = diag(diag(H))
+    h = np.array([[-0.0, 0.2, -0.0], [0.1, 1.5, -0.3], [-0.0, 0.25, 2.0]])
+    h_d = np.diag(np.diag(h))
+    assert eq._diagonal(h).tobytes() == eq._diagonal(h[None]).tobytes() == h_d.tobytes()
+    d = np.array([0.5, -1.0, 0.25])
+    plant, _ = static_plant(h, d)
+    model = SensitivityModel(H=h, H_x=plant.B)
+    obj = QuadraticObjective(gamma1=1.0, gamma2=2.0, y_ref=np.array([1.0, -0.5, 0.0]))
+    n, eta = 3, 0.05
+    s = eq._svals(h[None])
+    spectra = s[..., 0], s[..., -1], eq._svals((h - h_d)[None])[..., 0]
+    consts, _ = eq._constants(obj, n, spectra, an.Convention.TIGHT)
+    satisfied, lhs, rhs = eq._coupling(obj, consts)
+    ok, got_lhs, got_rhs = an.coupling_condition(obj, model)
+    assert ok is bool(satisfied[0])
+    assert _bits(got_lhs, got_rhs) == _bits(lhs[0], rhs[0])
+
+    u, _ = eq._quadratic_points(1.0, 2.0, obj.y_ref, d[None], h[None], h_d[None], "point")
+    point = decentralized_fixed_point(obj, model, d)
+    assert _bits(point.u) == _bits(u[0])
+
+    grad = obj.output_gradient(h @ u[0] + d)
+    lead = _norm(((h.T - h_d)[None] @ grad[None, :, None])[..., 0])
+    bound, applicable = an._bound(lead[0], consts.m[0], satisfied[0])
+    got = an.suboptimality_bound(obj, model, d, point.u, eq._take(consts, 0))
+    assert (_bits(got.bound), got.applicable) == (_bits(bound), bool(applicable))
+
+    xi_spectra = an._xi_spectra(plant.C, model.H_x[None], plant.A[None])
+    sigma_hd = np.abs(np.diag(h_d)).max()[None]
+    xi, lam_max, _ = an._xi_certificate(
+        obj, n, consts, sigma_hd, xi_spectra, eta, an.Convention.TIGHT
+    )
+    cert = an.xi_matrix(plant, obj, model, eta)
+    assert _bits(cert.lam_max) == _bits(lam_max[0])
+    assert _bits(cert.xi[0, 0], cert.xi[0, 1], cert.xi[1, 1]) == _bits(*(x[0] for x in xi))
+
+    cfg = ControllerConfig(Mode.DECENTRALIZED, eta)
+    u0, y0 = np.array([-0.0, 1.0, -2.0]), np.array([0.0, -0.0, 3.0])
+    expected = u0 - eta * (obj.input_gradient(u0) + np.diag(h_d) * obj.output_gradient(y0))
+    assert _bits(update_map(cfg, obj, model)(u0, y0)) == _bits(expected)
 
 
 def test_coupling_condition_2x2():

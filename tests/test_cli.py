@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import spectral_radius
 
 from ofonet import cli, powergrid, sim
 from ofonet import plant as plant_module
@@ -396,6 +397,17 @@ def test_grid_build(tmp_path, capsys):
     assert len(plant["A"]) == 17
 
 
+def test_grid_build_reports_the_eigenvalue_radius(tmp_path, capsys):
+    # the Schur screen proves the stock grid stable by ||A_d||_2 ~ 0.959 and so
+    # leaves its radius 0; the summary still reports max |eig(A_d)| ~ 0.9
+    out = tmp_path / "gb"
+    assert run(["--out", str(out), "grid", "build"]) == 0
+    radius = json.loads(capsys.readouterr().out)["spectral_radius"]
+    a_d = json.loads((out / "grid_plant.json").read_text())["A"]
+    assert radius == spectral_radius(a_d)
+    assert radius == pytest.approx(0.9, abs=1e-12)
+
+
 def test_grid_simulate_defaults(tmp_path, capsys):
     cfg = write_config(tmp_path, {"controller": {"eta": 0.05}})
     assert run(["--config", cfg, "--out", str(tmp_path / "g"), "grid", "simulate"]) == 0
@@ -461,6 +473,15 @@ def test_malformed_custom_objective_exits_2(tmp_path, capsys, monkeypatch, side)
     assert f"{side} cost of agent 7 is not a (value, callable derivative) pair" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_custom_factory_returning_no_objective_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CUSTOM_OBJECTIVES", {})
+    cli.register_objective("bad", lambda n: None)
+    cfg = write_config(tmp_path, {"grid": {}, "objective": {"custom": "bad"}})
+    assert run(["--config", cfg, "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid 'objective.custom': gives NoneType, not SeparableObjective\n"
 
 
 def test_grid_sweep_custom_values(tmp_path, capsys):
@@ -815,6 +836,16 @@ def test_grid_sweep_annotates_overflowing_rows_and_exits_0(tmp_path, capsys, nam
 
 def test_grid_sweep_bad_g(tmp_path):
     assert run(["grid", "sweep", "--g", "1,oops", "--eta", "0.05"]) == 2
+
+
+@pytest.mark.parametrize("g", ["1,inf", "nan,1", "1,1e400", "2,-inf"])
+def test_grid_sweep_rejects_a_non_finite_g(tmp_path, capsys, g):
+    # a non-finite conductance is a usage error, not a noted row
+    assert run(["--out", str(tmp_path / "sw"), "grid", "sweep", "--g", g, "--eta", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid '--g': contains non-finite entries\n"
+    assert not (tmp_path / "sw").exists()
 
 
 def test_bad_config_json(tmp_path):

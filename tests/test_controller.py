@@ -127,7 +127,7 @@ def log_cosh_objective(n):
 
 def per_agent_step(cfg, obj, model, u, y):
     """Agent-wise decentralized update: component i reads only (u_i, y_i, H_ii)."""
-    h_ii = np.diag(model.H_diag)
+    h_ii = np.diag(model.H)
     out = np.empty(model.n)
     for i in range(model.n):
         dphi1 = obj.input_costs[i][1]
@@ -198,7 +198,7 @@ def test_update_map_matches_the_scalar_form_bit_for_bit(mode, name, u, y):
     obj = _OBJECTIVES[name](5)
     cfg = ControllerConfig(mode=mode, eta=0.3)
     grad_u, grad_y = scalar_gradients(obj)
-    h = np.diag(model.H_diag)
+    h = np.diag(model.H)
     apply_gt = model.H.T.dot if mode is Mode.CENTRALIZED else h.__mul__
     u_bits, y_bits = u.tobytes(), y.tobytes()
     with np.errstate(all="ignore"):

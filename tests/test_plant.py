@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 from conftest import random_stable_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import step
+from oracles import spectral_radius, step
 
 from ofonet.errors import ConfigError, DimensionMismatch, SingularMatrix
 from ofonet.plant import (
@@ -14,7 +15,6 @@ from ofonet.plant import (
     LtiPlant,
     SensitivityModel,
     compute_sensitivity,
-    is_schur_stable,
     plant_from_dict,
     schur_screen,
     sensitivity,
@@ -27,23 +27,17 @@ def scalar_plant():
     )
 
 
-def test_is_schur_stable_diagonal():
-    stable, radius = is_schur_stable(np.diag([0.5, -0.9]))
-    assert stable
-    assert radius == pytest.approx(0.9)
-
-
-def test_is_schur_stable_rejects_nonsquare():
-    with pytest.raises(DimensionMismatch):
-        is_schur_stable(np.zeros((2, 3)))
-
-
-def test_is_schur_stable_boundary():
+def test_schur_screen_radius_and_boundary():
+    # ||A||_2 = 0.9 proves the diagonal stable, so its radius is left 0
+    assert schur_screen(np.diag([0.5, -0.9])) == (True, 0.0, pytest.approx(0.9))
+    # a non-normal A with the same eigenvalues: the norm proves nothing
+    a = np.array([[0.5, 10.0], [0.0, -0.9]])
+    stable, radius, _ = schur_screen(a)
+    assert stable and radius == spectral_radius(a) == pytest.approx(0.9)
     # radius exactly 1 - tol/2 sits inside the rejection band
-    stable, _ = is_schur_stable(np.diag([1.0 - SCHUR_TOL / 2]))
-    assert not stable
-    stable, _ = is_schur_stable(np.diag([1.0 - 2 * SCHUR_TOL]))
-    assert stable
+    stable, radius, _ = schur_screen(np.diag([1.0 - SCHUR_TOL / 2]))
+    assert not stable and radius == 1.0 - SCHUR_TOL / 2
+    assert schur_screen(np.diag([1.0 - 2 * SCHUR_TOL]))[0]
 
 
 def test_unstable_plant_rejected():
@@ -91,9 +85,9 @@ def test_nonnormal_plant_with_norm_above_one_accepted(monkeypatch):
     npt.assert_allclose(compute_sensitivity(plant).H, np.linalg.inv(np.eye(2) - a))
 
 
-def test_plant_stability_boundary_matches_is_schur_stable(monkeypatch):
+def test_plant_stability_boundary_carries_the_spectral_radius(monkeypatch):
     a = 1.0 - SCHUR_TOL / 2
-    _, radius = is_schur_stable(np.diag([a]))
+    radius = spectral_radius(np.diag([a]))
     calls = _count_eigvals(monkeypatch)
     with pytest.raises(ValueError) as info:
         _diag_plant(a)
@@ -133,7 +127,7 @@ def test_stacked_screen_agrees_with_lti_plant_slice_by_slice(seed, n, kinds):
     for a, ok, r, s in zip(stack, stable.tolist(), radius.tolist(), norm.tolist()):
         assert (ok, r, s) == schur_screen(a)
         assert s == np.linalg.svd(a, compute_uv=False)[0]
-        assert r == (is_schur_stable(a)[1] if s >= 1.0 - SCHUR_TOL else 0.0)
+        assert r == (spectral_radius(a) if s >= 1.0 - SCHUR_TOL else 0.0)
         try:
             LtiPlant(A=a, B=np.eye(n), C=np.eye(n), D=np.zeros((n, n)), d=np.zeros(n))
         except ValueError as exc:
@@ -163,6 +157,9 @@ def test_screen_marks_non_finite_slices_unstable_without_solving_them(rng, monke
 
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
+        LtiPlant(A=np.zeros((2, 3)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                 D=np.zeros((1, 1)), d=np.zeros(1))
+    with pytest.raises(DimensionMismatch):
         LtiPlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), C=np.zeros((1, 2)),
                  D=np.zeros((1, 1)), d=np.zeros(1))
     with pytest.raises(DimensionMismatch):
@@ -174,7 +171,7 @@ def test_scalar_sensitivity():
     model = compute_sensitivity(scalar_plant())
     npt.assert_allclose(model.H, [[2.0]])
     npt.assert_allclose(model.H_x, [[2.0]])
-    npt.assert_allclose(model.H_diag, [[2.0]])
+    npt.assert_allclose(model.H.diagonal(), [2.0])
 
 
 @pytest.mark.parametrize(
@@ -240,11 +237,14 @@ def test_sensitivity_matches_long_run(rng):
 
 
 def test_model_derives_diagonal_from_h():
+    # a model holds H and H_x only: its diagonal is read from H, never stored
     h = np.array([[1.0, 0.5], [-0.25, 2.0]])
     model = SensitivityModel(H=h, H_x=h)
-    npt.assert_array_equal(model.H_diag, np.diag(np.diag(h)))
+    assert [f.name for f in dataclasses.fields(model)] == ["H", "H_x"]
+    assert vars(model).keys() == {"H", "H_x"}
+    npt.assert_array_equal(model.H.diagonal(), [1.0, 2.0])
     with pytest.raises(ValueError):
-        model.H_diag[0, 0] = 0.0
+        model.H.diagonal()[0] = 0.0
     with pytest.raises(TypeError):
         SensitivityModel(H=h, H_diag=np.diag(np.diag(h)), H_x=h)
 

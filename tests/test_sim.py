@@ -226,7 +226,7 @@ def _matmul_loop(plant, model, obj, d, cfg, loop, steps):
     finite."""
     H, A, B, C, D = model.H, plant.A, plant.B, plant.C, plant.D
     grad_u, grad_y = scalar_gradients(obj)
-    h = np.diag(model.H_diag)
+    h = np.diag(model.H)
     if cfg.mode is Mode.CENTRALIZED:
         apply_gt = lambda g: H.T @ g  # noqa: E731
     else:
