@@ -14,6 +14,7 @@ from ofonet.plant import (
     SCHUR_TOL,
     LtiPlant,
     SensitivityModel,
+    _radii,
     compute_sensitivity,
     plant_from_dict,
     schur_screen,
@@ -27,17 +28,32 @@ def scalar_plant():
     )
 
 
-def test_schur_screen_radius_and_boundary():
-    # ||A||_2 = 0.9 proves the diagonal stable, so its radius is left 0
-    assert schur_screen(np.diag([0.5, -0.9])) == (True, 0.0, pytest.approx(0.9))
-    # a non-normal A with the same eigenvalues: the norm proves nothing
-    a = np.array([[0.5, 10.0], [0.0, -0.9]])
-    stable, radius, _ = schur_screen(a)
-    assert stable and radius == spectral_radius(a) == pytest.approx(0.9)
+def test_is_schur_stable_diagonal():
+    # ||A||_2 = 0.9 proves the diagonal stable, so the screen leaves its radius 0
+    a = np.diag([0.5, -0.9])
+    assert schur_screen(a) == (True, 0.0, pytest.approx(0.9))
+    # the eigvals radius that `grid build` reports
+    assert _radii(a)[0] == pytest.approx(0.9)
+
+
+def test_is_schur_stable_rejects_nonsquare():
+    with pytest.raises(DimensionMismatch):
+        LtiPlant(A=np.zeros((2, 3)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                 D=np.zeros((1, 1)), d=np.zeros(1))
+
+
+def test_is_schur_stable_boundary():
     # radius exactly 1 - tol/2 sits inside the rejection band
     stable, radius, _ = schur_screen(np.diag([1.0 - SCHUR_TOL / 2]))
     assert not stable and radius == 1.0 - SCHUR_TOL / 2
     assert schur_screen(np.diag([1.0 - 2 * SCHUR_TOL]))[0]
+
+
+def test_schur_screen_takes_the_eigenvalue_radius_of_a_nonnormal_a():
+    # the eigenvalues of diag(0.5, -0.9), but a norm that proves nothing
+    a = np.array([[0.5, 10.0], [0.0, -0.9]])
+    stable, radius, _ = schur_screen(a)
+    assert stable and radius == spectral_radius(a) == pytest.approx(0.9)
 
 
 def test_unstable_plant_rejected():
@@ -156,9 +172,6 @@ def test_screen_marks_non_finite_slices_unstable_without_solving_them(rng, monke
 
 
 def test_shape_validation():
-    with pytest.raises(DimensionMismatch):
-        LtiPlant(A=np.zeros((2, 3)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
-                 D=np.zeros((1, 1)), d=np.zeros(1))
     with pytest.raises(DimensionMismatch):
         LtiPlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), C=np.zeros((1, 2)),
                  D=np.zeros((1, 1)), d=np.zeros(1))
