@@ -44,18 +44,22 @@ and --out, and --eta and --steps of grid sweep, override both.
 Exit codes: 0 success, 1 numerical or I/O failure, 2 usage or config error.
 Each command writes what it writes, then raises its failure; ``main``
 alone turns it into the exit code and prints its one 'error:' line.
+A command runs on one thread of numpy's bundled OpenBLAS, so its bytes
+do not depend on the BLAS thread count (``_one_blas_thread``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -616,6 +620,48 @@ def _build_parser() -> tuple[argparse.ArgumentParser, set]:
     return parser, {flag for p in parsers for flag in p._option_string_actions}
 
 
+@cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:  # not a library this process can load: not numpy's
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    Threaded LAPACK and BLAS-3 calls partition their work by the thread
+    count, which changes their rounding on matrices above OpenBLAS's
+    threading thresholds (n = 64 plants).  On one thread the bytes are
+    the same at any OPENBLAS_NUM_THREADS; where no bundled OpenBLAS is
+    found (MKL, Accelerate, a system OpenBLAS) the count is left alone.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def main(argv=None) -> int:
     parser, flags = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -628,7 +674,8 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with _one_blas_thread():
+            args.func(args)
     except (OfonetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_NUMERICAL

@@ -346,16 +346,19 @@ def sweep_g(
     All rows are assembled, screened and certified on one stacked axis
     (see the module docstring), and their decentralized loops run as one
     batched loop, which reproduces each row's ``sim.run_algebraic`` final
-    iterate bit for bit.  A non-positive G, a singular sensitivity solve
-    and singular equations of either reference point note their row,
-    cells empty, and run no loop; a diverged loop notes the step at which
-    it diverged.  A certificate past the floating-point range raises the
+    iterate bit for bit.  A non-finite or non-positive G, a singular
+    sensitivity solve and singular equations of either reference point
+    note their row, cells empty, and run no loop; a diverged loop notes
+    the step at which it diverged.  A certificate past the floating-point range raises the
     Overflow of the first row that has one, as the per-instance functions
     would; so does an effective disturbance or a reference past it.
     """
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=eta)
     base = spec if spec is not None else default_topology()
-    rows = [{"g": float(g), "note": "conductance must be positive"} for g in g_values]
+    rows = [
+        {"g": g, "note": f"conductance must be {'positive' if math.isfinite(g) else 'finite'}"}
+        for g in map(float, g_values)
+    ]
     live = [row for row in rows if row["g"] > 0.0 and math.isfinite(row["g"])]
     errors, grids = _discretize(base, np.outer([row["g"] for row in live], np.ones(base.n_nodes)))
     for row, error in zip(live, errors):

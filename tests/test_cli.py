@@ -6,13 +6,17 @@ import csv
 import gc
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from importlib import resources
 from pathlib import Path
 
+import bench_inputs
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -303,6 +307,93 @@ def test_determinism_byte_identical(tmp_path, capsys):
     ma = (tmp_path / "a" / "metrics.json").read_bytes()
     mb = (tmp_path / "b" / "metrics.json").read_bytes()
     assert ma == mb
+
+
+needs_openblas = pytest.mark.skipif(
+    cli._openblas() is None, reason="numpy bundles no OpenBLAS: ofo leaves the BLAS threads alone"
+)
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@needs_openblas
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, rng):
+    # an n = 64 plant lies above OpenBLAS's threading thresholds: its
+    # sensitivity solve and products round by the thread count unless the
+    # command runs on one thread
+    plant = bench_inputs.random_plant(rng, 64, 128, 0.25, 0.1)
+    y_ref = np.round(rng.uniform(-1.0, 1.0, 64), 6).tolist()
+    data = {
+        "plant": plant,
+        "objective": {"y_ref": y_ref},
+        "controller": {"eta": 0.1},
+        "simulation": {"steps": 2000},
+    }
+    cfg = write_config(tmp_path, data)
+    env = {key: value for key, value in os.environ.items() if not key.startswith("OFO_")}
+    runs = {}
+    for threads in ("1", "2"):
+        for command in ("simulate", "analyze"):
+            out = tmp_path / threads / command
+            proc = subprocess.run(
+                [sys.executable, "-m", "ofonet.cli", "--config", cfg, "--out", str(out), command],
+                capture_output=True,
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.setdefault(command, []).append({"stdout": proc.stdout, **_files(out)})
+    for command, (one, two) in runs.items():
+        assert one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == [], command
+
+
+@needs_openblas
+@pytest.mark.parametrize("ending", ["exit 0", "exit 2", "usage", "raised"])
+def test_the_blas_pin_lasts_one_command(tmp_path, capsys, monkeypatch, ending):
+    get, put = cli._openblas()
+    caller, seen = get(), []
+    configure = cli._configure
+
+    def spy(args):
+        seen.append(get())
+        if ending == "raised":
+            raise RuntimeError("inside a command")
+        return configure(args)
+
+    monkeypatch.setattr(cli, "_configure", spy)
+    data = {"typo": {}} if ending == "exit 2" else {"grid": {}, "controller": {"eta": 0.05}}
+    argv = ["--config", write_config(tmp_path, data), "--out", str(tmp_path / "out"), "analyze"]
+    put(2)  # a count the pin differs from
+    try:
+        if ending == "usage":
+            with pytest.raises(SystemExit):
+                cli.main(["figures", "fig5"])
+        elif ending == "raised":
+            with pytest.raises(RuntimeError, match="inside a command"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == {"exit 0": 0, "exit 2": 2}[ending]
+        after = get()
+    finally:
+        put(caller)
+    assert after == 2
+    assert seen == ([] if ending == "usage" else [1])
+
+
+def test_without_a_bundled_openblas_the_output_is_the_pinned_runs(tmp_path, capsys, monkeypatch):
+    # the default grid (n = 8) stays below OpenBLAS's threading thresholds
+    cfg = write_config(tmp_path, {"grid": {}, "controller": {"eta": 0.05}})
+    runs = []
+    for lookup in ("pinned", "none found"):
+        if lookup == "none found":
+            monkeypatch.setattr(cli, "_openblas", lambda: None)
+        out = tmp_path / lookup
+        assert run(["--config", cfg, "--out", str(out), "grid", "simulate"]) == 0
+        runs.append({"stdout": capsys.readouterr().out.encode(), **_files(out)})
+    assert runs[0] == runs[1]
 
 
 def test_figures_fig3(tmp_path, capsys):

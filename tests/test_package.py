@@ -61,6 +61,13 @@ def test_import_builds_no_power_table_and_loads_no_exact_arithmetic():
     assert out.stdout == "None []\n[]\n"
 
 
+def test_import_looks_up_no_blas_library():
+    # the first command looks up numpy's OpenBLAS, so importing costs no start-up
+    code = "import ofonet.cli as cli; print(cli._openblas.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     # the documented calls, run as written: the second block streams the
     # first one's loop into traj.csv

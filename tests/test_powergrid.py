@@ -540,6 +540,24 @@ def test_sweep_tests_the_last_output_and_rescues_the_final_error_norm():
     assert rows[1]["note"] == ""
 
 
+@pytest.mark.parametrize(
+    "g, note",
+    [
+        (np.inf, "conductance must be finite"),
+        (-np.inf, "conductance must be finite"),
+        (np.nan, "conductance must be finite"),
+        (0.0, "conductance must be positive"),
+        (-1.0, "conductance must be positive"),
+    ],
+)
+def test_sweep_notes_why_it_rejects_a_conductance(g, note):
+    rows = pg.sweep_g([1.0, g], 0.05, steps=10)
+    assert rows[0]["note"] == ""
+    assert list(rows[1]) == ["g", "note"]
+    assert rows[1]["note"] == note
+    npt.assert_equal(rows[1]["g"], g)
+
+
 def test_sweep_annotates_diverged_rows_and_continues():
     rows = pg.sweep_g([1.0, -1.0, 5.0, 20.0], eta=30.0, steps=3000)
     assert rows[1] == {"g": -1.0, "note": "conductance must be positive"}
