@@ -20,7 +20,9 @@ singular values of the sensitivity and the declared objective moduli:
 A failing coupling (m <= c) is a value, not an error: the rate window is
 empty (eta_upper = 0, rho >= 1 for every positive step) and Xi certifies
 no step (lam_max >= 1, eta_star None).  ``build_report`` gathers all of
-them into one JSON document.
+them into one JSON document.  ``_sweep_certificates`` applies each formula
+once over all rows of the conductance sweep, and each row equals the
+per-instance functions bit for bit.
 
 Every constant exists in two conventions.  The N-scaled convention
 multiplies the aggregate moduli by the agent count N; the blockwise
@@ -41,6 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -51,12 +54,17 @@ from .equilibria import (
     SVAL_TOL,
     Convention,
     MonotonicityConstants,
+    _constants,
+    _coupling,
     _diagonal,
+    _h_spectra,
     _max_abs_diag,
     _model_constants,
     _n_factor,
+    _quadratic_points,
     _square,
     _svals,
+    _take,
     coupling_condition,
     decentralized_fixed_point,
     global_optimum,
@@ -263,12 +271,18 @@ def xi_matrix(
     xi, lam_max, constants = _xi_certificate(
         obj, model.n, consts, _max_abs_diag(model.H[None]), spectra, eta, convention
     )
-    if not math.isfinite(lam_max[0]):
-        raise Overflow(f"Xi at step size {eta:.6g}")
     (x11, x12, x22), constants = ([float(c[0]) for c in cs] for cs in (xi, constants))
-    star, branch = _eta_star_from_constants(*constants)
+    lam, star, branch = _xi_finish(float(lam_max[0]), constants, eta)
     xi = np.array([[x11, x12], [x12, x22]])
-    return LtiRateCertificate(xi, float(lam_max[0]), *constants, float(eta), star, branch)
+    return LtiRateCertificate(xi, lam, *constants, float(eta), star, branch)
+
+
+def _xi_finish(lam_max: float, constants, eta: float):
+    """(lam_max, eta_star, branch) of one row of ``_xi_certificate``, from its largest
+    eigenvalue and its constants; Overflow where that eigenvalue is not finite."""
+    if not math.isfinite(lam_max):
+        raise Overflow(f"Xi at step size {eta:.6g}")
+    return (lam_max, *_eta_star_from_constants(*constants))
 
 
 def _xi_certificate(obj, n, consts, sigma_hd, spectra, eta, convention):
@@ -374,3 +388,54 @@ def build_report(
         entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch}
         report["conventions"][convention.value] = entry
     return report
+
+
+def _sweep_certificates(gamma1, gamma2, grids, y_ref, stable, sigma_a, eta: float):
+    """Per row of the sweep's ``grids`` (stacks A, H, H_x, d_eff; a shared C) under
+    the objective (gamma1, gamma2, ``y_ref``): its cells, keyed by sweep column,
+    Xi only where its Schur screen (``stable``, ``sigma_a``) passes; the error
+    that the per-instance functions raise first on it, or None; and its
+    decentralized fixed point."""
+    H, n = grids.H, grids.H.shape[-1]
+    obj = SimpleNamespace(L_u=gamma1, m_u=gamma1, L_y=gamma2, m_y=gamma2)  # all the formulas read
+    (star, star_errors), (fixed, fixed_errors) = (
+        _quadratic_points(gamma1, gamma2, y_ref, grids.d_eff, H, G, label)
+        for G, label in ((H, "global optimum"), (_diagonal(H), "decentralized fixed point"))
+    )
+    spectra = _h_spectra(H)
+    tight, tight_errors = _constants(obj, n, spectra, Convention.TIGHT)
+    paper, paper_errors = _constants(obj, n, spectra, Convention.PAPER)
+    y_inf = (H @ fixed[..., None])[..., 0] + grids.d_eff
+    lead = _dropped_gradient(H, gamma2 * (y_inf - y_ref))
+    satisfied, lhs, rhs = _coupling(obj, tight)
+    norm_star = _norm(star)
+    with np.errstate(divide="ignore", invalid="ignore"):
+
+        def relative(v):  # to ||u*||
+            return np.where(norm_star > 0.0, v / norm_star, v)
+
+        cols = dict(coupling_ok=satisfied, coupling_lhs=lhs, coupling_rhs=rhs)
+        cols["rel_subopt"] = relative(_norm(star - fixed))
+        for consts, name in ((tight, "bound_tight"), (paper, "bound_paper")):
+            bound, applicable = _bound(lead, consts.m, satisfied)
+            bound = relative(bound)
+            cols[f"{name}_rel"] = np.where(np.isfinite(bound), bound, None)  # empty past the range
+            cols[f"{name}_applicable"] = applicable
+    cols = {key: col.tolist() for key, col in cols.items()}
+    lam_max_xi, eta_star, xi_errors = ([None] * len(H) for _ in range(3))
+    rows = np.flatnonzero(stable)
+    spectra = _xi_spectra(grids.C, grids.H_x[rows], grids.A[rows], sigma_a[rows])
+    _, lam_max, constants = _xi_certificate(
+        obj, n, _take(tight, rows), _max_abs_diag(H[rows]), spectra, eta, Convention.TIGHT
+    )
+    for b, lam, *row in zip(rows.tolist(), lam_max.tolist(), *(c.tolist() for c in constants)):
+        try:
+            lam_max_xi[b], eta_star[b], _ = _xi_finish(lam, row, eta)
+        except Overflow as exc:
+            xi_errors[b] = exc
+    errors = [  # in the order in which the per-instance functions meet them
+        next((e for e in row if e is not None), None)
+        for row in zip(tight_errors, star_errors, fixed_errors, paper_errors, xi_errors)
+    ]
+    cols.update(lam_max_xi=lam_max_xi, eta_star=eta_star)
+    return [dict(zip(cols, row)) for row in zip(*cols.values())], errors, fixed

@@ -249,7 +249,6 @@ def _configure(args) -> dict:
 class Instance:
     plant: LtiPlant
     model: SensitivityModel
-    d: np.ndarray
     obj: SeparableObjective
 
 
@@ -286,18 +285,18 @@ def _resolve_instance(config: dict) -> Instance:
         raise ConfigError("config must contain exactly one plant source: 'plant' or 'grid'")
     if "grid" in config:
         spec = powergrid.spec_from_dict(config["grid"])
-        plant, model, d = powergrid.assemble_plant(spec)
+        plant, model, _ = powergrid.assemble_plant(spec)
         default = powergrid.grid_objective(spec, model)
     else:
         plant = plant_from_dict(config.pop("plant"))
-        model, d = compute_sensitivity(plant), plant.d
+        model = compute_sensitivity(plant)
         default = QuadraticObjective(1.0, 1.0, np.zeros(model.n))
     for key, size in (("u0", model.n), ("x0", plant.n_state)):
         value = config["simulation"][key]
         if value is not None and not isinstance(value, str):  # "random" has no length
             convert(f"simulation.{key}", as_vector, value, size, "the value")
     obj = _objective(config["objective"], default)
-    return Instance(plant=plant, model=model, d=d, obj=obj)
+    return Instance(plant=plant, model=model, obj=obj)
 
 
 def _controller(config: dict) -> ControllerConfig:
@@ -344,7 +343,7 @@ def cmd_analyze(args) -> None:
     inst = _resolve_instance(config)
     ctl = _controller(config)
     report = analysis.build_report(
-        inst.obj, inst.model, inst.d, ctl.eta, DEFAULT_ETA_GRID, inst.plant
+        inst.obj, inst.model, inst.plant.d, ctl.eta, DEFAULT_ETA_GRID, inst.plant
     )
     out_dir = _resolve_out_dir(config)
     path = os.path.join(out_dir, "analysis_report.json") if out_dir else None
@@ -379,9 +378,9 @@ def _simulate(config: dict) -> None:
     # fails a decentralized run on its constants' message; a centralized
     # run never solves it
     if ctl.mode is Mode.DECENTRALIZED:
-        fixed = decentralized_fixed_point(inst.obj, inst.model, inst.d)
+        fixed = decentralized_fixed_point(inst.obj, inst.model, inst.plant.d)
         u_ref, u_ref_kind = fixed.u, "fixed_point"
-    star = global_optimum(inst.obj, inst.model, inst.d)
+    star = global_optimum(inst.obj, inst.model, inst.plant.d)
     if ctl.mode is Mode.CENTRALIZED:
         u_ref, u_ref_kind = star.u, "optimum"
     out_dir = _resolve_out_dir(config, ".")
@@ -406,7 +405,7 @@ def _simulate(config: dict) -> None:
         data["absolute_errors"] = err.absolute
     if ctl.mode is Mode.DECENTRALIZED:
         consts = analysis.monotonicity_constants(inst.obj, inst.model)
-        sub = analysis.suboptimality_bound(inst.obj, inst.model, inst.d, fixed.u, consts)
+        sub = analysis.suboptimality_bound(inst.obj, inst.model, inst.plant.d, fixed.u, consts)
         data["suboptimality"] = {
             "distance": _norm(star.u - fixed.u),
             "bound": sub.bound,
@@ -436,7 +435,8 @@ def _record(
             if loop == "lti":
                 traj = sim.run_lti(inst.plant, inst.obj, cfg, x0=x0, stream=stream, **run)
             else:
-                traj = sim.run_algebraic(inst.model, inst.obj, inst.d, cfg, stream=stream, **run)
+                d = inst.plant.d
+                traj = sim.run_algebraic(inst.model, inst.obj, d, cfg, stream=stream, **run)
         except NonFinite as exc:
             traj, failure = exc.trajectory, exc
         if traj is None:
@@ -452,7 +452,7 @@ def _record(
 def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
     spec = powergrid.default_topology()
     plant, model, d_eff = powergrid.assemble_plant(spec)
-    inst = Instance(plant, model, d_eff, powergrid.grid_objective(spec, model))
+    inst = Instance(plant, model, powergrid.grid_objective(spec, model))
     star = global_optimum(inst.obj, model, d_eff)
     fixed = decentralized_fixed_point(inst.obj, model, d_eff)
     eta = 0.05

@@ -22,14 +22,13 @@ matrices rather than any closed form, so the closed-loop layers see a
 self-consistent y = H u + d.
 
 ``sweep_g`` puts the grids of all its positive G on one leading axis:
-one stacked sensitivity solve, one ``plant.schur_screen`` of the A_d, one
-SVD per certificate spectrum (C once, ||A_d||_2 from the screen), one
-solve per reference point, and each formula of ``equilibria`` and
-``analysis`` applied once over all rows, so a row equals the per-instance
-functions on its grid bit for bit.  ``assemble_plant`` is the stacked
-assembly's one-row case.  A G so small that 1 + eps g / c_cap rounds to
-1 leaves the grid without a ground path, so (I - A_d) is singular: the
-sweep notes that row, cells empty, as it notes a row whose
+one stacked sensitivity solve, one ``plant.schur_screen`` of the rows'
+A_d, the certificate cells of all rows from ``analysis`` (whose
+per-instance functions each row equals bit for bit), and one batched
+closed loop.  ``assemble_plant`` is the stacked assembly's one-row
+case, screened once by ``LtiPlant``.  A G so small that 1 + eps g / c_cap
+rounds to 1 leaves the grid without a ground path, so (I - A_d) is
+singular: the sweep notes that row, cells empty, as it notes a row whose
 reference-point equations are singular.  A row whose coupling fails is
 no failure: no note, a ``lam_max_xi`` of at least 1, no ``eta_star``.
 """
@@ -45,17 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import analysis, sim
-from .analysis import Convention
 from .controller import ControllerConfig, Mode
-from .equilibria import (
-    _constants,
-    _coupling,
-    _diagonal,
-    _h_spectra,
-    _max_abs_diag,
-    _quadratic_points,
-    _take,
-)
 from .errors import (
     DimensionMismatch,
     Overflow,
@@ -231,10 +220,10 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
 
     Returns per row the SingularMatrix its steady-state solve raised or
     None, and the rows that solved, each field an array over them: A
-    (A_d), H, H_x, d_eff, and stable, radius and sigma_a from one
-    ``schur_screen`` of their A_d; and B, C and D (B_d, C_d, 0), which
-    they share.  The steady state exists even where A_d is unstable:
-    (I - A_d) = -eps E^{-1} K is invertible for positive conductances.
+    (A_d), H, H_x and d_eff; and B, C and D (B_d, C_d, 0), which they
+    share.  A_d is not screened here: the steady state exists even where
+    A_d is unstable, as (I - A_d) = -eps E^{-1} K is invertible for
+    positive conductances, and each caller screens its A_d once.
     """
     a_d, b_d, c_d = _raw_matrices(spec, g_node)
     d_d = np.zeros((spec.n_nodes, spec.n_nodes))
@@ -250,10 +239,8 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
                 errors[b] = exc
         a_d = a_d[[error is None for error in errors]]
         H, H_x = sensitivity(a_d, b_d, c_d, d_d)
-    stable, radius, sigma_a = schur_screen(a_d)
     d_eff = _derived(spec, H, "d_eff")
-    grids = dict(A=a_d, B=b_d, C=c_d, D=d_d, H=H, H_x=H_x, d_eff=d_eff)
-    return errors, SimpleNamespace(**grids, stable=stable, radius=radius, sigma_a=sigma_a)
+    return errors, SimpleNamespace(A=a_d, B=b_d, C=c_d, D=d_d, H=H, H_x=H_x, d_eff=d_eff)
 
 
 def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[np.float64]]:
@@ -261,16 +248,18 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
 
     Returns the plant (deviation-state realization), its sensitivity
     model, and the effective output disturbance H (i_star - delta_i) + d_meas.
-    Raises UnstableDiscretization if the Euler step is too large for the
-    parameters, SingularMatrix if (I - A_d) is numerically singular (a
+    Raises UnstableDiscretization, with the radius of ``LtiPlant``'s Schur
+    screen (inf where A_d overflows), if the Euler step is too large for the
+    parameters; SingularMatrix if (I - A_d) is numerically singular (a
     vanishing conductance).
     """
     (error,), grids = _discretize(spec, spec.g_node[None])
     if error is not None:
         raise error
-    if not grids.stable[0]:
-        raise UnstableDiscretization(grids.radius[0])
-    plant = LtiPlant(A=grids.A[0], B=grids.B, C=grids.C, D=grids.D, d=grids.d_eff[0])
+    try:
+        plant = LtiPlant(A=grids.A[0], B=grids.B, C=grids.C, D=grids.D, d=grids.d_eff[0])
+    except ValueError as exc:  # a non-finite or unstable A_d
+        raise UnstableDiscretization(getattr(exc, "spectral_radius", math.inf)) from None
     return plant, SensitivityModel(H=grids.H[0], H_x=grids.H_x[0]), plant.d
 
 
@@ -278,61 +267,6 @@ def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjectiv
     """Voltage-tracking objective with reference H i_star + d_meas."""
     y_ref = _derived(spec, model.H, "y_ref")
     return QuadraticObjective(gamma1=spec.gamma1, gamma2=spec.gamma2, y_ref=y_ref)
-
-
-def _certify(spec: GridSpec, grids: SimpleNamespace, eta: float) -> tuple[list, list, tuple]:
-    """The certificate cells of each row of ``grids``, each formula applied once
-    over all rows; per row the error that the per-instance functions raise
-    first on it, or None; and the rows' references and decentralized fixed
-    points, the inputs of their loops."""
-    H = grids.H
-    g1, g2, n, B = float(spec.gamma1), float(spec.gamma2), spec.n_nodes, len(H)
-    obj = SimpleNamespace(L_u=g1, m_u=g1, L_y=g2, m_y=g2)  # all that the formulas read
-    y_ref = _derived(spec, H, "y_ref")
-    (star, star_errors), (fixed, fixed_errors) = (
-        _quadratic_points(g1, g2, y_ref, grids.d_eff, H, G, label)
-        for G, label in ((H, "global optimum"), (_diagonal(H), "decentralized fixed point"))
-    )
-    spectra = _h_spectra(H)
-    tight, tight_errors = _constants(obj, n, spectra, Convention.TIGHT)
-    paper, paper_errors = _constants(obj, n, spectra, Convention.PAPER)
-    y_inf = (H @ fixed[..., None])[..., 0] + grids.d_eff
-    lead = analysis._dropped_gradient(H, g2 * (y_inf - y_ref))
-    satisfied, lhs, rhs = _coupling(obj, tight)
-    norm_star = _norm(star)
-    with np.errstate(divide="ignore", invalid="ignore"):
-
-        def relative(v):  # to ||u*||
-            return np.where(norm_star > 0.0, v / norm_star, v)
-
-        cols = [satisfied, lhs, rhs, relative(_norm(star - fixed))]
-        for consts in (tight, paper):
-            bound, applicable = analysis._bound(lead, consts.m, satisfied)
-            bound = relative(bound)
-            cols += [np.where(np.isfinite(bound), bound, None), applicable]  # empty past the range
-    lam_max_xi, eta_star, xi_errors = [None] * B, [None] * B, [None] * B
-    stable = np.flatnonzero(grids.stable)
-    spectra = analysis._xi_spectra(
-        grids.C, grids.H_x[stable], grids.A[stable], grids.sigma_a[stable]
-    )
-    sigma_hd, consts = _max_abs_diag(H[stable]), _take(tight, stable)
-    _, lam_max, constants = analysis._xi_certificate(
-        obj, n, consts, sigma_hd, spectra, eta, Convention.TIGHT
-    )
-    for b, lam, *row in zip(stable.tolist(), lam_max.tolist(), *(c.tolist() for c in constants)):
-        try:
-            if not math.isfinite(lam):
-                raise Overflow(f"Xi at step size {eta:.6g}")
-            lam_max_xi[b], eta_star[b] = lam, analysis._eta_star_from_constants(*row)[0]
-        except Overflow as exc:
-            xi_errors[b] = exc
-    errors = [  # in the order in which the per-instance functions meet them
-        next((e for e in row if e is not None), None)
-        for row in zip(tight_errors, star_errors, fixed_errors, paper_errors, xi_errors)
-    ]
-    cols = [col.tolist() for col in cols] + [lam_max_xi, eta_star]
-    cells = [dict(zip(SWEEP_COLUMNS[1:11], row)) for row in zip(*cols)]
-    return cells, errors, (y_ref, fixed)
 
 
 def sweep_g(
@@ -364,7 +298,10 @@ def sweep_g(
     for row, error in zip(live, errors):
         row["note"] = "" if error is None else str(error)
     solved = [row for row in live if not row["note"]]
-    cells, errors, (y_ref, fixed) = _certify(base, grids, eta)
+    y_ref = _derived(base, grids.H, "y_ref")
+    stable, radius, sigma_a = schur_screen(grids.A)
+    g1, g2 = float(base.gamma1), float(base.gamma2)
+    cells, errors, fixed = analysis._sweep_certificates(g1, g2, grids, y_ref, stable, sigma_a, eta)
     for error in errors:
         if isinstance(error, Overflow):
             raise error
@@ -373,15 +310,14 @@ def sweep_g(
         if error is not None:
             row["note"] = str(error)
             continue
-        if not grids.stable[b]:
-            row["note"] = f"unstable discretization (spectral radius {grids.radius[b]:.6g})"
+        if not stable[b]:
+            row["note"] = f"unstable discretization (spectral radius {radius[b]:.6g})"
         row.update(cell, loop_final_err=None)
         run.append(b)
     if not run:
         return rows
     finals, diverged = sim._run_algebraic_batch(
-        grids.H[run], grids.d_eff[run], y_ref[run], float(base.gamma1), float(base.gamma2),
-        cfg.eta, steps,
+        grids.H[run], grids.d_eff[run], y_ref[run], g1, g2, cfg.eta, steps
     )
     ref, err = _norm(fixed[run]), _norm(finals - fixed[run])
     with np.errstate(divide="ignore", invalid="ignore"):

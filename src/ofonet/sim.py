@@ -141,7 +141,7 @@ def _start(value, n: int, name: str) -> NDArray[np.float64]:
     return np.zeros(n) if value is None else as_vector(value, n, name, finite=True)
 
 
-_FRESH = (None, None, None)  # a row passed over: the steps allocate its arrays
+_FRESH = (None, None, None)  # a row given no arrays: the steps allocate them
 
 
 class _Recorder:
@@ -149,12 +149,12 @@ class _Recorder:
     at a time, and its newest row when that falls between two kept ones.
     A full block that ``on_full`` takes is dropped.
 
-    The loop writes each row in place, into the arrays (u, y[, x]) that the
-    recorder gives it: ``spare`` for row 0, then those ``record`` returns.
-    A kept row is given as views of its block row, except the first row
-    of a block, which is given as ``spare`` and copied in when recorded,
-    once the full block is handed over, so the new block can take its
-    memory.  A row passed over is given as None: its steps allocate it.
+    The loop writes each row in place, into the arrays (u, y[, x]) that
+    ``record`` returns for it.  A kept row is given as views of its block
+    row.  A row passed over, the run's first row and the first row of each
+    block are given as ``_FRESH``: their steps allocate them.  The first
+    row of a block is copied in when recorded, once the full block is
+    handed over, so the new block can take its memory.
     """
 
     def __init__(self, n: int, n_state: Optional[int] = None, decimation: int = 1, on_full=None):
@@ -163,7 +163,6 @@ class _Recorder:
         self._blocks: list = []
         self._row = RECORD_BLOCK
         self._rows = None  # the last block's rows not yet given, as (u, y[, x]) views
-        self.spare = [np.empty(w) for w in self._widths]
         self._skip = 0  # rows to pass over before the next kept one
         self._between = None  # the newest row, when it was passed over
         self._on_full = on_full  # given a full block and the decimation; True if it took it
@@ -181,9 +180,9 @@ class _Recorder:
             if self._row == RECORD_BLOCK:
                 u, y, x = self._open_block(u, y, x)
             self._row += 1
-        if self._skip:
+        if self._skip or self._row == RECORD_BLOCK:
             return u, y, x, _FRESH
-        return u, y, x, self.spare if self._row == RECORD_BLOCK else next(self._rows)
+        return u, y, x, next(self._rows)
 
     def _open_block(self, u, y, x) -> tuple:
         """Hand the full block over, if any, then start a block with the row (u, y[, x]);
@@ -227,8 +226,7 @@ def _run(output, state, cfg, obj, model, u, x, steps, decimation, stream) -> Tra
     validated start vectors.  Only y is tested: a non-finite u_k or x_k
     makes y_k non-finite, which raises at step k all the same.  Row k's u
     and y are final when the update reads them, and the loop only writes
-    rows after k, its own buffers and the spare rows, which the update
-    never reads.
+    rows after k and its own buffers, which the update never reads.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -237,7 +235,7 @@ def _run(output, state, cfg, obj, model, u, x, steps, decimation, stream) -> Tra
     update = update_map(cfg, obj, model)
     on_full = None if stream is None else stream._take
     rec = _Recorder(u.size, None if x is None else x.size, decimation, on_full)
-    record, row = rec.record, rec.spare
+    record, row = rec.record, _FRESH
     isfinite, sqrt, subtract = math.isfinite, math.sqrt, np.subtract
     du, dx = np.empty(u.size), None if x is None else np.empty(x.size)
     early = False

@@ -32,6 +32,7 @@ from ofonet.plant import (
     LtiPlant,
     SensitivityModel,
     compute_sensitivity,
+    schur_screen,
     sensitivity,
 )
 from ofonet.sim import run_lti
@@ -125,8 +126,9 @@ def test_grid_model_equals_compute_sensitivity_of_its_plant(jitter):
             eps=0.05,
         )
     errors, grids = pg._discretize(spec, spec.g_node[None])
+    stable, _, _ = schur_screen(grids.A)
     assert errors == [None]
-    assert grids.stable.tolist() == [True]
+    assert stable.tolist() == [True]
     again = compute_sensitivity(pg.assemble_plant(spec)[0])
     for name in ("H", "H_x"):
         assert getattr(grids, name)[0].tobytes() == getattr(again, name).tobytes(), name
@@ -192,14 +194,42 @@ def test_discretize_screens_the_stack_once(monkeypatch):
     radii = [spectral_radius(a_d[0]), 0.0, spectral_radius(a_d[2])]
     calls = _count_calls(monkeypatch, ["svd", "eigvals"])
     errors, grids = pg._discretize(spec, g_node)
+    # the assembly itself leaves A_d unscreened: no SVD, no eigenvalue call
+    assert calls == {"svd": [], "eigvals": []}
+    stable, radius, sigma_a = schur_screen(grids.A)
     assert errors == [None] * 3
-    assert grids.stable.tolist() == [True, True, False]
-    assert grids.radius.tolist() == radii
-    assert grids.sigma_a.tolist() == norms
+    assert stable.tolist() == [True, True, False]
+    assert radius.tolist() == radii
+    assert sigma_a.tolist() == norms
     # one values-only SVD of the stack, and one eigenvalue call on exactly
     # the slices whose norm proves nothing
     assert calls["svd"] == [a_d.shape]
     assert calls["eigvals"] == [(2, *a_d.shape[1:])]
+
+
+def test_stock_grid_assembly_takes_one_svd_of_its_a_d(monkeypatch):
+    # LtiPlant's Schur screen is the only one: a values-only SVD of the (17, 17) A_d
+    calls = _count_calls(monkeypatch, ["svd"])
+    pg.assemble_plant(pg.default_topology())
+    assert calls["svd"] == [(17, 17)]
+
+
+def test_sweep_screens_the_stack_of_its_rows_once(monkeypatch):
+    # of five conductances, -1 is no grid and 1e-18 a singular slice: the
+    # sweep screens the stack of the other three, and the assembly none
+    screens = []
+
+    def counted(a, _screen=schur_screen):
+        screens.append(np.shape(a))
+        return _screen(a)
+
+    monkeypatch.setattr(pg, "schur_screen", counted)
+    spec = pg.default_topology()
+    pg._discretize(spec, np.outer([0.3, 1.0, 25.0], np.ones(spec.n_nodes)))
+    assert screens == []
+    rows = pg.sweep_g([-1.0, 1e-18, 0.3, 1.0, 25.0], 0.05, steps=10)
+    assert screens == [(3, 17, 17)]
+    assert [bool(row["note"]) for row in rows] == [True, True, False, False, True]
 
 
 def _random_spec(seed: int, n: int, eps: float) -> pg.GridSpec:
@@ -244,6 +274,7 @@ def test_stacked_slices_equal_assemble_plant(seed, n, batch, eps):
     inc = pg.incidence(spec)
     d_d = np.zeros((n, n))
     errors, grids = pg._discretize(spec, g_node)
+    stable, radius, _ = schur_screen(grids.A)
     assert errors == [None] * batch
     for b, (g, a) in enumerate(zip(g_node, a_d)):
         # the slice is the full formula I + eps E^{-1} K, byte for byte
@@ -257,11 +288,11 @@ def test_stacked_slices_equal_assemble_plant(seed, n, batch, eps):
         # assemble_plant is the one-row stack; grid_row builds the row alone
         row_plant, _, row_d, row_radius = grid_row(spec_g)
         assert grids.d_eff[b].tobytes() == row_d.tobytes()
-        if not grids.stable[b]:
+        if not stable[b]:
             with pytest.raises(UnstableDiscretization) as info:
                 pg.assemble_plant(spec_g)
-            assert info.value.spectral_radius == grids.radius[b] == spectral_radius(full)
-            assert row_plant is None and row_radius == grids.radius[b]
+            assert info.value.spectral_radius == radius[b] == spectral_radius(full)
+            assert row_plant is None and row_radius == radius[b]
             continue
         assert row_radius is None
         ref_plant, ref_model, ref_d = pg.assemble_plant(spec_g)

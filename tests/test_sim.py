@@ -519,7 +519,7 @@ def _replay(trajectory, stream=None, decimate=1):
     u, y, x = trajectory.u_series, trajectory.y_series, trajectory.x_series
     on_full = None if stream is None else stream._take
     rec = sim._Recorder(u.shape[1], None if x is None else x.shape[1], decimate, on_full)
-    row = rec.spare
+    row = sim._FRESH
     for k in range(len(trajectory)):
         # the run fills the row the recorder gives, or new arrays for a row
         # passed over, then records it
