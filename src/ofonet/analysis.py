@@ -116,7 +116,7 @@ class LtiRateCertificate:
     """Decay certificate for the closed loop with plant dynamics.
 
     lam_max bounds the one-step contraction factor of the combined
-    squared error at the given eta.  eta_star is the critical step
+    squared error at the caller's eta.  eta_star is the critical step
     (None when sigma_max(A) >= 1 or m' <= 0), capped at m'/L'.
     """
 
@@ -129,7 +129,6 @@ class LtiRateCertificate:
     a3: float
     a4: float
     t: float
-    eta: float
     eta_star: Optional[float] = None
     branch: Optional[Branch] = None
 
@@ -274,7 +273,7 @@ def xi_matrix(
     (x11, x12, x22), constants = ([float(c[0]) for c in cs] for cs in (xi, constants))
     lam, star, branch = _xi_finish(float(lam_max[0]), constants, eta)
     xi = np.array([[x11, x12], [x12, x22]])
-    return LtiRateCertificate(xi, lam, *constants, float(eta), star, branch)
+    return LtiRateCertificate(xi, lam, *constants, star, branch)
 
 
 def _xi_finish(lam_max: float, constants, eta: float):
@@ -385,14 +384,29 @@ def build_report(
             }
         cert = xi_matrix(plant, obj, model, eta, convention)
         branch = cert.branch.value if cert.branch else None
-        entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch}
+        entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch, "eta": etas[-1]}
         report["conventions"][convention.value] = entry
     return report
 
 
+# the sweep's certificate columns: the keys of each row of ``_sweep_certificates``, in order
+CERTIFICATE_COLUMNS = (
+    "coupling_ok",
+    "coupling_lhs",
+    "coupling_rhs",
+    "rel_subopt",
+    "bound_tight_rel",
+    "bound_tight_applicable",
+    "bound_paper_rel",
+    "bound_paper_applicable",
+    "lam_max_xi",
+    "eta_star",
+)
+
+
 def _sweep_certificates(gamma1, gamma2, grids, y_ref, stable, sigma_a, eta: float):
     """Per row of the sweep's ``grids`` (stacks A, H, H_x, d_eff; a shared C) under
-    the objective (gamma1, gamma2, ``y_ref``): its cells, keyed by sweep column,
+    the objective (gamma1, gamma2, ``y_ref``): its cells, keyed by ``CERTIFICATE_COLUMNS``,
     Xi only where its Schur screen (``stable``, ``sigma_a``) passes; the error
     that the per-instance functions raise first on it, or None; and its
     decentralized fixed point."""

@@ -30,7 +30,7 @@ that they do not read exits 2 naming it (``_grid_config``).  grid
 simulate reads every section; grid build every section but 'objective';
 grid sweep, which runs the decentralized algebraic loop, reads 'grid',
 controller.eta, simulation.steps and output.dir; figures reads
-simulation.steps, simulation.seed and output.dir, and no grid key.
+simulation.steps and output.dir, and no grid key.
 
 Configuration is a JSON file selected with --config; sections are
 plant | grid (exactly one), objective, controller, simulation, output.
@@ -97,6 +97,9 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 DEFAULT_ETA_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
+# the step size of both figures; fig4's conductances, grid sweep's default --g
+FIGURES_ETA = 0.05
+FIG4_G_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 # Named objective factories usable from config as {"objective": {"custom": name}}.
 _CUSTOM_OBJECTIVES: dict[str, Callable[[int], SeparableObjective]] = {}
@@ -285,7 +288,7 @@ def _resolve_instance(config: dict) -> Instance:
         raise ConfigError("config must contain exactly one plant source: 'plant' or 'grid'")
     if "grid" in config:
         spec = powergrid.spec_from_dict(config["grid"])
-        plant, model, _ = powergrid.assemble_plant(spec)
+        plant, model = powergrid.assemble_plant(spec)
         default = powergrid.grid_objective(spec, model)
     else:
         plant = plant_from_dict(config.pop("plant"))
@@ -449,16 +452,15 @@ def _record(
     return traj, err, failure
 
 
-def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
+def _fig3_bundle(out_dir: str, steps: int) -> dict:
     spec = powergrid.default_topology()
-    plant, model, d_eff = powergrid.assemble_plant(spec)
+    plant, model = powergrid.assemble_plant(spec)
     inst = Instance(plant, model, powergrid.grid_objective(spec, model))
-    star = global_optimum(inst.obj, model, d_eff)
-    fixed = decentralized_fixed_point(inst.obj, model, d_eff)
-    eta = 0.05
+    star = global_optimum(inst.obj, model, plant.d)
+    fixed = decentralized_fixed_point(inst.obj, model, plant.d)
     files = {}
     for mode in (Mode.CENTRALIZED, Mode.DECENTRALIZED):
-        cfg = ControllerConfig(mode=mode, eta=eta)
+        cfg = ControllerConfig(mode=mode, eta=FIGURES_ETA)
         # rel_err_u is against u_star, combined_sq against the mode's own limit
         own = star if mode is Mode.CENTRALIZED else fixed
         for loop in ("algebraic", "lti"):
@@ -470,10 +472,9 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
             files[f"{mode.value}_{loop}"] = name
     return {
         "preset": "fig3",
-        "eta": eta,
+        "eta": FIGURES_ETA,
         "g": 1.0,
         "steps": steps,
-        "seed": seed,
         "rel_err_reference": "u_star",
         "combined_sq_reference": "per-mode fixed point",
         "files": files,
@@ -483,31 +484,26 @@ def _fig3_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
     }
 
 
-FIG4_G_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-
-
-def _fig4_bundle(out_dir: str, steps: int, seed: Optional[int]) -> dict:
-    eta = 0.05
-    rows = powergrid.sweep_g(FIG4_G_VALUES, eta, steps=steps)
+def _fig4_bundle(out_dir: str, steps: int) -> dict:
+    rows = powergrid.sweep_g(FIG4_G_VALUES, FIGURES_ETA, steps=steps)
     name = "fig4_sweep.csv"
     powergrid.write_sweep_csv(os.path.join(out_dir, name), rows)
     return {
         "preset": "fig4",
-        "eta": eta,
+        "eta": FIGURES_ETA,
         "g_values": list(FIG4_G_VALUES),
         "steps": steps,
-        "seed": seed,
         "files": {"sweep": name},
         "parameters": powergrid.spec_to_dict(powergrid.default_topology()),
     }
 
 
 def cmd_figures(args) -> None:
-    why = "figures runs the default grid, fixes its controller and reads only steps and seed"
-    config = _grid_config(args, ("simulation.steps", "simulation.seed", "output.dir"), why)
+    why = "figures runs the default grid, fixes its controller and reads only steps"
+    config = _grid_config(args, ("simulation.steps", "output.dir"), why)
     out_dir = _resolve_out_dir(config, ".")
     bundle = _fig3_bundle if args.preset == "fig3" else _fig4_bundle
-    manifest = bundle(out_dir, config["simulation"]["steps"], config["simulation"]["seed"])
+    manifest = bundle(out_dir, config["simulation"]["steps"])
     path = os.path.join(out_dir, f"{args.preset}_manifest.json")
     sys.stdout.write(_dump_json(manifest, path))
 
@@ -539,7 +535,7 @@ def cmd_grid_build(args) -> None:
     why = "grid build assembles the grid with its own objective"
     config = _grid_config(args, ("grid", "controller", "simulation", "output"), why)
     spec = powergrid.spec_from_dict(config["grid"])
-    plant, model, d_eff = powergrid.assemble_plant(spec)
+    plant, model = powergrid.assemble_plant(spec)
     out_dir = _resolve_out_dir(config, ".")
     _dump_json(powergrid.spec_to_dict(spec), os.path.join(out_dir, "grid_spec.json"))
     plant_dict = {key: getattr(plant, key).tolist() for key in PLANT_KEYS}
@@ -550,7 +546,7 @@ def cmd_grid_build(args) -> None:
         "n_edges": spec.n_edges,
         "n_state": plant.n_state,
         "spectral_radius": _radii(plant.A)[0],
-        "effective_disturbance": d_eff.tolist(),
+        "effective_disturbance": plant.d.tolist(),
     }
     sys.stdout.write(_dump_json(summary))
 
@@ -611,9 +607,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, set]:
     command(grid_subs, "build", "assemble and export the grid plant", cmd_grid_build)
     command(grid_subs, "simulate", "simulate the configured grid loop", cmd_grid_simulate)
     sweep = command(grid_subs, "sweep", "sweep the node conductance", cmd_grid_sweep)
-    sweep.add_argument(
-        "--g", default="1,2,5,10,20,50,100", help="comma-separated conductance values"
-    )
+    g_values = ",".join(map(str, FIG4_G_VALUES))
+    sweep.add_argument("--g", default=g_values, help="comma-separated conductance values")
     sweep.add_argument("--eta", type=float, default=None, help="controller step size")
     sweep.add_argument("--steps", type=int, default=None, help="iteration budget")
     parsers = (parser, *subs.choices.values(), *grid_subs.choices.values())

@@ -194,8 +194,10 @@ def sensitivity(A, B, C, D):
     A stack A (B, n_state, n_state) sharing B, C and D is solved in one
     call and gives the stacks (H, H_x); one failing slice fails the whole stack.
     """
+    # B as one matrix per slice: numpy < 2 reads a 2-D B under a stack A as vectors
+    B_stack = np.broadcast_to(B, A.shape[:-2] + B.shape)
     try:
-        H_x = np.linalg.solve(np.eye(A.shape[-1]) - A, B)
+        H_x = np.linalg.solve(np.eye(A.shape[-1]) - A, B_stack)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"(I - A) is singular: {exc}") from exc
     H = C @ H_x + D

@@ -243,15 +243,15 @@ def _discretize(spec: GridSpec, g_node: NDArray[np.float64]) -> tuple[list, Simp
     return errors, SimpleNamespace(A=a_d, B=b_d, C=c_d, D=d_d, H=H, H_x=H_x, d_eff=d_eff)
 
 
-def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[np.float64]]:
+def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel]:
     """The grid discretized as a stable LTI plant: the one-row case of ``_discretize``.
 
-    Returns the plant (deviation-state realization), its sensitivity
-    model, and the effective output disturbance H (i_star - delta_i) + d_meas.
-    Raises UnstableDiscretization, with the radius of ``LtiPlant``'s Schur
-    screen (inf where A_d overflows), if the Euler step is too large for the
-    parameters; SingularMatrix if (I - A_d) is numerically singular (a
-    vanishing conductance).
+    Returns the plant (deviation-state realization), whose ``d`` is the
+    effective output disturbance H (i_star - delta_i) + d_meas, and its
+    sensitivity model.  Raises UnstableDiscretization, with the radius of
+    ``LtiPlant``'s Schur screen (inf where A_d overflows), if the Euler
+    step is too large for the parameters; SingularMatrix if (I - A_d) is
+    numerically singular (a vanishing conductance).
     """
     (error,), grids = _discretize(spec, spec.g_node[None])
     if error is not None:
@@ -260,7 +260,7 @@ def assemble_plant(spec: GridSpec) -> tuple[LtiPlant, SensitivityModel, NDArray[
         plant = LtiPlant(A=grids.A[0], B=grids.B, C=grids.C, D=grids.D, d=grids.d_eff[0])
     except ValueError as exc:  # a non-finite or unstable A_d
         raise UnstableDiscretization(getattr(exc, "spectral_radius", math.inf)) from None
-    return plant, SensitivityModel(H=grids.H[0], H_x=grids.H_x[0]), plant.d
+    return plant, SensitivityModel(H=grids.H[0], H_x=grids.H_x[0])
 
 
 def grid_objective(spec: GridSpec, model: SensitivityModel) -> QuadraticObjective:
@@ -332,21 +332,7 @@ def sweep_g(
     return rows
 
 
-SWEEP_COLUMNS = [
-    "g",
-    "coupling_ok",
-    "coupling_lhs",
-    "coupling_rhs",
-    "rel_subopt",
-    "bound_tight_rel",
-    "bound_tight_applicable",
-    "bound_paper_rel",
-    "bound_paper_applicable",
-    "lam_max_xi",
-    "eta_star",
-    "loop_final_err",
-    "note",
-]
+SWEEP_COLUMNS = ["g", *analysis.CERTIFICATE_COLUMNS, "loop_final_err", "note"]
 
 
 def _cell(value) -> str:

@@ -51,9 +51,9 @@ def pool100():
 @pytest.fixture(scope="module")
 def grid_setup():
     spec = pg.default_topology()
-    plant, model, d_eff = pg.assemble_plant(spec)
+    plant, model = pg.assemble_plant(spec)
     obj = pg.grid_objective(spec, model)
-    return plant, model, obj, d_eff
+    return plant, model, obj, plant.d
 
 
 def test_equilibrium_solvers_match_closed_form():
@@ -300,8 +300,8 @@ def test_numerical_hygiene(grid_setup):
     plants.append((g_plant, g_model, g_d))
     for g in (2.0, 5.0, 10.0):
         spec = pg.spec_from_dict({"g_node": [g] * 8})
-        p, m, de = pg.assemble_plant(spec)
-        plants.append((p, m, de))
+        p, m = pg.assemble_plant(spec)
+        plants.append((p, m, p.d))
     from conftest import static_plant
 
     p2, m2 = static_plant(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))

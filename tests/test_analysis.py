@@ -318,6 +318,18 @@ def test_eta_star_absent_when_a_is_not_a_contraction():
     assert report["conventions"]["tight"]["lti"]["eta_star"] is None
 
 
+@pytest.mark.parametrize("instance", ["reference", "grid"])
+def test_lti_certificate_holds_no_step_size(instance):
+    # the step is the caller's input: the report writes it, the record does not keep it
+    plant, model, obj, d = reference_instance() if instance == "reference" else grid_instance()
+    cert = an.xi_matrix(plant, obj, model, 0.03)
+    assert not hasattr(cert, "eta")
+    report = an.build_report(obj, model, d, 0.03, [0.01, 0.05], plant)
+    for convention in an.Convention:
+        lti = report["conventions"][convention.value]["lti"]
+        assert lti["eta"] == 0.03 and type(lti["eta"]) is float, convention
+
+
 def test_eta_star_second_branch():
     # (m', L', a1, a2, a3, a4, t) = (1, 1, 0, 0, 0, 1, 0.5): a3 m' + 2 a1 a2 - a4 L' = -1
     # selects the linear branch t m' / (a4 m' + a2^2 + t L') = 0.5 / 1.5, below the cap m'/L' = 1

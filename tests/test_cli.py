@@ -344,7 +344,8 @@ def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, rng):
                 timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-            runs.setdefault(command, []).append({"stdout": proc.stdout, **_files(out)})
+            files = {"stdout": proc.stdout, "stderr": proc.stderr, **_files(out)}
+            runs.setdefault(command, []).append(files)
     for command, (one, two) in runs.items():
         assert one.keys() == two.keys()
         assert [name for name in one if one[name] != two[name]] == [], command
@@ -474,6 +475,46 @@ def test_figures_fig4(tmp_path, capsys):
     validate(manifest, "manifest")
     rows = list(csv.DictReader((out / "fig4_sweep.csv").read_text().splitlines()))
     assert [float(r["g"]) for r in rows] == [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--seed", "3", "figures", "fig4"], None),
+        (["figures", "fig3"], {"simulation": {"seed": 3}}),
+    ],
+)
+def test_figures_take_no_seed(tmp_path, capsys, argv, config):
+    # the presets draw nothing at random: a seed is a key they do not read
+    out = tmp_path / "out"
+    given = [] if config is None else ["--config", write_config(tmp_path, config)]
+    assert run([*given, "--out", str(out), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'simulation.seed': figures ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_figure_manifests_hold_no_seed(tmp_path, capsys, preset):
+    cfg = write_config(tmp_path, {"simulation": {"steps": 20}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "f"), "figures", preset]) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    validate(manifest, "manifest")
+    assert "seed" not in manifest
+    assert manifest["eta"] == cli.FIGURES_ETA
+    with pytest.raises(jsonschema.ValidationError):
+        validate({**manifest, "seed": None}, "manifest")
+
+
+def test_grid_sweep_defaults_to_the_fig4_conductances(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "FIG4_G_VALUES", (3.0, 0.25, 1e-3))
+    cfg = write_config(tmp_path, {"controller": {"eta": 0.05}, "simulation": {"steps": 20}})
+    assert run(["--config", cfg, "--out", str(tmp_path), "grid", "sweep"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 3
+    rows = list(csv.DictReader((tmp_path / "grid_sweep.csv").read_text().splitlines()))
+    assert [float(r["g"]) for r in rows] == [3.0, 0.25, 1e-3]
 
 
 def test_grid_build(tmp_path, capsys):
@@ -1104,7 +1145,7 @@ def test_usage_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, 
         (["figures", "fig4"], {"grid": {"g_node": [3.0] * 8}}, "'grid'"),
         (["figures", "fig3"], {"grid": {"eps": None}}, "'grid'"),
         (["figures", "fig3"], {"plant": REF_PLANT}, "'plant'"),
-        # the presets fix their controller and read only steps and seed
+        # the presets fix their controller and read only steps
         (["figures", "fig4"], {"controller": {"eta": 0.3}}, "'controller'"),
         (["figures", "fig3"], {"controller": {"mode": "centralized"}}, "'controller'"),
         (

@@ -59,7 +59,7 @@ def test_incidence_matrix():
 
 def test_default_discretization_stable():
     spec = pg.default_topology()
-    plant, model, d_eff = pg.assemble_plant(spec)
+    plant, model = pg.assemble_plant(spec)
     assert plant.n_state == 17
     assert model.n == 8
     assert spectral_radius(plant.A) == pytest.approx(0.9, abs=1e-12)
@@ -67,7 +67,7 @@ def test_default_discretization_stable():
 
 def test_sensitivity_spectrum_frozen_values():
     spec = pg.default_topology()
-    _, model, _ = pg.assemble_plant(spec)
+    _, model = pg.assemble_plant(spec)
     s = np.linalg.svd(model.H, compute_uv=False)
     assert s[0] == pytest.approx(1.0, abs=1e-6)
     assert s[-1] == pytest.approx(0.639151, abs=1e-6)
@@ -77,9 +77,9 @@ def test_sensitivity_spectrum_frozen_values():
 
 def test_effective_disturbance_composition():
     spec = pg.default_topology()
-    _, model, d_eff = pg.assemble_plant(spec)
+    plant, model = pg.assemble_plant(spec)
     expected = model.H @ (spec.i_star - spec.delta_i) + spec.d_meas
-    npt.assert_allclose(d_eff, expected, atol=1e-12)
+    npt.assert_allclose(plant.d, expected, atol=1e-12)
 
 
 # finite inputs whose derived vector leaves the float range: i_star - delta_i
@@ -105,7 +105,7 @@ def test_derived_vector_past_the_float_range_raises_overflow(what):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow) as alone:
-            _, model, _ = pg.assemble_plant(spec)
+            _, model = pg.assemble_plant(spec)
             pg.grid_objective(spec, model)
         with pytest.raises(Overflow) as swept:
             pg.sweep_g(g_values, 0.05, steps=10, spec=spec)
@@ -136,7 +136,7 @@ def test_grid_model_equals_compute_sensitivity_of_its_plant(jitter):
 
 def test_grid_objective_reference():
     spec = pg.default_topology()
-    _, model, _ = pg.assemble_plant(spec)
+    _, model = pg.assemble_plant(spec)
     obj = pg.grid_objective(spec, model)
     assert isinstance(obj, QuadraticObjective)
     npt.assert_allclose(obj.y_ref, model.H @ spec.i_star + spec.d_meas, atol=1e-12)
@@ -144,11 +144,11 @@ def test_grid_objective_reference():
 
 def test_closed_loop_settles_at_fixed_point():
     spec = pg.default_topology()
-    plant, model, d_eff = pg.assemble_plant(spec)
+    plant, model = pg.assemble_plant(spec)
     obj = pg.grid_objective(spec, model)
     cfg = ControllerConfig(mode=Mode.DECENTRALIZED, eta=0.05)
     traj = run_lti(plant, obj, cfg, steps=10**5)
-    fp = decentralized_fixed_point(obj, model, d_eff)
+    fp = decentralized_fixed_point(obj, model, plant.d)
     npt.assert_allclose(traj.u_series[-1], fp.u, atol=1e-8)
 
 
@@ -179,7 +179,7 @@ def test_stock_grid_assembles_without_eigenvalue_solve(monkeypatch):
         raise AssertionError("eigvals called on a grid with ||A_d||_2 < 1")
 
     monkeypatch.setattr(np.linalg, "eigvals", boom)
-    plant, _, _ = pg.assemble_plant(spec)
+    plant, _ = pg.assemble_plant(spec)
     assert plant.n_state == 17
 
 
@@ -212,6 +212,31 @@ def test_stock_grid_assembly_takes_one_svd_of_its_a_d(monkeypatch):
     calls = _count_calls(monkeypatch, ["svd"])
     pg.assemble_plant(pg.default_topology())
     assert calls["svd"] == [(17, 17)]
+
+
+def test_assemble_plant_returns_the_plant_and_its_model():
+    # the effective disturbance is the plant's d, not a third value
+    assembled = pg.assemble_plant(pg.default_topology())
+    assert len(assembled) == 2
+    plant, model = assembled
+    assert isinstance(plant, LtiPlant) and isinstance(model, SensitivityModel)
+
+
+def test_sensitivity_solves_one_matrix_per_slice(monkeypatch):
+    # numpy < 2 reads a 2-D right-hand side under a stack of matrices as a
+    # stack of vectors; a B with the stack's leading axes reads alike in both
+    ndims = []
+
+    def spy(a, b, _solve=np.linalg.solve):
+        ndims.append((np.ndim(a), np.ndim(b)))
+        return _solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    spec = pg.default_topology()
+    pg._discretize(spec, np.outer([1.0, 2.0, 5.0], np.ones(spec.n_nodes)))
+    plant, _ = pg.assemble_plant(spec)
+    compute_sensitivity(plant)
+    assert sorted(set(ndims)) == [(2, 2), (3, 3)]
 
 
 def test_sweep_screens_the_stack_of_its_rows_once(monkeypatch):
@@ -295,9 +320,9 @@ def test_stacked_slices_equal_assemble_plant(seed, n, batch, eps):
             assert row_plant is None and row_radius == radius[b]
             continue
         assert row_radius is None
-        ref_plant, ref_model, ref_d = pg.assemble_plant(spec_g)
+        ref_plant, ref_model = pg.assemble_plant(spec_g)
         assert grids.A[b].tobytes() == ref_plant.A.tobytes()
-        assert grids.d_eff[b].tobytes() == ref_d.tobytes() == ref_plant.d.tobytes()
+        assert grids.d_eff[b].tobytes() == ref_plant.d.tobytes()
         for name in ("H", "H_x"):
             assert getattr(grids, name)[b].tobytes() == getattr(ref_model, name).tobytes(), name
 
@@ -380,6 +405,25 @@ def _per_instance_cells(spec, g, eta, steps):
 def _bits(row):
     """``row`` with its float bits spelled out, so -0.0 differs from 0.0."""
     return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+
+def test_sweep_certificate_columns_are_named_in_analysis(monkeypatch):
+    # the CSV writes the cells that analysis names, so a cell added without
+    # its name fails here instead of going missing from the file
+    cells = []
+
+    def spy(*args, _certify=an._sweep_certificates):
+        certified = _certify(*args)
+        cells.extend(certified[0])
+        return certified
+
+    monkeypatch.setattr(an, "_sweep_certificates", spy)
+    spec, g_values, eta = SWEEP_CASES["jitter"]
+    pg.sweep_g(g_values, eta, steps=10, spec=spec)
+    assert pg.SWEEP_COLUMNS[1:-2] == list(an.CERTIFICATE_COLUMNS)
+    assert pg.SWEEP_COLUMNS[0] == "g" and pg.SWEEP_COLUMNS[-2:] == ["loop_final_err", "note"]
+    assert len(cells) == len(g_values)
+    assert all(list(row) == list(an.CERTIFICATE_COLUMNS) for row in cells)
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
