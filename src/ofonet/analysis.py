@@ -15,14 +15,17 @@ singular values of the sensitivity and the declared objective moduli:
   ``xi_matrix``): a 2x2 matrix Xi(eta) whose largest eigenvalue bounds
   the per-step decay of the combined squared error
   ||x - H_x u||^2 + ||u - u_inf||^2, with the critical step size
-  eta_star below which lam_max(Xi) < 1 and the branch that gives it.
+  eta_star below which lam_max(Xi) < 1 and the branch that gives it,
+  "eta1" or "eta2".
 
 A failing coupling (m <= c) is a value, not an error: the rate window is
 empty (eta_upper = 0, rho >= 1 for every positive step) and Xi certifies
 no step (lam_max >= 1, eta_star None).  ``build_report`` gathers all of
 them into one JSON document.  ``_sweep_certificates`` applies each formula
 once over all rows of the conductance sweep, and each row equals the
-per-instance functions bit for bit.
+per-instance functions bit for bit.  Every certificate is numpy
+arithmetic whose squares go through ``equilibria._square``, and a
+non-finite result raises one Overflow.
 
 Every constant exists in two conventions.  The N-scaled convention
 multiplies the aggregate moduli by the agent count N; the blockwise
@@ -40,7 +43,6 @@ alongside for comparison.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
@@ -77,7 +79,6 @@ from .plant import LtiPlant, SensitivityModel
 __all__ = [
     "SVAL_TOL",
     "Convention",
-    "Branch",
     "MonotonicityConstants",
     "ContractionRate",
     "SuboptimalityBound",
@@ -89,11 +90,6 @@ __all__ = [
     "xi_matrix",
     "build_report",
 ]
-
-
-class Branch(enum.Enum):
-    ETA1 = "eta1"
-    ETA2 = "eta2"
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,8 @@ class LtiRateCertificate:
 
     lam_max bounds the one-step contraction factor of the combined
     squared error at the caller's eta.  eta_star is the critical step
-    (None when sigma_max(A) >= 1 or m' <= 0), capped at m'/L'.
+    (None when sigma_max(A) >= 1 or m' <= 0), capped at m'/L', and
+    ``branch`` names the closed form that gives it, "eta1" or "eta2".
     """
 
     xi: NDArray[np.float64]
@@ -130,7 +127,7 @@ class LtiRateCertificate:
     a4: float
     t: float
     eta_star: Optional[float] = None
-    branch: Optional[Branch] = None
+    branch: Optional[str] = None
 
     def __post_init__(self):
         self.xi.setflags(write=False)
@@ -144,22 +141,20 @@ def contraction_rate(consts: MonotonicityConstants, eta: float) -> ContractionRa
     exactly on (0, eta_upper), eta_upper = 2(m-c)/((L-c)(L+c)); when
     m <= c, rho >= 1 for every positive step and eta_upper is 0.
     Admissibility tests rho itself: a step that rounds onto the end is
-    judged by the rate it gets.  A step whose rate leaves the
-    floating-point range raises Overflow, and so does an end whose
-    denominator underflows to zero.
+    judged by the rate it gets.  A rate or an end past the floating-point
+    range (as a denominator that underflows to zero gives) raises Overflow.
     """
-    m, c, L = consts.m, consts.c, consts.L
-    try:
+    m, c, L = np.float64(consts.m), np.float64(consts.c), np.float64(consts.L)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         eta_upper = 2.0 * (m - c) / ((L - c) * (L + c)) if m > c else 0.0
-    except ZeroDivisionError:
-        raise Overflow("the window end eta_upper = 2(m - c)/((L - c)(L + c))") from None
-    try:
-        rho = math.sqrt(1.0 - 2.0 * m * eta + (L * eta) ** 2) + c * eta
-    except OverflowError:
-        rho = math.inf
-    if not math.isfinite(rho):
+        rho = np.sqrt(1.0 - 2.0 * m * eta + _square(L * eta)) + c * eta
+    if not np.isfinite(eta_upper):
+        raise Overflow("the window end eta_upper = 2(m - c)/((L - c)(L + c))")
+    if not np.isfinite(rho):
         raise Overflow(f"the rate at step size {eta:.6g}")
-    return ContractionRate(rho=rho, admissible=bool(0.0 < eta and rho < 1.0), eta_upper=eta_upper)
+    return ContractionRate(
+        rho=float(rho), admissible=bool(0.0 < eta and rho < 1.0), eta_upper=float(eta_upper)
+    )
 
 
 def _dropped_gradient(H, grad_y):
@@ -219,36 +214,6 @@ def _xi_spectra(C, H_x, A, sigma_a=None):
     )
 
 
-def _eta_star_from_constants(m_prime, l_prime, a1, a2, a3, a4, t):
-    """(eta_star, branch); (None, None) when t <= 0 (sigma_max(A) >= 1) or m' <= 0.
-
-    Two-branch closed form selected by the sign of a3 m' + 2 a1 a2 - a4 L',
-    capped at m'/L' (the cap is what keeps the (2,2) block of Xi a
-    contraction).  A cap whose L' underflows to zero raises Overflow.
-    """
-    if t <= 0.0 or m_prime <= 0.0:
-        return None, None
-    disc = a3 * m_prime + 2.0 * a1 * a2 - a4 * l_prime
-    lin = a4 * m_prime + a2**2 + t * l_prime
-    if disc > 0.0:
-        root = math.sqrt(lin**2 + 4.0 * t * m_prime * disc)
-        value = (root - lin) / (2.0 * disc)
-        branch = Branch.ETA1
-    elif lin > 0.0:
-        value = t * m_prime / lin
-        branch = Branch.ETA2
-    else:
-        # Both quadratic and linear coefficients nonpositive: the decay
-        # condition holds for every positive step below the cap.
-        value = math.inf
-        branch = Branch.ETA2
-    try:
-        cap = m_prime / l_prime
-    except ZeroDivisionError:
-        raise Overflow("the cap m'/L' of eta_star") from None
-    return min(value, cap), branch
-
-
 def xi_matrix(
     plant: LtiPlant,
     obj: SeparableObjective,
@@ -263,34 +228,34 @@ def xi_matrix(
 
     The eigenvalue comes from the 2x2 closed form.  eta_star and its
     branch are attached when sigma_max(A) < 1 and m' > 0, else left None.
-    A constant or an entry past the floating-point range raises Overflow.
+    A constant, an entry or eta_star past the floating-point range raises Overflow.
     """
     consts = _model_constants(obj, model, convention)
     spectra = _xi_spectra(plant.C, model.H_x[None], plant.A[None])
-    xi, lam_max, constants = _xi_certificate(
+    (x11, x12, x22), (fields,), (error,) = _xi_certificate(
         obj, model.n, consts, _max_abs_diag(model.H[None]), spectra, eta, convention
     )
-    (x11, x12, x22), constants = ([float(c[0]) for c in cs] for cs in (xi, constants))
-    lam, star, branch = _xi_finish(float(lam_max[0]), constants, eta)
-    xi = np.array([[x11, x12], [x12, x22]])
-    return LtiRateCertificate(xi, lam, *constants, star, branch)
-
-
-def _xi_finish(lam_max: float, constants, eta: float):
-    """(lam_max, eta_star, branch) of one row of ``_xi_certificate``, from its largest
-    eigenvalue and its constants; Overflow where that eigenvalue is not finite."""
-    if not math.isfinite(lam_max):
-        raise Overflow(f"Xi at step size {eta:.6g}")
-    return (lam_max, *_eta_star_from_constants(*constants))
+    if error is not None:
+        raise error
+    return LtiRateCertificate(np.array([[x11[0], x12[0]], [x12[0], x22[0]]]), *fields)
 
 
 def _xi_certificate(obj, n, consts, sigma_hd, spectra, eta, convention):
     """Xi(eta) of ``xi_matrix`` per row, from the constants ``consts`` in
-    ``convention``, max_i |H_ii| and the ``_xi_spectra``: its entries (Xi_11,
-    Xi_12, Xi_22), its largest eigenvalue (not finite where Xi leaves the
-    floating-point range) and the constants (m', L', a1, a2, a3, a4, t),
-    each an array over the rows; a square past the range is inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    ``convention``, max_i |H_ii| and the ``_xi_spectra``.  Returns its entries
+    (Xi_11, Xi_12, Xi_22), each an array over the rows; per row the fields of
+    its ``LtiRateCertificate`` after xi, (lam_max, m', L', a1, a2, a3, a4, t,
+    eta_star, branch); and per row the Overflow it raises, or None.  It
+    raises one where, checked in this order, lam_max, the cap m'/L' or the
+    root or linear coefficient of eta_star's branch leaves the
+    floating-point range.
+
+    eta_star is the two-branch closed form selected by the sign of
+    a3 m' + 2 a1 a2 - a4 L', capped at m'/L' (the cap is what keeps the
+    (2,2) block of Xi a contraction); it and its branch are None where
+    t <= 0 (sigma_max(A) >= 1) or m' <= 0.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sigma_c, sigma_c_min, sigma_hx, s_a, sigma_a = spectra
         k = _n_factor(n, convention)
         sigma_h, sigma_off = consts.sigma_max_h, consts.sigma_max_offdiag
@@ -315,10 +280,32 @@ def _xi_certificate(obj, n, consts, sigma_hd, spectra, eta, convention):
         off = a1 * eta_sq + a2 * eta
         xi = ((1.0 - t) + a3 * eta_sq + a4 * eta, off, 1.0 - m_prime * eta + l_prime * eta_sq)
         half_sum, half_diff = 0.5 * (xi[0] + xi[2]), 0.5 * (xi[0] - xi[2])
+        disc = a3 * m_prime + 2.0 * a1 * a2 - a4 * l_prime
+        lin = a4 * m_prime + _square(a2) + t * l_prime
+        root = np.sqrt(_square(lin) + 4.0 * t * m_prime * disc)
+        eta1 = disc > 0.0
+        # where both coefficients are nonpositive, the decay condition
+        # holds for every positive step below the cap
+        linear = np.where(lin > 0.0, t * m_prime / lin, np.inf)
+        cap = m_prime / l_prime
+        star = np.minimum(np.where(eta1, (root - lin) / (2.0 * disc), linear), cap)
     # hypot one row at a time: math.hypot and numpy's hypot may round apart
     rows = zip(half_sum.tolist(), half_diff.tolist(), off.tolist())
     lam_max = np.array([s + math.hypot(d, o) for s, d, o in rows])
-    return xi, lam_max, (m_prime, l_prime, a1, a2, a3, a4, t)
+    defined = (t > 0.0) & (m_prime > 0.0)
+    failed = np.select(
+        [
+            ~np.isfinite(lam_max),
+            defined & ~np.isfinite(cap),
+            defined & ~np.isfinite(np.where(eta1, root, lin)),
+        ],
+        [1, 2, 3],
+    )
+    what = (None, f"Xi at step size {eta:.6g}", "the cap m'/L' of eta_star", "eta_star")
+    errors = [Overflow(what[k]) if k else None for k in failed.tolist()]
+    star, branch = (np.where(defined, c, None) for c in (star, np.where(eta1, "eta1", "eta2")))
+    columns = (lam_max, m_prime, l_prime, a1, a2, a3, a4, t, star, branch)
+    return xi, list(zip(*(c.tolist() for c in columns))), errors
 
 
 def build_report(
@@ -383,8 +370,7 @@ def build_report(
                 ),
             }
         cert = xi_matrix(plant, obj, model, eta, convention)
-        branch = cert.branch.value if cert.branch else None
-        entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "branch": branch, "eta": etas[-1]}
+        entry["lti"] = {**asdict(cert), "xi": cert.xi.tolist(), "eta": etas[-1]}
         report["conventions"][convention.value] = entry
     return report
 
@@ -439,14 +425,11 @@ def _sweep_certificates(gamma1, gamma2, grids, y_ref, stable, sigma_a, eta: floa
     lam_max_xi, eta_star, xi_errors = ([None] * len(H) for _ in range(3))
     rows = np.flatnonzero(stable)
     spectra = _xi_spectra(grids.C, grids.H_x[rows], grids.A[rows], sigma_a[rows])
-    _, lam_max, constants = _xi_certificate(
+    _, fields, errors = _xi_certificate(
         obj, n, _take(tight, rows), _max_abs_diag(H[rows]), spectra, eta, Convention.TIGHT
     )
-    for b, lam, *row in zip(rows.tolist(), lam_max.tolist(), *(c.tolist() for c in constants)):
-        try:
-            lam_max_xi[b], eta_star[b], _ = _xi_finish(lam, row, eta)
-        except Overflow as exc:
-            xi_errors[b] = exc
+    for b, (lam, *_, star, _), error in zip(rows.tolist(), fields, errors):
+        lam_max_xi[b], eta_star[b], xi_errors[b] = lam, star, error
     errors = [  # in the order in which the per-instance functions meet them
         next((e for e in row if e is not None), None)
         for row in zip(tight_errors, star_errors, fixed_errors, paper_errors, xi_errors)

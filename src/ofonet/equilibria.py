@@ -136,9 +136,10 @@ def _h_spectra(H):
 
 
 def _square(x):
-    """x ** 2 of each entry of the array ``x`` through Python's float power, as
-    a scalar formula takes it (libm pow, which numpy's square does not round
-    alike in the last bit); inf where the power would overflow, past ROOT_MAX."""
+    """x ** 2 of each entry of the array ``x`` through Python's float power:
+    every certificate and step size squares through here, which keeps the
+    bits of libm pow (numpy's square may round apart in the last bit); inf
+    where the power would overflow, past ROOT_MAX."""
     squares = [math.inf if abs(v) > ROOT_MAX else v**2 for v in np.ravel(x).tolist()]
     return np.array(squares).reshape(np.shape(x))
 
@@ -275,8 +276,9 @@ def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSol
 
     Quadratic objectives are solved exactly by ``_quadratic_points``,
     whose errors this raises; anything else runs the fixed-step iteration
-    u <- u - tau F_G(u) from u = 0 to residual SOLVE_TOL, with
-    tau = ``step_size()``.
+    u <- u - tau F_G(u) from u = 0 to residual SOLVE_TOL, with tau = m / L^2
+    for (m, L) = ``step_size()``, and raises Overflow where L^2 or tau is
+    past the floating-point range.
     """
     if obj.n != model.n:
         raise DimensionMismatch(f"objective has {obj.n} agents, model has {model.n}")
@@ -290,9 +292,13 @@ def _solve(obj, model, d, G, label, step_size, certified=True) -> EquilibriumSol
             raise error
         u = u[0]
     else:
-        u, _ = _iterate(
-            lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), step_size()
-        )
+        m, L = step_size()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            square = _square(L)
+            tau = float(m / square)
+        if not (np.isfinite(square) and math.isfinite(tau)):
+            raise Overflow(f"the {label}'s iteration step")
+        u, _ = _iterate(lambda v: _gradient(obj, model, G, d, v), np.zeros(model.n), tau)
     residual = _norm(_gradient(obj, model, G, d, u))
     return EquilibriumSolution(
         u=u, y=H @ u + d, residual=residual, uniqueness_certified=certified
@@ -307,7 +313,7 @@ def global_optimum(obj: SeparableObjective, model: SensitivityModel, d) -> Equil
 
     def step_size():
         k = monotonicity_constants(obj, model)
-        return k.m / k.L**2
+        return k.m, k.L
 
     return _solve(obj, model, d, model.H, "global optimum", step_size)
 
@@ -329,7 +335,7 @@ def decentralized_fixed_point(
     def step_size():
         L = obj.L_u + float(_max_abs_diag(model.H)) * k.sigma_max_h * obj.L_y
         # m - c > 0 makes tau provably contractive; otherwise best effort.
-        return (k.m - k.c) / L**2 if certified else k.m / L**2
+        return (k.m - k.c if certified else k.m), L
 
     G = _diagonal(model.H)
     return _solve(obj, model, d, G, "decentralized fixed point", step_size, certified)

@@ -104,8 +104,8 @@ class UnstableDiscretization(OfonetError):
 class Overflow(OfonetError):
     """A certificate's arithmetic left the floating-point range.
 
-    A float power past the range raises OverflowError in Python, while a
-    product gives inf; each certificate turns both into this error.
+    Every certificate and step size is numpy arithmetic whose squares go
+    through ``equilibria._square``, and a non-finite result is this one error.
     """
 
     def __init__(self, what: str):

@@ -314,8 +314,6 @@ def sweep_g(
             row["note"] = f"unstable discretization (spectral radius {radius[b]:.6g})"
         row.update(cell, loop_final_err=None)
         run.append(b)
-    if not run:
-        return rows
     finals, diverged = sim._run_algebraic_batch(
         grids.H[run], grids.d_eff[run], y_ref[run], g1, g2, cfg.eta, steps
     )

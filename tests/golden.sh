@@ -130,6 +130,18 @@ cat > "$configs/plant-large-output.json" <<'JSON'
 {"plant": {"A": [[0.5]], "B": [[1e-170]], "C": [[1e160]], "D": [[0.0]], "d": [0.0]},
  "controller": {"eta": 0.05}}
 JSON
+# lam_max(Xi) ~ 2.5e157 is finite, the square of eta_star's linear
+# coefficient ~9e160 is not (exit 1 with one error line, no report)
+cat > "$configs/plant-huge-output.json" <<'JSON'
+{"plant": {"A": [[0.0]], "B": [[1e-80]], "C": [[1e80]], "D": [[0.0]], "d": [1.0]},
+ "controller": {"eta": 0.05}}
+JSON
+# sigma_max(H) = 1e78: the constants are finite, the square L^2 of the
+# generic solvers' step m / L^2 is not (exit 1 with one error line)
+cat > "$configs/plant-huge-gain-logcosh.json" <<'JSON'
+{"plant": {"A": [[0.0]], "B": [[1e78]], "C": [[1.0]], "D": [[0.0]], "d": [1.0]},
+ "controller": {"eta": 0.05}}
+JSON
 # last-row overflow: every u is finite (|u| up to 5e303), y_100 = 100 u_100 is
 # not (exit 1, 101-line CSV); the squares of u overflow, its norms do not
 cat > "$configs/plant-overflow-algebraic.json" <<'JSON'
@@ -314,6 +326,7 @@ run plant-huge-gain-centralized-simulate --config "$configs/plant-huge-gain-cent
   simulate
 run plant-nonnormal-huge-analyze --config "$configs/plant-nonnormal-huge.json" analyze
 run plant-large-output-analyze --config "$configs/plant-large-output.json" analyze
+run plant-huge-output-analyze --config "$configs/plant-huge-output.json" analyze
 run grid-sweep-unstable --config "$configs/grid-unstable.json" grid sweep \
   --eta 0.05 --steps 100
 # two non-positive rows, a singular slice (the per-row path of the
@@ -379,4 +392,8 @@ for sharing in shared closures; do
   done
   OFO_OBJECTIVE_CUSTOM=logcosh run_logcosh "logcosh-$sharing-analyze" "$sharing" \
     --config "$configs/plant-nonnormal.json" analyze
+done
+for command in simulate analyze; do
+  OFO_OBJECTIVE_CUSTOM=logcosh run_logcosh "logcosh-huge-gain-$command" shared \
+    --config "$configs/plant-huge-gain-logcosh.json" "$command"
 done

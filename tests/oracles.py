@@ -4,9 +4,9 @@ No command, report or benchmark runs these; the tests check the package
 against them.  Each oracle restates what it checks from the per-agent
 callables of a ``SeparableObjective`` and the matrices of a
 ``SensitivityModel``: the pseudo-gradient, the contraction rate rho(eta),
-the neglected-coupling bias and, for quadratic objectives, the exact
-step limit of the algebraic loop and the exact monotonicity modulus of
-the pseudo-gradient.  They import only public ``ofonet`` names, so none
+the neglected-coupling bias, the scalar closed form of the critical step
+eta_star and, for quadratic objectives, the exact step limit of the
+algebraic loop and the exact monotonicity modulus of the pseudo-gradient.  They import only public ``ofonet`` names, so none
 of them reuses the code it checks.
 """
 
@@ -118,6 +118,29 @@ def _pseudo_gradient_jacobian(obj, model) -> NDArray[np.float64]:
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("the exact oracles need a quadratic objective")
     return obj.gamma1 * np.eye(model.n) + obj.gamma2 * np.diag(np.diag(model.H)) @ model.H
+
+
+def eta_star_closed_form(m_prime, l_prime, a1, a2, a3, a4, t):
+    """(eta_star, branch) of the Xi constants in Python floats, one row at a time;
+    (None, None) when t <= 0 (sigma_max(A) >= 1) or m' <= 0.
+
+    The root of the quadratic where a3 m' + 2 a1 a2 - a4 L' > 0 ("eta1"),
+    else t m' / (a4 m' + a2^2 + t L') or, where that denominator is not
+    positive, every step ("eta2"), capped at m'/L'.  A cap past the
+    floating-point range raises ZeroDivisionError or OverflowError.
+    """
+    if t <= 0.0 or m_prime <= 0.0:
+        return None, None
+    disc = a3 * m_prime + 2.0 * a1 * a2 - a4 * l_prime
+    lin = a4 * m_prime + a2**2 + t * l_prime
+    if disc > 0.0:
+        value, branch = (math.sqrt(lin**2 + 4.0 * t * m_prime * disc) - lin) / (2.0 * disc), "eta1"
+    else:
+        value, branch = (t * m_prime / lin if lin > 0.0 else math.inf), "eta2"
+    cap = m_prime / l_prime  # ZeroDivisionError where L' is zero
+    if math.isinf(cap):
+        raise OverflowError("the cap m'/L' of eta_star")
+    return min(value, cap), branch
 
 
 def exact_algebraic_eta_limit(obj, model) -> float:

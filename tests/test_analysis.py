@@ -4,13 +4,21 @@ import json
 import math
 import re
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import grid_instance, random_weakly_coupled, reference_instance, static_plant
-from oracles import exact_algebraic_eta_limit, monotonicity_gap_test, tracking_inequality_check
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    eta_star_closed_form,
+    exact_algebraic_eta_limit,
+    monotonicity_gap_test,
+    tracking_inequality_check,
+)
 
 import ofonet.analysis as an
 import ofonet.equilibria as eq
@@ -89,11 +97,11 @@ def test_diagonal_read_from_h_gives_the_bits_of_a_diagonal_matrix():
 
     xi_spectra = an._xi_spectra(plant.C, model.H_x[None], plant.A[None])
     sigma_hd = np.abs(np.diag(h_d)).max()[None]
-    xi, lam_max, _ = an._xi_certificate(
+    xi, ((lam_max, *_),), _ = an._xi_certificate(
         obj, n, consts, sigma_hd, xi_spectra, eta, an.Convention.TIGHT
     )
     cert = an.xi_matrix(plant, obj, model, eta)
-    assert _bits(cert.lam_max) == _bits(lam_max[0])
+    assert _bits(cert.lam_max) == _bits(lam_max)
     assert _bits(cert.xi[0, 0], cert.xi[0, 1], cert.xi[1, 1]) == _bits(*(x[0] for x in xi))
 
     cfg = ControllerConfig(Mode.DECENTRALIZED, eta)
@@ -265,7 +273,7 @@ def test_xi_matrix_scalar_oracle():
     assert cert.t == pytest.approx(0.75)
     assert cert.m_prime == pytest.approx(2 * (5.0 - 0.0))
     assert cert.eta_star == pytest.approx(0.02712934, abs=1e-7)
-    assert cert.branch is an.Branch.ETA1
+    assert cert.branch == "eta1"
 
 
 def test_xi_matrix_is_read_only():
@@ -279,7 +287,7 @@ def test_eta_star_scalar_boundary():
     plant, model, obj = scalar_dynamic_instance()
     cert = an.xi_matrix(plant, obj, model, eta=0.01)
     star, branch = cert.eta_star, cert.branch
-    assert branch is an.Branch.ETA1
+    assert branch == "eta1"
     below = an.xi_matrix(plant, obj, model, eta=0.999 * star)
     above = an.xi_matrix(plant, obj, model, eta=1.001 * star)
     assert below.lam_max < 1.0 < above.lam_max
@@ -333,9 +341,74 @@ def test_lti_certificate_holds_no_step_size(instance):
 def test_eta_star_second_branch():
     # (m', L', a1, a2, a3, a4, t) = (1, 1, 0, 0, 0, 1, 0.5): a3 m' + 2 a1 a2 - a4 L' = -1
     # selects the linear branch t m' / (a4 m' + a2^2 + t L') = 0.5 / 1.5, below the cap m'/L' = 1
-    star, branch = an._eta_star_from_constants(1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5)
+    star, branch = eta_star_closed_form(1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5)
     assert star == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert branch is an.Branch.ETA2
+    assert branch == "eta2"
+
+
+# (m, c, sigma_max(H), sigma_max(H - diag(H)), max_i |H_ii|, sigma_max(C), sigma_min(C),
+# sigma_max(H_x), sigma_max(H_x^T A), sigma_max(A)): one row of the inputs of
+# ``_xi_certificate``, drawn of any sign, as the formulas take any values
+XI_ROW = st.tuples(*[st.floats(-4.0, 4.0)] * 9, st.floats(0.0, 1.5))
+# rows at eta = 0.05 under the moduli (L_u, m_u, L_y, m_y) = (1, 0.5, 1, 2):
+# m' <= 0, t <= 0, "eta1", "eta2", "eta1" at the cap, L' = 0 (whose cap
+# raises) and "eta2" at the cap
+XI_CASES = [
+    (-1.0, -1.0, 1.0, -2.0, 0.0, 1.0, -1.0, -2.0, -1.0, 0.3),
+    (0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 1.0),
+    (2.0, 0.0, 1.0, 0.0, 1.0, -1.0, 0.0, -1.0, -2.0, 0.6),
+    (1.0, 0.0, 2.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.3),
+    (2.0, 0.0, 2.0, -2.0, 2.0, 0.0, 1.0, -1.0, 0.0, 0.7),
+    (0.0, -1.0, -1.0, 1.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.1),
+    (1.0, -1.0, 2.0, 1.0, -1.0, 0.0, 0.0, -1.0, 0.0, 0.3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.floats(0.0, 4.0)] * 4),
+    st.lists(XI_ROW, min_size=1, max_size=8),
+    st.floats(0.0, 1.0),
+)
+@example((1.0, 0.5, 1.0, 2.0), XI_CASES, 0.05)
+def test_eta_star_rows_equal_the_scalar_closed_form(moduli, rows, eta):
+    # each row's eta_star and branch are the bits of the scalar formula on
+    # that row's constants; a cap past the range raises instead
+    obj = SimpleNamespace(**dict(zip(("L_u", "m_u", "L_y", "m_y"), moduli)))
+    m, c, sigma_h, sigma_off, sigma_hd, *spectra = map(np.array, zip(*rows))
+    consts = eq.MonotonicityConstants(m, c, None, sigma_h, None, sigma_off)
+    _, fields, errors = an._xi_certificate(
+        obj, 1, consts, sigma_hd, spectra, eta, an.Convention.TIGHT
+    )
+    for (_, *constants, star, branch), error in zip(fields, errors):
+        try:
+            expected, expected_branch = eta_star_closed_form(*constants)
+        except (ZeroDivisionError, OverflowError):
+            assert str(error) == "the cap m'/L' of eta_star leaves the floating-point range"
+        else:
+            assert error is None
+            assert (repr(star), branch) == (repr(expected), expected_branch)
+
+
+def test_lti_certificate_branch_is_a_string():
+    # the scalar instance takes the root of the quadratic; a zero diagonal
+    # (a1 = a3 = 0) under C = I (a4 = 0) leaves the linear branch
+    scalar = scalar_dynamic_instance()
+    plant, model = static_plant(np.array([[0.0, 0.5], [0.0, 0.0]]), np.zeros(2))
+    zero_diagonal = plant, model, QuadraticObjective(1.0, 1.0, np.zeros(2))
+    for (plant, model, obj), branch in ((scalar, "eta1"), (zero_diagonal, "eta2")):
+        cert = an.xi_matrix(plant, obj, model, eta=0.01)
+        assert type(cert.branch) is str and cert.branch == branch
+
+
+def test_eta_star_past_the_float_range_raises_overflow():
+    # lam_max(Xi) ~ 2.5e157 and the cap m'/L' = 1 are finite, but the linear
+    # coefficient ~9e160 of eta_star squares past the range
+    plant = LtiPlant(A=[[0.0]], B=[[1e-80]], C=[[1e80]], D=[[0.0]], d=[1.0])
+    model = compute_sensitivity(plant)
+    obj = QuadraticObjective(gamma1=1.0, gamma2=1.0, y_ref=np.zeros(1))
+    with pytest.raises(Overflow, match="^eta_star leaves the floating-point range$"):
+        an.xi_matrix(plant, obj, model, eta=0.05)
 
 
 def _coupling_failing_instance(name):

@@ -705,6 +705,14 @@ LARGE_OUTPUT = {
 }
 
 
+# lam_max(Xi) ~ 2.5e157 is finite, the square of eta_star's linear
+# coefficient ~9e160 is not
+HUGE_OUTPUT = {
+    "plant": {**ONE_AGENT, "B": [[1e-80]], "C": [[1e80]], "d": [1.0]},
+    "controller": {"eta": 0.05},
+}
+
+
 # vectors that the grid derives from finite inputs: i_star - delta_i overflows,
 # and H i_star where a conductance of 0.01 makes H large
 HUGE_INJECTION = {
@@ -780,6 +788,7 @@ OVERFLOWING_POINT = {
             ["simulate"],
             "the decentralized fixed point leaves the floating-point range",
         ),
+        (HUGE_OUTPUT, ["analyze"], "eta_star leaves the floating-point range"),
     ],
 )
 def test_overflowing_certificate_exits_1_with_one_error_line(

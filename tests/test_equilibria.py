@@ -6,14 +6,20 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import grid_instance, random_weakly_coupled, reference_instance, static_plant
+from conftest import (
+    grid_instance,
+    logcosh_objective,
+    random_weakly_coupled,
+    reference_instance,
+    static_plant,
+)
 from oracles import best_response_check, exact_pseudo_gradient_modulus, nash_residual
 from test_objective import quadratic_as_generic
 
 import ofonet.equilibria as eq
 from ofonet.cli import FIG4_G_VALUES
 from ofonet.errors import DimensionMismatch, NoConvergence, Overflow, SingularMatrix, _norm
-from ofonet.objective import QuadraticObjective
+from ofonet.objective import QuadraticObjective, SeparableObjective
 from ofonet.plant import LtiPlant, SensitivityModel, compute_sensitivity
 
 U_STAR = np.array([-6.0 / 17.0, -10.0 / 17.0])
@@ -167,6 +173,23 @@ def test_overflowing_constants_raise(gain):
             eq.monotonicity_constants(obj, model, convention)
     with pytest.raises(Overflow, match="a monotonicity constant at sigma_max"):
         eq.decentralized_fixed_point(obj, model, [0.0])
+
+
+@pytest.mark.parametrize("gain, moduli", [(1e78, None), (1.0, 1e-200)])
+def test_iteration_step_past_the_float_range_raises_overflow(gain, moduli):
+    # the constants are finite, but L^2 of the step m / L^2 is not at
+    # sigma_max(H) = 1e78, and underflows to zero at moduli of 1e-200
+    plant = LtiPlant(A=[[0.0]], B=[[gain]], C=[[1.0]], D=[[0.0]], d=[1.0])
+    model = compute_sensitivity(plant)
+    obj = logcosh_objective(1)
+    if moduli is not None:
+        obj = SeparableObjective(obj.input_costs, obj.output_costs, *[moduli] * 4)
+    for solve, label in (
+        (eq.global_optimum, "global optimum"),
+        (eq.decentralized_fixed_point, "decentralized fixed point"),
+    ):
+        with pytest.raises(Overflow, match=f"^the {label}'s iteration step leaves"):
+            solve(obj, model, plant.d)
 
 
 def _random_coupled(rng, scale):
